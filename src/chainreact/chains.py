@@ -13,6 +13,7 @@ safe for the remainder of the chain.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 from .logic import ConditionSet, LogicalState, apply_effects, holds
 from .planner import GroundOperator, GroundedDomain, Plan
@@ -174,9 +175,15 @@ def chain_from_json(grounded: GroundedDomain, data: dict) -> Chain:
     return build_chain(the_plan, goal)
 
 
+def _parse_name(name: str) -> tuple[str, Optional[tuple[str, ...]]]:
+    """Split ``"head(a, b)"`` into ``("head", ("a", "b"))``, stripping
+    whitespace; a name without parentheses has ``None`` for its arguments."""
+    if "(" not in name:
+        return name, None
+    head, rest = name.split("(", 1)
+    return head, tuple(a.strip() for a in rest.rstrip(")").split(",") if a.strip())
+
+
 def _atom_from_name(vocab, name: str):
-    if "(" in name:
-        head, rest = name.split("(", 1)
-        args = [a.strip() for a in rest.rstrip(")").split(",") if a.strip()]
-        return vocab.get(head, *args)
-    return vocab.get(name)
+    head, args = _parse_name(name)
+    return vocab.get(head, *(args or ()))

@@ -19,9 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
-from .chains import Chain
+from .chains import Chain, _atom_from_name, _parse_name
 from .kitchen import KitchenSim
-from .logic import LogicalState, goal_satisfied, holds
+from .logic import LogicalState, Vocabulary, goal_satisfied, holds
 from .perception import PerceptionPipeline
 
 ENTER_NEW = "enter_new"
@@ -70,28 +70,58 @@ class Disturbance:
     kind:    {"kind": "teleport_object", "object": o, "destination": ...}
              or {"kind": "set_drawer", "extension": x}
              or {"kind": "detach_gripper"}
+
+    The trigger is resolved once.  ``at_tick`` becomes an int.  An operator
+    name with arguments must equal the started ground operator's name; one
+    without arguments matches any binding of that schema.  A predicate
+    becomes the bit of its atom in the vocabulary of the first truth state
+    it is checked against.  Names are read by the parser that scenario
+    validation uses, so whitespace inside them does not matter.
     """
 
     trigger: dict
     kind: dict
     fired: bool = False
+    at_tick: Optional[int] = field(default=None, init=False)
+    operator: Optional[str] = field(default=None, init=False)  # ground name
+    schema: Optional[str] = field(default=None, init=False)  # any binding
+    predicate: Optional[str] = field(default=None, init=False)
+    _vocab: Optional[Vocabulary] = field(default=None, init=False, repr=False)
+    _bit: int = field(default=0, init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        if "at_tick" in self.trigger:
+            self.at_tick = int(self.trigger["at_tick"])
+        elif "when_operator" in self.trigger:
+            head, args = _parse_name(str(self.trigger["when_operator"]))
+            if args is None:
+                self.schema = head
+            else:
+                self.operator = f"{head}({', '.join(args)})" if args else head
+        elif "when_predicate" in self.trigger:
+            self.predicate = str(self.trigger["when_predicate"])
+        else:
+            raise ValueError(f"unknown trigger {self.trigger!r}")
 
     def matches(
-        self, tick: int, started_op: Optional[str], truth: LogicalState
+        self, tick: int, started_op: Optional[str], truth: Optional[LogicalState]
     ) -> bool:
+        """Whether the trigger fires this tick; ``truth`` is read only by a
+        predicate trigger."""
         if self.fired:
             return False
-        if "at_tick" in self.trigger:
-            return tick == int(self.trigger["at_tick"])
-        if "when_operator" in self.trigger:
-            want = self.trigger["when_operator"]
-            if started_op is None:
-                return False
-            return started_op == want or started_op.split("(", 1)[0] == want
-        if "when_predicate" in self.trigger:
-            name = self.trigger["when_predicate"]
-            return name in set(truth.sorted_names())
-        raise ValueError(f"unknown trigger {self.trigger!r}")
+        if self.at_tick is not None:
+            return tick == self.at_tick
+        if self.predicate is None:
+            return started_op is not None and (
+                started_op == self.operator
+                or started_op.split("(", 1)[0] == self.schema
+            )
+        vocab = truth.vocabulary
+        if self._vocab is not vocab:
+            self._bit = 1 << vocab.id_of(_atom_from_name(vocab, self.predicate))
+            self._vocab = vocab
+        return truth.mask & self._bit != 0
 
 
 @dataclass
@@ -131,7 +161,10 @@ def _fire_disturbances(
     fired = []
     if not disturbances:
         return fired
-    truth = sim.eval_predicates()
+    # Only a predicate trigger still armed reads the post-tick truth.
+    truth = None
+    if any(d.predicate is not None and not d.fired for d in disturbances):
+        truth = sim.eval_predicates()
     for d in disturbances:
         if d.matches(tick, started_op, truth):
             sim.apply_disturbance(d.kind)

@@ -330,19 +330,28 @@ def build_scenario(
 
 
 def _check_disturbance_refs(trigger, kind, grounded, where) -> Optional[str]:
-    from .chains import _atom_from_name
+    from .chains import _atom_from_name, _parse_name
     from .logic import UnknownAtomError
 
     if "when_operator" in trigger:
-        want = str(trigger["when_operator"]).split("(", 1)[0]
-        if not any(op.schema.name == want for op in grounded.operators):
-            return f"field '{where}.trigger': unknown operator {want!r}"
+        # Read as Disturbance reads it: with arguments the name must be one
+        # ground operator, without them a schema.
+        head, args = _parse_name(str(trigger["when_operator"]))
+        known = any(
+            op.schema.name == head and (args is None or op.bound_args == args)
+            for op in grounded.operators
+        )
+        if not known:
+            return (
+                f"field '{where}.trigger.when_operator': unknown operator "
+                f"{trigger['when_operator']!r}"
+            )
     if "when_predicate" in trigger:
         try:
             _atom_from_name(grounded.vocabulary, str(trigger["when_predicate"]))
         except UnknownAtomError:
             return (
-                f"field '{where}.trigger': unknown atom "
+                f"field '{where}.trigger.when_predicate': unknown atom "
                 f"{trigger['when_predicate']!r}"
             )
     if kind["kind"] == "teleport_object":

@@ -100,88 +100,86 @@ def reference_world(movables: tuple[str, ...] = ("spam", "sugar")) -> WorldState
 
 
 def evaluate_world(world: WorldState, grounded: GroundedDomain) -> LogicalState:
-    """Deterministic, total map from a world state to the logical state."""
+    """Deterministic, total map from a world state to the logical state.
+
+    Each rule ORs the bit of its atom, read by ``(name, args)`` from the
+    vocabulary's precomputed table; an atom outside the vocabulary raises
+    :class:`~chainreact.logic.UnknownAtomError`.
+    """
     region = world.arm_region
     kind, target = region
     attached = world.attached
     ext = world.drawer_extension
-    open_gripper = world.gripper_aperture >= GRIPPER_OPEN_AT
     drawer_open = ext >= DRAWER_OPEN_AT
-    drawer_closed = ext <= DRAWER_CLOSED_AT
-
-    true_atoms: list[tuple[str, tuple[str, ...]]] = []
-
-    def put(name: str, *args: str) -> None:
-        true_atoms.append((name, args))
-
-    if kind == DRIVING:
-        put("arm_in_driving_posture")
-    if kind == ABOVE_COUNTER:
-        put("arm_is_above_counter")
-        put("arm_is_clear_above_counter")
-    if kind == APPROACH:
-        put("arm_in_approach_region", target)
-    if kind == AROUND:
-        put("arm_is_around", target)
-        if attached is None:
-            if target == HANDLE:
-                put("arm_is_around_handle_loose")
-            else:
-                put("arm_is_around_obj_loose", target)
-    if kind in (NEAR_HANDLE, FRONT_OF_DRAWER) or region in (
-        (APPROACH, HANDLE),
-        (AROUND, HANDLE),
-    ):
-        put("arm_is_near_handle")
-    if kind == FRONT_OF_DRAWER:
-        put("arm_in_front_of_drawer")
-    if kind == OVER_DRAWER:
-        put("arm_is_over_drawer")
-    if kind == IN_DRAWER:
-        put("arm_is_in_drawer")
-    if world.arm_moving:
-        put("arm_is_moving")
-
-    if open_gripper:
-        put("gripper_is_open")
-    if attached is None:
-        put("arm_is_free")
-    else:
-        put("arm_is_attached")
-    if attached == HANDLE:
-        put("handle_is_attached")
-    else:
-        put("handle_is_detected")
-        put("handle_is_tracked")
-
-    if drawer_open:
-        put("drawer_is_open")
-        if attached != HANDLE:
-            put("drawer_is_open_and_detached")
-    if drawer_closed:
-        put("drawer_is_closed")
-
-    for obj, pose in world.object_pose.items():
-        if attached == obj:
-            put("arm_is_attached_to_obj", obj)
-            put("obj_is_attached", obj)
-        if pose[0] == "counter":
-            put("obj_is_on_counter", obj)
-        elif pose[0] == "over_drawer":
-            put("obj_is_over_drawer", obj)
-        elif pose[0] == "in_drawer":
-            put("obj_is_in_drawer", obj)
-        if pose[0] == "held" and kind == ABOVE_COUNTER:
-            put("obj_is_clear_above_counter", obj)
-        hidden = pose[0] == "in_drawer" and not drawer_open
-        if not hidden:
-            put("obj_is_detected", obj)
-            put("obj_is_tracked", obj)
-
     vocab = grounded.vocabulary
+    bit = vocab.bits
     mask = 0
-    for name, args in true_atoms:
-        mask |= 1 << vocab.id_of(vocab.get(name, *args))
+    try:
+        if kind == DRIVING:
+            mask |= bit["arm_in_driving_posture", ()]
+        if kind == ABOVE_COUNTER:
+            mask |= bit["arm_is_above_counter", ()] | bit["arm_is_clear_above_counter", ()]
+        if kind == APPROACH:
+            mask |= bit["arm_in_approach_region", (target,)]
+        if kind == AROUND:
+            mask |= bit["arm_is_around", (target,)]
+            if attached is None:
+                if target == HANDLE:
+                    mask |= bit["arm_is_around_handle_loose", ()]
+                else:
+                    mask |= bit["arm_is_around_obj_loose", (target,)]
+        if kind in (NEAR_HANDLE, FRONT_OF_DRAWER) or region in (
+            (APPROACH, HANDLE),
+            (AROUND, HANDLE),
+        ):
+            mask |= bit["arm_is_near_handle", ()]
+        if kind == FRONT_OF_DRAWER:
+            mask |= bit["arm_in_front_of_drawer", ()]
+        if kind == OVER_DRAWER:
+            mask |= bit["arm_is_over_drawer", ()]
+        if kind == IN_DRAWER:
+            mask |= bit["arm_is_in_drawer", ()]
+        if world.arm_moving:
+            mask |= bit["arm_is_moving", ()]
+
+        if world.gripper_aperture >= GRIPPER_OPEN_AT:
+            mask |= bit["gripper_is_open", ()]
+        if attached is None:
+            mask |= bit["arm_is_free", ()]
+        else:
+            mask |= bit["arm_is_attached", ()]
+        if attached == HANDLE:
+            mask |= bit["handle_is_attached", ()]
+        else:
+            mask |= bit["handle_is_detected", ()] | bit["handle_is_tracked", ()]
+
+        if drawer_open:
+            mask |= bit["drawer_is_open", ()]
+            if attached != HANDLE:
+                mask |= bit["drawer_is_open_and_detached", ()]
+        if ext <= DRAWER_CLOSED_AT:
+            mask |= bit["drawer_is_closed", ()]
+
+        for obj, pose in world.object_pose.items():
+            args = (obj,)
+            if attached == obj:
+                mask |= bit["arm_is_attached_to_obj", args] | bit["obj_is_attached", args]
+            where = pose[0]
+            if where == "counter":
+                mask |= bit["obj_is_on_counter", args]
+            elif where == "over_drawer":
+                mask |= bit["obj_is_over_drawer", args]
+            elif where == "in_drawer":
+                mask |= bit["obj_is_in_drawer", args]
+            if where == "held" and kind == ABOVE_COUNTER:
+                mask |= bit["obj_is_clear_above_counter", args]
+            hidden = where == "in_drawer" and not drawer_open
+            if not hidden:
+                mask |= bit["obj_is_detected", args] | bit["obj_is_tracked", args]
+    except KeyError as err:
+        name, args = err.args[0]
+        vocab.get(name, *args)  # raises UnknownAtomError naming the atom
+        raise
     return LogicalState(vocab, mask)
 
 

@@ -4,7 +4,9 @@ Ground atoms are interned into a :class:`Vocabulary`, which assigns each
 atom a dense integer id.  A :class:`LogicalState` is then a bitmask over
 that vocabulary, so condition checks and effect application are a handful
 of integer operations regardless of domain size.  Absence of an atom means
-false (closed world).
+false (closed world).  The vocabulary also keeps the tables that hot code
+reads instead of atom objects: each atom's bit by ``(name, args)`` key, and
+its ids in name order for listing a state's atoms.
 """
 
 from __future__ import annotations
@@ -91,6 +93,15 @@ class Vocabulary:
             if atom.key in self._index:
                 raise ValueError(f"duplicate atom {atom} in vocabulary")
             self._index[atom.key] = i
+        # (name, args) -> 1 << id, for building masks without atom objects
+        self.bits: dict[tuple[str, tuple[str, ...]], int] = {
+            key: 1 << i for key, i in self._index.items()
+        }
+        self.names: tuple[str, ...] = tuple(str(a) for a in self.atoms)
+        # atom ids ordered by printed name, for LogicalState.sorted_names
+        self.name_order: tuple[int, ...] = tuple(
+            sorted(range(len(self.atoms)), key=self.names.__getitem__)
+        )
 
     def __len__(self) -> int:
         return len(self.atoms)
@@ -156,7 +167,9 @@ class LogicalState:
         return hash((id(self.vocabulary), self.mask))
 
     def sorted_names(self) -> list[str]:
-        return sorted(str(a) for a in self.atoms)
+        mask = self.mask
+        names = self.vocabulary.names
+        return [names[i] for i in self.vocabulary.name_order if mask >> i & 1]
 
     def __str__(self) -> str:
         return "{" + ", ".join(self.sorted_names()) + "}"

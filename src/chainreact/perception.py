@@ -1,16 +1,18 @@
 """Noisy, temporally filtered estimation of the logical state.
 
 Each tick the pipeline takes the ground-truth logical state, flips every
-atom independently with its predicate's flip probability, pushes the noisy
-snapshot into a sliding window, and returns the per-atom majority vote over
-the window.  With window size 3 and flip probability p the per-atom error
-rate drops from p to p^2 (3 - 2p).  Flip probabilities of zero make the
-pipeline an exact oracle.
+atom independently with its predicate's flip probability (one
+``rng.random(n)`` draw per tick, packed into an ``int`` flip mask), pushes
+the noisy mask into a sliding window, and returns the per-atom majority vote
+over the window, computed bit-parallel on the window's int masks.  With
+window size 3 and flip probability p the per-atom error rate drops from p to
+p^2 (3 - 2p).  Flip probabilities of zero make the pipeline an exact oracle.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -59,59 +61,42 @@ class NoiseModel:
         return self.default_flip == 0.0 and not any(self.per_predicate_flip.values())
 
 
-def _mask_to_bits(mask: int, n: int) -> np.ndarray:
-    nbytes = (n + 7) // 8
-    raw = np.frombuffer(mask.to_bytes(nbytes, "little"), dtype=np.uint8)
-    return np.unpackbits(raw, bitorder="little")[:n].astype(bool)
-
-
-def _bits_to_mask(bits: np.ndarray) -> int:
-    packed = np.packbits(bits.astype(np.uint8), bitorder="little")
-    return int.from_bytes(packed.tobytes(), "little")
-
-
 class EstimatorWindow:
-    """Last-N buffer of instantaneous estimates, oldest evicted first."""
+    """Last-N buffer of instantaneous estimates (int masks), oldest evicted
+    first."""
 
     def __init__(self, capacity: int = DEFAULT_WINDOW):
         if capacity < 1:
             raise ValueError("window capacity must be at least 1")
         self.capacity = capacity
-        self._buffer: list[np.ndarray] = []
+        self._buffer: deque[int] = deque(maxlen=capacity)
 
     def __len__(self) -> int:
         return len(self._buffer)
 
-    def push(self, bits: np.ndarray) -> None:
-        self._buffer.append(bits)
-        if len(self._buffer) > self.capacity:
-            self._buffer.pop(0)
+    def push(self, mask: int) -> None:
+        self._buffer.append(mask)
 
-    def majority_bits(self) -> np.ndarray:
-        """Atoms true in strictly more than half of the buffered estimates;
-        ties resolve to false."""
+    def majority(self) -> int:
+        """Mask of the atoms true in strictly more than half of the buffered
+        estimates; ties resolve to false.
+
+        ``at_least[k]`` is the mask of atoms true in at least ``k`` of the
+        estimates seen so far, updated for every estimate from the highest
+        ``k`` down, so one pass over the window needs ``len // 2 + 1`` ANDs
+        and ORs per estimate whatever the window size.
+        """
         if not self._buffer:
             raise EmptyWindowError("no estimates buffered yet")
-        counts = np.sum(self._buffer, axis=0)
-        return counts * 2 > len(self._buffer)
+        need = len(self._buffer) // 2 + 1
+        at_least = [-1] + [0] * need
+        for mask in self._buffer:
+            for k in range(need, 0, -1):
+                at_least[k] |= at_least[k - 1] & mask
+        return at_least[need]
 
     def clear(self) -> None:
-        self._buffer = []
-
-
-def observe(
-    truth: LogicalState, flip_probs: np.ndarray, rng: np.random.Generator
-) -> LogicalState:
-    """One noisy snapshot: every atom's truth value flips independently."""
-    n = len(truth.vocabulary)
-    bits = _mask_to_bits(truth.mask, n)
-    flips = rng.random(n) < flip_probs
-    return LogicalState(truth.vocabulary, _bits_to_mask(bits ^ flips))
-
-
-def filter_window(window: EstimatorWindow, vocab: Vocabulary) -> LogicalState:
-    """Majority vote over the buffered snapshots."""
-    return LogicalState(vocab, _bits_to_mask(window.majority_bits()))
+        self._buffer.clear()
 
 
 class PerceptionPipeline:
@@ -140,11 +125,10 @@ class PerceptionPipeline:
         """
         if self.noise.is_oracle:
             return truth
-        n = len(self.vocab)
-        bits = _mask_to_bits(truth.mask, n)
-        flips = self.rng.random(n) < self._flip_probs
-        self.window.push(bits ^ flips)
-        return LogicalState(self.vocab, _bits_to_mask(self.window.majority_bits()))
+        flips = self.rng.random(len(self.vocab)) < self._flip_probs
+        packed = np.packbits(flips, bitorder="little").tobytes()
+        self.window.push(truth.mask ^ int.from_bytes(packed, "little"))
+        return LogicalState(self.vocab, self.window.majority())
 
 
 def majority_error_rate(p: float, window: int = DEFAULT_WINDOW) -> float:

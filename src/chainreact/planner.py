@@ -2,12 +2,15 @@
 
 ``ground`` enumerates every type-consistent binding of each operator schema
 against the problem objects (plus domain constants), interning all ground
-atoms into a :class:`~chainreact.logic.Vocabulary`.  ``plan`` then searches
-the grounded space: greedy best-first on the delete-relaxation additive
-heuristic by default, or exhaustive breadth-first search when ``optimal``
-is requested (used wherever exact plan lengths matter).  Tie-breaking is
-total (operator index order plus FIFO), so identical inputs always produce
-identical plans.
+atoms into a :class:`~chainreact.logic.Vocabulary`, and compiles every
+operator once into a row of raw integer masks (see :class:`GroundedDomain`).
+``plan`` then searches the grounded space on plain ``int`` states: greedy
+best-first on the delete-relaxation additive heuristic by default, or
+exhaustive breadth-first search when ``optimal`` is requested (used wherever
+exact plan lengths matter).  Both searches generate successors from the
+compiled rows in operator index order and check the vocabulary once per
+query.  Tie-breaking is total (operator index order plus FIFO), so identical
+inputs always produce identical plans.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from .logic import (
     GroundAtom,
     LogicalState,
     Vocabulary,
+    _check_same_vocab,
     apply_effects,
     holds,
 )
@@ -62,14 +66,43 @@ class GroundOperator:
 
 @dataclass
 class GroundedDomain:
+    """The grounded vocabulary and operators of one domain and problem.
+
+    ``compiled`` and ``relaxed`` hold every operator, in index order, as the
+    raw ints the searches and :func:`h_add` read.  A state ``s`` (an ``int``)
+    satisfies an operator's precondition iff ``s & pre_pos == pre_pos and
+    not s & pre_neg``, and its successor is ``s & keep | add`` with ``keep =
+    ~del_mask``.  ``relaxed`` adds the atom ids of ``pre_pos`` and ``add``
+    for the relaxed cost sums; it is a table of its own because unpacking
+    wider rows slows the successor loop.
+    """
+
     domain: DomainDefinition
     problem: ProblemDefinition
     vocabulary: Vocabulary
     operators: tuple[GroundOperator, ...]
     init: LogicalState
     goal: ConditionSet
-    # atom id -> indices of operators whose positive preconditions mention it
-    by_precondition: dict[int, tuple[int, ...]] = field(default_factory=dict)
+    # (index, pre_pos, pre_neg, keep, add) per operator
+    compiled: tuple[tuple[int, int, int, int, int], ...] = field(
+        init=False, repr=False
+    )
+    # (pre_pos, add, pre_ids, add_ids) per operator
+    relaxed: tuple[tuple[int, int, tuple[int, ...], tuple[int, ...]], ...] = field(
+        init=False, repr=False
+    )
+
+    def __post_init__(self) -> None:
+        self.compiled = tuple(
+            (op.index, op.pre.pos_mask, op.pre.neg_mask, ~op.eff.del_mask,
+             op.eff.add_mask)
+            for op in self.operators
+        )
+        self.relaxed = tuple(
+            (op.pre.pos_mask, op.eff.add_mask, _mask_ids(op.pre.pos_mask),
+             _mask_ids(op.eff.add_mask))
+            for op in self.operators
+        )
 
     def operator_named(self, name: str, args: tuple[str, ...] = ()) -> GroundOperator:
         for op in self.operators:
@@ -141,16 +174,6 @@ def ground(
                 )
             )
 
-    by_pre: dict[int, list[int]] = {}
-    for op in operators:
-        mask = op.pre.pos_mask
-        i = 0
-        while mask:
-            if mask & 1:
-                by_pre.setdefault(i, []).append(op.index)
-            mask >>= 1
-            i += 1
-
     init = LogicalState.from_atoms(
         vocab, [vocab.get(a.name, *a.args) for a in problem.init]
     )
@@ -165,7 +188,6 @@ def ground(
         operators=tuple(operators),
         init=init,
         goal=goal,
-        by_precondition={k: tuple(v) for k, v in by_pre.items()},
     )
 
 
@@ -257,61 +279,55 @@ def h_add(grounded: GroundedDomain, state: LogicalState, goal: ConditionSet) -> 
     A violated negative literal with a satisfied positive part costs 1
     (negative literals are otherwise outside the relaxation).
     """
-    n = len(grounded.vocabulary)
-    cost: list[float] = [inf] * n
-    mask = state.mask
-    i = 0
-    while mask:
-        if mask & 1:
-            cost[i] = 0.0
-        mask >>= 1
-        i += 1
+    _check_same_vocab(state.vocabulary, grounded.vocabulary)
+    _check_same_vocab(goal.vocabulary, grounded.vocabulary)
+    return _h_add(
+        grounded.relaxed, len(grounded.vocabulary), state.mask,
+        goal.pos_mask, goal.neg_mask, _mask_ids(goal.pos_mask),
+    )
 
-    # id tuples per operator are state-independent; computed once per domain
-    ops = getattr(grounded, "_hadd_ops", None)
-    if ops is None:
-        ops = [
-            (_mask_ids(op.pre.pos_mask), _mask_ids(op.eff.add_mask))
-            for op in grounded.operators
-        ]
-        grounded._hadd_ops = ops
+
+def _h_add(relaxed, n, mask, goal_pos, goal_neg, goal_ids) -> float:
+    """:func:`h_add` on raw ints: ``mask`` is the state, ``goal_ids`` the
+    atom ids of ``goal_pos``."""
+    cost: list[float] = [inf] * n
+    for i in _mask_ids(mask):
+        cost[i] = 0.0
+    # Bellman-Ford sweeps in operator order until no cost falls; ``reached``
+    # is the set of atoms whose cost is finite, so an operator with an
+    # unreached precondition is skipped with one mask test.
+    reached = mask
     changed = True
     while changed:
         changed = False
-        for pre_ids, add_ids in ops:
+        for pre_pos, add, pre_ids, add_ids in relaxed:
+            if reached & pre_pos != pre_pos:
+                continue
             total = 1.0
             for a in pre_ids:
-                c = cost[a]
-                if isinf(c):
-                    total = inf
-                    break
-                total += c
-            if isinf(total):
-                continue
+                total += cost[a]
             for b in add_ids:
                 if total < cost[b]:
                     cost[b] = total
                     changed = True
+            reached |= add
 
+    if reached & goal_pos != goal_pos:
+        return inf
     base = 0.0
-    for a in _mask_ids(goal.pos_mask):
-        c = cost[a]
-        if isinf(c):
-            return inf
-        base += c
-    if base == 0.0 and not holds(state, goal):
+    for a in goal_ids:
+        base += cost[a]
+    if base == 0.0 and mask & goal_neg:
         return 1.0
     return base
 
 
 def _mask_ids(mask: int) -> tuple[int, ...]:
     ids = []
-    i = 0
     while mask:
-        if mask & 1:
-            ids.append(i)
-        mask >>= 1
-        i += 1
+        low = mask & -mask
+        ids.append(low.bit_length() - 1)
+        mask ^= low
     return tuple(ids)
 
 
@@ -343,10 +359,14 @@ def plan(
     Greedy best-first on :func:`h_add` by default; breadth-first (optimal
     in step count) when ``optimal`` is set.  Complete either way: the
     grounded state space is finite and duplicates are eliminated, so
-    ``unsolvable`` is returned only when no plan exists.
+    ``unsolvable`` is returned only when no plan exists.  States are plain
+    ``int`` masks during the search; ``init`` and ``goal`` must belong to
+    the grounded vocabulary, which is checked once here.
     """
     init = grounded.init if init is None else init
     goal = grounded.goal if goal is None else goal
+    _check_same_vocab(init.vocabulary, grounded.vocabulary)
+    _check_same_vocab(goal.vocabulary, grounded.vocabulary)
     if optimal:
         return _bfs(grounded, init, goal, node_budget)
     return _gbfs(grounded, init, goal, node_budget)
@@ -363,64 +383,70 @@ def _extract(grounded, parents, mask, init, goal) -> Plan:
     return Plan(tuple(reversed(ops)), init, goal)
 
 
+def _successors(table, mask):
+    """(operator index, successor state) for each operator applicable in
+    ``mask``, in operator index order."""
+    for index, pre_pos, pre_neg, keep, add in table:
+        if mask & pre_pos == pre_pos and not mask & pre_neg:
+            yield index, mask & keep | add
+
+
 def _bfs(grounded, init, goal, node_budget) -> PlanResult:
-    if holds(init, goal):
+    start, goal_pos, goal_neg = init.mask, goal.pos_mask, goal.neg_mask
+    if start & goal_pos == goal_pos and not start & goal_neg:
         return PlanResult("solved", Plan((), init, goal))
-    parents: dict[int, tuple[int, Optional[int]]] = {init.mask: (init.mask, None)}
-    queue = deque([init])
+    table = grounded.compiled
+    parents: dict[int, tuple[int, Optional[int]]] = {start: (start, None)}
+    queue = deque([start])
     expansions = 0
     while queue:
-        state = queue.popleft()
+        mask = queue.popleft()
         expansions += 1
         if expansions > node_budget:
             return PlanResult("budget_exhausted", expansions=expansions)
-        for op in grounded.operators:
-            if not holds(state, op.pre):
+        for index, nxt in _successors(table, mask):
+            if nxt in parents:
                 continue
-            nxt = apply_effects(state, op.eff)
-            if nxt.mask in parents:
-                continue
-            parents[nxt.mask] = (state.mask, op.index)
-            if holds(nxt, goal):
+            parents[nxt] = (mask, index)
+            if nxt & goal_pos == goal_pos and not nxt & goal_neg:
                 return PlanResult(
-                    "solved", _extract(grounded, parents, nxt.mask, init, goal), expansions
+                    "solved", _extract(grounded, parents, nxt, init, goal), expansions
                 )
             queue.append(nxt)
     return PlanResult("unsolvable", expansions=expansions)
 
 
 def _gbfs(grounded, init, goal, node_budget) -> PlanResult:
-    h0 = h_add(grounded, init, goal)
+    table, relaxed, n = grounded.compiled, grounded.relaxed, len(grounded.vocabulary)
+    start, goal_pos, goal_neg = init.mask, goal.pos_mask, goal.neg_mask
+    goal_ids = _mask_ids(goal_pos)
+    h0 = _h_add(relaxed, n, start, goal_pos, goal_neg, goal_ids)
     if isinf(h0):
         return PlanResult("unsolvable")
-    parents: dict[int, tuple[int, Optional[int]]] = {init.mask: (init.mask, None)}
+    parents: dict[int, tuple[int, Optional[int]]] = {start: (start, None)}
     counter = itertools.count()
-    open_heap: list[tuple[float, int, LogicalState]] = [(h0, next(counter), init)]
+    open_heap: list[tuple[float, int, int]] = [(h0, next(counter), start)]
     closed: set[int] = set()
     expansions = 0
     while open_heap:
-        _, _, state = heapq.heappop(open_heap)
-        if state.mask in closed:
+        _, _, mask = heapq.heappop(open_heap)
+        if mask in closed:
             continue
-        closed.add(state.mask)
-        if holds(state, goal):
+        closed.add(mask)
+        if mask & goal_pos == goal_pos and not mask & goal_neg:
             return PlanResult(
-                "solved", _extract(grounded, parents, state.mask, init, goal), expansions
+                "solved", _extract(grounded, parents, mask, init, goal), expansions
             )
         expansions += 1
         if expansions > node_budget:
             return PlanResult("budget_exhausted", expansions=expansions)
-        for op in grounded.operators:
-            if not holds(state, op.pre):
+        for index, nxt in _successors(table, mask):
+            if nxt in parents:
                 continue
-            nxt = apply_effects(state, op.eff)
-            if nxt.mask in parents:
-                continue
-            h = h_add(grounded, nxt, goal)
-            if isinf(h):
-                # Unreachable under the relaxation, hence truly unreachable.
-                parents[nxt.mask] = (state.mask, op.index)
-                continue
-            parents[nxt.mask] = (state.mask, op.index)
-            heapq.heappush(open_heap, (h, next(counter), nxt))
+            parents[nxt] = (mask, index)
+            h = _h_add(relaxed, n, nxt, goal_pos, goal_neg, goal_ids)
+            # h = inf: unreachable under the relaxation, hence truly
+            # unreachable; recorded as seen but never queued.
+            if not isinf(h):
+                heapq.heappush(open_heap, (h, next(counter), nxt))
     return PlanResult("unsolvable", expansions=expansions)

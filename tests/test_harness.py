@@ -66,6 +66,19 @@ class TestLoadScenario:
             load_scenario(bad)
         assert any("unknown atom" in p for p in err.value.problems)
 
+    def test_operator_trigger_with_unknown_argument(self):
+        # Arguments name one ground operator, so a misspelt object is
+        # rejected at load instead of a trigger that never fires.
+        with pytest.raises(ScenarioError) as err:
+            load("put_away_spam_oracle", disturbances=[
+                {"trigger": {"when_operator": "lift_obj(sugr)"},
+                 "kind": {"kind": "set_drawer", "extension": 1.0}}
+            ])
+        assert any(
+            "disturbances[0].trigger.when_operator" in p and "lift_obj(sugr)" in p
+            for p in err.value.problems
+        )
+
     def test_override_merging(self):
         sc = load("put_away_spam_oracle", trials=3,
                   primitives={"success_prob": 0.5})
@@ -159,6 +172,22 @@ class TestTraces:
         _, lines = self.trace_lines(sc)
         fired = [l for l in lines if l.get("disturbances_fired")]
         assert fired and fired[0]["disturbances_fired"] == ["teleport_object"]
+
+    def test_predicate_trigger_with_spaces_fires(self):
+        # Validation and matching read the atom name with one parser, so
+        # whitespace inside it neither fails validation nor stops the trigger.
+        def fired(atom):
+            sc = load("put_away_spam_oracle", trials=1, disturbances=[
+                {"trigger": {"when_predicate": atom},
+                 "kind": {"kind": "set_drawer", "extension": 0.0}}
+            ])
+            _, lines = self.trace_lines(sc)
+            return [(l["tick"], l["disturbances_fired"])
+                    for l in lines if l.get("disturbances_fired")]
+
+        spaced = fired("obj_is_in_drawer( spam )")
+        assert spaced == fired("obj_is_in_drawer(spam)")
+        assert [kinds for _, kinds in spaced] == [["set_drawer"]]
 
     def test_replay_is_byte_identical(self):
         for name in ("put_away_spam_oracle", "put_away_spam_noisy",

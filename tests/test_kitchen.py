@@ -21,7 +21,7 @@ from chainreact.kitchen import (
     merge_primitive_config,
     sample_initial,
 )
-from chainreact.logic import holds
+from chainreact.logic import UnknownAtomError, holds
 from chainreact.planner import ground, plan
 from tests.util import kitchen_domain, kitchen_problem
 
@@ -117,6 +117,11 @@ class TestEvaluateWorld:
             b = evaluate_world(world, grounded)
             assert a == b  # and every atom is inside the 42-atom vocabulary
             assert a.mask < (1 << 42)
+
+    def test_object_outside_vocabulary_raises(self, grounded):
+        world = reference_world(("spam", "sugar", "salt"))
+        with pytest.raises(UnknownAtomError, match=r"salt"):
+            evaluate_world(world, grounded)
 
 
 class TestSampleInitial:

@@ -212,3 +212,22 @@ class TestWideVocabulary:
             state, EffectSet.from_atoms(vocab, adds=[vocab.get("p64")], deletes=[high])
         )
         assert vocab.get("p64") in out and high not in out and low in out
+
+
+
+@pytest.fixture(scope="module")
+def kitchen_vocab():
+    from chainreact.planner import ground
+    from tests.util import kitchen_domain, kitchen_problem
+
+    return ground(kitchen_domain(), kitchen_problem("put_away_both")).vocabulary
+
+
+class TestSortedNames:
+    @settings(max_examples=200)
+    @given(mask=st.integers(min_value=0, max_value=(1 << 42) - 1))
+    def test_matches_sorted_atom_strings(self, kitchen_vocab, mask):
+        # Kitchen atoms take arguments, so "name(arg)" sorts against
+        # "name_suffix" as the strings do.
+        state = LogicalState(kitchen_vocab, mask & ((1 << len(kitchen_vocab)) - 1))
+        assert state.sorted_names() == sorted(str(a) for a in state.atoms)

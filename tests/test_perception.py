@@ -7,6 +7,8 @@ p^2 (3 - 2p) for window 3).
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chainreact.logic import GroundAtom, LogicalState, PredicateSchema, Vocabulary
 from chainreact.perception import (
@@ -14,9 +16,7 @@ from chainreact.perception import (
     EstimatorWindow,
     NoiseModel,
     PerceptionPipeline,
-    filter_window,
     majority_error_rate,
-    observe,
 )
 
 
@@ -45,68 +45,87 @@ class TestNoiseModel:
         assert not NoiseModel(default_flip=0.01).is_oracle
 
 
+def observer(vocab, noise, rng):
+    """A window-1 pipeline: every estimate is the raw noisy snapshot."""
+    return PerceptionPipeline(vocab, noise, window=1, rng=rng)
+
+
 class TestObserve:
     def test_zero_flip_is_exact(self):
+        # A vanishing (not exactly zero) flip keeps the noisy path engaged.
         vocab = make_vocab(8)
-        rng = np.random.default_rng(0)
-        probs = NoiseModel().flip_vector(vocab)
+        pipe = observer(vocab, NoiseModel(default_flip=1e-12), np.random.default_rng(0))
         for mask in (0, 0b10101010, 0b11111111):
             truth = LogicalState(vocab, mask)
-            assert observe(truth, probs, rng) == truth
+            assert pipe.estimate(truth) == truth
 
     def test_expected_hamming_distance(self):
         # 42-atom vocabulary, p = 0.1: binomial mean 4.2 flips per draw.
         vocab = make_vocab(42)
-        rng = np.random.default_rng(1234)
-        probs = NoiseModel(default_flip=0.1).flip_vector(vocab)
+        pipe = observer(vocab, NoiseModel(default_flip=0.1), np.random.default_rng(1234))
         truth = LogicalState(vocab, (1 << 21) - 1)
         total = 0
         draws = 10_000
         for _ in range(draws):
-            noisy = observe(truth, probs, rng)
+            noisy = pipe.estimate(truth)
             total += bin(noisy.mask ^ truth.mask).count("1")
         assert abs(total / draws - 4.2) < 0.5
 
     def test_deterministic_given_seed(self):
         vocab = make_vocab(10)
-        probs = NoiseModel(default_flip=0.2).flip_vector(vocab)
+        noise = NoiseModel(default_flip=0.2)
         truth = LogicalState(vocab, 0b1100110011)
-        a = [observe(truth, probs, np.random.default_rng(7)).mask for _ in range(1)]
-        b = [observe(truth, probs, np.random.default_rng(7)).mask for _ in range(1)]
+        a = observer(vocab, noise, np.random.default_rng(7)).estimate(truth)
+        b = observer(vocab, noise, np.random.default_rng(7)).estimate(truth)
         assert a == b
 
 
 class TestWindow:
     def test_majority_two_of_three(self):
-        vocab = make_vocab(1)
         w = EstimatorWindow(3)
-        for bit in (True, True, False):
-            w.push(np.array([bit]))
-        assert filter_window(w, vocab).mask == 1
+        for bit in (1, 1, 0):
+            w.push(bit)
+        assert w.majority() == 1
 
     def test_single_estimate_passthrough(self):
-        vocab = make_vocab(2)
         w = EstimatorWindow(3)
-        w.push(np.array([True, False]))
-        assert filter_window(w, vocab).mask == 0b01
+        w.push(0b01)
+        assert w.majority() == 0b01
 
     def test_tie_breaks_false(self):
-        vocab = make_vocab(1)
         w = EstimatorWindow(4)
-        for bit in (True, False):
-            w.push(np.array([bit]))
-        assert filter_window(w, vocab).mask == 0
+        for bit in (1, 0):
+            w.push(bit)
+        assert w.majority() == 0
 
     def test_eviction(self):
         w = EstimatorWindow(3)
         for i in range(5):
-            w.push(np.array([i >= 2]))  # last three pushes are True
+            w.push(int(i >= 2))  # last three pushes are True
         assert len(w) == 3
-        assert w.majority_bits()[0]
+        assert w.majority() == 1
 
     def test_empty_window_error(self):
         with pytest.raises(EmptyWindowError):
-            EstimatorWindow(3).majority_bits()
+            EstimatorWindow(3).majority()
+
+    @settings(max_examples=200)
+    @given(
+        capacity=st.integers(min_value=1, max_value=5),
+        masks=st.lists(st.integers(min_value=0, max_value=(1 << 12) - 1),
+                       min_size=1, max_size=12),
+    )
+    def test_majority_matches_count_majority(self, capacity, masks):
+        # Reference: per-atom counts over the last `capacity` pushes as a
+        # numpy bool matrix, true where count * 2 > len (ties false).
+        w = EstimatorWindow(capacity)
+        for i, mask in enumerate(masks):
+            w.push(mask)
+            recent = masks[max(0, i + 1 - capacity): i + 1]
+            bits = np.array([[m >> a & 1 for a in range(12)] for m in recent], dtype=bool)
+            counts = bits.sum(axis=0)
+            expected = sum(1 << a for a in range(12) if counts[a] * 2 > len(recent))
+            assert w.majority() == expected
 
 
 class TestPipeline:
@@ -169,11 +188,7 @@ class TestPipeline:
             for _ in range(ticks):
                 est = pipe.estimate(truth)
                 raw = pipe.window._buffer[-1]
-                raw_wrong += int(
-                    np.sum(raw ^ np.unpackbits(
-                        np.frombuffer(truth.mask.to_bytes(6, "little"), dtype=np.uint8),
-                        bitorder="little")[:42].astype(bool))
-                )
+                raw_wrong += bin(raw ^ truth.mask).count("1")
                 filtered_wrong += bin(est.mask ^ truth.mask).count("1")
             assert filtered_wrong < raw_wrong
 

@@ -1,15 +1,20 @@
 """Planner: grounding counts, search soundness/completeness, heuristic.
 
 Independent oracles: reachability by breadth-first search over frozensets
-of atom name strings (no bitmasks), and a dict-based additive-cost fixpoint
-for the heuristic.
+of atom name strings (no bitmasks), a dict-based additive-cost fixpoint
+for the heuristic, and a reference BFS/GBFS on LogicalState objects that the
+compiled int-mask searches must match exactly.
 """
 
+import heapq
+import itertools
 import random
 from collections import deque
 from math import inf, isinf
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chainreact.lang import (
     DomainDefinition,
@@ -18,7 +23,13 @@ from chainreact.lang import (
     OperatorSchema,
     ProblemDefinition,
 )
-from chainreact.logic import ConditionSet, PredicateSchema, holds
+from chainreact.logic import (
+    ConditionSet,
+    LogicalState,
+    PredicateSchema,
+    apply_effects,
+    holds,
+)
 from chainreact.planner import (
     GroundingLimitError,
     Plan,
@@ -182,15 +193,6 @@ class TestGrounding:
         )
         with pytest.raises(GroundingLimitError):
             ground(d, p, max_operators=1000)
-
-    def test_by_precondition_index(self):
-        grounded = ground(kitchen_domain(), kitchen_problem("put_away_spam"))
-        atom = grounded.vocabulary.get("handle_is_attached")
-        ops = {
-            grounded.operators[i].name
-            for i in grounded.by_precondition[grounded.vocabulary.id_of(atom)]
-        }
-        assert ops == {"pull_drawer", "release_handle"}
 
 
 # --------------------------------------------------------------------------
@@ -436,3 +438,149 @@ class TestNegativeGoals:
         only_b = LogicalState.from_atoms(vocab, [b])
         assert h_add(grounded, both, grounded.goal) > 0
         assert h_add(grounded, only_b, grounded.goal) == 0
+
+
+# --------------------------------------------------------------------------
+# Compiled search against a reference search on LogicalState objects
+# --------------------------------------------------------------------------
+#
+# The reference keeps the plain form of each search: states are LogicalState
+# values stepped by holds/apply_effects over the GroundOperator objects, and
+# h_add runs its additive-cost sweeps on id tuples with no mask shortcut.
+# Operator order, FIFO order and heap tie-breaking are the same, so the
+# compiled searches must return the same status, steps and expansions.
+
+def _ids(mask):
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
+def ref_h_add(grounded, state, goal):
+    cost = [inf] * len(grounded.vocabulary)
+    for i in _ids(state.mask):
+        cost[i] = 0.0
+    ops = [(_ids(op.pre.pos_mask), _ids(op.eff.add_mask)) for op in grounded.operators]
+    changed = True
+    while changed:
+        changed = False
+        for pre_ids, add_ids in ops:
+            total = 1.0
+            for a in pre_ids:
+                total += cost[a]
+            if isinf(total):
+                continue
+            for b in add_ids:
+                if total < cost[b]:
+                    cost[b] = total
+                    changed = True
+    base = 0.0
+    for a in _ids(goal.pos_mask):
+        base += cost[a]
+    if isinf(base):
+        return inf
+    if base == 0.0 and not holds(state, goal):
+        return 1.0
+    return base
+
+
+def ref_extract(grounded, parents, mask):
+    names = []
+    while parents[mask][1] is not None:
+        mask, index = parents[mask]
+        names.append(grounded.operators[index].name)
+    return list(reversed(names))
+
+
+def ref_bfs(grounded, init, goal, budget):
+    if holds(init, goal):
+        return "solved", [], 0
+    parents = {init.mask: (init.mask, None)}
+    queue = deque([init])
+    expansions = 0
+    while queue:
+        state = queue.popleft()
+        expansions += 1
+        if expansions > budget:
+            return "budget_exhausted", None, expansions
+        for op in grounded.operators:
+            if not holds(state, op.pre):
+                continue
+            nxt = apply_effects(state, op.eff)
+            if nxt.mask in parents:
+                continue
+            parents[nxt.mask] = (state.mask, op.index)
+            if holds(nxt, goal):
+                return "solved", ref_extract(grounded, parents, nxt.mask), expansions
+            queue.append(nxt)
+    return "unsolvable", None, expansions
+
+
+def ref_gbfs(grounded, init, goal, budget):
+    h0 = ref_h_add(grounded, init, goal)
+    if isinf(h0):
+        return "unsolvable", None, 0
+    parents = {init.mask: (init.mask, None)}
+    counter = itertools.count()
+    heap = [(h0, next(counter), init)]
+    closed = set()
+    expansions = 0
+    while heap:
+        _, _, state = heapq.heappop(heap)
+        if state.mask in closed:
+            continue
+        closed.add(state.mask)
+        if holds(state, goal):
+            return "solved", ref_extract(grounded, parents, state.mask), expansions
+        expansions += 1
+        if expansions > budget:
+            return "budget_exhausted", None, expansions
+        for op in grounded.operators:
+            if not holds(state, op.pre):
+                continue
+            nxt = apply_effects(state, op.eff)
+            if nxt.mask in parents:
+                continue
+            parents[nxt.mask] = (state.mask, op.index)
+            h = ref_h_add(grounded, nxt, goal)
+            if not isinf(h):
+                heapq.heappush(heap, (h, next(counter), nxt))
+    return "unsolvable", None, expansions
+
+
+_GROUNDED = {
+    name: ground(kitchen_domain(), kitchen_problem(name))
+    for name in ("put_away_spam", "put_away_both", "open_drawer")
+}
+
+
+@st.composite
+def kitchen_queries(draw):
+    """A shipped kitchen problem and an init mask: either arbitrary or the
+    problem's own init with a few atoms flipped."""
+    grounded = _GROUNDED[draw(st.sampled_from(sorted(_GROUNDED)))]
+    n = len(grounded.vocabulary)
+    if draw(st.booleans()):
+        mask = draw(st.integers(min_value=0, max_value=(1 << n) - 1))
+    else:
+        flips = draw(st.lists(st.integers(min_value=0, max_value=n - 1), max_size=4))
+        mask = grounded.init.mask
+        for i in flips:
+            mask ^= 1 << i
+    return grounded, LogicalState(grounded.vocabulary, mask)
+
+
+class TestCompiledSearchEquivalence:
+    BUDGET = 150
+
+    @settings(max_examples=60, deadline=None)
+    @given(query=kitchen_queries(), optimal=st.booleans())
+    def test_plan_result_matches_reference(self, query, optimal):
+        grounded, init = query
+        goal = grounded.goal
+        got = plan(grounded, init=init, goal=goal, optimal=optimal,
+                   node_budget=self.BUDGET)
+        search = ref_bfs if optimal else ref_gbfs
+        status, steps, expansions = search(grounded, init, goal, self.BUDGET)
+        assert got.status == status
+        assert got.expansions == expansions
+        assert (got.plan.names() if got.solved else None) == steps
+        assert h_add(grounded, init, goal) == ref_h_add(grounded, init, goal)
