@@ -17,6 +17,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from pathlib import Path
 
 from .chains import build_chain
@@ -121,31 +123,45 @@ def cmd_execute(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    if args.jobs < 1:
+        print(f"--jobs must be at least 1, not {args.jobs}", file=sys.stderr)
+        return EXIT_INPUT
     overrides = {}
     if args.trials is not None:
         overrides["trials"] = args.trials
     if args.seed is not None:
         overrides["base_seed"] = args.seed
-    results = []
-    metrics_list = []
+    # Every scenario loads before any trial runs, so a bad file leaves no
+    # partial results or traces behind.
+    scenarios = []
     for path in args.scenarios:
         try:
-            scenario = load_scenario(path, overrides or None)
+            scenarios.append(load_scenario(path, overrides or None))
         except ScenarioError as err:
             for problem in err.problems:
                 print(f"{path}: {problem}", file=sys.stderr)
-            return EXIT_INPUT
-        metrics, records = run_trials(
-            scenario, jobs=args.jobs,
-            trace_dir=Path(args.trace_dir) if args.trace_dir else None,
-        )
-        metrics_list.append(metrics)
-        results.append(
-            {
-                "metrics": metrics.to_json_dict(),
-                "records": [r.to_json_dict() for r in records],
-            }
-        )
+    if len(scenarios) < len(args.scenarios):
+        return EXIT_INPUT
+    trace_dir = Path(args.trace_dir) if args.trace_dir else None
+    # One pool for the whole run, no larger than the largest trial count.
+    # Workers start with the platform's default method (fork on Linux).
+    jobs = min(args.jobs, max(s.trials for s in scenarios))
+    results = []
+    metrics_list = []
+    with (
+        ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext()
+    ) as pool:
+        for scenario in scenarios:
+            metrics, records = run_trials(
+                scenario, jobs=jobs, trace_dir=trace_dir, pool=pool
+            )
+            metrics_list.append(metrics)
+            results.append(
+                {
+                    "metrics": metrics.to_json_dict(),
+                    "records": [r.to_json_dict() for r in records],
+                }
+            )
     payload = {"format_version": 1, "results": results}
     if args.out:
         Path(args.out).write_text(
@@ -204,7 +220,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="write metrics and records JSON here")
     p.add_argument("--trials", type=int, help="override the trial count")
     p.add_argument("--seed", type=int, help="override the base seed")
-    p.add_argument("--jobs", type=int, default=1, help="parallel trial workers")
+    p.add_argument("--jobs", type=int, default=1,
+                   help="trial worker processes in one pool for the run")
     p.add_argument("--trace-dir", help="write per-trial JSONL traces here")
     p.set_defaults(func=cmd_bench)
 

@@ -17,8 +17,10 @@ from __future__ import annotations
 
 import hashlib
 import json
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Executor, ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
+from itertools import repeat
 from pathlib import Path
 from typing import IO, Optional
 
@@ -27,6 +29,7 @@ import numpy as np
 from . import executive as exe
 from .chains import build_chain
 from .kitchen import (
+    NUM_COUNTER_ZONES,
     InitialConfig,
     KitchenSim,
     PrimitiveSpec,
@@ -197,8 +200,10 @@ def build_scenario(
         mode = perception.get("mode", "oracle")
         if mode not in _PERCEPTION_MODES:
             problems.append(f"field 'perception.mode' must be one of {_PERCEPTION_MODES}")
-        window = int(perception.get("window", 3))
-        if window < 1:
+        window = perception.get("window", 3)
+        if not _is_int(window):
+            problems.append("field 'perception.window' must be int")
+        elif window < 1:
             problems.append("field 'perception.window' must be at least 1")
         if mode == "noisy":
             try:
@@ -244,11 +249,13 @@ def build_scenario(
             problems.append("field 'initial.arm' must be driving, above or random")
 
     planner_raw = raw.get("planner", {})
-    optimal_planning = bool(planner_raw.get("optimal", False)) if isinstance(
-        planner_raw, dict
-    ) else False
+    optimal_planning = False
     if not isinstance(planner_raw, dict):
         problems.append("field 'planner' must be an object")
+    else:
+        optimal_planning = planner_raw.get("optimal", False)
+        if not isinstance(optimal_planning, bool):
+            problems.append("field 'planner.optimal' must be a bool")
 
     grounded = None
     if domain_rel and problem_rel:
@@ -293,17 +300,12 @@ def build_scenario(
                 f"field '{where}.kind.kind' must be one of {_DISTURBANCE_KINDS}"
             )
             continue
-        if kind["kind"] == "teleport_object" and "object" not in kind:
-            problems.append(f"field '{where}.kind' is missing 'object'")
-            continue
-        if kind["kind"] == "set_drawer" and "extension" not in kind:
-            problems.append(f"field '{where}.kind' is missing 'extension'")
-            continue
-        if grounded is not None:
+        err = _check_disturbance_values(trigger, kind, where)
+        if err is None and grounded is not None:
             err = _check_disturbance_refs(trigger, kind, grounded, where)
-            if err:
-                problems.append(err)
-                continue
+        if err:
+            problems.append(err)
+            continue
         validated_disturbances.append({"trigger": trigger, "kind": kind})
 
     if problems:
@@ -327,6 +329,47 @@ def build_scenario(
         base_seed=base_seed,
         optimal_planning=optimal_planning,
     )
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _check_disturbance_values(trigger, kind, where) -> Optional[str]:
+    """Check the values a trial reads from one disturbance, so that none
+    fails inside the trial (the kitchen keeps its own runtime checks)."""
+    if "at_tick" in trigger and not (
+        _is_int(trigger["at_tick"]) and trigger["at_tick"] >= 0
+    ):
+        return f"field '{where}.trigger.at_tick' must be a non-negative int"
+    if kind["kind"] == "teleport_object":
+        if "object" not in kind:
+            return f"field '{where}.kind' is missing 'object'"
+        dest = kind.get("destination", "counter_random")
+        if dest != "counter_random" and (
+            not isinstance(dest, dict) or "zone" not in dest
+        ):
+            return (
+                f"field '{where}.kind.destination' must be \"counter_random\" "
+                'or {"zone": n}'
+            )
+        if isinstance(dest, dict) and not (
+            _is_int(dest["zone"]) and 0 <= dest["zone"] < NUM_COUNTER_ZONES
+        ):
+            return (
+                f"field '{where}.kind.destination.zone' must be an int in "
+                f"0..{NUM_COUNTER_ZONES - 1}"
+            )
+    elif kind["kind"] == "set_drawer":
+        if "extension" not in kind:
+            return f"field '{where}.kind' is missing 'extension'"
+        ext = kind["extension"]
+        if not (
+            isinstance(ext, (int, float)) and not isinstance(ext, bool)
+            and 0.0 <= ext <= 1.0
+        ):
+            return f"field '{where}.kind.extension' must be a number in [0, 1]"
+    return None
 
 
 def _check_disturbance_refs(trigger, kind, grounded, where) -> Optional[str]:
@@ -355,12 +398,7 @@ def _check_disturbance_refs(trigger, kind, grounded, where) -> Optional[str]:
                 f"{trigger['when_predicate']!r}"
             )
     if kind["kind"] == "teleport_object":
-        movables = {
-            sym
-            for sym, t in grounded.problem.objects.items()
-            if grounded.domain.is_subtype(t, "movable")
-        }
-        if kind["object"] not in movables:
+        if kind["object"] not in grounded.movables:
             return f"field '{where}.kind': unknown object {kind['object']!r}"
     return None
 
@@ -381,12 +419,7 @@ def run_trial(
     prim_rng = np.random.default_rng(prim_ss)
 
     grounded = scenario.grounded
-    movables = tuple(
-        sym
-        for sym, t in grounded.problem.objects.items()
-        if grounded.domain.is_subtype(t, "movable")
-    )
-    world = sample_initial(scenario.initial, movables, sim_rng)
+    world = sample_initial(scenario.initial, grounded.movables, sim_rng)
     sim = KitchenSim(
         grounded, world, scenario.primitives, rng=prim_rng, world_rng=sim_rng
     )
@@ -500,38 +533,47 @@ def run_trials(
     scenario: Scenario,
     jobs: int = 1,
     trace_dir: Optional[Path] = None,
+    pool: Optional[Executor] = None,
 ) -> tuple[Metrics, list[TrialRecord]]:
     """Execute all trials; results are ordered by trial index regardless of
-    worker scheduling, so parallel runs aggregate identically."""
-    indices = list(range(scenario.trials))
+    worker scheduling, so parallel runs aggregate identically.
+
+    With ``jobs`` > 1 the trials are split into at most ``jobs`` contiguous
+    ranges of ⌈trials/jobs⌉ indices, one task per range, so the scenario is
+    pickled once per range.  The tasks run on ``pool``, or on a process pool
+    started for this call when none is given."""
     if trace_dir is not None:
         trace_dir = Path(trace_dir)
         trace_dir.mkdir(parents=True, exist_ok=True)
-
-    def trial_with_trace(i: int) -> TrialRecord:
-        if trace_dir is None:
-            return run_trial(scenario, i)
-        trace_path = trace_dir / f"{scenario.name}_trial{i:04d}.jsonl"
-        with open(trace_path, "w", encoding="utf-8") as sink:
-            return run_trial(scenario, i, trace_sink=sink)
-
+    trials = scenario.trials
     if jobs <= 1:
-        records = [trial_with_trace(i) for i in indices]
+        records = _run_range(scenario, range(trials), trace_dir)
     else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            records = list(
-                pool.map(_parallel_trial, [(scenario, i, trace_dir) for i in indices])
-            )
+        size = -(-trials // jobs)
+        chunks = [range(lo, min(lo + size, trials)) for lo in range(0, trials, size)]
+        with (
+            ProcessPoolExecutor(max_workers=len(chunks))
+            if pool is None
+            else nullcontext(pool)
+        ) as runner:
+            parts = runner.map(_run_range, repeat(scenario), chunks, repeat(trace_dir))
+            records = [record for part in parts for record in part]
     return compute_metrics(scenario.name, records), records
 
 
-def _parallel_trial(args) -> TrialRecord:
-    scenario, index, trace_dir = args
+def _run_range(
+    scenario: Scenario, indices: range, trace_dir: Optional[Path]
+) -> list[TrialRecord]:
+    """Run trials ``indices`` in order, each writing its trace under
+    ``trace_dir`` when one is given.  Serial runs and pool workers share it."""
     if trace_dir is None:
-        return run_trial(scenario, index)
-    trace_path = Path(trace_dir) / f"{scenario.name}_trial{index:04d}.jsonl"
-    with open(trace_path, "w", encoding="utf-8") as sink:
-        return run_trial(scenario, index, trace_sink=sink)
+        return [run_trial(scenario, i) for i in indices]
+    records = []
+    for i in indices:
+        trace_path = trace_dir / f"{scenario.name}_trial{i:04d}.jsonl"
+        with open(trace_path, "w", encoding="utf-8") as sink:
+            records.append(run_trial(scenario, i, trace_sink=sink))
+    return records
 
 
 def report(metrics_list: list[Metrics]) -> str:

@@ -333,11 +333,6 @@ class KitchenSim:
         self.rng = rng if rng is not None else np.random.default_rng(0)
         self.world_rng = world_rng if world_rng is not None else self.rng
         self.current: Optional[PrimitiveState] = None
-        self.movables = tuple(
-            sym
-            for sym, t in grounded.problem.objects.items()
-            if grounded.domain.is_subtype(t, "movable")
-        )
 
     # -- observation -------------------------------------------------------
 
@@ -551,7 +546,7 @@ class KitchenSim:
         what = kind["kind"]
         if what == "teleport_object":
             obj = kind["object"]
-            if obj not in self.movables:
+            if obj not in self.grounded.movables:
                 raise ValueError(f"unknown object {obj!r}")
             dest = kind.get("destination", "counter_random")
             if w.attached == obj:

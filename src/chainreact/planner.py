@@ -75,6 +75,9 @@ class GroundedDomain:
     ~del_mask``.  ``relaxed`` adds the atom ids of ``pre_pos`` and ``add``
     for the relaxed cost sums; it is a table of its own because unpacking
     wider rows slows the successor loop.
+
+    ``movables`` names the problem objects of type ``movable``, in
+    declaration order: the objects the kitchen places, moves and teleports.
     """
 
     domain: DomainDefinition
@@ -91,8 +94,14 @@ class GroundedDomain:
     relaxed: tuple[tuple[int, int, tuple[int, ...], tuple[int, ...]], ...] = field(
         init=False, repr=False
     )
+    movables: tuple[str, ...] = field(init=False)
 
     def __post_init__(self) -> None:
+        self.movables = tuple(
+            sym
+            for sym, t in self.problem.objects.items()
+            if self.domain.is_subtype(t, "movable")
+        )
         self.compiled = tuple(
             (op.index, op.pre.pos_mask, op.pre.neg_mask, ~op.eff.del_mask,
              op.eff.add_mask)

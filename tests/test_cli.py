@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from chainreact.cli import main
 from tests.util import kitchen_path, problem_path, scenario_path
 
@@ -114,12 +116,88 @@ def test_bench_and_report(tmp_path, capsys):
 
 
 def test_bench_parallel_jobs_match(tmp_path):
-    seq = tmp_path / "seq.json"
-    par = tmp_path / "par.json"
+    # 5 trials on 2 jobs split unevenly (3 and 2); the outputs of one pool
+    # shared by both scenarios equal the serial run's byte for byte.
     base = [
-        "bench", "--scenarios", str(scenario_path("pick_spam_oracle")),
-        "--trials", "6",
+        "bench", "--scenarios",
+        str(scenario_path("pick_spam_oracle")),
+        str(scenario_path("teleport_cage_reactive")),
+        "--trials", "5",
     ]
-    assert main(base + ["--out", str(seq)]) == 0
-    assert main(base + ["--out", str(par), "--jobs", "3"]) == 0
-    assert seq.read_text() == par.read_text()
+    for name, jobs in (("seq", "1"), ("par", "2")):
+        assert main(base + [
+            "--out", str(tmp_path / f"{name}.json"), "--jobs", jobs,
+            "--trace-dir", str(tmp_path / name),
+        ]) == 0
+    assert (tmp_path / "seq.json").read_bytes() == (tmp_path / "par.json").read_bytes()
+    seq_traces = sorted(p.name for p in (tmp_path / "seq").iterdir())
+    assert len(seq_traces) == 10
+    assert sorted(p.name for p in (tmp_path / "par").iterdir()) == seq_traces
+    for name in seq_traces:
+        assert (tmp_path / "seq" / name).read_bytes() == (
+            tmp_path / "par" / name
+        ).read_bytes()
+
+
+def test_bench_bad_scenario_runs_no_trial(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text("{}")
+    traces = tmp_path / "traces"
+    code = main([
+        "bench", "--scenarios", str(scenario_path("pick_spam_oracle")), str(bad),
+        "--trials", "2", "--trace-dir", str(traces),
+        "--out", str(tmp_path / "results.json"),
+    ])
+    assert code == 2
+    assert "bad.json" in capsys.readouterr().err
+    assert not traces.exists() or not any(traces.iterdir())
+    assert not (tmp_path / "results.json").exists()
+
+
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+def test_bench_rejects_jobs_below_one(jobs, capsys):
+    code = main([
+        "bench", "--scenarios", str(scenario_path("pick_spam_oracle")),
+        "--jobs", jobs,
+    ])
+    assert code == 2
+    assert "--jobs" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "jobs, trials, pools",
+    [("2", "5", [2]), ("8", "3", [3]), ("4", "1", [])],
+)
+def test_bench_starts_one_pool_sized_to_trials(monkeypatch, jobs, trials, pools):
+    import chainreact.cli
+    import chainreact.harness
+
+    created = []
+
+    class InlineExecutor:
+        """Stands in for ProcessPoolExecutor: records its size, runs trials
+        in this process."""
+
+        def __init__(self, max_workers):
+            created.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(chainreact.cli, "ProcessPoolExecutor", InlineExecutor)
+    # run_trials must use the run's pool, never start one of its own.
+    monkeypatch.setattr(chainreact.harness, "ProcessPoolExecutor", None)
+    code = main([
+        "bench", "--scenarios",
+        str(scenario_path("pick_spam_oracle")),
+        str(scenario_path("open_drawer_oracle")),
+        "--trials", trials, "--jobs", jobs,
+    ])
+    assert code == 0
+    assert created == pools

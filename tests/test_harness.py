@@ -79,6 +79,35 @@ class TestLoadScenario:
             for p in err.value.problems
         )
 
+    @pytest.mark.parametrize(
+        "override, path",
+        [
+            ({"disturbances": [{"trigger": {"at_tick": "x"},
+                                "kind": {"kind": "detach_gripper"}}]},
+             "disturbances[0].trigger.at_tick"),
+            ({"disturbances": [{"trigger": {"at_tick": -1},
+                                "kind": {"kind": "detach_gripper"}}]},
+             "disturbances[0].trigger.at_tick"),
+            ({"disturbances": [{"trigger": {"at_tick": 3},
+                                "kind": {"kind": "set_drawer", "extension": 5}}]},
+             "disturbances[0].kind.extension"),
+            ({"disturbances": [{"trigger": {"at_tick": 3},
+                                "kind": {"kind": "teleport_object", "object": "spam",
+                                         "destination": {"zone": 99}}}]},
+             "disturbances[0].kind.destination.zone"),
+            ({"perception": {"mode": "oracle", "window": "x"}}, "perception.window"),
+            ({"planner": {"optimal": "false"}}, "planner.optimal"),
+        ],
+        ids=["at_tick_str", "at_tick_negative", "extension", "zone", "window",
+             "optimal"],
+    )
+    def test_value_that_would_fail_mid_trial(self, override, path):
+        # Each of these used to load and then raise inside a trial (or, for
+        # planner.optimal, be read as true); now loading names the field.
+        with pytest.raises(ScenarioError) as err:
+            load("put_away_spam_oracle", **override)
+        assert any(f"'{path}'" in p for p in err.value.problems), err.value.problems
+
     def test_override_merging(self):
         sc = load("put_away_spam_oracle", trials=3,
                   primitives={"success_prob": 0.5})
@@ -130,12 +159,16 @@ class TestTrials:
         assert [a.ticks for a in r1] != [b.ticks for b in r2]
 
     def test_parallel_matches_sequential(self):
-        sc_seq = load("put_away_spam_oracle", trials=8)
-        sc_par = load("put_away_spam_oracle", trials=8)
-        m_seq, r_seq = run_trials(sc_seq, jobs=1)
-        m_par, r_par = run_trials(sc_par, jobs=4)
-        assert m_seq.to_json_dict() == m_par.to_json_dict()
-        assert [r.to_json_dict() for r in r_seq] == [r.to_json_dict() for r in r_par]
+        # 8 trials on 4 jobs split evenly; 7 on 3 split as 3, 3 and 1.
+        for trials, jobs in ((8, 4), (7, 3)):
+            sc_seq = load("put_away_spam_oracle", trials=trials)
+            sc_par = load("put_away_spam_oracle", trials=trials)
+            m_seq, r_seq = run_trials(sc_seq, jobs=1)
+            m_par, r_par = run_trials(sc_par, jobs=jobs)
+            assert m_seq.to_json_dict() == m_par.to_json_dict()
+            assert [r.to_json_dict() for r in r_seq] == [
+                r.to_json_dict() for r in r_par
+            ]
 
     def test_paired_reactive_beats_open_loop(self):
         reactive = load("teleport_cage_reactive", trials=12)

@@ -147,6 +147,7 @@ class TestGrounding:
         grounded = ground(kitchen_domain(), kitchen_problem("put_away_spam"))
         assert len(grounded.vocabulary) == 42
         assert len(grounded.operators) == 21
+        assert grounded.movables == ("spam", "sugar")
 
     def test_single_nullary_predicate(self):
         grounded = make_prop_task([], ["p"], [], [])
@@ -173,6 +174,7 @@ class TestGrounding:
         grounded = ground(d, p)
         assert len(grounded.operators) == 3
         assert len(grounded.vocabulary) == 3
+        assert grounded.movables == ()  # no type "movable" in this domain
 
     def test_grounding_cap(self):
         d = DomainDefinition(name="d", types={"t": None})
