@@ -21,7 +21,7 @@ from typing import Callable, Optional, Sequence
 
 from .chains import Chain, _atom_from_name, _parse_name
 from .kitchen import KitchenSim
-from .logic import LogicalState, Vocabulary, goal_satisfied, holds
+from .logic import ConditionSet, LogicalState, Vocabulary, _check_same_vocab
 from .perception import PerceptionPipeline
 
 ENTER_NEW = "enter_new"
@@ -49,16 +49,25 @@ def select_operator(
 
     Scanning from the last step down: a non-current step is entered when
     its effective preconditions hold; the current step continues when its
-    effective run conditions hold.  The first match wins.
+    effective run conditions hold.  The first match wins.  The vocabulary
+    is checked once per call; the scan then tests the condition masks
+    directly, which is :func:`~chainreact.logic.holds` without its check.
     """
-    for i in range(len(chain.steps) - 1, -1, -1):
-        step = chain.steps[i]
-        if i != current:
-            if holds(estimate, step.effective_pre):
-                return Decision(i, ENTER_NEW)
-        elif holds(estimate, step.effective_run):
-            return Decision(i, CONTINUE_CURRENT)
+    _check_same_vocab(estimate.vocabulary, chain.goal.vocabulary)
+    mask = estimate.mask
+    steps = chain.steps
+    for i in range(len(steps) - 1, -1, -1):
+        step = steps[i]
+        cond = step.effective_run if i == current else step.effective_pre
+        if mask & cond.pos_mask == cond.pos_mask and not mask & cond.neg_mask:
+            return Decision(i, CONTINUE_CURRENT if i == current else ENTER_NEW)
     return Decision(None, NONE_ENTERABLE)
+
+
+def _meets(mask: int, cond: ConditionSet) -> bool:
+    """:func:`~chainreact.logic.holds` on a raw mask whose vocabulary the
+    caller has already checked against ``cond``'s."""
+    return mask & cond.pos_mask == cond.pos_mask and not mask & cond.neg_mask
 
 
 @dataclass
@@ -185,6 +194,11 @@ def run(
 ) -> Outcome:
     """Run the reactive loop until the goal streak, a dead end, or the
     tick budget ends the episode."""
+    # Truth comes from the simulator and the estimate from the perception
+    # pipeline; both must share the chain's vocabulary, checked once here
+    # so the goal checks below read the masks directly.
+    _check_same_vocab(sim.grounded.vocabulary, chain.goal.vocabulary)
+    _check_same_vocab(perception.vocab, chain.goal.vocabulary)
     goal = chain.goal
     st = ExecutiveState(chain)
     last_entered: Optional[int] = None
@@ -196,14 +210,14 @@ def run(
         truth = sim.eval_predicates()
         estimate = perception.estimate(truth)
 
-        if goal_satisfied(estimate, goal):
+        if _meets(estimate.mask, goal):
             st.goal_streak += 1
         else:
             st.goal_streak = 0
         if st.goal_streak >= goal_streak:
             st.status = outcome.status = "succeeded"
             outcome.ticks = tick + 1
-            outcome.false_success = not goal_satisfied(truth, goal)
+            outcome.false_success = not _meets(truth.mask, goal)
             _emit(chain, on_tick, tick, truth, estimate, None, "goal_reached", [])
             return outcome
         if st.goal_streak > 0:
@@ -268,6 +282,7 @@ def run_open_loop(
     """Execute the chain strictly in order, advancing on completion, never
     checking conditions and never re-selecting.  Ends stuck if the goal is
     untrue after the last step."""
+    _check_same_vocab(sim.grounded.vocabulary, chain.goal.vocabulary)
     outcome = Outcome(status="budget_exhausted", ticks=max_ticks)
     step_iter = iter(range(len(chain.steps)))
     idx: Optional[int] = None
@@ -278,7 +293,7 @@ def run_open_loop(
         if sim.current is None:
             idx = next(step_iter, None)
             if idx is None:
-                done = goal_satisfied(truth, chain.goal)
+                done = _meets(truth.mask, chain.goal)
                 outcome.status = "succeeded" if done else "stuck"
                 outcome.ticks = tick
                 _emit(chain, on_tick, tick, truth, truth, None,

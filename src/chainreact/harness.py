@@ -11,6 +11,16 @@ Each trial plans from the perception pipeline's estimate of the sampled
 initial world (the estimator window is warmed up first), builds the robust
 chain, and hands control to the executive.  There is no replanning: a trial
 whose initial estimate yields no plan is recorded as ``no_plan``.
+
+Plans are memoized per loaded :class:`Scenario`, keyed on the estimate's
+mask: goal and planner mode are fixed per scenario, and the planner and
+chain builder are deterministic, so a hit returns the chain a miss would
+build, and records and traces are the same as without the memo.  The memo
+lives as long as the Scenario object; it is not pickled, so pool workers
+start with an empty one.  Change a loaded scenario with
+``dataclasses.replace``, which also starts empty, not by assigning its
+fields.  Chains are interned by their plan's operator indices, so estimates
+that lead to the same plan share one chain.
 """
 
 from __future__ import annotations
@@ -27,7 +37,7 @@ from typing import IO, Optional
 import numpy as np
 
 from . import executive as exe
-from .chains import build_chain
+from .chains import Chain, build_chain
 from .kitchen import (
     NUM_COUNTER_ZONES,
     InitialConfig,
@@ -66,6 +76,18 @@ class Scenario:
     trials: int
     base_seed: int
     optimal_planning: bool
+    # run_trial's plan memo: estimate mask -> chain, None when unsolved
+    _chains_by_mask: dict[int, Optional[Chain]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+    # plan operator indices -> chain, so equal plans share one chain
+    _chains_by_plan: dict[tuple[int, ...], Chain] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+
+    def __getstate__(self) -> dict:
+        # Pool workers get the scenario without its memo and fill their own.
+        return {**self.__dict__, "_chains_by_mask": {}, "_chains_by_plan": {}}
 
     @property
     def config_digest(self) -> str:
@@ -205,42 +227,60 @@ def build_scenario(
             problems.append("field 'perception.window' must be int")
         elif window < 1:
             problems.append("field 'perception.window' must be at least 1")
-        if mode == "noisy":
-            try:
-                noise = NoiseModel(
-                    default_flip=float(perception.get("default_flip", 0.05)),
-                    per_predicate_flip={
-                        str(k): float(v)
-                        for k, v in perception.get("per_predicate_flip", {}).items()
-                    },
-                )
-            except ValueError as err:
-                problems.append(f"field 'perception': {err}")
+        default_flip = perception.get("default_flip", 0.05)
+        flips = perception.get("per_predicate_flip", {})
+        if not isinstance(flips, dict):
+            problems.append("field 'perception.per_predicate_flip' must be an object")
+            flips = {}
+        named = {"default_flip": default_flip}
+        named.update((f"per_predicate_flip.{k}", v) for k, v in flips.items())
+        bad_flips = [
+            key for key, p in named.items() if not (_is_number(p) and 0.0 <= p < 0.5)
+        ]
+        problems.extend(
+            f"field 'perception.{key}' must be a number in [0, 0.5)" for key in bad_flips
+        )
+        if mode == "noisy" and not bad_flips:
+            noise = NoiseModel(
+                default_flip=float(default_flip),
+                per_predicate_flip={str(k): float(v) for k, v in flips.items()},
+            )
 
     primitives_raw = raw.get("primitives", {})
+    primitives = {}
     if not isinstance(primitives_raw, dict):
         problems.append("field 'primitives' must be an object")
-        primitives_raw = {}
-    primitives = merge_primitive_config(primitives_raw)
+    else:
+        bad_primitives = _check_primitive_values(primitives_raw)
+        problems.extend(bad_primitives)
+        if not bad_primitives:
+            primitives = merge_primitive_config(primitives_raw)
+            problems.extend(
+                f"field 'primitives.bindings.{name}' has min_ticks {spec.min_ticks} "
+                f"above max_ticks {spec.max_ticks}"
+                for name, spec in primitives.items()
+                if spec.min_ticks > spec.max_ticks
+            )
 
     initial_raw = raw.get("initial", {})
     initial = InitialConfig()
     if not isinstance(initial_raw, dict):
         problems.append("field 'initial' must be an object")
     else:
-        try:
-            initial = InitialConfig(
-                objects=initial_raw.get("objects", "counter_only"),
-                drawer=initial_raw.get("drawer", "closed"),
-                arm=initial_raw.get("arm", "random"),
-                gripper_open_prob=float(initial_raw.get("gripper_open_prob", 1.0)),
-                drawer_open_prob=float(initial_raw.get("drawer_open_prob", 0.5)),
-                object_in_drawer_prob=float(
-                    initial_raw.get("object_in_drawer_prob", 0.2)
-                ),
-            )
-        except (TypeError, ValueError) as err:
-            problems.append(f"field 'initial': {err}")
+        probs = {}
+        for key in ("gripper_open_prob", "drawer_open_prob", "object_in_drawer_prob"):
+            if key not in initial_raw:
+                continue
+            if _is_prob(initial_raw[key]):
+                probs[key] = float(initial_raw[key])
+            else:
+                problems.append(f"field 'initial.{key}' must be a number in [0, 1]")
+        initial = InitialConfig(
+            objects=initial_raw.get("objects", "counter_only"),
+            drawer=initial_raw.get("drawer", "closed"),
+            arm=initial_raw.get("arm", "random"),
+            **probs,
+        )
         if initial.objects not in ("counter_only", "anywhere"):
             problems.append("field 'initial.objects' must be counter_only or anywhere")
         if initial.drawer not in ("closed", "open", "mixed"):
@@ -335,6 +375,37 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_prob(value) -> bool:
+    """A number in [0, 1]; NaN is not."""
+    return _is_number(value) and 0.0 <= value <= 1.0
+
+
+def _check_primitive_values(raw: dict) -> list[str]:
+    """Problems with the types and ranges of the ``primitives`` overrides
+    (``merge_primitive_config`` reads them without checks)."""
+    problems = []
+    if "success_prob" in raw and not _is_prob(raw["success_prob"]):
+        problems.append("field 'primitives.success_prob' must be a number in [0, 1]")
+    bindings = raw.get("bindings", {})
+    if not isinstance(bindings, dict):
+        return problems + ["field 'primitives.bindings' must be an object"]
+    for name, spec in bindings.items():
+        where = f"primitives.bindings.{name}"
+        if not isinstance(spec, dict):
+            problems.append(f"field '{where}' must be an object")
+            continue
+        for key in ("min_ticks", "max_ticks"):
+            if key in spec and not (_is_int(spec[key]) and spec[key] >= 1):
+                problems.append(f"field '{where}.{key}' must be an int >= 1")
+        if "success_prob" in spec and not _is_prob(spec["success_prob"]):
+            problems.append(f"field '{where}.success_prob' must be a number in [0, 1]")
+    return problems
+
+
 def _check_disturbance_values(trigger, kind, where) -> Optional[str]:
     """Check the values a trial reads from one disturbance, so that none
     fails inside the trial (the kitchen keeps its own runtime checks)."""
@@ -364,10 +435,7 @@ def _check_disturbance_values(trigger, kind, where) -> Optional[str]:
         if "extension" not in kind:
             return f"field '{where}.kind' is missing 'extension'"
         ext = kind["extension"]
-        if not (
-            isinstance(ext, (int, float)) and not isinstance(ext, bool)
-            and 0.0 <= ext <= 1.0
-        ):
+        if not (_is_number(ext) and 0.0 <= ext <= 1.0):
             return f"field '{where}.kind.extension' must be a number in [0, 1]"
     return None
 
@@ -411,7 +479,14 @@ def _check_disturbance_refs(trigger, kind, grounded, where) -> Optional[str]:
 def run_trial(
     scenario: Scenario, index: int, trace_sink: Optional[IO[str]] = None
 ) -> TrialRecord:
-    """Run one seeded trial; the sink, when given, receives the JSONL trace."""
+    """Run one seeded trial; the sink, when given, receives the JSONL trace.
+
+    The chain comes from the scenario's memo, keyed on the warmed
+    estimate's mask, for as long as the Scenario object lives.  On a miss,
+    :func:`plan` and :func:`build_chain` run as without the memo and the
+    chain (or ``None`` for an unsolved search) is stored.  Both are
+    deterministic in the mask, and neither draws from a seeded stream, so
+    records and traces do not depend on whether the memo hit."""
     seed = scenario.base_seed + index
     sim_ss, perc_ss, prim_ss = np.random.SeedSequence(seed).spawn(3)
     sim_rng = np.random.default_rng(sim_ss)
@@ -438,11 +513,11 @@ def run_trial(
     for _ in range(scenario.window - 1):
         estimate = pipeline.estimate(sim.eval_predicates())
 
-    plan_result = plan(
-        grounded, init=estimate, goal=grounded.goal,
-        optimal=scenario.optimal_planning,
-    )
-    if not plan_result.solved:
+    memo = scenario._chains_by_mask
+    if estimate.mask not in memo:
+        memo[estimate.mask] = _plan_chain(scenario, estimate)
+    chain = memo[estimate.mask]
+    if chain is None:
         record = TrialRecord(
             trial=index, seed=seed, status="no_plan", ticks=0,
             recoveries=0, false_success=False,
@@ -451,7 +526,6 @@ def run_trial(
             writer.finish(record)
         return record
 
-    chain = build_chain(plan_result.plan, grounded.goal)
     disturbances = [
         exe.Disturbance(trigger=d["trigger"], kind=d["kind"])
         for d in scenario.disturbances
@@ -486,6 +560,23 @@ def run_trial(
     if writer:
         writer.finish(record)
     return record
+
+
+def _plan_chain(scenario: Scenario, estimate) -> Optional[Chain]:
+    """Plan from ``estimate`` and build its chain, reusing the chain of an
+    equal plan; ``None`` when the search is not solved."""
+    grounded = scenario.grounded
+    result = plan(
+        grounded, init=estimate, goal=grounded.goal,
+        optimal=scenario.optimal_planning,
+    )
+    if not result.solved:
+        return None
+    shared = scenario._chains_by_plan
+    key = tuple(op.index for op in result.plan.steps)
+    if key not in shared:
+        shared[key] = build_chain(result.plan, grounded.goal)
+    return shared[key]
 
 
 class _TraceWriter:

@@ -93,6 +93,27 @@ def test_execute_bad_scenario_exit_2(tmp_path, capsys):
     assert main(["execute", "--scenario", str(bad)]) == 2
 
 
+@pytest.mark.parametrize(
+    "primitives, path",
+    [
+        ({"bindings": ["grasp"]}, "primitives.bindings"),
+        ({"bindings": {"grasp": {"min_ticks": 5, "max_ticks": 2}}},
+         "primitives.bindings.grasp"),
+    ],
+    ids=["bindings_list", "min_above_max"],
+)
+def test_execute_bad_scenario_value_exit_2(tmp_path, capsys, primitives, path):
+    # The first used to crash the loader, the second the trial.
+    raw = json.loads(scenario_path("pick_spam_oracle").read_text())
+    for key in ("domain", "problem"):
+        raw[key] = str((scenario_path("pick_spam_oracle").parent / raw[key]).resolve())
+    raw["primitives"] = primitives
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(raw))
+    assert main(["execute", "--scenario", str(bad)]) == 2
+    assert f"'{path}'" in capsys.readouterr().err
+
+
 def test_bench_and_report(tmp_path, capsys):
     results = tmp_path / "results.json"
     code = main([

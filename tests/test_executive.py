@@ -1,7 +1,12 @@
 """Reactive executive: selection order, nominal runs, recovery, baselines."""
 
+import dataclasses
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chainreact.chains import build_chain
 from chainreact.executive import (
@@ -15,7 +20,13 @@ from chainreact.executive import (
     select_operator,
 )
 from chainreact.kitchen import KitchenSim, merge_primitive_config, reference_world
-from chainreact.logic import ConditionSet, LogicalState
+from chainreact.logic import (
+    ConditionSet,
+    LogicalState,
+    UnknownAtomError,
+    Vocabulary,
+    holds,
+)
 from chainreact.perception import NoiseModel, PerceptionPipeline
 from chainreact.planner import ground, plan
 from tests.util import kitchen_domain, kitchen_problem
@@ -38,6 +49,47 @@ def fresh_setup(grounded, seed=0, success_prob=1.0, world=None, noise=None, wind
         rng=np.random.default_rng(seed + 10_000),
     )
     return sim, pipe
+
+
+CHAIN_PROBLEMS = ("open_drawer", "pick_sugar", "put_away_spam", "put_away_both")
+
+
+@functools.lru_cache(maxsize=None)
+def kitchen_chain(name):
+    grounded = ground(kitchen_domain(), kitchen_problem(name))
+    return build_chain(plan(grounded, optimal=True).plan, grounded.goal)
+
+
+def with_negative_conditions(chain, pre_neg, run_neg):
+    """``chain`` with the atoms of ``pre_neg`` and ``run_neg`` as negative
+    entry and run conditions wherever they are not positive ones.  The
+    kitchen domain has no negative conditions of its own, and its chains'
+    entry and run conditions are equal."""
+
+    def negate(cond, neg):
+        return ConditionSet(cond.vocabulary, cond.pos_mask, neg & ~cond.pos_mask)
+
+    steps = tuple(
+        dataclasses.replace(
+            s,
+            effective_pre=negate(s.effective_pre, pre_neg),
+            effective_run=negate(s.effective_run, run_neg),
+        )
+        for s in chain.steps
+    )
+    return dataclasses.replace(chain, steps=steps)
+
+
+def reference_select(chain, estimate, current):
+    """Selection as a scan of holds() calls, the executive's definition."""
+    for i in range(len(chain.steps) - 1, -1, -1):
+        step = chain.steps[i]
+        if i != current:
+            if holds(estimate, step.effective_pre):
+                return Decision(i, ENTER_NEW)
+        elif holds(estimate, step.effective_run):
+            return Decision(i, CONTINUE_CURRENT)
+    return Decision(None, NONE_ENTERABLE)
 
 
 class TestSelectOperator:
@@ -69,6 +121,36 @@ class TestSelectOperator:
         decision = select_operator(chain, state, current=None)
         assert decision.reason == NONE_ENTERABLE
         assert decision.selected is None
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_matches_holds_reference(self, data):
+        chain = kitchen_chain(data.draw(st.sampled_from(CHAIN_PROBLEMS)))
+        n = len(chain.goal.vocabulary)
+        sparse = st.tuples(*[st.integers(0, (1 << n) - 1)] * 3).map(
+            lambda t: t[0] & t[1] & t[2]
+        )
+        if data.draw(st.booleans()):
+            pre_neg, run_neg = data.draw(sparse), data.draw(sparse)
+            chain = with_negative_conditions(chain, pre_neg, run_neg)
+        # Start from one step's conditions, so that hits are common, then
+        # set and clear sparse random bits; that step is often the current.
+        i = data.draw(st.integers(0, len(chain) - 1))
+        step = chain.steps[i]
+        base = data.draw(st.sampled_from([step.effective_pre, step.effective_run]))
+        mask = (base.pos_mask | data.draw(sparse)) & ~data.draw(sparse)
+        current = data.draw(
+            st.sampled_from([None, i]) | st.integers(0, len(chain) - 1)
+        )
+        estimate = LogicalState(chain.goal.vocabulary, mask)
+        assert select_operator(chain, estimate, current) == reference_select(
+            chain, estimate, current
+        )
+
+    def test_estimate_from_other_vocabulary_rejected(self, g1):
+        _, chain = g1
+        with pytest.raises(UnknownAtomError):
+            select_operator(chain, LogicalState(Vocabulary([]), 0), None)
 
     def test_decision_invariant(self):
         with pytest.raises(ValueError):

@@ -1,10 +1,13 @@
 """Harness: scenario validation, trial protocol, determinism, reporting."""
 
+import dataclasses
 import io
 import json
+import pickle
 
 import pytest
 
+from chainreact import harness
 from chainreact.harness import (
     ScenarioError,
     compute_metrics,
@@ -13,6 +16,7 @@ from chainreact.harness import (
     run_trial,
     run_trials,
 )
+from chainreact.planner import PlanResult
 from tests.util import scenario_path
 
 
@@ -97,13 +101,37 @@ class TestLoadScenario:
              "disturbances[0].kind.destination.zone"),
             ({"perception": {"mode": "oracle", "window": "x"}}, "perception.window"),
             ({"planner": {"optimal": "false"}}, "planner.optimal"),
+            ({"primitives": {"success_prob": "hi"}}, "primitives.success_prob"),
+            ({"primitives": {"success_prob": 7}}, "primitives.success_prob"),
+            ({"primitives": {"bindings": ["grasp"]}}, "primitives.bindings"),
+            ({"primitives": {"bindings": {"grasp": {"min_ticks": 5, "max_ticks": 2}}}},
+             "primitives.bindings.grasp"),
+            ({"primitives": {"bindings": {"grasp": {"min_ticks": 0}}}},
+             "primitives.bindings.grasp.min_ticks"),
+            ({"primitives": {"bindings": {"grasp": {"success_prob": 1.5}}}},
+             "primitives.bindings.grasp.success_prob"),
+            ({"perception": {"mode": "noisy", "per_predicate_flip": []}},
+             "perception.per_predicate_flip"),
+            ({"perception": {"mode": "noisy", "per_predicate_flip": {"x": [1]}}},
+             "perception.per_predicate_flip.x"),
+            ({"perception": {"mode": "noisy", "default_flip": None}},
+             "perception.default_flip"),
+            ({"initial": {"gripper_open_prob": 9}}, "initial.gripper_open_prob"),
+            ({"initial": {"drawer_open_prob": -0.1}}, "initial.drawer_open_prob"),
+            ({"initial": {"object_in_drawer_prob": "x"}},
+             "initial.object_in_drawer_prob"),
         ],
         ids=["at_tick_str", "at_tick_negative", "extension", "zone", "window",
-             "optimal"],
+             "optimal", "success_prob_str", "success_prob_7", "bindings_list",
+             "min_above_max", "min_ticks_0", "binding_success_prob", "flips_list",
+             "flip_list_value", "default_flip_null", "gripper_open_prob_9",
+             "drawer_open_prob_negative", "object_in_drawer_prob_str"],
     )
     def test_value_that_would_fail_mid_trial(self, override, path):
-        # Each of these used to load and then raise inside a trial (or, for
-        # planner.optimal, be read as true); now loading names the field.
+        # Each of these used to crash the loader, load and then raise inside
+        # a trial, or load with a meaning it cannot have (planner.optimal
+        # "false" read as true, a probability of 7); now loading names the
+        # field.
         with pytest.raises(ScenarioError) as err:
             load("put_away_spam_oracle", **override)
         assert any(f"'{path}'" in p for p in err.value.problems), err.value.problems
@@ -177,6 +205,67 @@ class TestTrials:
         m_r, _ = run_trials(reactive)
         m_o, _ = run_trials(open_loop)
         assert m_r.success_rate > m_o.success_rate
+
+
+class TestPlanMemo:
+    """run_trial keeps one chain per estimate mask on the loaded Scenario."""
+
+    @pytest.mark.parametrize(
+        "name", ["put_away_spam_noisy", "teleport_cage_reactive"]
+    )
+    def test_shared_scenario_matches_fresh_loads(self, name):
+        shared = load(name)
+        for i in range(30):
+            sink_shared, sink_fresh = io.StringIO(), io.StringIO()
+            record = run_trial(shared, i, trace_sink=sink_shared)
+            assert record == run_trial(load(name), i, trace_sink=sink_fresh)
+            assert sink_shared.getvalue() == sink_fresh.getvalue()
+        # Repeated estimates hit the memo.
+        assert 1 <= len(shared._chains_by_mask) < 30
+
+    def test_plan_once_per_mask_and_chain_once_per_plan(self, monkeypatch):
+        planned, built = [], []
+        real_plan, real_build = harness.plan, harness.build_chain
+
+        def counting_plan(grounded, init, **kwargs):
+            planned.append(init.mask)
+            return real_plan(grounded, init=init, **kwargs)
+
+        def counting_build(the_plan, goal):
+            built.append(tuple(op.index for op in the_plan.steps))
+            return real_build(the_plan, goal)
+
+        monkeypatch.setattr(harness, "plan", counting_plan)
+        monkeypatch.setattr(harness, "build_chain", counting_build)
+        sc = load("put_away_spam_noisy", trials=30)
+        run_trials(sc)
+        assert sorted(planned) == sorted(set(planned)) == sorted(sc._chains_by_mask)
+        assert len(built) == len(set(built)) == len(sc._chains_by_plan)
+        assert len(built) < len(planned)  # distinct masks share plans
+
+    def test_unsolved_plan_is_no_plan_on_miss_and_hit(self, monkeypatch):
+        calls = []
+
+        def unsolvable(grounded, **kwargs):
+            calls.append(kwargs["init"].mask)
+            return PlanResult("unsolvable")
+
+        monkeypatch.setattr(harness, "plan", unsolvable)
+        sc = load("put_away_spam_oracle")
+        first, again = run_trial(sc, 0), run_trial(sc, 0)
+        assert first.status == again.status == "no_plan"
+        assert first == again
+        assert len(calls) == 1
+
+    def test_memo_not_pickled_and_empty_after_replace(self):
+        fresh = load("put_away_spam_noisy", trials=10)
+        used = load("put_away_spam_noisy", trials=10)
+        run_trials(used)
+        assert used._chains_by_mask and used._chains_by_plan
+        assert len(pickle.dumps(used)) == len(pickle.dumps(fresh))
+        assert pickle.loads(pickle.dumps(used))._chains_by_mask == {}
+        replaced = dataclasses.replace(used)
+        assert replaced._chains_by_mask == {} and replaced._chains_by_plan == {}
 
 
 class TestTraces:
