@@ -30,7 +30,6 @@ from .logic import (
     UnknownAtomError,
     Vocabulary,
     apply_effects,
-    goal_satisfied,
     holds,
 )
 from .perception import NoiseModel, PerceptionPipeline
@@ -57,7 +56,6 @@ __all__ = [
     "apply_effects",
     "build_chain",
     "evaluate_world",
-    "goal_satisfied",
     "ground",
     "h_add",
     "holds",

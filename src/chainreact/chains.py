@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .logic import ConditionSet, LogicalState, apply_effects, holds
-from .planner import GroundOperator, GroundedDomain, Plan
+from .planner import GroundOperator, Plan
 
 
 class UnsupportedFeatureError(ValueError):
@@ -148,31 +148,6 @@ def verify_chain(chain: Chain, init: LogicalState) -> bool:
             return False
         state = apply_effects(state, step.base.eff)
     return holds(state, chain.goal)
-
-
-def chain_from_json(grounded: GroundedDomain, data: dict) -> Chain:
-    """Rebuild a chain from its JSON form.
-
-    The extras are recomputed from the steps and goal rather than trusted
-    from the file, so a hand-edited chain cannot carry inconsistent
-    conditions.  The chain may target a different initial state than the
-    problem's, in which case plan-level validation is skipped."""
-    vocab = grounded.vocabulary
-    goal = ConditionSet.from_atoms(
-        vocab, [_atom_from_name(vocab, n) for n in data["goal"]]
-    )
-    steps = tuple(
-        grounded.operator_named(s["operator"], tuple(s.get("args", ())))
-        for s in data["steps"]
-    )
-    try:
-        the_plan = Plan(steps, grounded.init, goal)
-    except ValueError:
-        the_plan = object.__new__(Plan)
-        object.__setattr__(the_plan, "steps", steps)
-        object.__setattr__(the_plan, "init", grounded.init)
-        object.__setattr__(the_plan, "goal", goal)
-    return build_chain(the_plan, goal)
 
 
 def _parse_name(name: str) -> tuple[str, Optional[tuple[str, ...]]]:

@@ -1,8 +1,8 @@
 """Command line interface.
 
 Subcommands:
-  plan     search for an operator sequence and write plan.json (an ordered
-           array of {operator, args})
+  plan     search for an operator sequence and write plan.json
+           ({"format_version": 1, "steps": [{operator, args}, ...]})
   chain    turn plan.json into chain.json with the propagated extra
            conditions per step
   execute  run one seeded trial of a scenario, optionally tracing each tick
@@ -23,15 +23,15 @@ from pathlib import Path
 
 from .chains import build_chain
 from .harness import (
-    Metrics,
     ScenarioError,
     load_scenario,
+    read_results,
     report,
     run_trial,
     run_trials,
 )
 from .lang import load_domain_file, load_problem_file
-from .planner import Plan, ground, plan
+from .planner import PlanFormatError, ground, plan, plan_from_json
 
 EXIT_OK = 0
 EXIT_FAILED = 1
@@ -63,13 +63,12 @@ def cmd_plan(args) -> int:
     if result.status == "budget_exhausted":
         print("node budget exhausted before a plan was found", file=sys.stderr)
         return EXIT_FAILED
-    steps = result.plan.to_json_dict()["steps"]
-    out = json.dumps(steps, indent=2) + "\n"
+    out = json.dumps(result.plan.to_json_dict(), indent=2) + "\n"
     if args.out:
         Path(args.out).write_text(out, encoding="utf-8")
     else:
         sys.stdout.write(out)
-    print(f"plan: {len(steps)} steps", file=sys.stderr)
+    print(f"plan: {len(result.plan)} steps", file=sys.stderr)
     return EXIT_OK
 
 
@@ -78,19 +77,14 @@ def cmd_chain(args) -> int:
     if grounded is None:
         return EXIT_INPUT
     try:
-        steps_json = json.loads(Path(args.plan).read_text(encoding="utf-8"))
+        data = json.loads(Path(args.plan).read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as err:
         print(f"{args.plan}: {err}", file=sys.stderr)
         return EXIT_INPUT
     try:
-        steps = tuple(
-            grounded.operator_named(s["operator"], tuple(s.get("args", ())))
-            for s in steps_json
-        )
-        the_plan = Plan(steps, grounded.init, grounded.goal)
-        chain = build_chain(the_plan, grounded.goal)
-    except (KeyError, TypeError) as err:
-        print(f"{args.plan}: bad plan step: {err}", file=sys.stderr)
+        chain = build_chain(plan_from_json(grounded, data), grounded.goal)
+    except PlanFormatError as err:
+        print(f"{args.plan}: {err}", file=sys.stderr)
         return EXIT_INPUT
     except ValueError as err:
         print(f"plan is not sound for this problem: {err}", file=sys.stderr)
@@ -174,10 +168,8 @@ def cmd_bench(args) -> int:
 def cmd_report(args) -> int:
     try:
         payload = json.loads(Path(args.results).read_text(encoding="utf-8"))
-        metrics_list = [
-            Metrics(**entry["metrics"]) for entry in payload["results"]
-        ]
-    except (OSError, json.JSONDecodeError, KeyError, TypeError) as err:
+        metrics_list = read_results(payload)
+    except (OSError, ValueError) as err:
         print(f"{args.results}: {err}", file=sys.stderr)
         return EXIT_INPUT
     if not metrics_list:

@@ -134,17 +134,6 @@ class Disturbance:
 
 
 @dataclass
-class ExecutiveState:
-    """Loop state: which chain step is active and how the episode stands."""
-
-    chain: Chain
-    current: Optional[int] = None  # active step index, if any
-    tick: int = 0
-    goal_streak: int = 0
-    status: str = "running"  # running | succeeded | stuck | budget_exhausted
-
-
-@dataclass
 class Outcome:
     status: str  # "succeeded" | "stuck" | "budget_exhausted"
     ticks: int
@@ -200,27 +189,27 @@ def run(
     _check_same_vocab(sim.grounded.vocabulary, chain.goal.vocabulary)
     _check_same_vocab(perception.vocab, chain.goal.vocabulary)
     goal = chain.goal
-    st = ExecutiveState(chain)
+    current: Optional[int] = None  # active step index, if any
+    streak = 0  # consecutive ticks the estimate has met the goal
     last_entered: Optional[int] = None
     none_streak = 0
     outcome = Outcome(status="budget_exhausted", ticks=max_ticks)
 
     for tick in range(max_ticks):
-        st.tick = tick
         truth = sim.eval_predicates()
         estimate = perception.estimate(truth)
 
         if _meets(estimate.mask, goal):
-            st.goal_streak += 1
+            streak += 1
         else:
-            st.goal_streak = 0
-        if st.goal_streak >= goal_streak:
-            st.status = outcome.status = "succeeded"
+            streak = 0
+        if streak >= goal_streak:
+            outcome.status = "succeeded"
             outcome.ticks = tick + 1
             outcome.false_success = not _meets(truth.mask, goal)
             _emit(chain, on_tick, tick, truth, estimate, None, "goal_reached", [])
             return outcome
-        if st.goal_streak > 0:
+        if streak > 0:
             # The estimate says the goal holds; hold position while the
             # streak confirms it.  A running primitive finishes its motion.
             prim = sim.tick() if sim.current is not None else None
@@ -229,7 +218,7 @@ def run(
                   prim.phase if prim else "confirming", fired)
             continue
 
-        decision = select_operator(chain, estimate, st.current)
+        decision = select_operator(chain, estimate, current)
         started_op: Optional[str] = None
         prim = None
 
@@ -237,9 +226,9 @@ def run(
             none_streak += 1
             if sim.current is not None:
                 sim.abort_primitive()
-            st.current = None
+            current = None
             if none_streak >= stuck_after:
-                st.status = outcome.status = "stuck"
+                outcome.status = "stuck"
                 outcome.ticks = tick + 1
                 _emit(chain, on_tick, tick, truth, estimate, decision, "idle", [])
                 return outcome
@@ -255,7 +244,7 @@ def run(
                 if last_entered is not None and idx < last_entered:
                     outcome.recoveries += 1
                 last_entered = idx
-                st.current = idx
+                current = idx
             elif sim.current is None:
                 # The primitive ended (success or failure) but this step is
                 # still the best choice: dispatch it again (retry).
@@ -268,7 +257,6 @@ def run(
         _emit(chain, on_tick, tick, truth, estimate, decision,
               prim.phase if prim else "idle", fired)
 
-    st.status = "budget_exhausted"
     return outcome
 
 

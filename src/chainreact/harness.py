@@ -52,11 +52,6 @@ from .planner import GroundedDomain, ground, plan
 
 FORMAT_VERSION = 1
 
-_EXECUTIVES = ("reactive", "open_loop")
-_PERCEPTION_MODES = ("oracle", "noisy")
-_TRIGGER_KEYS = ("at_tick", "when_operator", "when_predicate")
-_DISTURBANCE_KINDS = ("teleport_object", "set_drawer", "detach_gripper")
-
 
 @dataclass
 class Scenario:
@@ -160,6 +155,8 @@ def load_scenario(path: str | Path, overrides: Optional[dict] = None) -> Scenari
         raw = json.loads(path.read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as err:
         raise ScenarioError([f"{path}: {err}"]) from err
+    if not isinstance(raw, dict):
+        raise ScenarioError(["a scenario must be a JSON object"])
     if overrides:
         raw = _deep_merge(raw, overrides)
     return build_scenario(raw, base_dir=path.parent, name=path.stem, path=path)
@@ -175,200 +172,9 @@ def _deep_merge(base: dict, extra: dict) -> dict:
     return out
 
 
-def build_scenario(
-    raw: dict,
-    base_dir: Path,
-    name: str = "scenario",
-    path: Optional[Path] = None,
-) -> Scenario:
-    problems: list[str] = []
-
-    def need(field_name: str, kind, default=None, required=False):
-        if field_name not in raw:
-            if required:
-                problems.append(f"missing required field {field_name!r}")
-            return default
-        value = raw[field_name]
-        if kind is int and isinstance(value, bool):
-            problems.append(f"field {field_name!r} must be {kind.__name__}")
-            return default
-        if not isinstance(value, kind):
-            problems.append(f"field {field_name!r} must be {kind.__name__}")
-            return default
-        return value
-
-    domain_rel = need("domain", str, required=True)
-    problem_rel = need("problem", str, required=True)
-    max_ticks = need("max_ticks", int, required=True)
-    trials = need("trials", int, required=True)
-    base_seed = need("base_seed", int, required=True)
-    executive = need("executive", str, default="reactive")
-    goal_streak = need("goal_streak", int, default=exe.DEFAULT_GOAL_STREAK)
-    stuck_after = need("stuck_after", int, default=exe.DEFAULT_STUCK_AFTER)
-
-    if executive not in _EXECUTIVES:
-        problems.append(f"field 'executive' must be one of {_EXECUTIVES}")
-    if trials is not None and trials < 1:
-        problems.append("field 'trials' must be at least 1")
-    if max_ticks is not None and max_ticks < 1:
-        problems.append("field 'max_ticks' must be at least 1")
-
-    perception = raw.get("perception", {"mode": "oracle"})
-    noise = NoiseModel()
-    window = 3
-    if not isinstance(perception, dict):
-        problems.append("field 'perception' must be an object")
-    else:
-        mode = perception.get("mode", "oracle")
-        if mode not in _PERCEPTION_MODES:
-            problems.append(f"field 'perception.mode' must be one of {_PERCEPTION_MODES}")
-        window = perception.get("window", 3)
-        if not _is_int(window):
-            problems.append("field 'perception.window' must be int")
-        elif window < 1:
-            problems.append("field 'perception.window' must be at least 1")
-        default_flip = perception.get("default_flip", 0.05)
-        flips = perception.get("per_predicate_flip", {})
-        if not isinstance(flips, dict):
-            problems.append("field 'perception.per_predicate_flip' must be an object")
-            flips = {}
-        named = {"default_flip": default_flip}
-        named.update((f"per_predicate_flip.{k}", v) for k, v in flips.items())
-        bad_flips = [
-            key for key, p in named.items() if not (_is_number(p) and 0.0 <= p < 0.5)
-        ]
-        problems.extend(
-            f"field 'perception.{key}' must be a number in [0, 0.5)" for key in bad_flips
-        )
-        if mode == "noisy" and not bad_flips:
-            noise = NoiseModel(
-                default_flip=float(default_flip),
-                per_predicate_flip={str(k): float(v) for k, v in flips.items()},
-            )
-
-    primitives_raw = raw.get("primitives", {})
-    primitives = {}
-    if not isinstance(primitives_raw, dict):
-        problems.append("field 'primitives' must be an object")
-    else:
-        bad_primitives = _check_primitive_values(primitives_raw)
-        problems.extend(bad_primitives)
-        if not bad_primitives:
-            primitives = merge_primitive_config(primitives_raw)
-            problems.extend(
-                f"field 'primitives.bindings.{name}' has min_ticks {spec.min_ticks} "
-                f"above max_ticks {spec.max_ticks}"
-                for name, spec in primitives.items()
-                if spec.min_ticks > spec.max_ticks
-            )
-
-    initial_raw = raw.get("initial", {})
-    initial = InitialConfig()
-    if not isinstance(initial_raw, dict):
-        problems.append("field 'initial' must be an object")
-    else:
-        probs = {}
-        for key in ("gripper_open_prob", "drawer_open_prob", "object_in_drawer_prob"):
-            if key not in initial_raw:
-                continue
-            if _is_prob(initial_raw[key]):
-                probs[key] = float(initial_raw[key])
-            else:
-                problems.append(f"field 'initial.{key}' must be a number in [0, 1]")
-        initial = InitialConfig(
-            objects=initial_raw.get("objects", "counter_only"),
-            drawer=initial_raw.get("drawer", "closed"),
-            arm=initial_raw.get("arm", "random"),
-            **probs,
-        )
-        if initial.objects not in ("counter_only", "anywhere"):
-            problems.append("field 'initial.objects' must be counter_only or anywhere")
-        if initial.drawer not in ("closed", "open", "mixed"):
-            problems.append("field 'initial.drawer' must be closed, open or mixed")
-        if initial.arm not in ("driving", "above", "random"):
-            problems.append("field 'initial.arm' must be driving, above or random")
-
-    planner_raw = raw.get("planner", {})
-    optimal_planning = False
-    if not isinstance(planner_raw, dict):
-        problems.append("field 'planner' must be an object")
-    else:
-        optimal_planning = planner_raw.get("optimal", False)
-        if not isinstance(optimal_planning, bool):
-            problems.append("field 'planner.optimal' must be a bool")
-
-    grounded = None
-    if domain_rel and problem_rel:
-        domain_path = (base_dir / domain_rel).resolve()
-        problem_path = (base_dir / problem_rel).resolve()
-        if not domain_path.is_file():
-            problems.append(f"field 'domain': no such file {domain_path}")
-        elif not problem_path.is_file():
-            problems.append(f"field 'problem': no such file {problem_path}")
-        else:
-            dres = load_domain_file(str(domain_path))
-            if not dres.ok:
-                problems.extend(f"domain: {d}" for d in dres.diagnostics)
-            else:
-                pres = load_problem_file(str(problem_path), dres.value)
-                if not pres.ok:
-                    problems.extend(f"problem: {d}" for d in pres.diagnostics)
-                else:
-                    grounded = ground(dres.value, pres.value)
-
-    disturbances = raw.get("disturbances", [])
-    if not isinstance(disturbances, list):
-        problems.append("field 'disturbances' must be a list")
-        disturbances = []
-    validated_disturbances: list[dict] = []
-    for i, dist in enumerate(disturbances):
-        where = f"disturbances[{i}]"
-        if not isinstance(dist, dict) or "trigger" not in dist or "kind" not in dist:
-            problems.append(f"field '{where}' must have 'trigger' and 'kind'")
-            continue
-        trigger = dist["trigger"]
-        if not isinstance(trigger, dict) or len(
-            set(trigger) & set(_TRIGGER_KEYS)
-        ) != 1:
-            problems.append(
-                f"field '{where}.trigger' must have exactly one of {_TRIGGER_KEYS}"
-            )
-            continue
-        kind = dist["kind"]
-        if not isinstance(kind, dict) or kind.get("kind") not in _DISTURBANCE_KINDS:
-            problems.append(
-                f"field '{where}.kind.kind' must be one of {_DISTURBANCE_KINDS}"
-            )
-            continue
-        err = _check_disturbance_values(trigger, kind, where)
-        if err is None and grounded is not None:
-            err = _check_disturbance_refs(trigger, kind, grounded, where)
-        if err:
-            problems.append(err)
-            continue
-        validated_disturbances.append({"trigger": trigger, "kind": kind})
-
-    if problems:
-        raise ScenarioError(problems)
-
-    return Scenario(
-        name=str(raw.get("name", name)),
-        path=path,
-        raw=raw,
-        grounded=grounded,
-        executive=executive,
-        noise=noise,
-        window=window,
-        primitives=primitives,
-        initial=initial,
-        disturbances=validated_disturbances,
-        goal_streak=goal_streak,
-        stuck_after=stuck_after,
-        max_ticks=max_ticks,
-        trials=trials,
-        base_seed=base_seed,
-        optimal_planning=optimal_planning,
-    )
+# --------------------------------------------------------------------------
+# Scenario schema
+# --------------------------------------------------------------------------
 
 
 def _is_int(value) -> bool:
@@ -384,60 +190,248 @@ def _is_prob(value) -> bool:
     return _is_number(value) and 0.0 <= value <= 1.0
 
 
-def _check_primitive_values(raw: dict) -> list[str]:
-    """Problems with the types and ranges of the ``primitives`` overrides
-    (``merge_primitive_config`` reads them without checks)."""
-    problems = []
-    if "success_prob" in raw and not _is_prob(raw["success_prob"]):
-        problems.append("field 'primitives.success_prob' must be a number in [0, 1]")
-    bindings = raw.get("bindings", {})
-    if not isinstance(bindings, dict):
-        return problems + ["field 'primitives.bindings' must be an object"]
-    for name, spec in bindings.items():
-        where = f"primitives.bindings.{name}"
-        if not isinstance(spec, dict):
-            problems.append(f"field '{where}' must be an object")
-            continue
-        for key in ("min_ticks", "max_ticks"):
-            if key in spec and not (_is_int(spec[key]) and spec[key] >= 1):
-                problems.append(f"field '{where}.{key}' must be an int >= 1")
-        if "success_prob" in spec and not _is_prob(spec["success_prob"]):
-            problems.append(f"field '{where}.success_prob' must be a number in [0, 1]")
-    return problems
+def _int_from(low: int) -> tuple:
+    return (lambda v: _is_int(v) and v >= low, f"an int >= {low}")
 
 
-def _check_disturbance_values(trigger, kind, where) -> Optional[str]:
-    """Check the values a trial reads from one disturbance, so that none
-    fails inside the trial (the kitchen keeps its own runtime checks)."""
-    if "at_tick" in trigger and not (
-        _is_int(trigger["at_tick"]) and trigger["at_tick"] >= 0
-    ):
-        return f"field '{where}.trigger.at_tick' must be a non-negative int"
-    if kind["kind"] == "teleport_object":
-        if "object" not in kind:
-            return f"field '{where}.kind' is missing 'object'"
+def _one_of(*options) -> tuple:
+    return (lambda v: isinstance(v, str) and v in options, f"one of {options}")
+
+
+@dataclass(frozen=True)
+class _Object:
+    """Schema of a JSON object: the shape of each field it may hold, and the
+    fields it must hold.  A shape is another schema, a one-element list (a
+    list of that shape), an :class:`_Each`, or a leaf ``(test, expected)``:
+    a predicate on the value and what it must be."""
+
+    fields: dict
+    required: tuple = ()
+
+
+@dataclass(frozen=True)
+class _Each:
+    """Schema of a JSON object whose keys are names and whose values all
+    have ``shape``."""
+
+    shape: object
+
+
+def _check(value, shape, where: str, problems: list[str]) -> None:
+    """Append a problem naming the field path of each part of ``value``
+    that does not match ``shape``: a wrong type or value, a missing
+    required field, or a field the schema does not know."""
+    if isinstance(shape, tuple):
+        test, expected = shape
+        if not test(value):
+            problems.append(f"field '{where}' must be {expected}")
+    elif isinstance(shape, list):
+        if not isinstance(value, list):
+            problems.append(f"field '{where}' must be a list")
+        else:
+            for i, item in enumerate(value):
+                _check(item, shape[0], f"{where}[{i}]", problems)
+    elif not isinstance(value, dict):
+        problems.append(f"field '{where}' must be an object")
+    elif isinstance(shape, _Each):
+        for key, item in value.items():
+            _check(item, shape.shape, f"{where}.{key}", problems)
+    else:
+        prefix = f"{where}." if where else ""
+        problems.extend(
+            f"missing required field '{prefix}{key}'"
+            for key in shape.required
+            if key not in value
+        )
+        for key, item in value.items():
+            if key in shape.fields:
+                _check(item, shape.fields[key], prefix + key, problems)
+            else:
+                problems.append(f"unknown field '{prefix}{key}'")
+
+
+_STR = (lambda v: isinstance(v, str), "a string")
+_VERSION_1 = (lambda v: _is_int(v) and v == 1, "1")
+_PROB = (_is_prob, "a number in [0, 1]")
+_FLIP = (lambda v: _is_number(v) and 0.0 <= v < 0.5, "a number in [0, 0.5)")
+_ANY = (lambda v: True, "anything")
+_INITIAL_PROBS = ("gripper_open_prob", "drawer_open_prob", "object_in_drawer_prob")
+_TRIGGER = {"at_tick": _int_from(0), "when_operator": _STR, "when_predicate": _STR}
+# The fields of a disturbance's "kind" object, by its "kind" value.
+_KINDS = {
+    "teleport_object": _Object(
+        {"kind": _ANY, "object": _STR, "destination": _ANY}, ("object",)
+    ),
+    "set_drawer": _Object({"kind": _ANY, "extension": _PROB}, ("extension",)),
+    "detach_gripper": _Object({"kind": _ANY}),
+}
+_DESTINATION = _Object(
+    {"zone": (
+        lambda v: _is_int(v) and 0 <= v < NUM_COUNTER_ZONES,
+        f"an int in 0..{NUM_COUNTER_ZONES - 1}",
+    )},
+    ("zone",),
+)
+_SCENARIO = _Object(
+    {
+        "format_version": _VERSION_1,
+        "name": _STR,
+        "domain": _STR,
+        "problem": _STR,
+        "executive": _one_of("reactive", "open_loop"),
+        "planner": _Object({"optimal": (lambda v: isinstance(v, bool), "a bool")}),
+        "perception": _Object({
+            "mode": _one_of("oracle", "noisy"),
+            "window": _int_from(1),
+            "default_flip": _FLIP,
+            "per_predicate_flip": _Each(_FLIP),
+        }),
+        "primitives": _Object({
+            "success_prob": _PROB,
+            "bindings": _Each(_Object({
+                "min_ticks": _int_from(1),
+                "max_ticks": _int_from(1),
+                "success_prob": _PROB,
+            })),
+        }),
+        "initial": _Object({
+            "objects": _one_of("counter_only", "anywhere"),
+            "drawer": _one_of("closed", "open", "mixed"),
+            "arm": _one_of("driving", "above", "random"),
+            **dict.fromkeys(_INITIAL_PROBS, _PROB),
+        }),
+        "disturbances": [_Object(
+            {
+                "trigger": _Object(_TRIGGER),
+                "kind": (
+                    lambda v: isinstance(v, dict) and v.get("kind") in tuple(_KINDS),
+                    f"an object whose 'kind' is one of {tuple(_KINDS)}",
+                ),
+            },
+            ("trigger", "kind"),
+        )],
+        "goal_streak": _int_from(1),
+        "stuck_after": _int_from(1),
+        "max_ticks": _int_from(1),
+        "trials": _int_from(1),
+        "base_seed": _int_from(0),
+    },
+    required=("domain", "problem", "max_ticks", "trials", "base_seed"),
+)
+
+
+def build_scenario(
+    raw: dict,
+    base_dir: Path,
+    name: str = "scenario",
+    path: Optional[Path] = None,
+) -> Scenario:
+    # Shapes first, so that everything below reads well-typed values; then
+    # the checks that need several fields or the grounded domain.
+    problems: list[str] = []
+    _check(raw, _SCENARIO, "", problems)
+    disturbances = raw.get("disturbances", [])
+    for i, dist in enumerate([] if problems else disturbances):
+        where = f"disturbances[{i}]"
+        if len(dist["trigger"]) != 1:
+            problems.append(
+                f"field '{where}.trigger' must have exactly one of {tuple(_TRIGGER)}"
+            )
+        kind = dist["kind"]
+        _check(kind, _KINDS[kind["kind"]], f"{where}.kind", problems)
         dest = kind.get("destination", "counter_random")
-        if dest != "counter_random" and (
-            not isinstance(dest, dict) or "zone" not in dest
-        ):
-            return (
+        if isinstance(dest, dict):
+            _check(dest, _DESTINATION, f"{where}.kind.destination", problems)
+        elif dest != "counter_random":
+            problems.append(
                 f"field '{where}.kind.destination' must be \"counter_random\" "
                 'or {"zone": n}'
             )
-        if isinstance(dest, dict) and not (
-            _is_int(dest["zone"]) and 0 <= dest["zone"] < NUM_COUNTER_ZONES
-        ):
-            return (
-                f"field '{where}.kind.destination.zone' must be an int in "
-                f"0..{NUM_COUNTER_ZONES - 1}"
+    if problems:
+        raise ScenarioError(problems)
+
+    primitives = merge_primitive_config(raw.get("primitives", {}))
+    problems.extend(
+        f"field 'primitives.bindings.{key}' has min_ticks {spec.min_ticks} "
+        f"above max_ticks {spec.max_ticks}"
+        for key, spec in primitives.items()
+        if spec.min_ticks > spec.max_ticks
+    )
+
+    grounded = None
+    domain_path = (base_dir / raw["domain"]).resolve()
+    problem_path = (base_dir / raw["problem"]).resolve()
+    if not domain_path.is_file():
+        problems.append(f"field 'domain': no such file {domain_path}")
+    elif not problem_path.is_file():
+        problems.append(f"field 'problem': no such file {problem_path}")
+    else:
+        dres = load_domain_file(str(domain_path))
+        if not dres.ok:
+            problems.extend(f"domain: {d}" for d in dres.diagnostics)
+        else:
+            pres = load_problem_file(str(problem_path), dres.value)
+            if not pres.ok:
+                problems.extend(f"problem: {d}" for d in pres.diagnostics)
+            else:
+                grounded = ground(dres.value, pres.value)
+
+    perception = raw.get("perception", {})
+    flips = perception.get("per_predicate_flip", {})
+    if grounded is not None:
+        bound = {op.binding for op in grounded.domain.operators}
+        problems.extend(
+            f"field 'primitives.bindings.{key}': no domain operator is bound to it"
+            for key in raw.get("primitives", {}).get("bindings", {})
+            if key not in bound
+        )
+        problems.extend(
+            f"field 'primitives.bindings.{key}' is missing: domain operators are "
+            "bound to it and it has no default"
+            for key in sorted(bound - set(primitives))
+        )
+        problems.extend(
+            f"field 'perception.per_predicate_flip.{key}': no such domain predicate"
+            for key in flips
+            if grounded.domain.predicate(key) is None
+        )
+        for i, dist in enumerate(disturbances):
+            err = _check_disturbance_refs(
+                dist["trigger"], dist["kind"], grounded, f"disturbances[{i}]"
             )
-    elif kind["kind"] == "set_drawer":
-        if "extension" not in kind:
-            return f"field '{where}.kind' is missing 'extension'"
-        ext = kind["extension"]
-        if not (_is_number(ext) and 0.0 <= ext <= 1.0):
-            return f"field '{where}.kind.extension' must be a number in [0, 1]"
-    return None
+            if err:
+                problems.append(err)
+
+    if problems:
+        raise ScenarioError(problems)
+
+    noise = NoiseModel()
+    if perception.get("mode") == "noisy":
+        noise = NoiseModel(
+            default_flip=float(perception.get("default_flip", 0.05)),
+            per_predicate_flip={str(k): float(v) for k, v in flips.items()},
+        )
+    initial = raw.get("initial", {})
+    return Scenario(
+        name=raw.get("name", name),
+        path=path,
+        raw=raw,
+        grounded=grounded,
+        executive=raw.get("executive", "reactive"),
+        noise=noise,
+        window=perception.get("window", 3),
+        primitives=primitives,
+        initial=InitialConfig(
+            **{k: float(v) if k in _INITIAL_PROBS else v for k, v in initial.items()}
+        ),
+        disturbances=list(disturbances),
+        goal_streak=raw.get("goal_streak", exe.DEFAULT_GOAL_STREAK),
+        stuck_after=raw.get("stuck_after", exe.DEFAULT_STUCK_AFTER),
+        max_ticks=raw["max_ticks"],
+        trials=raw["trials"],
+        base_seed=raw["base_seed"],
+        optimal_planning=raw.get("planner", {}).get("optimal", False),
+    )
 
 
 def _check_disturbance_refs(trigger, kind, grounded, where) -> Optional[str]:
@@ -665,6 +659,38 @@ def _run_range(
         with open(trace_path, "w", encoding="utf-8") as sink:
             records.append(run_trial(scenario, i, trace_sink=sink))
     return records
+
+
+_METRIC_FIELDS = {
+    "scenario": _STR,
+    "trials": _int_from(1),
+    "success_rate": _PROB,
+    "mean_ticks": (lambda v: v is None or _is_number(v), "a number or null"),
+    "recovery_rate": _PROB,
+    "false_success_rate": _PROB,
+}
+_RESULTS = _Object(
+    {
+        "format_version": _VERSION_1,
+        "results": [_Object(
+            {"metrics": _Object(_METRIC_FIELDS, tuple(_METRIC_FIELDS)), "records": _ANY},
+            ("metrics",),
+        )],
+    },
+    ("format_version", "results"),
+)
+
+
+def read_results(payload) -> list[Metrics]:
+    """The metrics of a results file as ``chainreact bench --out`` writes
+    it; raises ``ValueError`` naming the field path of each problem."""
+    if not isinstance(payload, dict):
+        raise ValueError("a results file must be a JSON object")
+    problems: list[str] = []
+    _check(payload, _RESULTS, "", problems)
+    if problems:
+        raise ValueError("; ".join(problems))
+    return [Metrics(**entry["metrics"]) for entry in payload["results"]]
 
 
 def report(metrics_list: list[Metrics]) -> str:

@@ -75,18 +75,6 @@ class DomainDefinition:
                 return p
         return None
 
-    def subtypes(self, type_name: str) -> set[str]:
-        """The type itself plus all transitive descendants."""
-        out = {type_name}
-        changed = True
-        while changed:
-            changed = False
-            for child, parent in self.types.items():
-                if parent in out and child not in out:
-                    out.add(child)
-                    changed = True
-        return out
-
     def is_subtype(self, child: str, ancestor: str) -> bool:
         seen: set[str] = set()
         cur: Optional[str] = child

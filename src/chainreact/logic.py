@@ -221,13 +221,6 @@ class ConditionSet:
     def positive_atoms(self) -> frozenset[GroundAtom]:
         return self.vocabulary.atoms_of(self.pos_mask)
 
-    @property
-    def negative_atoms(self) -> frozenset[GroundAtom]:
-        return self.vocabulary.atoms_of(self.neg_mask)
-
-    def is_empty(self) -> bool:
-        return self.pos_mask == 0 and self.neg_mask == 0
-
     def union(self, other: "ConditionSet") -> "ConditionSet":
         _check_same_vocab(self.vocabulary, other.vocabulary)
         return ConditionSet(
@@ -292,8 +285,3 @@ def apply_effects(state: LogicalState, eff: EffectSet) -> LogicalState:
     """Return (state minus deletes) union adds; the input is not modified."""
     _check_same_vocab(state.vocabulary, eff.vocabulary)
     return LogicalState(state.vocabulary, state.mask & ~eff.del_mask | eff.add_mask)
-
-
-def goal_satisfied(state: LogicalState, goal: ConditionSet) -> bool:
-    """Same as :func:`holds`; named separately so traces can label goal checks."""
-    return holds(state, goal)

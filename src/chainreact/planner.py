@@ -20,7 +20,7 @@ import itertools
 from collections import deque
 from dataclasses import dataclass, field
 from math import inf, isinf
-from typing import Optional
+from typing import Optional, Sequence
 
 from .lang import DomainDefinition, LiftedAtom, OperatorSchema, ProblemDefinition
 from .logic import (
@@ -215,7 +215,7 @@ class Plan:
     goal: ConditionSet
 
     def __post_init__(self) -> None:
-        result = symbolic_execute_steps(self.steps, self.init)
+        result = symbolic_execute(self.steps, self.init)
         if result.failed_step is not None:
             raise ValueError(f"plan violates preconditions at step {result.failed_step}")
         if not holds(result.state, self.goal):
@@ -237,18 +237,37 @@ class Plan:
         }
 
 
-def plan_from_json(grounded: GroundedDomain, data: dict,
-                   init: Optional[LogicalState] = None,
-                   goal: Optional[ConditionSet] = None) -> Plan:
-    steps = tuple(
-        grounded.operator_named(step["operator"], tuple(step.get("args", ())))
-        for step in data["steps"]
-    )
-    return Plan(
-        steps,
-        grounded.init if init is None else init,
-        grounded.goal if goal is None else goal,
-    )
+class PlanFormatError(ValueError):
+    """Plan JSON not in the shape :meth:`Plan.to_json_dict` writes, or
+    naming an operator the grounded domain does not have."""
+
+
+def plan_from_json(grounded: GroundedDomain, data) -> Plan:
+    """Read what :meth:`Plan.to_json_dict` writes as a plan from the
+    problem's initial state to its goal.  Raises :class:`PlanFormatError`
+    naming the first bad field, and the ``ValueError`` of :class:`Plan` for
+    steps that are not a sound plan."""
+    if not isinstance(data, dict) or not isinstance(data.get("steps"), list):
+        raise PlanFormatError("a plan must be an object with a 'steps' list")
+    version = data.get("format_version")
+    if type(version) is not int or version != 1:
+        raise PlanFormatError(f"'format_version' must be 1, not {version!r}")
+    ops = []
+    for i, step in enumerate(data["steps"]):
+        args = step.get("args") if isinstance(step, dict) else None
+        if not (
+            isinstance(args, list)
+            and isinstance(step.get("operator"), str)
+            and all(isinstance(a, str) for a in args)
+        ):
+            raise PlanFormatError(
+                f"'steps[{i}]' must be {{\"operator\": string, \"args\": [string]}}"
+            )
+        try:
+            ops.append(grounded.operator_named(step["operator"], tuple(args)))
+        except KeyError as err:
+            raise PlanFormatError(f"'steps[{i}]': {err.args[0]}") from None
+    return Plan(tuple(ops), grounded.init, grounded.goal)
 
 
 @dataclass(frozen=True)
@@ -261,18 +280,17 @@ class ExecutionResult:
         return self.failed_step is None
 
 
-def symbolic_execute_steps(steps, init: LogicalState) -> ExecutionResult:
+def symbolic_execute(
+    steps: Sequence[GroundOperator], init: LogicalState
+) -> ExecutionResult:
+    """Fold effects over ``steps`` from ``init``, stopping at the first
+    step whose preconditions do not hold."""
     state = init
     for i, op in enumerate(steps):
         if not holds(state, op.pre):
             return ExecutionResult(state, failed_step=i)
         state = apply_effects(state, op.eff)
     return ExecutionResult(state)
-
-
-def symbolic_execute(plan: Plan, init: LogicalState) -> ExecutionResult:
-    """Fold effects over the plan, checking each step's preconditions."""
-    return symbolic_execute_steps(plan.steps, init)
 
 
 # --------------------------------------------------------------------------

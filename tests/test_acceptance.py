@@ -157,7 +157,7 @@ def test_criterion_7_planner_soundness_completeness():
             unsolvable += 1
         else:
             assert result.solved
-            execution = symbolic_execute(result.plan, grounded.init)
+            execution = symbolic_execute(result.plan.steps, grounded.init)
             assert execution.ok and holds(execution.state, grounded.goal)
             solvable += 1
         agreements += 1

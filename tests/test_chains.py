@@ -13,7 +13,6 @@ from chainreact.chains import (
     ChainInconsistencyError,
     UnsupportedFeatureError,
     build_chain,
-    chain_from_json,
     verify_chain,
 )
 from chainreact.logic import ConditionSet, holds
@@ -149,16 +148,6 @@ class TestKitchenChain:
         grounded = ground(kitchen_domain(), kitchen_problem("put_away_spam"))
         chain = build_chain(plan(grounded, optimal=True).plan, grounded.goal)
         assert verify_chain(chain, grounded.init)
-
-    def test_chain_json_round_trip(self):
-        grounded = ground(kitchen_domain(), kitchen_problem("put_away_spam"))
-        chain = build_chain(plan(grounded, optimal=True).plan, grounded.goal)
-        data = chain.to_json_dict()
-        again = chain_from_json(grounded, data)
-        assert again.names() == chain.names()
-        for a, b in zip(again.steps, chain.steps):
-            assert a.extra_pre.pos_mask == b.extra_pre.pos_mask
-            assert a.effective_run.pos_mask == b.effective_run.pos_mask
 
 
 def sound_random_plans(count, seed, max_steps=8, max_atoms=12):

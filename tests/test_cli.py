@@ -5,7 +5,14 @@ import json
 import pytest
 
 from chainreact.cli import main
-from tests.util import kitchen_path, problem_path, scenario_path
+from chainreact.planner import ground, plan
+from tests.util import (
+    kitchen_domain,
+    kitchen_path,
+    kitchen_problem,
+    problem_path,
+    scenario_path,
+)
 
 
 def test_plan_chain_pipeline(tmp_path, capsys):
@@ -18,8 +25,12 @@ def test_plan_chain_pipeline(tmp_path, capsys):
         "--out", str(plan_out),
     ])
     assert code == 0
-    steps = json.loads(plan_out.read_text())
-    assert isinstance(steps, list) and len(steps) == 16
+    data = json.loads(plan_out.read_text())
+    grounded = ground(kitchen_domain(), kitchen_problem("put_away_spam"))
+    assert data == plan(grounded, optimal=True).plan.to_json_dict()
+    assert data["format_version"] == 1
+    steps = data["steps"]
+    assert len(steps) == 16
     assert steps[0] == {"operator": "back_off", "args": []}
     assert steps[-1] == {"operator": "push_drawer", "args": []}
 
@@ -38,6 +49,49 @@ def test_plan_chain_pipeline(tmp_path, capsys):
     release = next(s for s in chain["steps"] if s["operator"] == "release_obj")
     assert "obj_is_in_drawer(spam)" in release["extra_pre"]
     assert "obj_is_in_drawer(spam)" in release["extra_run"]
+
+
+def chain_from_plan_file(tmp_path, data):
+    plan_file = tmp_path / "plan.json"
+    plan_file.write_text(json.dumps(data))
+    return main([
+        "chain",
+        "--domain", str(kitchen_path()),
+        "--problem", str(problem_path("put_away_spam")),
+        "--plan", str(plan_file),
+    ])
+
+
+BACK_OFF = {"operator": "back_off", "args": []}
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        [BACK_OFF],
+        {"steps": [BACK_OFF]},
+        {"format_version": 2, "steps": [BACK_OFF]},
+        {"format_version": True, "steps": [BACK_OFF]},
+        {"format_version": 1, "steps": BACK_OFF},
+        {"format_version": 1, "steps": [5]},
+        {"format_version": 1, "steps": [{"args": []}]},
+        {"format_version": 1, "steps": [{"operator": 5, "args": []}]},
+        {"format_version": 1, "steps": [{"operator": "back_off", "args": "spam"}]},
+        {"format_version": 1, "steps": [{"operator": "back_off"}]},
+        {"format_version": 1, "steps": [{"operator": "fly_away", "args": []}]},
+    ],
+    ids=["bare_array", "no_version", "version_2", "version_true", "steps_object",
+         "step_int", "no_operator", "operator_int", "args_string", "no_args", "unknown_operator"],
+)
+def test_chain_rejects_bad_plan_file(tmp_path, capsys, data):
+    assert chain_from_plan_file(tmp_path, data) == 2
+    assert "plan.json" in capsys.readouterr().err
+
+
+def test_chain_unsound_plan_exit_1(tmp_path, capsys):
+    # Well formed, but one step does not reach the goal.
+    assert chain_from_plan_file(tmp_path, {"format_version": 1, "steps": [BACK_OFF]}) == 1
+    assert "not sound" in capsys.readouterr().err
 
 
 def test_plan_reports_unsolvable(tmp_path, capsys):
@@ -89,8 +143,9 @@ def test_execute_writes_trace_and_exit_codes(tmp_path, capsys):
 
 def test_execute_bad_scenario_exit_2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
-    bad.write_text("{}")
-    assert main(["execute", "--scenario", str(bad)]) == 2
+    for text in ("{}", "[]"):
+        bad.write_text(text)
+        assert main(["execute", "--scenario", str(bad)]) == 2
 
 
 @pytest.mark.parametrize(
@@ -99,11 +154,13 @@ def test_execute_bad_scenario_exit_2(tmp_path, capsys):
         ({"bindings": ["grasp"]}, "primitives.bindings"),
         ({"bindings": {"grasp": {"min_ticks": 5, "max_ticks": 2}}},
          "primitives.bindings.grasp"),
+        ({"bindings": {"graps": {"max_ticks": 5}}}, "primitives.bindings.graps"),
     ],
-    ids=["bindings_list", "min_above_max"],
+    ids=["bindings_list", "min_above_max", "unbound_name"],
 )
 def test_execute_bad_scenario_value_exit_2(tmp_path, capsys, primitives, path):
-    # The first used to crash the loader, the second the trial.
+    # The first used to crash the loader, the second the trial; the third
+    # loaded and was never used.
     raw = json.loads(scenario_path("pick_spam_oracle").read_text())
     for key in ("domain", "problem"):
         raw[key] = str((scenario_path("pick_spam_oracle").parent / raw[key]).resolve())
@@ -222,3 +279,29 @@ def test_bench_starts_one_pool_sized_to_trials(monkeypatch, jobs, trials, pools)
     ])
     assert code == 0
     assert created == pools
+
+
+METRICS = {
+    "scenario": "pick_spam_oracle", "trials": 3, "success_rate": 1.0,
+    "mean_ticks": 30.0, "recovery_rate": 0.0, "false_success_rate": 0.0,
+}
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {"format_version": 1, "results": [{"metrics": {**METRICS, "success_rate": "x"}}]},
+        {"format_version": 1, "results": [{"metrics": {**METRICS, "trials": 2.5}}]},
+        {"format_version": 1, "results": [{"metrics": {**METRICS, "mean_ticks": []}}]},
+        {"format_version": 2, "results": [{"metrics": METRICS}]},
+        {"results": [{"metrics": METRICS}]},
+        [{"metrics": METRICS}],
+    ],
+    ids=["success_rate_str", "trials_float", "mean_ticks_list", "version_2",
+         "no_version", "bare_array"],
+)
+def test_report_rejects_malformed_results(tmp_path, capsys, payload):
+    results = tmp_path / "results.json"
+    results.write_text(json.dumps(payload))
+    assert main(["report", "--results", str(results)]) == 2
+    assert "results.json" in capsys.readouterr().err

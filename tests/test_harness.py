@@ -6,10 +6,13 @@ import json
 import pickle
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chainreact import harness
 from chainreact.harness import (
     ScenarioError,
+    build_scenario,
     compute_metrics,
     load_scenario,
     report,
@@ -17,7 +20,9 @@ from chainreact.harness import (
     run_trials,
 )
 from chainreact.planner import PlanResult
-from tests.util import scenario_path
+from tests.util import DATA_DIR, scenario_path
+
+SHIPPED = sorted(p.stem for p in (DATA_DIR / "scenarios").glob("*.json"))
 
 
 def load(name, **overrides):
@@ -120,27 +125,103 @@ class TestLoadScenario:
             ({"initial": {"drawer_open_prob": -0.1}}, "initial.drawer_open_prob"),
             ({"initial": {"object_in_drawer_prob": "x"}},
              "initial.object_in_drawer_prob"),
+            ({"max_tick": 5}, "max_tick"),
+            ({"perception": {"mode": "oracle", "windw": 3}}, "perception.windw"),
+            ({"primitives": {"sucess_prob": 1.0}}, "primitives.sucess_prob"),
+            ({"primitives": {"bindings": {"graps": {"max_ticks": 5}}}},
+             "primitives.bindings.graps"),
+            ({"primitives": {"bindings": {"grasp": {"min_tick": 3}}}},
+             "primitives.bindings.grasp.min_tick"),
+            ({"perception": {"mode": "noisy",
+                             "per_predicate_flip": {"gripper_is_opn": 0.1}}},
+             "perception.per_predicate_flip.gripper_is_opn"),
+            ({"initial": {"arms": "driving"}}, "initial.arms"),
+            ({"planner": {"optimal": True, "greedy": True}}, "planner.greedy"),
+            ({"disturbances": [{"trigger": {"at_tick": 3}, "when": 1,
+                                "kind": {"kind": "detach_gripper"}}]},
+             "disturbances[0].when"),
+            ({"disturbances": [{"trigger": {"at_tick": 3, "once": True},
+                                "kind": {"kind": "detach_gripper"}}]},
+             "disturbances[0].trigger.once"),
+            ({"disturbances": [{"trigger": {"at_tick": 3},
+                                "kind": {"kind": "set_drawer", "extension": 1.0,
+                                         "bogus": 1}}]},
+             "disturbances[0].kind.bogus"),
+            ({"disturbances": [{"trigger": {"at_tick": 3},
+                                "kind": {"kind": "teleport_object", "object": "spam",
+                                         "destination": {"zone": 1, "x": 0}}}]},
+             "disturbances[0].kind.destination.x"),
+            ({"goal_streak": 0}, "goal_streak"),
+            ({"stuck_after": 0}, "stuck_after"),
+            ({"base_seed": -5}, "base_seed"),
+            ({"name": 5}, "name"),
+            ({"format_version": 7}, "format_version"),
+            ({"format_version": True}, "format_version"),
         ],
         ids=["at_tick_str", "at_tick_negative", "extension", "zone", "window",
              "optimal", "success_prob_str", "success_prob_7", "bindings_list",
              "min_above_max", "min_ticks_0", "binding_success_prob", "flips_list",
              "flip_list_value", "default_flip_null", "gripper_open_prob_9",
-             "drawer_open_prob_negative", "object_in_drawer_prob_str"],
+             "drawer_open_prob_negative", "object_in_drawer_prob_str",
+             "unknown_top_level", "unknown_perception", "unknown_primitives",
+             "unbound_binding", "unknown_binding_field", "unknown_flip_predicate",
+             "unknown_initial", "unknown_planner", "unknown_disturbance",
+             "unknown_trigger", "unknown_kind", "unknown_destination",
+             "goal_streak_0", "stuck_after_0", "base_seed_negative", "name_int",
+             "format_version_7", "format_version_true"],
     )
     def test_value_that_would_fail_mid_trial(self, override, path):
         # Each of these used to crash the loader, load and then raise inside
         # a trial, or load with a meaning it cannot have (planner.optimal
-        # "false" read as true, a probability of 7); now loading names the
+        # "false" read as true, a probability of 7, an unknown key dropped,
+        # a goal streak of 0 that succeeds on tick 1); now loading names the
         # field.
         with pytest.raises(ScenarioError) as err:
-            load("put_away_spam_oracle", **override)
+            load_scenario(scenario_path("put_away_spam_oracle"), override)
         assert any(f"'{path}'" in p for p in err.value.problems), err.value.problems
+
+    def test_domain_binding_without_primitive(self, tmp_path):
+        # A domain operator bound to a primitive with no default used to
+        # load and then raise UnknownBindingError in the first trial.
+        domain = tmp_path / "warp.dpdl"
+        domain.write_text(
+            (DATA_DIR / "kitchen.dpdl").read_text().replace(
+                ":binding back_off", ":binding warp"
+            )
+        )
+        with pytest.raises(ScenarioError) as err:
+            load("put_away_spam_oracle", domain=str(domain))
+        assert any("'primitives.bindings.warp'" in p for p in err.value.problems)
+        sc = load("put_away_spam_oracle", domain=str(domain), trials=1,
+                  primitives={"bindings": {"warp": {"max_ticks": 2}}})
+        assert run_trial(sc, 0).succeeded
 
     def test_override_merging(self):
         sc = load("put_away_spam_oracle", trials=3,
                   primitives={"success_prob": 0.5})
         assert sc.trials == 3
         assert sc.primitives["grasp"].success_prob == 0.5
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_any_leaf_value_is_rejected_or_runs(self, data):
+        # One leaf of a shipped scenario (an empty object or list counts as
+        # a leaf) takes a value from a fixed pool.  The scenario must either
+        # be rejected at load or run a trial to a terminal status.
+        name = data.draw(st.sampled_from(SHIPPED))
+        path = scenario_path(name)
+        raw = json.loads(path.read_text())
+        parent, key = data.draw(st.sampled_from(_leaf_slots(raw)))
+        parent[key] = data.draw(st.sampled_from(
+            [None, True, -1, 0, 1, 0.5, 7, "x", [], {}]
+        ))
+        try:
+            sc = build_scenario(raw, base_dir=path.parent, name=name, path=path)
+        except ScenarioError:
+            return
+        sc = dataclasses.replace(sc, trials=1, max_ticks=min(sc.max_ticks, 60))
+        record = run_trial(sc, 0)
+        assert record.status in ("succeeded", "stuck", "budget_exhausted", "no_plan")
 
     def test_all_shipped_scenarios_load(self):
         names = [
@@ -152,6 +233,18 @@ class TestLoadScenario:
         for name in names:
             sc = load(name)
             assert sc.trials >= 1
+
+
+def _leaf_slots(obj) -> list:
+    """(container, key) for every leaf under ``obj``, depth first."""
+    slots = []
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj)
+    for key, value in items:
+        if isinstance(value, (dict, list)) and value:
+            slots.extend(_leaf_slots(value))
+        else:
+            slots.append((obj, key))
+    return slots
 
 
 class TestTrials:

@@ -344,10 +344,10 @@ class TestAlignment:
 
 class TestGoalEvaluation:
     def test_reference_state_does_not_satisfy_put_away_goal(self, grounded):
-        from chainreact.logic import goal_satisfied
+        from chainreact.logic import holds
 
         state = evaluate_world(reference_world(), grounded)
-        assert not goal_satisfied(state, grounded.goal)
+        assert not holds(state, grounded.goal)
 
 
 class TestContactPhysics:

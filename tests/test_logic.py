@@ -21,7 +21,6 @@ from chainreact.logic import (
     UnknownAtomError,
     Vocabulary,
     apply_effects,
-    goal_satisfied,
     holds,
 )
 
@@ -188,14 +187,7 @@ class TestGoalSatisfied:
     def test_empty_goal(self):
         vocab = make_vocab(3)
         for mask in range(8):
-            assert goal_satisfied(LogicalState(vocab, mask), ConditionSet.from_atoms(vocab))
-
-    def test_matches_holds(self):
-        vocab = make_vocab(4)
-        cond = ConditionSet(vocab, pos_mask=0b0011, neg_mask=0b0100)
-        for mask in range(16):
-            state = LogicalState(vocab, mask)
-            assert goal_satisfied(state, cond) == holds(state, cond)
+            assert holds(LogicalState(vocab, mask), ConditionSet.from_atoms(vocab))
 
 
 class TestWideVocabulary:

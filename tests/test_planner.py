@@ -228,14 +228,14 @@ class TestKitchenPlanning:
         assert result.solved
         assert len(result.plan) == 16
         assert result.plan.names() == G1_PLAN
-        final = symbolic_execute(result.plan, grounded.init)
+        final = symbolic_execute(result.plan.steps, grounded.init)
         assert final.ok and holds(final.state, grounded.goal)
 
     def test_gbfs_also_solves_g1(self):
         grounded = ground(kitchen_domain(), kitchen_problem("put_away_spam"))
         result = plan(grounded)
         assert result.solved
-        final = symbolic_execute(result.plan, grounded.init)
+        final = symbolic_execute(result.plan.steps, grounded.init)
         assert final.ok and holds(final.state, grounded.goal)
 
     def test_open_drawer_subgoal(self):
@@ -249,7 +249,7 @@ class TestKitchenPlanning:
             "back_off", "approach_drawer_open", "cage_handle",
             "grasp_handle", "pull_drawer",
         ]
-        assert holds(symbolic_execute(result.plan, grounded.init).state, goal)
+        assert holds(symbolic_execute(result.plan.steps, grounded.init).state, goal)
 
     def test_empty_plan_when_goal_holds(self):
         grounded = ground(kitchen_domain(), kitchen_problem("put_away_spam"))
@@ -301,7 +301,7 @@ class TestRandomDomains:
                     assert result.status == "unsolvable", (specs, init, goal)
                 else:
                     assert result.solved
-                    ex = symbolic_execute(result.plan, grounded.init)
+                    ex = symbolic_execute(result.plan.steps, grounded.init)
                     assert ex.ok and holds(ex.state, grounded.goal)
                     if optimal:
                         assert len(result.plan) == oracle_len
@@ -381,7 +381,7 @@ class TestSymbolicExecute:
     def test_empty_plan_identity(self):
         grounded = ground(kitchen_domain(), kitchen_problem("put_away_spam"))
         p = Plan((), grounded.init, ConditionSet.from_atoms(grounded.vocabulary))
-        result = symbolic_execute(p, grounded.init)
+        result = symbolic_execute(p.steps, grounded.init)
         assert result.ok and result.state == grounded.init
 
     def test_swapped_steps_fail_at_swap(self):
@@ -392,9 +392,7 @@ class TestSymbolicExecute:
         assert steps[i].schema.name == "cage_obj"
         assert steps[j].schema.name == "grasp_obj"
         steps[i], steps[j] = steps[j], steps[i]
-        from chainreact.planner import symbolic_execute_steps
-
-        result = symbolic_execute_steps(steps, grounded.init)
+        result = symbolic_execute(steps, grounded.init)
         assert not result.ok and result.failed_step == i
 
 
@@ -423,7 +421,7 @@ class TestNegativeGoals:
         for optimal in (False, True):
             result = plan(grounded, optimal=optimal)
             assert result.solved
-            final = symbolic_execute(result.plan, grounded.init)
+            final = symbolic_execute(result.plan.steps, grounded.init)
             assert final.ok and holds(final.state, grounded.goal)
             if optimal:
                 assert len(result.plan) == 2
