@@ -157,8 +157,3 @@ def _parse_name(name: str) -> tuple[str, Optional[tuple[str, ...]]]:
         return name, None
     head, rest = name.split("(", 1)
     return head, tuple(a.strip() for a in rest.rstrip(")").split(",") if a.strip())
-
-
-def _atom_from_name(vocab, name: str):
-    head, args = _parse_name(name)
-    return vocab.get(head, *(args or ()))

@@ -19,10 +19,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
-from .chains import Chain, _atom_from_name, _parse_name
+from .chains import Chain, _parse_name
 from .kitchen import KitchenSim
-from .logic import ConditionSet, LogicalState, Vocabulary, _check_same_vocab
+from .logic import ConditionSet, LogicalState, _check_same_vocab
 from .perception import PerceptionPipeline
+from .planner import GroundedDomain, GroundOperator
 
 ENTER_NEW = "enter_new"
 CONTINUE_CURRENT = "continue_current"
@@ -70,67 +71,85 @@ def _meets(mask: int, cond: ConditionSet) -> bool:
     return mask & cond.pos_mask == cond.pos_mask and not mask & cond.neg_mask
 
 
-@dataclass
+@dataclass(frozen=True)
 class Disturbance:
-    """A scripted world change with a one-shot trigger.
+    """A scripted world change with a one-shot trigger, as
+    :func:`resolve_disturbances` reads it from a scenario.
 
-    trigger: {"at_tick": int} or {"when_operator": "name" | "name(args)"}
-             or {"when_predicate": "atom"}
-    kind:    {"kind": "teleport_object", "object": o, "destination": ...}
-             or {"kind": "set_drawer", "extension": x}
-             or {"kind": "detach_gripper"}
-
-    The trigger is resolved once.  ``at_tick`` becomes an int.  An operator
-    name with arguments must equal the started ground operator's name; one
-    without arguments matches any binding of that schema.  A predicate
-    becomes the bit of its atom in the vocabulary of the first truth state
-    it is checked against.  Names are read by the parser that scenario
-    validation uses, so whitespace inside them does not matter.
+    One trigger field is set: ``at_tick``; ``operator``, the index of the
+    ground operator whose start fires it; ``schema``, a schema any of whose
+    ground operators fires it on start; or ``bit``, the bit of an atom that
+    fires it once the post-tick truth holds it.  ``kind`` is the change,
+    as :meth:`~chainreact.kitchen.KitchenSim.apply_disturbance` reads it.
+    Which disturbances have fired is the state of one run, not of this
+    value, so one resolved tuple serves every trial.
     """
 
-    trigger: dict
     kind: dict
-    fired: bool = False
-    at_tick: Optional[int] = field(default=None, init=False)
-    operator: Optional[str] = field(default=None, init=False)  # ground name
-    schema: Optional[str] = field(default=None, init=False)  # any binding
-    predicate: Optional[str] = field(default=None, init=False)
-    _vocab: Optional[Vocabulary] = field(default=None, init=False, repr=False)
-    _bit: int = field(default=0, init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        if "at_tick" in self.trigger:
-            self.at_tick = int(self.trigger["at_tick"])
-        elif "when_operator" in self.trigger:
-            head, args = _parse_name(str(self.trigger["when_operator"]))
-            if args is None:
-                self.schema = head
-            else:
-                self.operator = f"{head}({', '.join(args)})" if args else head
-        elif "when_predicate" in self.trigger:
-            self.predicate = str(self.trigger["when_predicate"])
-        else:
-            raise ValueError(f"unknown trigger {self.trigger!r}")
+    at_tick: Optional[int] = None
+    operator: Optional[int] = None
+    schema: Optional[str] = None
+    bit: int = 0
 
     def matches(
-        self, tick: int, started_op: Optional[str], truth: Optional[LogicalState]
+        self, tick: int, started: Optional[GroundOperator], truth: int
     ) -> bool:
-        """Whether the trigger fires this tick; ``truth`` is read only by a
-        predicate trigger."""
-        if self.fired:
-            return False
+        """Whether the trigger fires this tick, given the ground operator
+        started this tick, if any, and the post-tick truth mask (read only
+        by a predicate trigger)."""
         if self.at_tick is not None:
             return tick == self.at_tick
-        if self.predicate is None:
-            return started_op is not None and (
-                started_op == self.operator
-                or started_op.split("(", 1)[0] == self.schema
-            )
-        vocab = truth.vocabulary
-        if self._vocab is not vocab:
-            self._bit = 1 << vocab.id_of(_atom_from_name(vocab, self.predicate))
-            self._vocab = vocab
-        return truth.mask & self._bit != 0
+        if self.bit:
+            return truth & self.bit != 0
+        return started is not None and (
+            started.index == self.operator or started.schema.name == self.schema
+        )
+
+
+def resolve_disturbances(
+    specs: Sequence[dict], grounded: GroundedDomain, problems: list[str]
+) -> tuple[Disturbance, ...]:
+    """Resolve ``{"trigger": ..., "kind": ...}`` specs, already checked
+    against the scenario schema, against ``grounded``.
+
+    ``at_tick`` stays an int.  An operator name with arguments must name one
+    ground operator; one without arguments names a schema.  A predicate
+    must name an atom of the vocabulary.  A teleport must name a movable.
+    Names are read by the parser chain validation uses, so whitespace
+    inside them does not matter.  Each name that resolves to nothing
+    appends a problem with its field path to ``problems``."""
+    out = []
+    for i, spec in enumerate(specs):
+        where = f"disturbances[{i}]"
+        trigger, kind = spec["trigger"], spec["kind"]
+        found: dict = {"at_tick": trigger.get("at_tick")}
+        if "when_operator" in trigger:
+            name = trigger["when_operator"]
+            head, args = _parse_name(name)
+            ops = [
+                op for op in grounded.operators
+                if op.schema.name == head and args in (None, op.bound_args)
+            ]
+            if not ops:
+                problems.append(
+                    f"field '{where}.trigger.when_operator': unknown operator {name!r}"
+                )
+            elif args is None:
+                found["schema"] = head
+            else:
+                found["operator"] = ops[0].index
+        elif "when_predicate" in trigger:
+            name = trigger["when_predicate"]
+            head, args = _parse_name(name)
+            found["bit"] = grounded.vocabulary.bits.get((head, args or ()), 0)
+            if not found["bit"]:
+                problems.append(
+                    f"field '{where}.trigger.when_predicate': unknown atom {name!r}"
+                )
+        if kind["kind"] == "teleport_object" and kind["object"] not in grounded.movables:
+            problems.append(f"field '{where}.kind': unknown object {kind['object']!r}")
+        out.append(Disturbance(kind, **found))
+    return tuple(out)
 
 
 @dataclass
@@ -152,23 +171,21 @@ TickCallback = Callable[[dict], None]
 
 def _fire_disturbances(
     sim: KitchenSim,
-    disturbances: Sequence[Disturbance],
+    pending: list[Disturbance],
     tick: int,
-    started_op: Optional[str],
+    started: Optional[GroundOperator],
 ) -> list[str]:
-    fired = []
-    if not disturbances:
-        return fired
-    # Only a predicate trigger still armed reads the post-tick truth.
-    truth = None
-    if any(d.predicate is not None and not d.fired for d in disturbances):
-        truth = sim.eval_predicates()
-    for d in disturbances:
-        if d.matches(tick, started_op, truth):
-            sim.apply_disturbance(d.kind)
-            d.fired = True
-            fired.append(d.kind["kind"])
-    return fired
+    """Apply, in order, each pending disturbance whose trigger matches this
+    tick, and drop it from ``pending``, the run's list of those not fired."""
+    if not pending:
+        return []
+    # Only a predicate trigger reads the post-tick truth.
+    truth = sim.eval_predicates().mask if any(d.bit for d in pending) else 0
+    fired = [d for d in pending if d.matches(tick, started, truth)]
+    for d in fired:
+        sim.apply_disturbance(d.kind)
+        pending.remove(d)
+    return [d.kind["kind"] for d in fired]
 
 
 def run(
@@ -189,6 +206,7 @@ def run(
     _check_same_vocab(sim.grounded.vocabulary, chain.goal.vocabulary)
     _check_same_vocab(perception.vocab, chain.goal.vocabulary)
     goal = chain.goal
+    pending = list(disturbances)
     current: Optional[int] = None  # active step index, if any
     streak = 0  # consecutive ticks the estimate has met the goal
     last_entered: Optional[int] = None
@@ -213,13 +231,13 @@ def run(
             # The estimate says the goal holds; hold position while the
             # streak confirms it.  A running primitive finishes its motion.
             prim = sim.tick() if sim.current is not None else None
-            fired = _fire_disturbances(sim, disturbances, tick, None)
+            fired = _fire_disturbances(sim, pending, tick, None)
             _emit(chain, on_tick, tick, truth, estimate, None,
                   prim.phase if prim else "confirming", fired)
             continue
 
         decision = select_operator(chain, estimate, current)
-        started_op: Optional[str] = None
+        started = None
         prim = None
 
         if decision.reason == NONE_ENTERABLE:
@@ -238,9 +256,9 @@ def run(
             if decision.reason == ENTER_NEW:
                 if sim.current is not None:
                     sim.abort_primitive()
-                sim.start_primitive(chain.steps[idx].base)
-                started_op = chain.steps[idx].base.name
-                outcome.history.append((tick, idx, started_op))
+                started = chain.steps[idx].base
+                sim.start_primitive(started)
+                outcome.history.append((tick, idx, started.name))
                 if last_entered is not None and idx < last_entered:
                     outcome.recoveries += 1
                 last_entered = idx
@@ -248,12 +266,12 @@ def run(
             elif sim.current is None:
                 # The primitive ended (success or failure) but this step is
                 # still the best choice: dispatch it again (retry).
-                sim.start_primitive(chain.steps[idx].base)
-                started_op = chain.steps[idx].base.name
-                outcome.history.append((tick, idx, started_op))
+                started = chain.steps[idx].base
+                sim.start_primitive(started)
+                outcome.history.append((tick, idx, started.name))
             prim = sim.tick()
 
-        fired = _fire_disturbances(sim, disturbances, tick, started_op)
+        fired = _fire_disturbances(sim, pending, tick, started)
         _emit(chain, on_tick, tick, truth, estimate, decision,
               prim.phase if prim else "idle", fired)
 
@@ -274,10 +292,11 @@ def run_open_loop(
     outcome = Outcome(status="budget_exhausted", ticks=max_ticks)
     step_iter = iter(range(len(chain.steps)))
     idx: Optional[int] = None
+    pending = list(disturbances)
 
     for tick in range(max_ticks):
         truth = sim.eval_predicates()
-        started_op: Optional[str] = None
+        started = None
         if sim.current is None:
             idx = next(step_iter, None)
             if idx is None:
@@ -287,11 +306,11 @@ def run_open_loop(
                 _emit(chain, on_tick, tick, truth, truth, None,
                       "goal_reached" if done else "idle", [])
                 return outcome
-            sim.start_primitive(chain.steps[idx].base)
-            started_op = chain.steps[idx].base.name
-            outcome.history.append((tick, idx, started_op))
+            started = chain.steps[idx].base
+            sim.start_primitive(started)
+            outcome.history.append((tick, idx, started.name))
         prim = sim.tick()
-        fired = _fire_disturbances(sim, disturbances, tick, started_op)
+        fired = _fire_disturbances(sim, pending, tick, started)
         _emit(chain, on_tick, tick, truth, truth, None,
               prim.phase if prim else "idle", fired)
 

@@ -43,6 +43,7 @@ from .kitchen import (
     InitialConfig,
     KitchenSim,
     PrimitiveSpec,
+    contract_problems,
     merge_primitive_config,
     sample_initial,
 )
@@ -64,7 +65,7 @@ class Scenario:
     window: int
     primitives: dict[str, PrimitiveSpec]
     initial: InitialConfig
-    disturbances: list[dict]  # validated {"trigger": ..., "kind": ...} specs
+    disturbances: tuple[exe.Disturbance, ...]  # resolved at load
     goal_streak: int
     stuck_after: int
     max_ticks: int
@@ -395,12 +396,8 @@ def build_scenario(
             for key in flips
             if grounded.domain.predicate(key) is None
         )
-        for i, dist in enumerate(disturbances):
-            err = _check_disturbance_refs(
-                dist["trigger"], dist["kind"], grounded, f"disturbances[{i}]"
-            )
-            if err:
-                problems.append(err)
+        problems.extend(contract_problems(grounded))
+        disturbances = exe.resolve_disturbances(disturbances, grounded, problems)
 
     if problems:
         raise ScenarioError(problems)
@@ -424,7 +421,7 @@ def build_scenario(
         initial=InitialConfig(
             **{k: float(v) if k in _INITIAL_PROBS else v for k, v in initial.items()}
         ),
-        disturbances=list(disturbances),
+        disturbances=disturbances,
         goal_streak=raw.get("goal_streak", exe.DEFAULT_GOAL_STREAK),
         stuck_after=raw.get("stuck_after", exe.DEFAULT_STUCK_AFTER),
         max_ticks=raw["max_ticks"],
@@ -432,37 +429,6 @@ def build_scenario(
         base_seed=raw["base_seed"],
         optimal_planning=raw.get("planner", {}).get("optimal", False),
     )
-
-
-def _check_disturbance_refs(trigger, kind, grounded, where) -> Optional[str]:
-    from .chains import _atom_from_name, _parse_name
-    from .logic import UnknownAtomError
-
-    if "when_operator" in trigger:
-        # Read as Disturbance reads it: with arguments the name must be one
-        # ground operator, without them a schema.
-        head, args = _parse_name(str(trigger["when_operator"]))
-        known = any(
-            op.schema.name == head and (args is None or op.bound_args == args)
-            for op in grounded.operators
-        )
-        if not known:
-            return (
-                f"field '{where}.trigger.when_operator': unknown operator "
-                f"{trigger['when_operator']!r}"
-            )
-    if "when_predicate" in trigger:
-        try:
-            _atom_from_name(grounded.vocabulary, str(trigger["when_predicate"]))
-        except UnknownAtomError:
-            return (
-                f"field '{where}.trigger.when_predicate': unknown atom "
-                f"{trigger['when_predicate']!r}"
-            )
-    if kind["kind"] == "teleport_object":
-        if kind["object"] not in grounded.movables:
-            return f"field '{where}.kind': unknown object {kind['object']!r}"
-    return None
 
 
 # --------------------------------------------------------------------------
@@ -520,11 +486,6 @@ def run_trial(
             writer.finish(record)
         return record
 
-    disturbances = [
-        exe.Disturbance(trigger=d["trigger"], kind=d["kind"])
-        for d in scenario.disturbances
-    ]
-
     if scenario.executive == "reactive":
         outcome = exe.run(
             sim,
@@ -533,13 +494,13 @@ def run_trial(
             max_ticks=scenario.max_ticks,
             goal_streak=scenario.goal_streak,
             stuck_after=scenario.stuck_after,
-            disturbances=disturbances,
+            disturbances=scenario.disturbances,
             on_tick=on_tick,
         )
     else:
         outcome = exe.run_open_loop(
             sim, chain, max_ticks=scenario.max_ticks,
-            disturbances=disturbances, on_tick=on_tick,
+            disturbances=scenario.disturbances, on_tick=on_tick,
         )
 
     record = TrialRecord(

@@ -3,12 +3,12 @@
 The hidden world state tracks the arm's discrete region, gripper aperture,
 attachment, drawer extension and object poses.  ``evaluate_world`` is the
 ground-truth logical state operator mapping a world state onto the grounded
-predicate vocabulary; its rule table is documented in
-``docs/kitchen-domain.md``.  Primitives run for a sampled number of ticks
-and either realise their operator's intended physical outcome or fail into
-a consistent non-goal configuration (a failed grasp closes on air and
-re-opens, a failed pull slips off the handle partway, a failed lift drops
-the object back onto the counter).
+predicate vocabulary.  Primitives run for a sampled number of ticks and then
+apply their operator's row of ``OUTCOMES``: the intended physical outcome,
+or a failure into a consistent non-goal configuration (a failed grasp
+closes on air and re-opens, a failed pull slips off the handle partway, a
+failed lift drops the object back onto the counter).  Both tables are
+documented in ``docs/kitchen-domain.md``.
 
 Drawer motion is continuous across ticks, so mid-pull the drawer sits in a
 transit band where neither drawer_is_open nor drawer_is_closed holds.
@@ -16,8 +16,8 @@ transit band where neither drawer_is_open nor drawer_is_closed holds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Optional
+from dataclasses import dataclass, field, replace
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -42,6 +42,7 @@ NEAR_HANDLE = "near_handle"
 FRONT_OF_DRAWER = "front_of_drawer"
 OVER_DRAWER = "over_drawer"
 IN_DRAWER = "in_drawer"
+ABOVE = (ABOVE_COUNTER, None)
 
 Region = tuple[str, Optional[str]]  # (kind, target or None)
 Pose = tuple  # ("counter", zone) | ("held",) | ("over_drawer",) | ("in_drawer",)
@@ -68,30 +69,9 @@ class WorldState:
             if pose[0] == "held" and self.attached != obj:
                 raise ValueError(f"{obj} is held but not attached")
 
-    def copy(self) -> "WorldState":
-        return replace(self, object_pose=dict(self.object_pose))
-
     def to_json_dict(self) -> dict:
-        return {
-            "arm_region": list(self.arm_region),
-            "gripper_aperture": self.gripper_aperture,
-            "attached": self.attached,
-            "drawer_extension": self.drawer_extension,
-            "object_pose": {o: list(p) for o, p in self.object_pose.items()},
-            "arm_moving": self.arm_moving,
-        }
-
-
-def reference_world(movables: tuple[str, ...] = ("spam", "sugar")) -> WorldState:
-    """The reference configuration: objects on distinct counter zones,
-    drawer shut, arm parked in the driving posture, gripper open and empty."""
-    return WorldState(
-        arm_region=(DRIVING, None),
-        gripper_aperture=1.0,
-        attached=None,
-        drawer_extension=0.0,
-        object_pose={obj: ("counter", i) for i, obj in enumerate(movables)},
-    )
+        # JSON writes the tuples as lists; asdict would take 30x as long.
+        return {**vars(self), "object_pose": dict(self.object_pose)}
 
 
 # --------------------------------------------------------------------------
@@ -106,8 +86,7 @@ def evaluate_world(world: WorldState, grounded: GroundedDomain) -> LogicalState:
     vocabulary's precomputed table; an atom outside the vocabulary raises
     :class:`~chainreact.logic.UnknownAtomError`.
     """
-    region = world.arm_region
-    kind, target = region
+    kind, target = world.arm_region
     attached = world.attached
     ext = world.drawer_extension
     drawer_open = ext >= DRAWER_OPEN_AT
@@ -128,10 +107,7 @@ def evaluate_world(world: WorldState, grounded: GroundedDomain) -> LogicalState:
                     mask |= bit["arm_is_around_handle_loose", ()]
                 else:
                     mask |= bit["arm_is_around_obj_loose", (target,)]
-        if kind in (NEAR_HANDLE, FRONT_OF_DRAWER) or region in (
-            (APPROACH, HANDLE),
-            (AROUND, HANDLE),
-        ):
+        if kind in (NEAR_HANDLE, FRONT_OF_DRAWER) or target == HANDLE:
             mask |= bit["arm_is_near_handle", ()]
         if kind == FRONT_OF_DRAWER:
             mask |= bit["arm_in_front_of_drawer", ()]
@@ -212,28 +188,15 @@ def sample_initial(
         else:
             poses[obj] = ("counter", int(zone))
 
-    if config.drawer == "closed":
-        ext = 0.0
-    elif config.drawer == "open":
-        ext = float(rng.uniform(DRAWER_OPEN_AT, 1.0))
-    else:  # mixed
-        if rng.random() < config.drawer_open_prob:
-            ext = float(rng.uniform(DRAWER_OPEN_AT, 1.0))
-        else:
-            ext = 0.0
-
-    if config.arm == "driving":
-        region: Region = (DRIVING, None)
-    elif config.arm == "above":
-        region = (ABOVE_COUNTER, None)
-    else:
-        region = (DRIVING, None) if rng.random() < 0.5 else (ABOVE_COUNTER, None)
-
-    aperture = 1.0 if rng.random() < config.gripper_open_prob else 0.0
-
+    # "mixed" and "random" draw; the fixed settings draw nothing
+    opened = config.drawer == "open" or (
+        config.drawer == "mixed" and rng.random() < config.drawer_open_prob
+    )
+    ext = float(rng.uniform(DRAWER_OPEN_AT, 1.0)) if opened else 0.0
+    driving = config.arm == "driving" or (config.arm == "random" and rng.random() < 0.5)
     world = WorldState(
-        arm_region=region,
-        gripper_aperture=aperture,
+        arm_region=(DRIVING, None) if driving else ABOVE,
+        gripper_aperture=1.0 if rng.random() < config.gripper_open_prob else 0.0,
         attached=None,
         drawer_extension=ext,
         object_pose=poses,
@@ -243,7 +206,7 @@ def sample_initial(
 
 
 # --------------------------------------------------------------------------
-# Primitives
+# Primitives, their outcome rules and the simulator's contract
 # --------------------------------------------------------------------------
 
 
@@ -271,16 +234,213 @@ DEFAULT_PRIMITIVES: dict[str, PrimitiveSpec] = {
 
 
 class UnknownBindingError(KeyError):
-    """An operator names a primitive the simulator does not provide."""
+    """An operator has no primitive or no outcome rule in the simulator."""
+
+
+Rule = Union[dict, Callable[[WorldState, "PrimitiveState"], None]]
+
+
+@dataclass(frozen=True)
+class OperatorRule:
+    """What the primitive behind one operator schema does.
+
+    ``success`` or ``failure`` applies on completion: world fields to assign,
+    or a function of (world, primitive) where the outcome depends on the
+    world.  With ``obj_arg`` the first argument is the movable acted on, and
+    its counter zone is snapshotted at start.  A drawer primitive
+    (``drawer`` +1 pulls, -1 pushes) moves the drawer a step each tick while
+    ``contact`` holds, all the way on success and ``FAILURE_PROGRESS`` of
+    it on failure."""
+
+    success: Rule
+    failure: Rule = field(default_factory=dict)
+    obj_arg: bool = False
+    drawer: int = 0
+    contact: Optional[Callable[[WorldState], bool]] = None
+
+
+def _carried(w: WorldState) -> Optional[str]:
+    """The object in the gripper; the handle is not carried."""
+    return None if w.attached in (None, HANDLE) else w.attached
+
+
+def _free_counter_zone(w: WorldState) -> int:
+    used = {pose[1] for pose in w.object_pose.values() if pose[0] == "counter"}
+    return next(z for z in range(NUM_COUNTER_ZONES) if z not in used)
+
+
+def _let_go(w: WorldState, prim: Optional[PrimitiveState] = None) -> None:
+    """Open the gripper: a carried object falls into the drawer from over or
+    in it, and onto a free counter zone from anywhere but counter or drawer."""
+    obj = _carried(w)
+    if obj is not None and w.arm_region[0] in (OVER_DRAWER, IN_DRAWER):
+        w.object_pose[obj] = ("in_drawer",)
+    elif obj is not None and w.object_pose[obj][0] not in ("counter", "in_drawer"):
+        w.object_pose[obj] = ("counter", _free_counter_zone(w))
+    w.attached = None
+    w.gripper_aperture = 1.0
+
+
+def _reach(kind: str, **also) -> Rule:
+    """Assign ``also``, then reach ``(kind, obj)`` if the object is still in
+    the zone it had at start, and end above the counter if not."""
+
+    def rule(w: WorldState, prim: PrimitiveState) -> None:
+        obj = prim.op.bound_args[0]
+        for name, value in also.items():
+            setattr(w, name, value)
+        stayed = w.object_pose[obj] == ("counter", prim.target_zone)
+        w.arm_region = (kind, obj) if stayed else ABOVE
+
+    return rule
+
+
+def _grasp(w: WorldState, prim: PrimitiveState) -> None:
+    """Close on the operator's object, or the handle without one: it is taken
+    if the arm is around it and it is free (the object on the counter, the
+    handle with nothing attached); otherwise the gripper re-opens on air."""
+    if prim.rule.obj_arg:
+        target = prim.op.bound_args[0]
+        free = w.object_pose[target][0] == "counter"
+    else:
+        target, free = HANDLE, w.attached is None
+    if w.arm_region == (AROUND, target) and free:
+        w.attached = target
+        w.gripper_aperture = GRASP_APERTURE
+    else:
+        w.gripper_aperture = 1.0
+
+
+def _drawer_end(w: WorldState, prim: PrimitiveState) -> None:
+    """Under contact, the drawer ends at its end stop."""
+    if prim.rule.contact(w):
+        w.drawer_extension = 1.0 if prim.rule.drawer > 0 else 0.0
+
+
+def _slip_off_handle(w: WorldState, prim: PrimitiveState) -> None:
+    # the extension has already advanced partway
+    if w.attached == HANDLE:
+        w.attached = None
+    w.gripper_aperture = 1.0
+    w.arm_region = (NEAR_HANDLE, None)
+
+
+def _carry(
+    pose: Optional[Pose], region: Region, own: bool = False, drop: bool = False
+) -> Rule:
+    """The carried object (with ``own``, only the operator's argument) goes
+    to ``pose``, or to a free counter zone for ``None``, and the arm to
+    ``region``; with ``drop`` the gripper opens and lets the object go."""
+
+    def rule(w: WorldState, prim: PrimitiveState) -> None:
+        obj = _carried(w)
+        if obj is not None and (not own or obj == prim.op.bound_args[0]):
+            if drop:
+                w.attached = None
+                w.gripper_aperture = 1.0
+            w.object_pose[obj] = pose or ("counter", _free_counter_zone(w))
+        w.arm_region = region
+
+    return rule
+
+
+REOPEN = {"gripper_aperture": 1.0}
+# The simulator's contract with a domain is OUTCOMES' keys, WRITTEN_PREDICATES
+# and MAX_MOVABLES; contract_problems checks a grounded domain against it.
+# OUTCOMES has one row per operator schema the simulator carries out.  An
+# empty failure changes nothing, and the executive retries.
+OUTCOMES: dict[str, OperatorRule] = {
+    "open_gripper": OperatorRule(_let_go),
+    "approach_drawer_open": OperatorRule({"arm_region": (APPROACH, HANDLE)}),
+    "cage_handle": OperatorRule({**REOPEN, "arm_region": (AROUND, HANDLE)}),
+    "grasp_handle": OperatorRule(_grasp, REOPEN),
+    "pull_drawer": OperatorRule(
+        _drawer_end, _slip_off_handle, drawer=1,
+        contact=lambda w: w.attached == HANDLE,
+    ),
+    "release_handle": OperatorRule(
+        {**REOPEN, "attached": None, "arm_region": (NEAR_HANDLE, None)}
+    ),
+    "back_off": OperatorRule({"arm_region": ABOVE}),
+    "approach_obj": OperatorRule(_reach(APPROACH), obj_arg=True),
+    "cage_obj": OperatorRule(_reach(AROUND, **REOPEN), obj_arg=True),
+    "grasp_obj": OperatorRule(_grasp, REOPEN, obj_arg=True),
+    "lift_obj": OperatorRule(
+        _carry(("held",), ABOVE, own=True),
+        _carry(None, ABOVE, own=True, drop=True),
+        obj_arg=True,
+    ),
+    "move_obj_over_drawer": OperatorRule(
+        _carry(("over_drawer",), (OVER_DRAWER, None)),
+        _carry(None, ABOVE, drop=True),
+    ),
+    "lower_obj_into_drawer": OperatorRule(
+        _carry(("in_drawer",), (IN_DRAWER, None)),
+        _carry(("in_drawer",), (OVER_DRAWER, None), drop=True),
+    ),
+    "release_obj": OperatorRule(_let_go),
+    "approach_drawer_close": OperatorRule({"arm_region": (FRONT_OF_DRAWER, None)}),
+    "push_drawer": OperatorRule(
+        _drawer_end, drawer=-1,
+        contact=lambda w: w.arm_region == (FRONT_OF_DRAWER, None),
+    ),
+}
+
+# Every predicate evaluate_world writes, with its arity.
+WRITTEN_PREDICATES: dict[str, int] = {
+    **dict.fromkeys((
+        "arm_in_driving_posture", "arm_is_above_counter", "arm_is_moving",
+        "arm_is_clear_above_counter", "arm_is_around_handle_loose",
+        "arm_is_near_handle", "arm_in_front_of_drawer", "arm_is_over_drawer",
+        "arm_is_in_drawer", "gripper_is_open", "arm_is_free", "arm_is_attached",
+        "handle_is_attached", "handle_is_detected", "handle_is_tracked",
+        "drawer_is_open", "drawer_is_open_and_detached", "drawer_is_closed",
+    ), 0),
+    **dict.fromkeys((
+        "arm_in_approach_region", "arm_is_around", "arm_is_around_obj_loose",
+        "arm_is_attached_to_obj", "obj_is_attached", "obj_is_on_counter",
+        "obj_is_over_drawer", "obj_is_in_drawer", "obj_is_clear_above_counter",
+        "obj_is_detected", "obj_is_tracked",
+    ), 1),
+}
+
+# A counter_random teleport needs a free zone besides the object's own.
+MAX_MOVABLES = NUM_COUNTER_ZONES - 1
+
+
+def contract_problems(grounded: GroundedDomain) -> list[str]:
+    """Where ``grounded`` breaks the simulator's contract, one line each."""
+    domain = grounded.domain
+    declared = {p.name: len(p.param_types) for p in domain.predicates}
+    problems = []
+    for schema in domain.operators:
+        rule = OUTCOMES.get(schema.name)
+        if rule is None:
+            problems.append(f"domain: action '{schema.name}' has no outcome rule")
+        elif rule.obj_arg and not (
+            schema.params and domain.is_subtype(schema.params[0][1], "movable")
+        ):
+            problems.append(f"domain: action '{schema.name}' must take a movable first")
+    for name, arity in WRITTEN_PREDICATES.items():
+        if declared.get(name) != arity:
+            problems.append(
+                f"domain: predicate '{name}' must be declared with arity {arity}"
+            )
+    if len(grounded.movables) > MAX_MOVABLES:
+        problems.append(
+            f"problem: {len(grounded.movables)} movable objects, above the "
+            f"simulator's cap of {MAX_MOVABLES}"
+        )
+    return problems
 
 
 @dataclass
 class PrimitiveState:
-    binding: str
     op: GroundOperator
     ticks_remaining: int
     total_ticks: int
     will_succeed: bool
+    rule: OperatorRule
     phase: str = "running"  # running | done | failed
     # snapshots taken at start
     target_zone: Optional[int] = None
@@ -294,22 +454,13 @@ class PrimitiveState:
 def merge_primitive_config(overrides: Optional[dict] = None) -> dict[str, PrimitiveSpec]:
     """Apply scenario overrides: a global success_prob and/or per-binding
     {min_ticks, max_ticks, success_prob} entries."""
+    overrides = overrides or {}
     table = dict(DEFAULT_PRIMITIVES)
-    if not overrides:
-        return table
-    global_p = overrides.get("success_prob")
-    if global_p is not None:
-        table = {
-            k: PrimitiveSpec(v.min_ticks, v.max_ticks, float(global_p))
-            for k, v in table.items()
-        }
+    if overrides.get("success_prob") is not None:
+        p = float(overrides["success_prob"])
+        table = {k: replace(v, success_prob=p) for k, v in table.items()}
     for name, spec in overrides.get("bindings", {}).items():
-        base = table.get(name, PrimitiveSpec(1, 1))
-        table[name] = PrimitiveSpec(
-            int(spec.get("min_ticks", base.min_ticks)),
-            int(spec.get("max_ticks", base.max_ticks)),
-            float(spec.get("success_prob", base.success_prob)),
-        )
+        table[name] = replace(table.get(name, PrimitiveSpec(1, 1)), **spec)
     return table
 
 
@@ -334,14 +485,13 @@ class KitchenSim:
         self.world_rng = world_rng if world_rng is not None else self.rng
         self.current: Optional[PrimitiveState] = None
 
-    # -- observation -------------------------------------------------------
-
     def eval_predicates(self) -> LogicalState:
         return evaluate_world(self.world, self.grounded)
 
-    # -- primitive control ---------------------------------------------------
-
     def start_primitive(self, op: GroundOperator) -> PrimitiveState:
+        rule = OUTCOMES.get(op.schema.name)
+        if rule is None:
+            raise UnknownBindingError(f"no outcome rule for operator {op.schema.name}")
         spec = self.primitives.get(op.primitive_binding)
         if spec is None:
             raise UnknownBindingError(
@@ -350,25 +500,15 @@ class KitchenSim:
             )
         ticks = int(self.rng.integers(spec.min_ticks, spec.max_ticks + 1))
         will_succeed = bool(self.rng.random() < spec.success_prob)
-        prim = PrimitiveState(
-            binding=op.primitive_binding,
-            op=op,
-            ticks_remaining=ticks,
-            total_ticks=ticks,
-            will_succeed=will_succeed,
-        )
-        name = op.schema.name
-        if name in ("approach_obj", "cage_obj", "grasp_obj"):
+        prim = PrimitiveState(op, ticks, ticks, will_succeed, rule)
+        if rule.obj_arg:
             pose = self.world.object_pose[op.bound_args[0]]
             prim.target_zone = pose[1] if pose[0] == "counter" else None
-        if name == "pull_drawer":
-            span = 1.0 - self.world.drawer_extension
+        if rule.drawer:
+            ext = self.world.drawer_extension
+            span = 1.0 - ext if rule.drawer > 0 else ext
             goal = span if will_succeed else span * FAILURE_PROGRESS
-            prim.drawer_step = goal / ticks
-        if name == "push_drawer":
-            span = self.world.drawer_extension
-            goal = span if will_succeed else span * FAILURE_PROGRESS
-            prim.drawer_step = -goal / ticks
+            prim.drawer_step = rule.drawer * goal / ticks
         self.current = prim
         self.world.arm_moving = True
         return prim
@@ -379,165 +519,29 @@ class KitchenSim:
         self.world.arm_moving = False
 
     def tick(self) -> Optional[PrimitiveState]:
-        """Advance the running primitive by one tick."""
+        """Advance the running primitive by one tick.  The drawer moves only
+        under real contact, so a primitive dispatched off a wrong estimate
+        moves nothing."""
         prim = self.current
         if prim is None or not prim.running:
             return prim
-        if prim.drawer_step and self._drawer_contact(prim):
-            self.world.drawer_extension = float(
-                np.clip(self.world.drawer_extension + prim.drawer_step, 0.0, 1.0)
+        w = self.world
+        if prim.drawer_step and prim.rule.contact(w):
+            w.drawer_extension = float(
+                np.clip(w.drawer_extension + prim.drawer_step, 0.0, 1.0)
             )
         prim.ticks_remaining -= 1
         if prim.ticks_remaining <= 0:
-            if prim.will_succeed:
-                self._apply_success(prim)
-                prim.phase = "done"
+            outcome = prim.rule.success if prim.will_succeed else prim.rule.failure
+            if callable(outcome):
+                outcome(w, prim)
             else:
-                self._apply_failure(prim)
-                prim.phase = "failed"
+                for name, value in outcome.items():
+                    setattr(w, name, value)
+            prim.phase = "done" if prim.will_succeed else "failed"
             self.current = None
-            self.world.arm_moving = False
+            w.arm_moving = False
         return prim
-
-    def _drawer_contact(self, prim: PrimitiveState) -> bool:
-        """The drawer only moves under real contact: a pull needs the handle
-        in the gripper, a push needs the arm at the drawer front.  A
-        primitive dispatched off a wrong estimate moves nothing."""
-        if prim.op.schema.name == "pull_drawer":
-            return self.world.attached == HANDLE
-        return self.world.arm_region == (FRONT_OF_DRAWER, None)
-
-    # -- outcome rules -------------------------------------------------------
-
-    def _free_counter_zone(self) -> int:
-        used = {
-            pose[1]
-            for pose in self.world.object_pose.values()
-            if pose[0] == "counter"
-        }
-        for zone in range(NUM_COUNTER_ZONES):
-            if zone not in used:
-                return zone
-        raise RuntimeError("no free counter zone")
-
-    def _drop_attached(self) -> None:
-        w = self.world
-        if w.attached is None:
-            return
-        if w.attached != HANDLE:
-            if w.arm_region[0] in (OVER_DRAWER, IN_DRAWER):
-                w.object_pose[w.attached] = ("in_drawer",)
-            elif w.object_pose[w.attached][0] not in ("counter", "in_drawer"):
-                w.object_pose[w.attached] = ("counter", self._free_counter_zone())
-        w.attached = None
-
-    def _apply_success(self, prim: PrimitiveState) -> None:
-        w = self.world
-        name = prim.op.schema.name
-        args = prim.op.bound_args
-        if name == "open_gripper":
-            self._drop_attached()
-            w.gripper_aperture = 1.0
-        elif name == "approach_drawer_open":
-            w.arm_region = (APPROACH, HANDLE)
-        elif name == "cage_handle":
-            w.gripper_aperture = 1.0
-            w.arm_region = (AROUND, HANDLE)
-        elif name == "grasp_handle":
-            if w.arm_region == (AROUND, HANDLE) and w.attached is None:
-                w.attached = HANDLE
-                w.gripper_aperture = GRASP_APERTURE
-            else:
-                w.gripper_aperture = 1.0  # closed on air, controller re-opens
-        elif name == "pull_drawer":
-            if w.attached == HANDLE:
-                w.drawer_extension = 1.0
-        elif name == "release_handle":
-            w.attached = None
-            w.gripper_aperture = 1.0
-            w.arm_region = (NEAR_HANDLE, None)
-        elif name == "back_off":
-            w.arm_region = (ABOVE_COUNTER, None)
-        elif name == "approach_obj":
-            obj = args[0]
-            if self.world.object_pose[obj] == ("counter", prim.target_zone):
-                w.arm_region = (APPROACH, obj)
-            else:
-                w.arm_region = (ABOVE_COUNTER, None)
-        elif name == "cage_obj":
-            obj = args[0]
-            w.gripper_aperture = 1.0
-            if self.world.object_pose[obj] == ("counter", prim.target_zone):
-                w.arm_region = (AROUND, obj)
-            else:
-                w.arm_region = (ABOVE_COUNTER, None)
-        elif name == "grasp_obj":
-            obj = args[0]
-            if w.arm_region == (AROUND, obj) and w.object_pose[obj][0] == "counter":
-                w.attached = obj
-                w.gripper_aperture = GRASP_APERTURE
-            else:
-                w.gripper_aperture = 1.0
-        elif name == "lift_obj":
-            obj = args[0]
-            if w.attached == obj:
-                w.object_pose[obj] = ("held",)
-            w.arm_region = (ABOVE_COUNTER, None)
-        elif name == "move_obj_over_drawer":
-            if w.attached is not None and w.attached != HANDLE:
-                w.object_pose[w.attached] = ("over_drawer",)
-            w.arm_region = (OVER_DRAWER, None)
-        elif name == "lower_obj_into_drawer":
-            if w.attached is not None and w.attached != HANDLE:
-                w.object_pose[w.attached] = ("in_drawer",)
-            w.arm_region = (IN_DRAWER, None)
-        elif name == "release_obj":
-            self._drop_attached()
-            w.gripper_aperture = 1.0
-        elif name == "approach_drawer_close":
-            w.arm_region = (FRONT_OF_DRAWER, None)
-        elif name == "push_drawer":
-            if w.arm_region == (FRONT_OF_DRAWER, None):
-                w.drawer_extension = 0.0
-        else:
-            raise UnknownBindingError(f"no outcome rule for operator {name}")
-
-    def _apply_failure(self, prim: PrimitiveState) -> None:
-        w = self.world
-        name = prim.op.schema.name
-        if name in ("grasp_handle", "grasp_obj"):
-            w.gripper_aperture = 1.0  # closed on nothing, re-opened
-        elif name == "pull_drawer":
-            # slipped off the handle partway (extension already advanced)
-            if w.attached == HANDLE:
-                w.attached = None
-            w.gripper_aperture = 1.0
-            w.arm_region = (NEAR_HANDLE, None)
-        elif name == "lift_obj":
-            obj = prim.op.bound_args[0]
-            if w.attached == obj:
-                w.attached = None
-                w.gripper_aperture = 1.0
-                w.object_pose[obj] = ("counter", self._free_counter_zone())
-            w.arm_region = (ABOVE_COUNTER, None)
-        elif name == "move_obj_over_drawer":
-            if w.attached is not None and w.attached != HANDLE:
-                obj = w.attached
-                w.attached = None
-                w.gripper_aperture = 1.0
-                w.object_pose[obj] = ("counter", self._free_counter_zone())
-            w.arm_region = (ABOVE_COUNTER, None)
-        elif name == "lower_obj_into_drawer":
-            if w.attached is not None and w.attached != HANDLE:
-                obj = w.attached
-                w.attached = None
-                w.gripper_aperture = 1.0
-                w.object_pose[obj] = ("in_drawer",)
-            w.arm_region = (OVER_DRAWER, None)
-        # push_drawer: stalls partway, arm stays put
-        # approach/cage/back_off/release/open_gripper: no change, retry
-
-    # -- disturbances --------------------------------------------------------
 
     def apply_disturbance(self, kind: dict) -> None:
         """Apply one scripted world change; invariants are restored (a held
@@ -546,29 +550,25 @@ class KitchenSim:
         what = kind["kind"]
         if what == "teleport_object":
             obj = kind["object"]
+            dest = kind.get("destination", "counter_random")
+            zone = dest.get("zone") if isinstance(dest, dict) else None
             if obj not in self.grounded.movables:
                 raise ValueError(f"unknown object {obj!r}")
-            dest = kind.get("destination", "counter_random")
+            if dest != "counter_random" and zone not in range(NUM_COUNTER_ZONES):
+                raise ValueError(f"invalid teleport destination {dest!r}")
             if w.attached == obj:
                 w.attached = None
                 w.gripper_aperture = 1.0
-            if dest == "counter_random":
-                # exclude every occupied zone, the object's own included, so
-                # the teleport genuinely displaces it
-                used = {
-                    p[1] for p in w.object_pose.values() if p[0] == "counter"
-                }
+            used = {p[1] for p in w.object_pose.values() if p[0] == "counter"}
+            taken = zone in used and w.object_pose[obj] != ("counter", zone)
+            if zone is None or taken:
+                # A random destination, or a zone another object holds: draw
+                # a free zone, never the object's own, so the object moves.
                 free = [z for z in range(NUM_COUNTER_ZONES) if z not in used]
-                zone = int(self.world_rng.choice(free))
-            elif isinstance(dest, dict) and "zone" in dest:
-                zone = int(dest["zone"])
-                if not 0 <= zone < NUM_COUNTER_ZONES:
-                    raise ValueError(f"invalid counter zone {zone}")
-            else:
-                raise ValueError(f"invalid teleport destination {dest!r}")
-            w.object_pose[obj] = ("counter", zone)
+                zone = self.world_rng.choice(free)
+            w.object_pose[obj] = ("counter", int(zone))
             if w.arm_region[1] == obj:
-                w.arm_region = (ABOVE_COUNTER, None)
+                w.arm_region = ABOVE
         elif what == "set_drawer":
             ext = float(kind["extension"])
             if not 0.0 <= ext <= 1.0:
@@ -580,8 +580,7 @@ class KitchenSim:
                 w.arm_region = (NEAR_HANDLE, None)
         elif what == "detach_gripper":
             if w.attached is not None:
-                self._drop_attached()
-                w.gripper_aperture = 1.0
+                _let_go(w)
         else:
             raise ValueError(f"unknown disturbance kind {what!r}")
         w.validate()

@@ -1,6 +1,8 @@
 """CLI: the plan/chain/execute/bench/report pipeline and exit codes."""
 
 import json
+import os
+import sys
 
 import pytest
 
@@ -10,7 +12,10 @@ from tests.util import (
     kitchen_domain,
     kitchen_path,
     kitchen_problem,
+    kitchen_source,
     problem_path,
+    problem_source,
+    scenario_copy,
     scenario_path,
 )
 
@@ -230,6 +235,61 @@ def test_bench_bad_scenario_runs_no_trial(tmp_path, capsys):
     assert "bad.json" in capsys.readouterr().err
     assert not traces.exists() or not any(traces.iterdir())
     assert not (tmp_path / "results.json").exists()
+
+
+@pytest.mark.parametrize(
+    "domain_edit, problem_edit, named",
+    [
+        (("    (arm_is_moving)\n", ""), None, "'arm_is_moving'"),
+        ((":action back_off", ":action retreat"), None, "'retreat'"),
+        (None, ("spam sugar - movable", "spam sugar m0 m1 m2 m3 - movable"),
+         "6 movable objects"),
+    ],
+    ids=["no_arm_is_moving", "back_off_renamed", "six_movables"],
+)
+def test_bench_domain_outside_simulator_contract_exit_2(
+    tmp_path, capsys, domain_edit, problem_edit, named
+):
+    # Each used to load and then raise inside the first trial.
+    domain, problem = kitchen_source(), problem_source("pick_spam")
+    if domain_edit:
+        domain = domain.replace(*domain_edit)
+    if problem_edit:
+        problem = problem.replace(*problem_edit)
+    path = scenario_copy(tmp_path, "pick_spam_oracle", domain, problem)
+    traces = tmp_path / "traces"
+    code = main([
+        "bench", "--scenarios", str(path), "--trace-dir", str(traces),
+        "--out", str(tmp_path / "results.json"),
+    ])
+    assert code == 2
+    assert named in capsys.readouterr().err
+    assert not traces.exists()
+    assert not (tmp_path / "results.json").exists()
+
+
+@pytest.mark.parametrize("command", ["report", "bench"])
+def test_output_into_closed_pipe_exits_quietly(tmp_path, capsys, monkeypatch, command):
+    # `chainreact report ... | head -1` used to end in a BrokenPipeError
+    # traceback once head had exited.
+    results = tmp_path / "results.json"
+    assert main([
+        "bench", "--scenarios", str(scenario_path("pick_spam_oracle")),
+        "--trials", "1", "--out", str(results),
+    ]) == 0
+    capsys.readouterr()
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    with open(write_end, "w", encoding="utf-8") as stream:
+        monkeypatch.setattr(sys, "stdout", stream)
+        if command == "report":
+            code = main(["report", "--results", str(results)])
+        else:
+            code = main([
+                "bench", "--scenarios", str(scenario_path("pick_spam_oracle")),
+                "--trials", "1",
+            ])
+        assert code == 1
 
 
 @pytest.mark.parametrize("jobs", ["0", "-2"])

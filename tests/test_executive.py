@@ -14,12 +14,12 @@ from chainreact.executive import (
     ENTER_NEW,
     NONE_ENTERABLE,
     Decision,
-    Disturbance,
+    resolve_disturbances,
     run,
     run_open_loop,
     select_operator,
 )
-from chainreact.kitchen import KitchenSim, merge_primitive_config, reference_world
+from chainreact.kitchen import KitchenSim, merge_primitive_config
 from chainreact.logic import (
     ConditionSet,
     LogicalState,
@@ -29,7 +29,7 @@ from chainreact.logic import (
 )
 from chainreact.perception import NoiseModel, PerceptionPipeline
 from chainreact.planner import ground, plan
-from tests.util import kitchen_domain, kitchen_problem
+from tests.util import kitchen_domain, kitchen_problem, reference_world
 
 
 @pytest.fixture(scope="module")
@@ -49,6 +49,14 @@ def fresh_setup(grounded, seed=0, success_prob=1.0, world=None, noise=None, wind
         rng=np.random.default_rng(seed + 10_000),
     )
     return sim, pipe
+
+
+def resolved(grounded, *specs):
+    """Disturbances from ``{"trigger", "kind"}`` specs, as a scenario loads them."""
+    problems = []
+    disturbances = resolve_disturbances(specs, grounded, problems)
+    assert problems == []
+    return disturbances
 
 
 CHAIN_PROBLEMS = ("open_drawer", "pick_sugar", "put_away_spam", "put_away_both")
@@ -215,13 +223,12 @@ class TestRecovery:
     def test_teleport_during_cage_recovers(self, g1):
         grounded, chain = g1
         sim, pipe = fresh_setup(grounded, seed=5)
-        disturbances = [
-            Disturbance(
-                trigger={"when_operator": "cage_obj(spam)"},
-                kind={"kind": "teleport_object", "object": "spam",
-                      "destination": "counter_random"},
-            )
-        ]
+        disturbances = resolved(
+            grounded,
+            {"trigger": {"when_operator": "cage_obj(spam)"},
+             "kind": {"kind": "teleport_object", "object": "spam",
+                      "destination": "counter_random"}},
+        )
         outcome = run(sim, pipe, chain, max_ticks=800, disturbances=disturbances)
         assert outcome.succeeded
         assert outcome.recoveries >= 1
@@ -231,12 +238,11 @@ class TestRecovery:
     def test_goal_jump_when_drawer_springs_open(self, g1):
         grounded, chain = g1
         sim, pipe = fresh_setup(grounded, seed=2)
-        disturbances = [
-            Disturbance(
-                trigger={"when_operator": "approach_drawer_open"},
-                kind={"kind": "set_drawer", "extension": 1.0},
-            )
-        ]
+        disturbances = resolved(
+            grounded,
+            {"trigger": {"when_operator": "approach_drawer_open"},
+             "kind": {"kind": "set_drawer", "extension": 1.0}},
+        )
         outcome = run(sim, pipe, chain, max_ticks=800, disturbances=disturbances)
         assert outcome.succeeded
         names = [name for _, _, name in outcome.history]
@@ -253,17 +259,14 @@ class TestRecovery:
         # the drawer and redo the pick.
         grounded, chain = g1
         sim, pipe = fresh_setup(grounded, seed=3)
-        disturbances = [
-            Disturbance(
-                trigger={"when_predicate": "obj_is_clear_above_counter(spam)"},
-                kind={"kind": "teleport_object", "object": "spam",
-                      "destination": "counter_random"},
-            ),
-            Disturbance(
-                trigger={"when_predicate": "obj_is_clear_above_counter(spam)"},
-                kind={"kind": "set_drawer", "extension": 0.0},
-            ),
-        ]
+        disturbances = resolved(
+            grounded,
+            {"trigger": {"when_predicate": "obj_is_clear_above_counter(spam)"},
+             "kind": {"kind": "teleport_object", "object": "spam",
+                      "destination": "counter_random"}},
+            {"trigger": {"when_predicate": "obj_is_clear_above_counter(spam)"},
+             "kind": {"kind": "set_drawer", "extension": 0.0}},
+        )
         outcome = run(sim, pipe, chain, max_ticks=1200, disturbances=disturbances)
         assert outcome.succeeded
         names = [name for _, _, name in outcome.history]
@@ -276,12 +279,11 @@ class TestRecovery:
         # reports stuck rather than thrash.
         grounded, chain = g1
         sim, pipe = fresh_setup(grounded, seed=3)
-        disturbances = [
-            Disturbance(
-                trigger={"when_predicate": "obj_is_clear_above_counter(spam)"},
-                kind={"kind": "set_drawer", "extension": 0.0},
-            )
-        ]
+        disturbances = resolved(
+            grounded,
+            {"trigger": {"when_predicate": "obj_is_clear_above_counter(spam)"},
+             "kind": {"kind": "set_drawer", "extension": 0.0}},
+        )
         outcome = run(sim, pipe, chain, max_ticks=1200, disturbances=disturbances)
         assert outcome.status == "stuck"
 
@@ -298,13 +300,12 @@ class TestOpenLoop:
         grounded, chain = g1
         for seed in range(10):
             sim, _ = fresh_setup(grounded, seed=seed)
-            disturbances = [
-                Disturbance(
-                    trigger={"when_operator": "cage_obj(spam)"},
-                    kind={"kind": "teleport_object", "object": "spam",
-                          "destination": "counter_random"},
-                )
-            ]
+            disturbances = resolved(
+                grounded,
+                {"trigger": {"when_operator": "cage_obj(spam)"},
+                 "kind": {"kind": "teleport_object", "object": "spam",
+                          "destination": "counter_random"}},
+            )
             outcome = run_open_loop(sim, chain, max_ticks=800, disturbances=disturbances)
             assert outcome.status == "stuck"  # ran through, goal unmet
 
@@ -369,10 +370,10 @@ class TestMoreTriggers:
                 held_tick = rec["tick"]
                 break
         assert held_tick is not None
-        disturbances = [
-            Disturbance(trigger={"at_tick": held_tick},
-                        kind={"kind": "detach_gripper"})
-        ]
+        disturbances = resolved(
+            grounded,
+            {"trigger": {"at_tick": held_tick}, "kind": {"kind": "detach_gripper"}},
+        )
         outcome = run(sim, pipe, chain, max_ticks=800, disturbances=disturbances)
         assert outcome.succeeded
         assert outcome.recoveries >= 1
@@ -380,7 +381,13 @@ class TestMoreTriggers:
     def test_at_tick_fires_once(self, g1):
         grounded, chain = g1
         sim, pipe = fresh_setup(grounded, seed=9)
-        d = Disturbance(trigger={"at_tick": 2}, kind={"kind": "set_drawer", "extension": 1.0})
-        outcome = run(sim, pipe, chain, max_ticks=400, disturbances=[d])
-        assert d.fired
+        disturbances = resolved(
+            grounded,
+            {"trigger": {"at_tick": 2}, "kind": {"kind": "set_drawer", "extension": 1.0}},
+        )
+        records = []
+        outcome = run(sim, pipe, chain, max_ticks=400, disturbances=disturbances,
+                      on_tick=records.append)
+        fired = [r["tick"] for r in records if r["disturbances_fired"]]
+        assert fired == [2]
         assert outcome.succeeded

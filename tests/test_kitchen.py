@@ -6,24 +6,38 @@ ground operators by driving the nominal plans op by op with success
 probability 1 and inspecting the evaluated state after every completion.
 """
 
+import copy
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chainreact.kitchen import (
     DRAWER_OPEN_AT,
+    MAX_MOVABLES,
+    OUTCOMES,
+    WRITTEN_PREDICATES,
     InitialConfig,
     KitchenSim,
     PrimitiveSpec,
     UnknownBindingError,
     WorldState,
+    contract_problems,
     evaluate_world,
-    reference_world,
     merge_primitive_config,
     sample_initial,
 )
+from chainreact.lang import parse_problem
 from chainreact.logic import UnknownAtomError, holds
 from chainreact.planner import ground, plan
-from tests.util import kitchen_domain, kitchen_problem
+from tests.util import (
+    kitchen_domain,
+    kitchen_problem,
+    problem_source,
+    reference_world,
+)
 
 
 @pytest.fixture(scope="module")
@@ -158,6 +172,18 @@ class TestSampleInitial:
 
 
 class TestPrimitives:
+    def test_unknown_schema_raises_before_any_draw(self, grounded):
+        op = grounded.operator_named("back_off")
+        retreat = dataclasses.replace(
+            op, schema=dataclasses.replace(op.schema, name="retreat")
+        )
+        sim = reliable_sim(grounded, reference_world())
+        state = sim.rng.bit_generator.state
+        with pytest.raises(UnknownBindingError, match="retreat"):
+            sim.start_primitive(retreat)
+        assert sim.rng.bit_generator.state == state
+        assert sim.current is None and not sim.world.arm_moving
+
     def test_unknown_binding(self, grounded):
         sim = KitchenSim(grounded, reference_world(), {"cage": PrimitiveSpec(1, 1)})
         with pytest.raises(UnknownBindingError):
@@ -274,9 +300,29 @@ class TestDisturbances:
 
     def test_detach_noop_when_free(self, grounded):
         sim = reliable_sim(grounded, reference_world())
-        before = sim.world.copy()
+        before = copy.deepcopy(sim.world)
         sim.apply_disturbance({"kind": "detach_gripper"})
         assert sim.world == before
+
+    def test_teleport_to_taken_zone_draws_a_free_one(self, grounded):
+        # reference_world puts spam on zone 0 and sugar on zone 1
+        for seed in range(10):
+            sim = reliable_sim(grounded, reference_world(), seed)
+            sim.apply_disturbance(
+                {"kind": "teleport_object", "object": "spam", "destination": {"zone": 1}}
+            )
+            assert sim.world.object_pose["spam"][0] == "counter"
+            assert sim.world.object_pose["spam"][1] not in (0, 1)
+
+    def test_teleport_to_own_or_free_zone_goes_there(self, grounded):
+        for zone in (0, 4):
+            sim = reliable_sim(grounded, reference_world())
+            state = sim.world_rng.bit_generator.state
+            sim.apply_disturbance(
+                {"kind": "teleport_object", "object": "spam", "destination": {"zone": zone}}
+            )
+            assert sim.world.object_pose["spam"] == ("counter", zone)
+            assert sim.world_rng.bit_generator.state == state  # nothing drawn
 
     def test_invalid_destination(self, grounded):
         sim = reliable_sim(grounded, reference_world())
@@ -386,3 +432,96 @@ class TestFixtureConsistency:
             reference_world(("sugar", "spam")), grounded
         )
         assert world_state == grounded.init
+
+
+SHIPPED_PROBLEMS = (
+    "open_drawer", "pick_spam", "pick_sugar", "put_away_spam", "put_away_sugar",
+    "put_away_both",
+)
+
+
+def with_movables(count: int):
+    """put_away_both grounded with ``count`` movables, the first two being
+    sugar and spam."""
+    extra = " ".join(f"m{i}" for i in range(count - 2))
+    text = problem_source("put_away_both").replace(
+        "sugar spam - movable", f"sugar spam {extra} - movable"
+    )
+    result = parse_problem(text, kitchen_domain())
+    assert result.ok, result.diagnostics
+    return ground(kitchen_domain(), result.value)
+
+
+def assert_in_contract(state):
+    for atom in state.vocabulary.atoms_of(state.mask):
+        name = atom.predicate.name
+        assert name in WRITTEN_PREDICATES, name
+        assert WRITTEN_PREDICATES[name] == atom.predicate.arity == len(atom.args)
+
+
+class TestContract:
+    def test_shipped_domain_meets_contract(self):
+        domain = kitchen_domain()
+        assert set(OUTCOMES) == {schema.name for schema in domain.operators}
+        assert WRITTEN_PREDICATES == {
+            p.name: len(p.param_types) for p in domain.predicates
+        }
+        for name in SHIPPED_PROBLEMS:
+            assert contract_problems(ground(domain, kitchen_problem(name))) == []
+        assert contract_problems(with_movables(MAX_MOVABLES)) == []
+        assert contract_problems(with_movables(MAX_MOVABLES + 1)) == [
+            "problem: 6 movable objects, above the simulator's cap of 5"
+        ]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        movables=st.integers(2, MAX_MOVABLES),
+        seed=st.integers(0, 2**32 - 1),
+        objects=st.sampled_from(["counter_only", "anywhere"]),
+        drawer=st.sampled_from(["closed", "open", "mixed"]),
+        arm=st.sampled_from(["driving", "above", "random"]),
+        steps=st.lists(
+            st.one_of(
+                st.integers(0, 99),
+                st.sampled_from(["teleport_object", "set_drawer", "detach_gripper"]),
+            ),
+            max_size=15,
+        ),
+    )
+    def test_evaluated_atoms_are_in_the_contract(
+        self, movables, seed, objects, drawer, arm, steps
+    ):
+        # Every atom evaluate_world sets, on sampled initial worlds, on every
+        # tick of primitives whose preconditions hold, and after each
+        # disturbance kind, is of a predicate the contract names, with the
+        # arity the domain declares.
+        grounded = with_movables(movables)
+        rng = np.random.default_rng(seed)
+        config = InitialConfig(objects, drawer, arm, gripper_open_prob=0.5)
+        world = sample_initial(config, grounded.movables, rng)
+        sim = KitchenSim(
+            grounded, world, merge_primitive_config({"success_prob": 0.7}), rng
+        )
+        assert_in_contract(sim.eval_predicates())
+        for step in steps:
+            if isinstance(step, int):
+                truth = sim.eval_predicates()
+                enabled = [op for op in grounded.operators if holds(truth, op.pre)]
+                if not enabled:
+                    continue
+                prim = sim.start_primitive(enabled[step % len(enabled)])
+                while prim.running:
+                    assert_in_contract(sim.eval_predicates())
+                    sim.tick()
+            elif step == "teleport_object":
+                obj = grounded.movables[int(rng.integers(len(grounded.movables)))]
+                zone = int(rng.integers(-1, 6))
+                sim.apply_disturbance({
+                    "kind": step, "object": obj,
+                    "destination": "counter_random" if zone < 0 else {"zone": zone},
+                })
+            elif step == "set_drawer":
+                sim.apply_disturbance({"kind": step, "extension": float(rng.random())})
+            else:
+                sim.apply_disturbance({"kind": step})
+            assert_in_contract(sim.eval_predicates())
