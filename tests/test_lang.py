@@ -2,6 +2,9 @@
 
 import random
 
+import pytest
+
+from chainreact import lang
 from chainreact.lang import (
     DomainDefinition,
     LiftedAtom,
@@ -180,6 +183,448 @@ class TestParseProblem:
         result = parse_problem(src, domain)
         assert not result.ok
         assert any(d.code == "type-error" for d in result.diagnostics)
+
+
+# Problems in the diagnostics table below are read against this domain.
+TABLE_DOMAIN = """(define (domain d)
+  (:types u - t)
+  (:constants c - t k - u)
+  (:predicates (p ?x - t) (q ?x - u) (r)))
+"""
+_TABLE_DOMAIN = parse_domain(TABLE_DOMAIN).value
+
+# (kind, source, expected (code, line, column) list in order): at least one
+# row per code of docs/domain-format.md, and rows with several errors that
+# pin their order.
+DIAGNOSTICS = {
+    "unclosed": (
+        "domain",
+        "(define (domain d)\n"
+        "  (:types t)",
+        [("unbalanced-parens", 1, 1)],
+    ),
+    "unmatched": (
+        "domain",
+        "(define (domain d))\n"
+        ")",
+        [("unbalanced-parens", 2, 1)],
+    ),
+    "two_forms": (
+        "domain",
+        "(define (domain d))\n"
+        "(define (domain e))",
+        [("malformed", 1, 1)],
+    ),
+    "empty": (
+        "domain",
+        "",
+        [("malformed", 1, 1)],
+    ),
+    "not_define": (
+        "domain",
+        "(defun (domain d))",
+        [("malformed", 1, 1)],
+    ),
+    "no_header_name": (
+        "domain",
+        "(define (domain) (:types t))",
+        [("missing-name", 1, 1)],
+    ),
+    "list_header_name": (
+        "domain",
+        "(define (domain (x)) (:types t))",
+        [("missing-name", 1, 1)],
+    ),
+    "section_not_list": (
+        "domain",
+        "(define (domain d)\n"
+        "  types)",
+        [("malformed", 2, 3)],
+    ),
+    "unknown_section": (
+        "domain",
+        "(define (domain d)\n"
+        "  (:bogus x))",
+        [("unknown-section", 2, 4)],
+    ),
+    "dangling_dash": (
+        "domain",
+        "(define (domain d) (:types t -))",
+        [("malformed", 1, 30)],
+    ),
+    "list_in_types": (
+        "domain",
+        "(define (domain d) (:types t (u)))",
+        [("malformed", 1, 30)],
+    ),
+    "type_twice": (
+        "domain",
+        "(define (domain d) (:types t t))",
+        [("duplicate-name", 1, 30)],
+    ),
+    "constant_untyped": (
+        "domain",
+        "(define (domain d) (:types t)\n"
+        "  (:constants a b - t c))",
+        [("missing-type", 2, 23)],
+    ),
+    "constant_undeclared_type": (
+        "domain",
+        "(define (domain d) (:types t)\n"
+        "  (:constants a - ghost))",
+        [("undeclared-type", 2, 15)],
+    ),
+    "constant_twice": (
+        "domain",
+        "(define (domain d) (:types t)\n"
+        "  (:constants a - t a - t))",
+        [("duplicate-name", 2, 21)],
+    ),
+    "predicate_twice": (
+        "domain",
+        "(define (domain d) (:types t)\n"
+        "  (:predicates (p ?x - t)\n"
+        "    (p ?y - t)))",
+        [("duplicate-name", 3, 6)],
+    ),
+    "predicate_not_list": (
+        "domain",
+        "(define (domain d) (:predicates p))",
+        [("malformed", 1, 33)],
+    ),
+    "predicate_param_no_q": (
+        "domain",
+        "(define (domain d) (:types t) (:predicates (p x - t)))",
+        [("malformed", 1, 47)],
+    ),
+    "predicate_param_untyped": (
+        "domain",
+        "(define (domain d) (:types t) (:predicates (p ?x)))",
+        [("missing-type", 1, 47)],
+    ),
+    "predicate_undeclared_type": (
+        "domain",
+        "(define (domain d)\n"
+        "  (:predicates (p ?x - ghost)))",
+        [("undeclared-type", 2, 19)],
+    ),
+    "arity_limit": (
+        "domain",
+        "(define (domain d) (:types t)\n"
+        "  (:predicates (p ?a - t ?b - t ?c - t ?d - t)))",
+        [("arity-limit", 2, 16)],
+    ),
+    "action_no_name": (
+        "domain",
+        "(define (domain d)\n"
+        "  (:action (x) :binding b))",
+        [("missing-name", 2, 3)],
+    ),
+    "action_twice": (
+        "domain",
+        "(define (domain d)\n"
+        "  (:action a)\n"
+        "  (:action a))",
+        [("duplicate-name", 3, 12)],
+    ),
+    "clause_without_value": (
+        "domain",
+        "(define (domain d)\n"
+        "  (:action a :precondition))",
+        [("malformed", 2, 14)],
+    ),
+    "clause_twice": (
+        "domain",
+        "(define (domain d) (:predicates (r))\n"
+        "  (:action a :precondition (r)\n"
+        "     :precondition (r)))",
+        [("duplicate-name", 3, 6)],
+    ),
+    "clauses_unknown": (
+        "domain",
+        "(define (domain d)\n"
+        "  (:action a :cost 1 :when (x)))",
+        [("unknown-section", 2, 20), ("unknown-section", 2, 28)],
+    ),
+    "params_not_list": (
+        "domain",
+        "(define (domain d)\n"
+        "  (:action a :parameters x))",
+        [("malformed", 2, 26)],
+    ),
+    "param_no_q": (
+        "domain",
+        "(define (domain d) (:types t)\n"
+        "  (:action a :parameters (x - t)))",
+        [("malformed", 2, 27)],
+    ),
+    "param_untyped": (
+        "domain",
+        "(define (domain d) (:types t)\n"
+        "  (:action a :parameters (?x)))",
+        [("missing-type", 2, 27)],
+    ),
+    "param_undeclared_type": (
+        "domain",
+        "(define (domain d) (:types t)\n"
+        "  (:action a :parameters (?x - ghost)))",
+        [("undeclared-type", 2, 27)],
+    ),
+    "param_twice": (
+        "domain",
+        "(define (domain d) (:types t)\n"
+        "  (:action a :parameters (?x - t ?x - t)))",
+        [("duplicate-name", 2, 26)],
+    ),
+    "atom_not_list": (
+        "domain",
+        "(define (domain d) (:predicates (r))\n"
+        "  (:action a :precondition (and r)))",
+        [("malformed", 2, 33)],
+    ),
+    "unknown_predicate": (
+        "domain",
+        "(define (domain d) (:predicates (r))\n"
+        "  (:action a :precondition (and (r) (s))))",
+        [("unknown-predicate", 2, 38)],
+    ),
+    "argument_list": (
+        "domain",
+        "(define (domain d) (:types t) (:predicates (p ?x - t))\n"
+        "  (:action a :parameters (?x - t) :precondition (p (?x))))",
+        [("malformed", 2, 52)],
+    ),
+    "arity_mismatch": (
+        "domain",
+        "(define (domain d)\n"
+        "(:types t)\n"
+        "(:predicates (p ?x - t))\n"
+        "(:action a\n"
+        "  :precondition (p x y)\n"
+        "))",
+        [("arity-mismatch", 5, 17)],
+    ),
+    "unknown_constant": (
+        "domain",
+        "(define (domain d) (:types t) (:predicates (p ?x - t))\n"
+        "  (:action a :effect (p k)))",
+        [("unknown-object", 2, 22)],
+    ),
+    "unbound_variable": (
+        "domain",
+        "(define (domain d) (:types t) (:predicates (p ?x - t))\n"
+        "  (:action a :parameters () :runcondition (p ?z)))",
+        [("unbound-variable", 2, 43)],
+    ),
+    "variable_type_error": (
+        "domain",
+        "(define (domain d) (:types u - t v) (:predicates (q ?x - u))\n"
+        "  (:action a :parameters (?x - t)\n"
+        "    :precondition (q ?x)))",
+        [("type-error", 3, 19)],
+    ),
+    "constant_type_error": (
+        "domain",
+        "(define (domain d) (:types u - t) (:constants c - t) (:predicates (q ?x - u))\n"
+        "  (:action a :effect (not (q c))))",
+        [("type-error", 2, 27)],
+    ),
+    "not_with_two_atoms": (
+        "domain",
+        "(define (domain d) (:predicates (r))\n"
+        "  (:action a :precondition (not (r) (r))))",
+        [("malformed", 2, 28)],
+    ),
+    "effect_not_without_atom": (
+        "domain",
+        "(define (domain d) (:predicates (r))\n"
+        "  (:action a :effect (and (not))))",
+        [("malformed", 2, 27)],
+    ),
+    "add_delete_overlap": (
+        "domain",
+        "(define (domain d) (:predicates (r))\n"
+        "  (:action a\n"
+        "    :effect (and (r) (not (r)))))",
+        [("add-delete-overlap", 3, 13)],
+    ),
+    "binding_list": (
+        "domain",
+        "(define (domain d)\n"
+        "  (:action a :binding (x)))",
+        [("malformed", 2, 23)],
+    ),
+    "domain_errors_in_order": (
+        "domain",
+        "(define (domain d)\n"
+        "  (:types t)\n"
+        "  (:bogus)\n"
+        "  (:predicates (p ?x - ghost) (r))\n"
+        "  (:action a :parameters (?x - t)\n"
+        "    :precondition (and (s) (r ?x))\n"
+        "    :runcondition (p ?y)\n"
+        "    :effect (and (r) (not (r)) (q)))\n"
+        "  7)",
+        [
+            ("unknown-section", 3, 4),
+            ("undeclared-type", 4, 19),
+            ("unknown-predicate", 6, 25),
+            ("arity-mismatch", 6, 28),
+            ("unknown-predicate", 7, 20),
+            ("unknown-predicate", 8, 33),
+            ("malformed", 9, 3),
+        ],
+    ),
+    "problem_no_header_name": (
+        "problem",
+        "(define (problem) (:domain d))",
+        [("missing-name", 1, 1)],
+    ),
+    "problem_not_define": (
+        "problem",
+        "(problem p)",
+        [("malformed", 1, 1)],
+    ),
+    "problem_unknown_section": (
+        "problem",
+        "(define (problem p)\n"
+        "  (:requirements :strips))",
+        [("unknown-section", 2, 4)],
+    ),
+    "domain_two_names": (
+        "problem",
+        "(define (problem p)\n"
+        "  (:domain d e))",
+        [("malformed", 2, 3)],
+    ),
+    "wrong_domain": (
+        "problem",
+        "(define (problem p)\n"
+        "  (:domain e))",
+        [("wrong-domain", 2, 12)],
+    ),
+    "object_untyped": (
+        "problem",
+        "(define (problem p) (:domain d)\n"
+        "  (:objects a b - t z))",
+        [("missing-type", 2, 21)],
+    ),
+    "object_undeclared_type": (
+        "problem",
+        "(define (problem p) (:domain d)\n"
+        "  (:objects a - ghost))",
+        [("undeclared-type", 2, 13)],
+    ),
+    "object_twice": (
+        "problem",
+        "(define (problem p) (:domain d)\n"
+        "  (:objects a - t c - u\n"
+        "    a - t))",
+        [("duplicate-name", 2, 19), ("duplicate-name", 3, 5)],
+    ),
+    "init_not_list": (
+        "problem",
+        "(define (problem p) (:domain d)\n"
+        "  (:init r))",
+        [("malformed", 2, 10)],
+    ),
+    "init_unknown_predicate": (
+        "problem",
+        "(define (problem p) (:domain d)\n"
+        "  (:init (s)))",
+        [("unknown-predicate", 2, 11)],
+    ),
+    "init_arity": (
+        "problem",
+        "(define (problem p) (:domain d)\n"
+        "  (:init (p c c)))",
+        [("arity-mismatch", 2, 10)],
+    ),
+    "init_unknown_object": (
+        "problem",
+        "(define (problem p) (:domain d)\n"
+        "  (:objects a - t)\n"
+        "  (:init (p a) (p b)))",
+        [("unknown-object", 3, 16)],
+    ),
+    "init_type_error": (
+        "problem",
+        "(define (problem p) (:domain d)\n"
+        "  (:objects a - t)\n"
+        "  (:init (q a)))",
+        [("type-error", 3, 10)],
+    ),
+    "init_variable": (
+        "problem",
+        "(define (problem p) (:domain d)\n"
+        "  (:init (p ?x)))",
+        [("malformed", 2, 13)],
+    ),
+    "init_argument_list": (
+        "problem",
+        "(define (problem p) (:domain d)\n"
+        "  (:init (p (c))))",
+        [("malformed", 2, 10)],
+    ),
+    "goal_two_forms": (
+        "problem",
+        "(define (problem p) (:domain d)\n"
+        "  (:goal (r) (r)))",
+        [("malformed", 2, 3)],
+    ),
+    "goal_not_with_two_atoms": (
+        "problem",
+        "(define (problem p) (:domain d)\n"
+        "  (:goal (and (not (r) (r)))))",
+        [("malformed", 2, 15)],
+    ),
+    "goal_unknown_object": (
+        "problem",
+        "(define (problem p) (:domain d)\n"
+        "  (:goal (not (q z))))",
+        [("unknown-object", 2, 15)],
+    ),
+    "problem_errors_in_order": (
+        "problem",
+        "(define (problem p)\n"
+        "  (:domain d)\n"
+        "  (:objects a - t a - t)\n"
+        "  (:goal (and (s) (q a)))\n"
+        "  (:init (p b) (r))\n"
+        "  x)",
+        [
+            ("duplicate-name", 3, 19),
+            ("unknown-predicate", 4, 16),
+            ("type-error", 4, 19),
+            ("unknown-object", 5, 10),
+            ("malformed", 6, 3),
+        ],
+    ),
+}
+
+
+def _diagnostics(kind: str, source: str) -> list[tuple[str, int, int]]:
+    if kind == "domain":
+        result = parse_domain(source)
+    else:
+        result = parse_problem(source, _TABLE_DOMAIN)
+    assert not result.ok and result.value is None
+    return [(d.code, d.line, d.column) for d in result.diagnostics]
+
+
+class TestDiagnosticsTable:
+    @pytest.mark.parametrize("name", DIAGNOSTICS)
+    def test_codes_and_positions_in_order(self, name):
+        kind, source, expected = DIAGNOSTICS[name]
+        assert _diagnostics(kind, source) == expected
+
+    def test_internal_failure_is_a_diagnostic(self, monkeypatch):
+        def boom(source, diags):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(lang, "_read_sexprs", boom)
+        for kind in ("domain", "problem"):
+            assert _diagnostics(kind, "(define)") == [("internal", 1, 1)]
 
 
 class TestRoundTrip:
