@@ -22,7 +22,7 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from pathlib import Path
 
-from .chains import build_chain
+from .chains import UnsupportedFeatureError, build_chain
 from .harness import (
     ScenarioError,
     load_scenario,
@@ -86,6 +86,9 @@ def cmd_chain(args) -> int:
         chain = build_chain(plan_from_json(grounded, data), grounded.goal)
     except PlanFormatError as err:
         print(f"{args.plan}: {err}", file=sys.stderr)
+        return EXIT_INPUT
+    except UnsupportedFeatureError as err:
+        print(f"{args.problem}: {err}", file=sys.stderr)
         return EXIT_INPUT
     except ValueError as err:
         print(f"plan is not sound for this problem: {err}", file=sys.stderr)

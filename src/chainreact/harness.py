@@ -376,6 +376,12 @@ def build_scenario(
                 problems.extend(f"problem: {d}" for d in pres.diagnostics)
             else:
                 grounded = ground(dres.value, pres.value)
+                # build_chain regresses positive goal literals only.
+                problems.extend(
+                    f"problem: {problem_path}: negative goal literal (not {atom}) "
+                    "is not supported"
+                    for atom in sorted(str(lit.atom) for lit in pres.value.goal if not lit.positive)
+                )
 
     perception = raw.get("perception", {})
     flips = perception.get("per_predicate_flip", {})

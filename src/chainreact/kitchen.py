@@ -281,14 +281,25 @@ def _let_go(w: WorldState, prim: Optional[PrimitiveState] = None) -> None:
     w.gripper_aperture = 1.0
 
 
-def _reach(kind: str, **also) -> Rule:
-    """Assign ``also``, then reach ``(kind, obj)`` if the object is still in
+def _let_go_then(**fields) -> Rule:
+    """Let go, then assign ``fields``."""
+
+    def rule(w: WorldState, prim: PrimitiveState) -> None:
+        _let_go(w)
+        for name, value in fields.items():
+            setattr(w, name, value)
+
+    return rule
+
+
+def _reach(kind: str, let_go: bool = False) -> Rule:
+    """Let go if asked, then reach ``(kind, obj)`` if the object is still in
     the zone it had at start, and end above the counter if not."""
 
     def rule(w: WorldState, prim: PrimitiveState) -> None:
         obj = prim.op.bound_args[0]
-        for name, value in also.items():
-            setattr(w, name, value)
+        if let_go:
+            _let_go(w)
         stayed = w.object_pose[obj] == ("counter", prim.target_zone)
         w.arm_region = (kind, obj) if stayed else ABOVE
 
@@ -297,32 +308,24 @@ def _reach(kind: str, **also) -> Rule:
 
 def _grasp(w: WorldState, prim: PrimitiveState) -> None:
     """Close on the operator's object, or the handle without one: it is taken
-    if the arm is around it and it is free (the object on the counter, the
-    handle with nothing attached); otherwise the gripper re-opens on air."""
-    if prim.rule.obj_arg:
-        target = prim.op.bound_args[0]
-        free = w.object_pose[target][0] == "counter"
-    else:
-        target, free = HANDLE, w.attached is None
-    if w.arm_region == (AROUND, target) and free:
+    if the arm is around it, nothing else is attached and, for an object,
+    it is on the counter; otherwise the gripper closes on air and lets go."""
+    target = prim.op.bound_args[0] if prim.rule.obj_arg else HANDLE
+    if (
+        w.arm_region == (AROUND, target)
+        and w.attached in (None, target)
+        and (target == HANDLE or w.object_pose[target][0] == "counter")
+    ):
         w.attached = target
         w.gripper_aperture = GRASP_APERTURE
     else:
-        w.gripper_aperture = 1.0
+        _let_go(w)
 
 
 def _drawer_end(w: WorldState, prim: PrimitiveState) -> None:
     """Under contact, the drawer ends at its end stop."""
     if prim.rule.contact(w):
         w.drawer_extension = 1.0 if prim.rule.drawer > 0 else 0.0
-
-
-def _slip_off_handle(w: WorldState, prim: PrimitiveState) -> None:
-    # the extension has already advanced partway
-    if w.attached == HANDLE:
-        w.attached = None
-    w.gripper_aperture = 1.0
-    w.arm_region = (NEAR_HANDLE, None)
 
 
 def _carry(
@@ -344,7 +347,6 @@ def _carry(
     return rule
 
 
-REOPEN = {"gripper_aperture": 1.0}
 # The simulator's contract with a domain is OUTCOMES' keys, WRITTEN_PREDICATES
 # and MAX_MOVABLES; contract_problems checks a grounded domain against it.
 # OUTCOMES has one row per operator schema the simulator carries out.  An
@@ -352,19 +354,18 @@ REOPEN = {"gripper_aperture": 1.0}
 OUTCOMES: dict[str, OperatorRule] = {
     "open_gripper": OperatorRule(_let_go),
     "approach_drawer_open": OperatorRule({"arm_region": (APPROACH, HANDLE)}),
-    "cage_handle": OperatorRule({**REOPEN, "arm_region": (AROUND, HANDLE)}),
-    "grasp_handle": OperatorRule(_grasp, REOPEN),
+    "cage_handle": OperatorRule(_let_go_then(arm_region=(AROUND, HANDLE))),
+    "grasp_handle": OperatorRule(_grasp, _let_go),
+    # A failed pull slips off the handle, the drawer partway out.
     "pull_drawer": OperatorRule(
-        _drawer_end, _slip_off_handle, drawer=1,
+        _drawer_end, _let_go_then(arm_region=(NEAR_HANDLE, None)), drawer=1,
         contact=lambda w: w.attached == HANDLE,
     ),
-    "release_handle": OperatorRule(
-        {**REOPEN, "attached": None, "arm_region": (NEAR_HANDLE, None)}
-    ),
+    "release_handle": OperatorRule(_let_go_then(arm_region=(NEAR_HANDLE, None))),
     "back_off": OperatorRule({"arm_region": ABOVE}),
     "approach_obj": OperatorRule(_reach(APPROACH), obj_arg=True),
-    "cage_obj": OperatorRule(_reach(AROUND, **REOPEN), obj_arg=True),
-    "grasp_obj": OperatorRule(_grasp, REOPEN, obj_arg=True),
+    "cage_obj": OperatorRule(_reach(AROUND, let_go=True), obj_arg=True),
+    "grasp_obj": OperatorRule(_grasp, _let_go, obj_arg=True),
     "lift_obj": OperatorRule(
         _carry(("held",), ABOVE, own=True),
         _carry(None, ABOVE, own=True, drop=True),

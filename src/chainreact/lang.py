@@ -128,13 +128,6 @@ class ParseResult:
 _TOKEN_RE = re.compile(r"\(|\)|[^\s();]+")
 
 
-@dataclass(frozen=True)
-class _Tok:
-    text: str
-    line: int
-    col: int
-
-
 class _Node:
     """Either a symbol leaf or a parenthesised list, with a source position."""
 
@@ -151,46 +144,26 @@ class _Node:
         return self.items is not None
 
 
-def _tokenize(source: str) -> list[_Tok]:
-    toks: list[_Tok] = []
-    for line_no, line in enumerate(source.splitlines(), start=1):
-        body = line.split(";", 1)[0]
-        for m in _TOKEN_RE.finditer(body):
-            toks.append(_Tok(m.group(), line_no, m.start() + 1))
-    return toks
-
-
 def _read_sexprs(source: str, diags: list[Diagnostic]) -> list[_Node]:
     """Parse all top-level s-expressions; report unbalanced parentheses."""
-    toks = _tokenize(source)
     top: list[_Node] = []
     stack: list[_Node] = []
-    for tok in toks:
-        if tok.text == "(":
-            node = _Node(tok.line, tok.col, items=[])
-            (stack[-1].items if stack else top).append(node)
-            stack.append(node)
-        elif tok.text == ")":
-            if not stack:
-                diags.append(
-                    Diagnostic(
-                        "error", tok.line, tok.col,
-                        "unmatched closing parenthesis", "unbalanced-parens",
-                    )
-                )
-                return top
-            stack.pop()
-        else:
-            leaf = _Node(tok.line, tok.col, text=tok.text)
-            (stack[-1].items if stack else top).append(leaf)
+    for line_no, line in enumerate(source.splitlines(), start=1):
+        for m in _TOKEN_RE.finditer(line.split(";", 1)[0]):
+            text, col = m.group(), m.start() + 1
+            if text == "(":
+                node = _Node(line_no, col, items=[])
+                (stack[-1].items if stack else top).append(node)
+                stack.append(node)
+            elif text == ")":
+                if not stack:
+                    _err(diags, _Node(line_no, col), "unmatched closing parenthesis", "unbalanced-parens")
+                    return top
+                stack.pop()
+            else:
+                (stack[-1].items if stack else top).append(_Node(line_no, col, text=text))
     if stack:
-        open_node = stack[-1]
-        diags.append(
-            Diagnostic(
-                "error", open_node.line, open_node.col,
-                "unclosed parenthesis", "unbalanced-parens",
-            )
-        )
+        _err(diags, stack[-1], "unclosed parenthesis", "unbalanced-parens")
     return top
 
 
@@ -244,7 +217,7 @@ def _parse_typed_list(
 
 
 # --------------------------------------------------------------------------
-# Domain parsing
+# Domain and problem parsing
 # --------------------------------------------------------------------------
 
 
@@ -255,18 +228,83 @@ def parse_domain(source: str) -> ParseResult:
     :class:`DomainDefinition` on success; on failure ``value`` is ``None``
     and ``diagnostics`` holds at least one error.
     """
+
+    def begin(name: str, diags: list[Diagnostic]):
+        domain = DomainDefinition(name=name)
+        return domain, {
+            ":types": lambda section, body: _parse_types(body, domain, diags),
+            ":constants": lambda section, body: _declare(
+                body, domain, domain.constants, "constant", diags
+            ),
+            ":predicates": lambda section, body: _parse_predicates(body, domain, diags),
+            ":action": lambda section, body: _parse_action(section, body, domain, diags),
+        }
+
+    return _parse(source, "domain", begin)
+
+
+def parse_problem(source: str, domain: DomainDefinition) -> ParseResult:
+    """Parse and validate a problem against an already validated domain."""
+
+    def begin(name: str, diags: list[Diagnostic]):
+        problem = ProblemDefinition(name=name, domain_name="")
+
+        def symbols() -> dict[str, str]:
+            return {**domain.constants, **problem.objects}
+
+        def domain_name(section: _Node, body: list[_Node]) -> None:
+            if len(body) != 1 or body[0].is_list:
+                _err(diags, section, "(:domain NAME) expects one name", "malformed")
+                return
+            problem.domain_name = body[0].text
+            if problem.domain_name != domain.name:
+                _err(diags, body[0], f"problem targets domain {problem.domain_name!r}, loaded domain is {domain.name!r}", "wrong-domain")
+
+        def init(section: _Node, body: list[_Node]) -> None:
+            known = symbols()
+            atoms = [_parse_atom(item, domain, known, diags) for item in body]
+            problem.init |= {atom for atom in atoms if atom is not None}
+
+        def goal(section: _Node, body: list[_Node]) -> None:
+            if len(body) != 1:
+                _err(diags, section, "(:goal ...) expects one condition form", "malformed")
+                return
+            got = _parse_literals(body[0], domain, symbols(), diags)
+            if got is not None:
+                problem.goal = got
+
+        return problem, {
+            ":domain": domain_name,
+            ":objects": lambda section, body: _declare(
+                body, domain, problem.objects, "object", diags
+            ),
+            ":init": init,
+            ":goal": goal,
+        }
+
+    return _parse(source, "problem", begin)
+
+
+def _parse(source: str, kind: str, begin) -> ParseResult:
+    """Read one ``(define (KIND NAME) (:section ...) ...)`` form, with the
+    totality guard: an exception becomes an ``internal`` diagnostic.
+
+    ``begin(name, diags)`` returns the value under construction and a map
+    from section keyword to a handler, called as ``handler(section, body)``
+    for each section in source order.
+    """
     diags: list[Diagnostic] = []
     try:
-        domain = _parse_domain_inner(source, diags)
+        value = _parse_define(source, kind, begin, diags)
     except Exception as exc:  # totality guard for malformed input
         diags.append(Diagnostic("error", 1, 1, f"internal parse failure: {exc}", "internal"))
-        domain = None
+        value = None
     if any(d.severity == "error" for d in diags):
         return ParseResult(None, diags)
-    return ParseResult(domain, diags)
+    return ParseResult(value, diags)
 
 
-def _parse_domain_inner(source: str, diags: list[Diagnostic]) -> Optional[DomainDefinition]:
+def _parse_define(source: str, kind: str, begin, diags: list[Diagnostic]) -> object:
     top = _read_sexprs(source, diags)
     if diags:
         return None
@@ -276,36 +314,23 @@ def _parse_domain_inner(source: str, diags: list[Diagnostic]) -> Optional[Domain
         return None
     form = top[0].items
     if not form or _kw(form[0]) != "define":
-        _err(diags, top[0], "expected (define (domain ...) ...)", "malformed")
+        _err(diags, top[0], f"expected (define ({kind} ...) ...)", "malformed")
         return None
-    if (
-        len(form) < 2
-        or not form[1].is_list
-        or len(form[1].items) != 2
-        or _kw(form[1].items[0]) != "domain"
-        or form[1].items[1].is_list
-    ):
-        _err(diags, top[0], "missing (domain NAME) header", "missing-name")
+    header = form[1].items if len(form) > 1 and form[1].is_list else []
+    if len(header) != 2 or _kw(header[0]) != kind or header[1].is_list:
+        _err(diags, top[0], f"missing ({kind} NAME) header", "missing-name")
         return None
-    domain = DomainDefinition(name=form[1].items[1].text)
-
+    value, handlers = begin(header[1].text, diags)
     for section in form[2:]:
         if not section.is_list or not section.items or section.items[0].is_list:
             _err(diags, section, "expected a (:section ...) form", "malformed")
             continue
-        head = _kw(section.items[0])
-        body = section.items[1:]
-        if head == ":types":
-            _parse_types(body, domain, diags)
-        elif head == ":constants":
-            _parse_constants(body, domain, diags)
-        elif head == ":predicates":
-            _parse_predicates(body, domain, diags)
-        elif head == ":action":
-            _parse_action(section, body, domain, diags)
-        else:
+        handler = handlers.get(_kw(section.items[0]))
+        if handler is None:
             _err(diags, section.items[0], f"unknown section keyword {section.items[0].text!r}", "unknown-section")
-    return domain
+        else:
+            handler(section, section.items[1:])
+    return value
 
 
 def _parse_types(body: list[_Node], domain: DomainDefinition, diags: list[Diagnostic]) -> None:
@@ -320,17 +345,25 @@ def _parse_types(body: list[_Node], domain: DomainDefinition, diags: list[Diagno
             domain.types[parent] = None
 
 
-def _parse_constants(body: list[_Node], domain: DomainDefinition, diags: list[Diagnostic]) -> None:
-    for name, type_name, node in _parse_typed_list(body, diags, ":constants", require_type=True):
+def _declare(
+    body: list[_Node],
+    domain: DomainDefinition,
+    table: dict[str, str],
+    noun: str,
+    diags: list[Diagnostic],
+) -> None:
+    """Add typed ``:constants`` or ``:objects`` symbols to ``table``."""
+    for name, type_name, node in _parse_typed_list(body, diags, f":{noun}s", require_type=True):
         if type_name is None:
             continue
         if type_name not in domain.types:
-            _err(diags, node, f"constant {name!r} has undeclared type {type_name!r}", "undeclared-type")
-            continue
-        if name in domain.constants:
-            _err(diags, node, f"constant {name!r} declared twice", "duplicate-name")
-            continue
-        domain.constants[name] = type_name
+            _err(diags, node, f"{noun} {name!r} has undeclared type {type_name!r}", "undeclared-type")
+        elif name in table or name in domain.constants:
+            _err(diags, node, f"{noun} {name!r} declared twice", "duplicate-name")
+        elif name.startswith("?"):
+            _err(diags, node, f"{noun} {name!r} must not start with '?'", "malformed")
+        else:
+            table[name] = type_name
 
 
 def _parse_predicates(body: list[_Node], domain: DomainDefinition, diags: list[Diagnostic]) -> None:
@@ -414,25 +447,13 @@ def _parse_action(section: _Node, body: list[_Node], domain: DomainDefinition, d
         _err(diags, clauses[":parameters"], f"duplicate parameter name in action {name!r}", "duplicate-name")
         return
 
-    ok = True
-    pre: frozenset[LiftedLiteral] = frozenset()
-    run: Optional[frozenset[LiftedLiteral]] = None
-    adds: frozenset[LiftedAtom] = frozenset()
-    deletes: frozenset[LiftedAtom] = frozenset()
-    if ":precondition" in clauses:
-        got = _parse_condition(clauses[":precondition"], domain, var_types, diags, allow_negative=True)
-        ok &= got is not None
-        pre = got or pre
-    if ":runcondition" in clauses:
-        got = _parse_condition(clauses[":runcondition"], domain, var_types, diags, allow_negative=True)
-        ok &= got is not None
-        run = got
-    if ":effect" in clauses:
-        got_eff = _parse_effect(clauses[":effect"], domain, var_types, diags)
-        if got_eff is None:
-            ok = False
-        else:
-            adds, deletes = got_eff
+    symbols = {**domain.constants, **var_types}
+    literals = {
+        key: _parse_literals(clauses[key], domain, symbols, diags, key == ":effect")
+        for key in (":precondition", ":runcondition", ":effect")
+        if key in clauses
+    }
+    ok = None not in literals.values()
     binding = ""
     if ":binding" in clauses:
         bnode = clauses[":binding"]
@@ -441,26 +462,24 @@ def _parse_action(section: _Node, body: list[_Node], domain: DomainDefinition, d
             ok = False
         else:
             binding = bnode.text
-    if overlap := adds & deletes:
-        _err(diags, clauses[":effect"], f"action {name!r} both adds and deletes {sorted(str(a) for a in overlap)}", "add-delete-overlap")
-        ok = False
     if not ok:
         return
-    domain.operators.append(
-        OperatorSchema(name, tuple(params), pre, run, adds, deletes, binding)
-    )
+    effect = literals.get(":effect", frozenset())
+    domain.operators.append(OperatorSchema(
+        name, tuple(params),
+        literals.get(":precondition", frozenset()), literals.get(":runcondition"),
+        frozenset(lit.atom for lit in effect if lit.positive),
+        frozenset(lit.atom for lit in effect if not lit.positive),
+        binding,
+    ))
 
 
-def _iter_condition_items(node: _Node) -> list[_Node]:
-    """Unwrap an optional (and ...) wrapper around literals."""
-    if node.is_list and node.items and not node.items[0].is_list and _kw(node.items[0]) == "and":
-        return node.items[1:]
-    if node.is_list and not node.items:
-        return []
-    return [node]
-
-
-def _parse_atom(node: _Node, domain: DomainDefinition, var_types: dict[str, str], diags: list[Diagnostic]) -> Optional[LiftedAtom]:
+def _parse_atom(
+    node: _Node, domain: DomainDefinition, symbols: dict[str, str], diags: list[Diagnostic]
+) -> Optional[LiftedAtom]:
+    """``(predicate arg ...)`` whose arguments are keys of ``symbols``, which
+    maps an action's parameters or a problem's objects, and the domain
+    constants, to their types."""
     if not node.is_list or not node.items or node.items[0].is_list:
         _err(diags, node, "expected (predicate args...)", "malformed")
         return None
@@ -483,222 +502,59 @@ def _parse_atom(node: _Node, domain: DomainDefinition, var_types: dict[str, str]
         )
         return None
     for arg, expected in zip(args, schema.param_types):
-        if arg.startswith("?"):
-            declared = var_types.get(arg)
-            if declared is None:
-                _err(diags, node, f"variable {arg!r} is not an action parameter", "unbound-variable")
-                return None
-            if not domain.is_subtype(declared, expected):
-                _err(diags, node, f"variable {arg!r} has type {declared!r}, {name!r} expects {expected!r}", "type-error")
-                return None
-        else:
-            declared = domain.constants.get(arg)
-            if declared is None:
-                _err(diags, node, f"unknown constant {arg!r} in {name!r}", "unknown-object")
-                return None
-            if not domain.is_subtype(declared, expected):
-                _err(diags, node, f"constant {arg!r} has type {declared!r}, {name!r} expects {expected!r}", "type-error")
-                return None
-    return LiftedAtom(name, tuple(args))
-
-
-def _parse_condition(
-    node: _Node,
-    domain: DomainDefinition,
-    var_types: dict[str, str],
-    diags: list[Diagnostic],
-    allow_negative: bool,
-) -> Optional[frozenset[LiftedLiteral]]:
-    literals: set[LiftedLiteral] = set()
-    ok = True
-    for item in _iter_condition_items(node):
-        positive = True
-        target = item
-        if item.is_list and item.items and not item.items[0].is_list and _kw(item.items[0]) == "not":
-            if len(item.items) != 2 or not allow_negative:
-                _err(diags, item, "malformed (not ...) literal", "malformed")
-                ok = False
-                continue
-            positive = False
-            target = item.items[1]
-        atom = _parse_atom(target, domain, var_types, diags)
-        if atom is None:
-            ok = False
-            continue
-        literals.add(LiftedLiteral(atom, positive))
-    return frozenset(literals) if ok else None
-
-
-def _parse_effect(
-    node: _Node,
-    domain: DomainDefinition,
-    var_types: dict[str, str],
-    diags: list[Diagnostic],
-) -> Optional[tuple[frozenset[LiftedAtom], frozenset[LiftedAtom]]]:
-    adds: set[LiftedAtom] = set()
-    deletes: set[LiftedAtom] = set()
-    ok = True
-    for item in _iter_condition_items(node):
-        if item.is_list and item.items and not item.items[0].is_list and _kw(item.items[0]) == "not":
-            if len(item.items) != 2:
-                _err(diags, item, "malformed (not ...) effect", "malformed")
-                ok = False
-                continue
-            atom = _parse_atom(item.items[1], domain, var_types, diags)
-            if atom is None:
-                ok = False
-                continue
-            deletes.add(atom)
-        else:
-            atom = _parse_atom(item, domain, var_types, diags)
-            if atom is None:
-                ok = False
-                continue
-            adds.add(atom)
-    return (frozenset(adds), frozenset(deletes)) if ok else None
-
-
-# --------------------------------------------------------------------------
-# Problem parsing
-# --------------------------------------------------------------------------
-
-
-def parse_problem(source: str, domain: DomainDefinition) -> ParseResult:
-    """Parse and validate a problem against an already validated domain."""
-    diags: list[Diagnostic] = []
-    try:
-        problem = _parse_problem_inner(source, domain, diags)
-    except Exception as exc:
-        diags.append(Diagnostic("error", 1, 1, f"internal parse failure: {exc}", "internal"))
-        problem = None
-    if any(d.severity == "error" for d in diags):
-        return ParseResult(None, diags)
-    return ParseResult(problem, diags)
-
-
-def _parse_problem_inner(source: str, domain: DomainDefinition, diags: list[Diagnostic]) -> Optional[ProblemDefinition]:
-    top = _read_sexprs(source, diags)
-    if diags:
-        return None
-    if len(top) != 1 or not top[0].is_list:
-        pos = top[0] if top else _Node(1, 1, text="")
-        _err(diags, pos, "expected a single (define ...) form", "malformed")
-        return None
-    form = top[0].items
-    if not form or _kw(form[0]) != "define":
-        _err(diags, top[0], "expected (define (problem ...) ...)", "malformed")
-        return None
-    if (
-        len(form) < 2
-        or not form[1].is_list
-        or len(form[1].items) != 2
-        or _kw(form[1].items[0]) != "problem"
-        or form[1].items[1].is_list
-    ):
-        _err(diags, top[0], "missing (problem NAME) header", "missing-name")
-        return None
-    problem = ProblemDefinition(name=form[1].items[1].text, domain_name="")
-
-    objects: dict[str, str] = {}
-    init: set[LiftedAtom] = set()
-    goal: set[LiftedLiteral] = set()
-
-    def lookup(symbol: str) -> Optional[str]:
-        return objects.get(symbol) or domain.constants.get(symbol)
-
-    for section in form[2:]:
-        if not section.is_list or not section.items or section.items[0].is_list:
-            _err(diags, section, "expected a (:section ...) form", "malformed")
-            continue
-        head = _kw(section.items[0])
-        body = section.items[1:]
-        if head == ":domain":
-            if len(body) != 1 or body[0].is_list:
-                _err(diags, section, "(:domain NAME) expects one name", "malformed")
-                continue
-            problem.domain_name = body[0].text
-            if problem.domain_name != domain.name:
-                _err(diags, body[0], f"problem targets domain {problem.domain_name!r}, loaded domain is {domain.name!r}", "wrong-domain")
-        elif head == ":objects":
-            for name, type_name, node in _parse_typed_list(body, diags, ":objects", require_type=True):
-                if type_name is None:
-                    continue
-                if type_name not in domain.types:
-                    _err(diags, node, f"object {name!r} has undeclared type {type_name!r}", "undeclared-type")
-                    continue
-                if name in objects or name in domain.constants:
-                    _err(diags, node, f"object {name!r} declared twice", "duplicate-name")
-                    continue
-                objects[name] = type_name
-        elif head == ":init":
-            for item in body:
-                atom = _parse_ground_atom(item, domain, lookup, diags)
-                if atom is not None:
-                    init.add(atom)
-        elif head == ":goal":
-            if len(body) != 1:
-                _err(diags, section, "(:goal ...) expects one condition form", "malformed")
-                continue
-            got = _parse_ground_condition(body[0], domain, lookup, diags)
-            if got is not None:
-                goal = set(got)
-        else:
-            _err(diags, section.items[0], f"unknown section keyword {section.items[0].text!r}", "unknown-section")
-
-    problem.objects = objects
-    problem.init = frozenset(init)
-    problem.goal = frozenset(goal)
-    return problem
-
-
-def _parse_ground_atom(node: _Node, domain: DomainDefinition, lookup, diags: list[Diagnostic]) -> Optional[LiftedAtom]:
-    if not node.is_list or not node.items or node.items[0].is_list:
-        _err(diags, node, "expected (predicate objects...)", "malformed")
-        return None
-    name = node.items[0].text
-    schema = domain.predicate(name)
-    if schema is None:
-        _err(diags, node.items[0], f"unknown predicate {name!r}", "unknown-predicate")
-        return None
-    args: list[str] = []
-    for arg in node.items[1:]:
-        if arg.is_list or arg.text.startswith("?"):
-            _err(diags, arg if not arg.is_list else node, "ground atoms take object symbols only", "malformed")
+        declared = symbols.get(arg)
+        if declared is None and arg.startswith("?"):
+            _err(diags, node, f"variable {arg!r} is not bound by a parameter", "unbound-variable")
             return None
-        args.append(arg.text)
-    if len(args) != schema.arity:
-        _err(diags, node, f"arity mismatch: {name!r} takes {schema.arity} argument(s), got {len(args)}", "arity-mismatch")
-        return None
-    for arg, expected in zip(args, schema.param_types):
-        declared = lookup(arg)
         if declared is None:
             _err(diags, node, f"unknown object {arg!r} in {name!r}", "unknown-object")
             return None
         if not domain.is_subtype(declared, expected):
-            _err(diags, node, f"object {arg!r} has type {declared!r}, {name!r} expects {expected!r}", "type-error")
+            _err(diags, node, f"{arg!r} has type {declared!r}, {name!r} expects {expected!r}", "type-error")
             return None
     return LiftedAtom(name, tuple(args))
 
 
-def _parse_ground_condition(node: _Node, domain: DomainDefinition, lookup, diags: list[Diagnostic]) -> Optional[frozenset[LiftedLiteral]]:
+def _parse_literals(
+    node: _Node,
+    domain: DomainDefinition,
+    symbols: dict[str, str],
+    diags: list[Diagnostic],
+    effect: bool = False,
+) -> Optional[frozenset[LiftedLiteral]]:
+    """A literal, or an ``(and ...)`` of literals: a condition, a goal, or
+    with ``effect`` an effect, whose positive literals add and negated ones
+    delete.  No atom may occur both plain and negated."""
+    wrapped = node.is_list and (not node.items or _kw(node.items[0]) == "and")
+    items = node.items[1:] if wrapped else [node]
     literals: set[LiftedLiteral] = set()
     ok = True
-    for item in _iter_condition_items(node):
+    for item in items:
         positive = True
         target = item
-        if item.is_list and item.items and not item.items[0].is_list and _kw(item.items[0]) == "not":
+        if item.is_list and item.items and _kw(item.items[0]) == "not":
             if len(item.items) != 2:
                 _err(diags, item, "malformed (not ...) literal", "malformed")
                 ok = False
                 continue
             positive = False
             target = item.items[1]
-        atom = _parse_ground_atom(target, domain, lookup, diags)
+        atom = _parse_atom(target, domain, symbols, diags)
         if atom is None:
             ok = False
             continue
         literals.add(LiftedLiteral(atom, positive))
-    return frozenset(literals) if ok else None
+    if not ok:
+        return None
+    both = {lit.atom for lit in literals if lit.positive} & {
+        lit.atom for lit in literals if not lit.positive
+    }
+    names = sorted(str(a) for a in both)
+    if both and effect:
+        _err(diags, node, f"effect both adds and deletes {names}", "add-delete-overlap")
+    elif both:
+        _err(diags, node, f"condition both requires and negates {names}", "contradictory-literals")
+    return None if both else frozenset(literals)
 
 
 # --------------------------------------------------------------------------

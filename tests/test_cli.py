@@ -99,6 +99,22 @@ def test_chain_unsound_plan_exit_1(tmp_path, capsys):
     assert "not sound" in capsys.readouterr().err
 
 
+def test_chain_negative_goal_exit_2(tmp_path, capsys):
+    # build_chain cannot regress a negative goal literal: an input error
+    # naming the problem, not an unsound plan.
+    problem = tmp_path / "negative.dprob"
+    problem.write_text(problem_source("put_away_spam").replace(
+        "(drawer_is_closed)))", "(not (drawer_is_open))))"
+    ))
+    files = ["--domain", str(kitchen_path()), "--problem", str(problem)]
+    plan_file = tmp_path / "plan.json"
+    assert main(["plan", *files, "--out", str(plan_file)]) == 0
+    capsys.readouterr()
+    assert main(["chain", *files, "--plan", str(plan_file)]) == 2
+    err = capsys.readouterr().err
+    assert "negative.dprob" in err and "not sound" not in err
+
+
 def test_plan_reports_unsolvable(tmp_path, capsys):
     # The goal wants spam lifted clear of the counter, but spam begins
     # inside the drawer and no operator picks from the drawer.
@@ -244,13 +260,20 @@ def test_bench_bad_scenario_runs_no_trial(tmp_path, capsys):
         ((":action back_off", ":action retreat"), None, "'retreat'"),
         (None, ("spam sugar - movable", "spam sugar m0 m1 m2 m3 - movable"),
          "6 movable objects"),
+        (None, ("(obj_is_clear_above_counter spam)", "(not (obj_is_clear_above_counter spam))"),
+         "pick_spam.dprob: negative goal literal (not (obj_is_clear_above_counter spam))"),
+        (None, ("(obj_is_clear_above_counter spam)",
+                "(obj_is_clear_above_counter spam) (not (obj_is_clear_above_counter spam))"),
+         "both requires and negates ['(obj_is_clear_above_counter spam)']"),
     ],
-    ids=["no_arm_is_moving", "back_off_renamed", "six_movables"],
+    ids=["no_arm_is_moving", "back_off_renamed", "six_movables", "negative_goal",
+         "contradictory_goal"],
 )
 def test_bench_domain_outside_simulator_contract_exit_2(
     tmp_path, capsys, domain_edit, problem_edit, named
 ):
-    # Each used to load and then raise inside the first trial.
+    # Each used to load and then raise inside the first trial, but for the
+    # contradictory goal, which raised in ground while loading.
     domain, problem = kitchen_source(), problem_source("pick_spam")
     if domain_edit:
         domain = domain.replace(*domain_edit)

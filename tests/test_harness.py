@@ -266,19 +266,31 @@ class TestLoadScenario:
         assert sc.trials == 3
         assert sc.primitives["grasp"].success_prob == 0.5
 
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=200, deadline=None)
     @given(data=st.data())
     def test_any_leaf_value_is_rejected_or_runs(self, data):
-        # One leaf of a shipped scenario (an empty object or list counts as
-        # a leaf) takes a value from a fixed pool.  The scenario must either
-        # be rejected at load or run a trial to a terminal status.
+        # One edit to a shipped scenario: any value, a leaf or a whole
+        # object or list, takes a value from a fixed pool; or an object
+        # gains a key no schema knows; or an object loses a key.  The
+        # scenario must either be rejected at load or run a trial to a
+        # terminal status.
         name = data.draw(st.sampled_from(SHIPPED))
         path = scenario_path(name)
         raw = json.loads(path.read_text())
-        parent, key = data.draw(st.sampled_from(_leaf_slots(raw)))
-        parent[key] = data.draw(st.sampled_from(
-            [None, True, -1, 0, 1, 0.5, 7, "x", [], {}]
-        ))
+        slots = _slots(raw)
+        pool = st.sampled_from([None, True, -1, 0, 1, 0.5, 7, "x", [], {}])
+        edit = data.draw(st.sampled_from(["replace", "add", "delete"]))
+        if edit == "replace":
+            parent, key = data.draw(st.sampled_from(slots))
+            parent[key] = data.draw(pool)
+        elif edit == "add":
+            objects = [raw] + [p[k] for p, k in slots if isinstance(p[k], dict)]
+            data.draw(st.sampled_from(objects))["bogus"] = data.draw(pool)
+        else:
+            parent, key = data.draw(st.sampled_from(
+                [(p, k) for p, k in slots if isinstance(p, dict)]
+            ))
+            del parent[key]
         try:
             sc = build_scenario(raw, base_dir=path.parent, name=name, path=path)
         except ScenarioError:
@@ -292,15 +304,17 @@ class TestLoadScenario:
     def test_any_domain_or_problem_edit_is_rejected_or_runs(self, data):
         # Mutated copies of kitchen.dpdl and of a scenario's .dprob, one
         # edit at a time: drop a :predicates line, rename an action, add
-        # movables up to 8 in all, or drop or duplicate one object, init
-        # atom or goal atom.  The scenario must either be rejected at load
-        # or run a trial to a terminal status.
+        # movables up to 8 in all, drop or duplicate one object, init atom
+        # or goal atom, negate a goal atom, or add the negation of a goal
+        # or precondition atom next to it.  The scenario must either be
+        # rejected at load or run a trial to a terminal status.
         name = data.draw(st.sampled_from(SHIPPED))
         raw = json.loads(scenario_path(name).read_text())
         problem = (scenario_path(name).parent / raw["problem"]).read_text()
         domain = kitchen_source()
         edit = data.draw(st.sampled_from(
-            ["predicate", "action", "movables", "object", "init", "goal"]
+            ["predicate", "action", "movables", "object", "init", "goal",
+             "negate_goal", "contradict_goal", "contradict_precondition"]
         ))
         if edit == "predicate":
             line = data.draw(st.sampled_from(_PREDICATE_LINES))
@@ -314,15 +328,24 @@ class TestLoadScenario:
             more = 8 - len(objects.group(1).split())
             added = " ".join(f"m{i}" for i in range(data.draw(st.integers(1, more))))
             problem = problem.replace(" - movable)", f" {added} - movable)", 1)
+        elif edit == "contradict_precondition":
+            start, end = data.draw(st.sampled_from(_PRECONDITION_ATOMS))
+            atom = domain[start:end]
+            domain = f"{domain[:start]}{atom} (not {atom}){domain[end:]}"
         else:
-            section = {"object": r"\(:objects [^)]*\)", "init": r"\(:init.*?\(:goal",
-                       "goal": r"\(:goal.*"}[edit]
+            section = {"object": r"\(:objects [^)]*\)",
+                       "init": r"\(:init.*?\(:goal"}.get(edit, r"\(:goal.*")
             lo, hi = re.search(section, problem, re.S).span()
             unit = r"\b(?!movable\b)\w+\b" if edit == "object" else r"\(\w+[^()]*\)"
             spans = [m.span() for m in re.finditer(unit, problem[lo:hi])]
             start, end = data.draw(st.sampled_from(spans))
             piece = problem[lo + start:lo + end]
-            piece = "" if data.draw(st.booleans()) else f"{piece} {piece}"
+            if edit == "negate_goal":
+                piece = f"(not {piece})"
+            elif edit == "contradict_goal":
+                piece = f"{piece} (not {piece})"
+            else:
+                piece = "" if data.draw(st.booleans()) else f"{piece} {piece}"
             problem = problem[:lo + start] + piece + problem[lo + end:]
         with tempfile.TemporaryDirectory() as tmp:
             path = scenario_copy(Path(tmp), name, domain, problem)
@@ -353,17 +376,22 @@ _PREDICATE_LINES = re.findall(
     re.M,
 )
 _ACTIONS = re.findall(r"\(:action (\w+)", kitchen_source())
+# The spans of kitchen.dpdl's precondition atoms.
+_PRECONDITION_ATOMS = [
+    (pre.start(1) + atom.start(), pre.start(1) + atom.end())
+    for pre in re.finditer(r":precondition \(and(.*?):effect", kitchen_source(), re.S)
+    for atom in re.finditer(r"\(\w+[^()]*\)", pre.group(1))
+]
 
 
-def _leaf_slots(obj) -> list:
-    """(container, key) for every leaf under ``obj``, depth first."""
+def _slots(obj) -> list:
+    """(container, key) for every value under ``obj``, depth first."""
     slots = []
     items = obj.items() if isinstance(obj, dict) else enumerate(obj)
     for key, value in items:
-        if isinstance(value, (dict, list)) and value:
-            slots.extend(_leaf_slots(value))
-        else:
-            slots.append((obj, key))
+        slots.append((obj, key))
+        if isinstance(value, (dict, list)):
+            slots.extend(_slots(value))
     return slots
 
 

@@ -415,6 +415,65 @@ class TestContactPhysics:
         assert sim.world.drawer_extension == 1.0
 
 
+# Worlds a primitive may be dispatched in off a wrong estimate: something in
+# the gripper, wherever the arm is.
+_LOADED_WORLDS = {
+    "handle_grasped": dict(arm_region=("around", "handle"), attached="handle"),
+    "spam_grasped_on_counter": dict(arm_region=("around", "spam"), attached="spam"),
+    "spam_lifted": dict(arm_region=("above_counter", None), attached="spam", pose=("held",)),
+    "spam_over_drawer": dict(
+        arm_region=("over_drawer", None), attached="spam", pose=("over_drawer",)
+    ),
+    "spam_lifted_around_handle": dict(
+        arm_region=("around", "handle"), attached="spam", pose=("held",)
+    ),
+    "spam_lifted_around_sugar": dict(
+        arm_region=("around", "sugar"), attached="spam", pose=("held",)
+    ),
+}
+
+
+def loaded_world(arm_region, attached, pose=None):
+    world = reference_world()
+    world.arm_region = arm_region
+    world.attached = attached
+    world.gripper_aperture = 0.2
+    if pose is not None:
+        world.object_pose[attached] = pose
+    return world
+
+
+class TestOutcomesKeepWorldValid:
+    """No outcome opens the gripper on an attached entity or takes a second
+    one, whatever the world the primitive was dispatched in."""
+
+    def test_failed_pull_with_an_object_in_hand(self, grounded):
+        world = loaded_world(("around", "handle"), "spam", ("held",))
+        prims = merge_primitive_config({"success_prob": 0.0})
+        sim = KitchenSim(grounded, world, prims, np.random.default_rng(3))
+        run_op(sim, grounded.operator_named("pull_drawer"))
+        sim.world.validate()
+        assert sim.world.attached is None
+        assert sim.world.object_pose["spam"][0] == "counter"
+
+    def test_grasp_while_another_object_is_held(self, grounded):
+        world = loaded_world(("around", "spam"), "sugar", ("held",))
+        sim = reliable_sim(grounded, world)
+        run_op(sim, grounded.operator_named("grasp_obj", ("spam",)))
+        sim.world.validate()
+        assert sim.world.attached is None
+        assert sim.world.object_pose["sugar"][0] == "counter"
+
+    @pytest.mark.parametrize("succeed", [True, False], ids=["success", "failure"])
+    @pytest.mark.parametrize("start", _LOADED_WORLDS)
+    def test_every_outcome_from_a_loaded_gripper(self, grounded, start, succeed):
+        prims = merge_primitive_config({"success_prob": float(succeed)})
+        for op in grounded.operators:
+            sim = KitchenSim(grounded, loaded_world(**_LOADED_WORLDS[start]), prims)
+            run_op(sim, op)
+            sim.world.validate()
+
+
 class TestFixtureConsistency:
     def test_problem_init_matches_evaluated_reference_world(self):
         # The problem files' :init blocks and the simulator's reference

@@ -1,6 +1,10 @@
 """Domain language: parsing, validation diagnostics, serialization round-trip."""
 
+import ast
+import inspect
 import random
+import re
+from pathlib import Path
 
 import pytest
 
@@ -448,6 +452,25 @@ DIAGNOSTICS = {
         "    :effect (and (r) (not (r)))))",
         [("add-delete-overlap", 3, 13)],
     ),
+    "precondition_contradiction": (
+        "domain",
+        "(define (domain d) (:types t) (:predicates (p ?x - t) (r))\n"
+        "  (:action a :parameters (?x - t)\n"
+        "    :precondition (and (r) (p ?x) (not (p ?x)))))",
+        [("contradictory-literals", 3, 19)],
+    ),
+    "runcondition_contradiction": (
+        "domain",
+        "(define (domain d) (:predicates (r))\n"
+        "  (:action a :runcondition (and (not (r)) (r))))",
+        [("contradictory-literals", 2, 28)],
+    ),
+    "constant_named_like_a_variable": (
+        "domain",
+        "(define (domain d) (:types t)\n"
+        "  (:constants ?c - t))",
+        [("malformed", 2, 15)],
+    ),
     "binding_list": (
         "domain",
         "(define (domain d)\n"
@@ -554,17 +577,31 @@ DIAGNOSTICS = {
         "  (:init (q a)))",
         [("type-error", 3, 10)],
     ),
+    # Problem atoms and action atoms share one parser: a variable is unbound
+    # at the atom, and a list argument is malformed where it stands.
     "init_variable": (
         "problem",
         "(define (problem p) (:domain d)\n"
         "  (:init (p ?x)))",
-        [("malformed", 2, 13)],
+        [("unbound-variable", 2, 10)],
     ),
     "init_argument_list": (
         "problem",
         "(define (problem p) (:domain d)\n"
         "  (:init (p (c))))",
-        [("malformed", 2, 10)],
+        [("malformed", 2, 13)],
+    ),
+    "goal_contradiction": (
+        "problem",
+        "(define (problem p) (:domain d)\n"
+        "  (:goal (and (p c) (q k) (not (p c)))))",
+        [("contradictory-literals", 2, 10)],
+    ),
+    "object_named_like_a_variable": (
+        "problem",
+        "(define (problem p) (:domain d)\n"
+        "  (:objects a ?b - t))",
+        [("malformed", 2, 15)],
     ),
     "goal_two_forms": (
         "problem",
@@ -625,6 +662,21 @@ class TestDiagnosticsTable:
         monkeypatch.setattr(lang, "_read_sexprs", boom)
         for kind in ("domain", "problem"):
             assert _diagnostics(kind, "(define)") == [("internal", 1, 1)]
+
+
+def test_documented_codes_are_the_emitted_codes():
+    # The code of every _err and Diagnostic call in lang.py, against the
+    # table in docs/domain-format.md.  Only _err itself passes a variable.
+    calls = [
+        node for node in ast.walk(ast.parse(inspect.getsource(lang)))
+        if isinstance(node, ast.Call) and getattr(node.func, "id", "") in ("_err", "Diagnostic")
+    ]
+    codes = [call.args[-1] for call in calls]
+    assert sum(not isinstance(code, ast.Constant) for code in codes) == 1
+    emitted = {code.value for code in codes if isinstance(code, ast.Constant)}
+    doc = Path(__file__).resolve().parent.parent / "docs" / "domain-format.md"
+    documented = set(re.findall(r"^\| `([a-z-]+)` *\|", doc.read_text(encoding="utf-8"), re.M))
+    assert emitted == documented
 
 
 class TestRoundTrip:
