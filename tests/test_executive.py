@@ -2,6 +2,9 @@
 
 import dataclasses
 import functools
+import hashlib
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -391,3 +394,104 @@ class TestMoreTriggers:
         fired = [r["tick"] for r in records if r["disturbances_fired"]]
         assert fired == [2]
         assert outcome.succeeded
+
+
+# Both executives over a fixed grid: seeds 0-19, two primitive success
+# probabilities, no disturbance, a teleport on cage_obj(spam) and a drawer
+# slam at tick 40, at a tick budget that cuts some runs short and at one
+# that does not.  tests/executive_pins.json holds, for every case, its
+# status, ticks, recoveries and digests of its start history and of its
+# on_tick records.  Regenerate it with `python -m tests.test_executive`
+# only when a change to the executive's outcomes is intended.
+PINS_PATH = Path(__file__).resolve().parent / "executive_pins.json"
+PIN_DISTURBANCES = {
+    "none": (),
+    "teleport_on_cage": (
+        {"trigger": {"when_operator": "cage_obj(spam)"},
+         "kind": {"kind": "teleport_object", "object": "spam",
+                  "destination": "counter_random"}},
+    ),
+    "slam_at_40": (
+        {"trigger": {"at_tick": 40}, "kind": {"kind": "set_drawer", "extension": 0.0}},
+    ),
+}
+PIN_GROUPS = [
+    f"{executive}/p{prob}/{dist}/max{budget}"
+    for executive in ("reactive", "open_loop")
+    for prob in (1.0, 0.8)
+    for dist in PIN_DISTURBANCES
+    for budget in (64, 400)
+]
+
+
+def _digest(value) -> str:
+    return hashlib.sha256(json.dumps(value, sort_keys=True).encode()).hexdigest()[:12]
+
+
+def _pinned_case(grounded, chain, group, seed):
+    """One run of ``group`` at ``seed``: its pin line and its records."""
+    executive, prob, dist, budget = group.split("/")
+    sim, pipe = fresh_setup(grounded, seed=seed, success_prob=float(prob[1:]))
+    disturbances = resolved(grounded, *PIN_DISTURBANCES[dist])
+    records = []
+    if executive == "reactive":
+        outcome = run(sim, pipe, chain, max_ticks=int(budget[3:]),
+                      disturbances=disturbances, on_tick=records.append)
+    else:
+        outcome = run_open_loop(sim, chain, max_ticks=int(budget[3:]),
+                                disturbances=disturbances, on_tick=records.append)
+    line = (
+        f"{outcome.status} {outcome.ticks} {outcome.recoveries} "
+        f"h:{_digest(outcome.history)} r:{_digest(records)}"
+    )
+    return line, outcome, records
+
+
+def _observed_pins(grounded, chain) -> dict:
+    return {
+        group: [_pinned_case(grounded, chain, group, seed)[0] for seed in range(20)]
+        for group in PIN_GROUPS
+    }
+
+
+class TestPinnedRuns:
+    @pytest.mark.parametrize("group", PIN_GROUPS)
+    def test_outcomes_and_records_match_pins(self, g1, group):
+        grounded, chain = g1
+        pins = json.loads(PINS_PATH.read_text(encoding="utf-8"))[group]
+        budget = int(group.rsplit("max", 1)[1])
+        for seed, pin in enumerate(pins):
+            line, outcome, records = _pinned_case(grounded, chain, group, seed)
+            assert line == pin, f"seed {seed}"
+            assert not outcome.false_success
+            # Tick lines per status: one per counted tick, except that the
+            # open loop's final goal check after its last step writes one
+            # more, with no decision.
+            extra = group.startswith("open_loop") and outcome.status != "budget_exhausted"
+            assert len(records) == outcome.ticks + extra
+            assert [r["tick"] for r in records] == list(range(len(records)))
+            if outcome.status == "budget_exhausted":
+                assert outcome.ticks == budget
+            if extra:
+                assert records[-1]["reason"] is None
+                assert records[-1]["primitive_phase"] == (
+                    "goal_reached" if outcome.succeeded else "idle"
+                )
+
+    def test_grid_reaches_every_status_under_both_executives(self):
+        pins = json.loads(PINS_PATH.read_text(encoding="utf-8"))
+        for executive in ("reactive", "open_loop"):
+            statuses = {
+                line.split()[0]
+                for group, lines in pins.items() if group.startswith(executive + "/")
+                for line in lines
+            }
+            assert statuses == {"succeeded", "stuck", "budget_exhausted"}
+
+
+if __name__ == "__main__":
+    _grounded = ground(kitchen_domain(), kitchen_problem("put_away_spam"))
+    _chain = build_chain(plan(_grounded, optimal=True).plan, _grounded.goal)
+    PINS_PATH.write_text(
+        json.dumps(_observed_pins(_grounded, _chain), indent=1) + "\n", encoding="utf-8"
+    )
