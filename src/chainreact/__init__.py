@@ -21,7 +21,6 @@ from .executive import (
     Outcome,
     resolve_disturbances,
     run,
-    run_open_loop,
     select_operator,
 )
 from .harness import Scenario, load_scenario, run_trial, run_trials
@@ -72,7 +71,6 @@ __all__ = [
     "plan",
     "resolve_disturbances",
     "run",
-    "run_open_loop",
     "run_trial",
     "run_trials",
     "sample_initial",

@@ -9,9 +9,9 @@ in the estimate for a configurable streak of consecutive ticks, which
 guards against single-tick perception noise; a streak of 1 reproduces the
 bare loop.
 
-``run_open_loop`` is the non-reactive baseline: it executes the chain
-steps strictly in order, advancing on primitive completion whether or not
-the step achieved anything, and never re-selects.
+The open loop (``run(..., open_loop=True)``) is the non-reactive baseline:
+it runs the steps strictly in order, advancing on primitive completion
+whether or not the step achieved anything.  Both share one tick loop.
 """
 
 from __future__ import annotations
@@ -197,123 +197,90 @@ def run(
     stuck_after: int = DEFAULT_STUCK_AFTER,
     disturbances: Sequence[Disturbance] = (),
     on_tick: Optional[TickCallback] = None,
+    open_loop: bool = False,
 ) -> Outcome:
-    """Run the reactive loop until the goal streak, a dead end, or the
-    tick budget ends the episode."""
+    """Run one episode until the goal, a dead end, or the tick budget ends it.
+
+    Each tick reads the truth, makes the executive's choice, starts the
+    chosen step if there is one, advances the running primitive and fires
+    the disturbances due.  The reactive choice estimates the state, checks
+    the goal streak and calls :func:`select_operator`.  With ``open_loop``
+    the choice is the next step in order once the primitive ends; the
+    estimate is the truth and no condition is checked.  After its last step
+    the open loop ends succeeded or stuck on the truth, with a tick line
+    that ``ticks`` does not count."""
     # Truth comes from the simulator and the estimate from the perception
     # pipeline; both must share the chain's vocabulary, checked once here
     # so the goal checks below read the masks directly.
     _check_same_vocab(sim.grounded.vocabulary, chain.goal.vocabulary)
     _check_same_vocab(perception.vocab, chain.goal.vocabulary)
-    goal = chain.goal
+    goal, steps = chain.goal, chain.steps
     pending = list(disturbances)
     current: Optional[int] = None  # active step index, if any
-    streak = 0  # consecutive ticks the estimate has met the goal
     last_entered: Optional[int] = None
+    streak = 0  # consecutive ticks the estimate has met the goal
     none_streak = 0
     outcome = Outcome(status="budget_exhausted", ticks=max_ticks)
 
     for tick in range(max_ticks):
         truth = sim.eval_predicates()
-        estimate = perception.estimate(truth)
-
-        if _meets(estimate.mask, goal):
-            streak += 1
+        decision = step = None  # this tick's decision and the step it starts
+        if open_loop:
+            estimate = truth
+            if sim.current is None:
+                step = 0 if current is None else current + 1
+                if step == len(steps):
+                    outcome.status = "succeeded" if _meets(truth.mask, goal) else "stuck"
+                    outcome.ticks = tick
+                    break
         else:
-            streak = 0
-        if streak >= goal_streak:
-            outcome.status = "succeeded"
-            outcome.ticks = tick + 1
-            outcome.false_success = not _meets(truth.mask, goal)
-            _emit(chain, on_tick, tick, truth, estimate, None, "goal_reached", [])
-            return outcome
-        if streak > 0:
-            # The estimate says the goal holds; hold position while the
-            # streak confirms it.  A running primitive finishes its motion.
-            prim = sim.tick() if sim.current is not None else None
-            fired = _fire_disturbances(sim, pending, tick, None)
-            _emit(chain, on_tick, tick, truth, estimate, None,
-                  prim.phase if prim else "confirming", fired)
-            continue
+            estimate = perception.estimate(truth)
+            streak = streak + 1 if _meets(estimate.mask, goal) else 0
+            if streak >= goal_streak:
+                outcome.status = "succeeded"
+                outcome.ticks = tick + 1
+                outcome.false_success = not _meets(truth.mask, goal)
+                break
+            # While a streak confirms the goal, hold position: a running
+            # primitive finishes its motion.
+            if not streak:
+                decision = select_operator(chain, estimate, current)
+                if decision.selected is None:
+                    none_streak += 1
+                    if sim.current is not None:
+                        sim.abort_primitive()
+                    current = None
+                    if none_streak >= stuck_after:
+                        outcome.status = "stuck"
+                        outcome.ticks = tick + 1
+                        break
+                else:
+                    none_streak = 0
+                    # Enter a new step, or retry the current one once its
+                    # primitive has ended (success or failure).
+                    if decision.reason == ENTER_NEW or sim.current is None:
+                        step = decision.selected
 
-        decision = select_operator(chain, estimate, current)
         started = None
-        prim = None
-
-        if decision.reason == NONE_ENTERABLE:
-            none_streak += 1
+        if step is not None:
             if sim.current is not None:
                 sim.abort_primitive()
-            current = None
-            if none_streak >= stuck_after:
-                outcome.status = "stuck"
-                outcome.ticks = tick + 1
-                _emit(chain, on_tick, tick, truth, estimate, decision, "idle", [])
-                return outcome
-        else:
-            none_streak = 0
-            idx = decision.selected
-            if decision.reason == ENTER_NEW:
-                if sim.current is not None:
-                    sim.abort_primitive()
-                started = chain.steps[idx].base
-                sim.start_primitive(started)
-                outcome.history.append((tick, idx, started.name))
-                if last_entered is not None and idx < last_entered:
-                    outcome.recoveries += 1
-                last_entered = idx
-                current = idx
-            elif sim.current is None:
-                # The primitive ended (success or failure) but this step is
-                # still the best choice: dispatch it again (retry).
-                started = chain.steps[idx].base
-                sim.start_primitive(started)
-                outcome.history.append((tick, idx, started.name))
-            prim = sim.tick()
-
+            started = steps[step].base
+            sim.start_primitive(started)
+            outcome.history.append((tick, step, started.name))
+            if last_entered is not None and step < last_entered:
+                outcome.recoveries += 1
+            last_entered = current = step
+        prim = sim.tick() if sim.current is not None else None
         fired = _fire_disturbances(sim, pending, tick, started)
         _emit(chain, on_tick, tick, truth, estimate, decision,
-              prim.phase if prim else "idle", fired)
+              prim.phase if prim else "confirming" if streak else "idle", fired)
+    else:  # the tick budget ran out
+        return outcome
 
-    return outcome
-
-
-def run_open_loop(
-    sim: KitchenSim,
-    chain: Chain,
-    max_ticks: int,
-    disturbances: Sequence[Disturbance] = (),
-    on_tick: Optional[TickCallback] = None,
-) -> Outcome:
-    """Execute the chain strictly in order, advancing on completion, never
-    checking conditions and never re-selecting.  Ends stuck if the goal is
-    untrue after the last step."""
-    _check_same_vocab(sim.grounded.vocabulary, chain.goal.vocabulary)
-    outcome = Outcome(status="budget_exhausted", ticks=max_ticks)
-    step_iter = iter(range(len(chain.steps)))
-    idx: Optional[int] = None
-    pending = list(disturbances)
-
-    for tick in range(max_ticks):
-        truth = sim.eval_predicates()
-        started = None
-        if sim.current is None:
-            idx = next(step_iter, None)
-            if idx is None:
-                done = _meets(truth.mask, chain.goal)
-                outcome.status = "succeeded" if done else "stuck"
-                outcome.ticks = tick
-                _emit(chain, on_tick, tick, truth, truth, None,
-                      "goal_reached" if done else "idle", [])
-                return outcome
-            started = chain.steps[idx].base
-            sim.start_primitive(started)
-            outcome.history.append((tick, idx, started.name))
-        prim = sim.tick()
-        fired = _fire_disturbances(sim, pending, tick, started)
-        _emit(chain, on_tick, tick, truth, truth, None,
-              prim.phase if prim else "idle", fired)
-
+    # The tick that ends the episode writes its line without acting.
+    _emit(chain, on_tick, tick, truth, estimate, decision,
+          "goal_reached" if outcome.succeeded else "idle", [])
     return outcome
 
 

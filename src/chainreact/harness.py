@@ -492,22 +492,17 @@ def run_trial(
             writer.finish(record)
         return record
 
-    if scenario.executive == "reactive":
-        outcome = exe.run(
-            sim,
-            pipeline,
-            chain,
-            max_ticks=scenario.max_ticks,
-            goal_streak=scenario.goal_streak,
-            stuck_after=scenario.stuck_after,
-            disturbances=scenario.disturbances,
-            on_tick=on_tick,
-        )
-    else:
-        outcome = exe.run_open_loop(
-            sim, chain, max_ticks=scenario.max_ticks,
-            disturbances=scenario.disturbances, on_tick=on_tick,
-        )
+    outcome = exe.run(
+        sim,
+        pipeline,
+        chain,
+        max_ticks=scenario.max_ticks,
+        goal_streak=scenario.goal_streak,
+        stuck_after=scenario.stuck_after,
+        disturbances=scenario.disturbances,
+        on_tick=on_tick,
+        open_loop=scenario.executive == "open_loop",
+    )
 
     record = TrialRecord(
         trial=index,

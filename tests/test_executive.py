@@ -19,7 +19,6 @@ from chainreact.executive import (
     Decision,
     resolve_disturbances,
     run,
-    run_open_loop,
     select_operator,
 )
 from chainreact.kitchen import KitchenSim, merge_primitive_config
@@ -294,22 +293,23 @@ class TestRecovery:
 class TestOpenLoop:
     def test_nominal_open_loop_succeeds(self, g1):
         grounded, chain = g1
-        sim, _ = fresh_setup(grounded, seed=1)
-        outcome = run_open_loop(sim, chain, max_ticks=400)
+        sim, pipe = fresh_setup(grounded, seed=1)
+        outcome = run(sim, pipe, chain, max_ticks=400, open_loop=True)
         assert outcome.succeeded
         assert outcome.recoveries == 0
 
     def test_teleport_breaks_open_loop(self, g1):
         grounded, chain = g1
         for seed in range(10):
-            sim, _ = fresh_setup(grounded, seed=seed)
+            sim, pipe = fresh_setup(grounded, seed=seed)
             disturbances = resolved(
                 grounded,
                 {"trigger": {"when_operator": "cage_obj(spam)"},
                  "kind": {"kind": "teleport_object", "object": "spam",
                           "destination": "counter_random"}},
             )
-            outcome = run_open_loop(sim, chain, max_ticks=800, disturbances=disturbances)
+            outcome = run(sim, pipe, chain, max_ticks=800, disturbances=disturbances,
+                          open_loop=True)
             assert outcome.status == "stuck"  # ran through, goal unmet
 
     def test_failure_without_retry_breaks_open_loop(self, g1):
@@ -318,8 +318,8 @@ class TestOpenLoop:
         # open loop marches on and loses, on the same seed.
         flaky_failures = 0
         for seed in range(30):
-            sim, _ = fresh_setup(grounded, seed=seed, success_prob=0.8)
-            open_out = run_open_loop(sim, chain, max_ticks=800)
+            sim, pipe = fresh_setup(grounded, seed=seed, success_prob=0.8)
+            open_out = run(sim, pipe, chain, max_ticks=800, open_loop=True)
             sim2, pipe2 = fresh_setup(grounded, seed=seed, success_prob=0.8)
             reactive_out = run(sim2, pipe2, chain, max_ticks=800)
             flaky_failures += not open_out.succeeded
@@ -434,12 +434,9 @@ def _pinned_case(grounded, chain, group, seed):
     sim, pipe = fresh_setup(grounded, seed=seed, success_prob=float(prob[1:]))
     disturbances = resolved(grounded, *PIN_DISTURBANCES[dist])
     records = []
-    if executive == "reactive":
-        outcome = run(sim, pipe, chain, max_ticks=int(budget[3:]),
-                      disturbances=disturbances, on_tick=records.append)
-    else:
-        outcome = run_open_loop(sim, chain, max_ticks=int(budget[3:]),
-                                disturbances=disturbances, on_tick=records.append)
+    outcome = run(sim, pipe, chain, max_ticks=int(budget[3:]),
+                  disturbances=disturbances, on_tick=records.append,
+                  open_loop=executive == "open_loop")
     line = (
         f"{outcome.status} {outcome.ticks} {outcome.recoveries} "
         f"h:{_digest(outcome.history)} r:{_digest(records)}"
