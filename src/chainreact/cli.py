@@ -25,38 +25,31 @@ from pathlib import Path
 from .chains import UnsupportedFeatureError, build_chain
 from .harness import (
     ScenarioError,
+    load_grounded,
     load_scenario,
     read_results,
     report,
     run_trial,
     run_trials,
 )
-from .lang import load_domain_file, load_problem_file
-from .planner import PlanFormatError, ground, plan, plan_from_json
+from .planner import PlanFormatError, plan, plan_from_json
 
 EXIT_OK = 0
 EXIT_FAILED = 1
 EXIT_INPUT = 2
 
 
-def _load_ground(domain_path: str, problem_path: str):
-    dres = load_domain_file(domain_path)
-    if not dres.ok:
-        for diag in dres.diagnostics:
-            print(f"{domain_path}:{diag}", file=sys.stderr)
-        return None
-    pres = load_problem_file(problem_path, dres.value)
-    if not pres.ok:
-        for diag in pres.diagnostics:
-            print(f"{problem_path}:{diag}", file=sys.stderr)
-        return None
-    return ground(dres.value, pres.value)
+def _input_error(problems: list[str]) -> int:
+    for problem in problems:
+        print(problem, file=sys.stderr)
+    return EXIT_INPUT
 
 
 def cmd_plan(args) -> int:
-    grounded = _load_ground(args.domain, args.problem)
+    problems: list[str] = []
+    grounded = load_grounded(args.domain, args.problem, problems)
     if grounded is None:
-        return EXIT_INPUT
+        return _input_error(problems)
     result = plan(grounded, optimal=args.optimal)
     if result.status == "unsolvable":
         print("unsolvable", file=sys.stderr)
@@ -74,12 +67,13 @@ def cmd_plan(args) -> int:
 
 
 def cmd_chain(args) -> int:
-    grounded = _load_ground(args.domain, args.problem)
+    problems: list[str] = []
+    grounded = load_grounded(args.domain, args.problem, problems)
     if grounded is None:
-        return EXIT_INPUT
+        return _input_error(problems)
     try:
         data = json.loads(Path(args.plan).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as err:
+    except (OSError, ValueError) as err:
         print(f"{args.plan}: {err}", file=sys.stderr)
         return EXIT_INPUT
     try:

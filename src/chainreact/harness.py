@@ -154,7 +154,7 @@ def load_scenario(path: str | Path, overrides: Optional[dict] = None) -> Scenari
     path = Path(path)
     try:
         raw = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as err:
+    except (OSError, ValueError) as err:  # ValueError: not JSON or not UTF-8
         raise ScenarioError([f"{path}: {err}"]) from err
     if not isinstance(raw, dict):
         raise ScenarioError(["a scenario must be a JSON object"])
@@ -171,6 +171,39 @@ def _deep_merge(base: dict, extra: dict) -> dict:
         else:
             out[key] = value
     return out
+
+
+def load_grounded(
+    domain_path: str, problem_path: str, problems: list[str]
+) -> Optional[GroundedDomain]:
+    """Read, parse and ground a domain and problem file pair.
+
+    Returns ``None`` after appending to ``problems`` one line per fault,
+    each starting with the path of its file: a file that cannot be read or
+    is not UTF-8 text, or a parse diagnostic as ``PATH:LINE:COL: error:
+    MESSAGE``.  The problem is read only once the domain parses."""
+    domain = _parsed(domain_path, problems, load_domain_file)
+    problem = None if domain is None else _parsed(
+        problem_path, problems, load_problem_file, domain
+    )
+    return None if problem is None else ground(domain, problem)
+
+
+def _parsed(path: str, problems: list[str], load, *args):
+    """The value ``load(path, *args)`` parses, or ``None`` after appending
+    the faults to ``problems``."""
+    try:
+        result = load(path, *args)
+    except OSError as err:
+        problems.append(f"{path}: cannot read: {err.strerror or err}")
+        return None
+    except UnicodeDecodeError as err:
+        problems.append(f"{path}: not UTF-8 text: {err.reason} at byte {err.start}")
+        return None
+    if not result.ok:
+        problems.extend(f"{path}:{diag}" for diag in result.diagnostics)
+        return None
+    return result.value
 
 
 # --------------------------------------------------------------------------
@@ -359,29 +392,16 @@ def build_scenario(
         if spec.min_ticks > spec.max_ticks
     )
 
-    grounded = None
-    domain_path = (base_dir / raw["domain"]).resolve()
     problem_path = (base_dir / raw["problem"]).resolve()
-    if not domain_path.is_file():
-        problems.append(f"field 'domain': no such file {domain_path}")
-    elif not problem_path.is_file():
-        problems.append(f"field 'problem': no such file {problem_path}")
-    else:
-        dres = load_domain_file(str(domain_path))
-        if not dres.ok:
-            problems.extend(f"domain: {d}" for d in dres.diagnostics)
-        else:
-            pres = load_problem_file(str(problem_path), dres.value)
-            if not pres.ok:
-                problems.extend(f"problem: {d}" for d in pres.diagnostics)
-            else:
-                grounded = ground(dres.value, pres.value)
-                # build_chain regresses positive goal literals only.
-                problems.extend(
-                    f"problem: {problem_path}: negative goal literal (not {atom}) "
-                    "is not supported"
-                    for atom in sorted(str(lit.atom) for lit in pres.value.goal if not lit.positive)
-                )
+    grounded = load_grounded(
+        str((base_dir / raw["domain"]).resolve()), str(problem_path), problems
+    )
+    if grounded is not None:
+        # build_chain regresses positive goal literals only.
+        problems.extend(
+            f"{problem_path}: negative goal literal (not {atom}) is not supported"
+            for atom in sorted(str(lit.atom) for lit in grounded.problem.goal if not lit.positive)
+        )
 
     perception = raw.get("perception", {})
     flips = perception.get("per_predicate_flip", {})

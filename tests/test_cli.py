@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import sys
 
 import pytest
@@ -144,6 +145,68 @@ def test_plan_rejects_bad_domain(tmp_path, capsys):
     assert code == 2
 
 
+def _run_on_pair(command, tmp_path, domain, problem):
+    """Run ``command`` on the domain and problem files given, through a
+    scenario file for ``bench``; returns the exit code."""
+    if command == "bench":
+        raw = json.loads(scenario_path("pick_spam_oracle").read_text())
+        raw.update(domain=str(domain), problem=str(problem), trials=1)
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps(raw))
+        return main(["bench", "--scenarios", str(scenario)])
+    args = [command, "--domain", str(domain), "--problem", str(problem)]
+    if command == "chain":
+        plan_file = tmp_path / "plan.json"
+        plan_file.write_text(json.dumps({"format_version": 1, "steps": [BACK_OFF]}))
+        args += ["--plan", str(plan_file)]
+    return main(args)
+
+
+@pytest.mark.parametrize("command", ["plan", "chain", "bench"])
+@pytest.mark.parametrize("which", ["domain", "problem"])
+@pytest.mark.parametrize("fault", ["missing", "not_utf8"])
+def test_unreadable_domain_or_problem_exit_2(tmp_path, capsys, command, which, fault):
+    # A missing file used to end plan and chain in a FileNotFoundError
+    # traceback, and a file that is not UTF-8 every command in a
+    # UnicodeDecodeError traceback, both with exit 1.
+    files = {"domain": kitchen_path(), "problem": problem_path("pick_spam")}
+    bad = tmp_path / files[which].name
+    if fault == "not_utf8":
+        bad.write_bytes(files[which].read_bytes().replace(b"; ", b"; \xff", 1))
+    files[which] = bad
+    assert _run_on_pair(command, tmp_path, **files) == 2
+    err = capsys.readouterr().err
+    reason = "cannot read" if fault == "missing" else "not UTF-8 text"
+    assert f"{bad}: {reason}" in err, err
+
+
+@pytest.mark.parametrize("command", ["plan", "chain", "bench"])
+@pytest.mark.parametrize(
+    "which, edit, message",
+    [
+        ("domain", (":action back_off", ":action back_off :cost"),
+         "error: expected ':clause VALUE' pairs"),
+        ("problem", ("(obj_is_clear_above_counter spam)",
+                     "(obj_is_clear_above_counter spam) (not (obj_is_clear_above_counter spam))"),
+         "error: condition both requires and negates"),
+    ],
+    ids=["domain", "problem"],
+)
+def test_diagnostics_start_with_their_file(tmp_path, capsys, command, which, edit, message):
+    # bench used to prefix a diagnostic with "domain:" or "problem:" and
+    # not the path of the file it is in.
+    files = {"domain": kitchen_path(), "problem": problem_path("pick_spam")}
+    bad = tmp_path / files[which].name
+    text = files[which].read_text()
+    assert edit[0] in text
+    bad.write_text(text.replace(*edit, 1))
+    files[which] = bad
+    assert _run_on_pair(command, tmp_path, **files) == 2
+    lines = [line for line in capsys.readouterr().err.splitlines() if message in line]
+    assert lines and all(re.search(rf"{re.escape(str(bad))}:\d+:\d+: error: ", line)
+                         for line in lines), lines
+
+
 def test_execute_writes_trace_and_exit_codes(tmp_path, capsys):
     trace = tmp_path / "t.jsonl"
     code = main([
@@ -167,6 +230,22 @@ def test_execute_bad_scenario_exit_2(tmp_path, capsys):
     for text in ("{}", "[]"):
         bad.write_text(text)
         assert main(["execute", "--scenario", str(bad)]) == 2
+
+
+@pytest.mark.parametrize("command", ["execute", "bench", "chain"])
+def test_json_input_not_utf8_exit_2(tmp_path, capsys, command):
+    # A scenario or plan file that is not UTF-8 used to end in a
+    # UnicodeDecodeError traceback with exit 1.
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b'{"format_version": 1, "name": "\xff"}')
+    args = {
+        "execute": ["--scenario", str(bad)],
+        "bench": ["--scenarios", str(bad)],
+        "chain": ["--domain", str(kitchen_path()), "--problem",
+                  str(problem_path("pick_spam")), "--plan", str(bad)],
+    }[command]
+    assert main([command, *args]) == 2
+    assert "bad.json" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
