@@ -439,7 +439,6 @@ def contract_problems(grounded: GroundedDomain) -> list[str]:
 class PrimitiveState:
     op: GroundOperator
     ticks_remaining: int
-    total_ticks: int
     will_succeed: bool
     rule: OperatorRule
     phase: str = "running"  # running | done | failed
@@ -501,7 +500,7 @@ class KitchenSim:
             )
         ticks = int(self.rng.integers(spec.min_ticks, spec.max_ticks + 1))
         will_succeed = bool(self.rng.random() < spec.success_prob)
-        prim = PrimitiveState(op, ticks, ticks, will_succeed, rule)
+        prim = PrimitiveState(op, ticks, will_succeed, rule)
         if rule.obj_arg:
             pose = self.world.object_pose[op.bound_args[0]]
             prim.target_zone = pose[1] if pose[0] == "counter" else None

@@ -366,6 +366,27 @@ def _declare(
             table[name] = type_name
 
 
+def _parse_params(
+    nodes: list[_Node], domain: DomainDefinition, diags: list[Diagnostic], owner: str
+) -> Optional[list[tuple[str, str]]]:
+    """A ``?var - type`` parameter list of a predicate or an action, as
+    (variable, type) pairs; ``None`` once any parameter is reported.  Every
+    bad parameter is reported: a name without '?', a missing type, or a
+    type not declared."""
+    params, ok = [], True
+    for var, type_name, node in _parse_typed_list(nodes, diags, f"{owner} parameters", require_type=True):
+        if not var.startswith("?"):
+            _err(diags, node, f"parameter {var!r} of {owner} must start with '?'", "malformed")
+            ok = False
+        if type_name is None:
+            ok = False
+        elif type_name not in domain.types:
+            _err(diags, node, f"parameter type {type_name!r} is not declared", "undeclared-type")
+            ok = False
+        params.append((var, type_name))
+    return params if ok else None
+
+
 def _parse_predicates(body: list[_Node], domain: DomainDefinition, diags: list[Diagnostic]) -> None:
     for decl in body:
         if not decl.is_list or not decl.items or decl.items[0].is_list:
@@ -375,26 +396,13 @@ def _parse_predicates(body: list[_Node], domain: DomainDefinition, diags: list[D
         if domain.predicate(name) is not None:
             _err(diags, decl.items[0], f"predicate {name!r} declared twice", "duplicate-name")
             continue
-        params = _parse_typed_list(decl.items[1:], diags, f"predicate {name!r}", require_type=True)
-        types: list[str] = []
-        bad = False
-        for var, type_name, node in params:
-            if not var.startswith("?"):
-                _err(diags, node, f"predicate parameter {var!r} must start with '?'", "malformed")
-                bad = True
-            if type_name is None:
-                bad = True
-                continue
-            if type_name not in domain.types:
-                _err(diags, node, f"parameter type {type_name!r} is not declared", "undeclared-type")
-                bad = True
-            types.append(type_name)
-        if bad:
+        params = _parse_params(decl.items[1:], domain, diags, f"predicate {name!r}")
+        if params is None:
             continue
-        if len(types) > MAX_ARITY:
+        if len(params) > MAX_ARITY:
             _err(diags, decl, f"predicate {name!r} exceeds maximum arity {MAX_ARITY}", "arity-limit")
             continue
-        domain.predicates.append(PredicateSchema(name, tuple(types)))
+        domain.predicates.append(PredicateSchema(name, tuple(t for _, t in params)))
 
 
 def _parse_action(section: _Node, body: list[_Node], domain: DomainDefinition, diags: list[Diagnostic]) -> None:
@@ -425,22 +433,15 @@ def _parse_action(section: _Node, body: list[_Node], domain: DomainDefinition, d
     if unknown:
         return
 
-    params: list[tuple[str, str]] = []
+    params: Optional[list[tuple[str, str]]] = []
     if ":parameters" in clauses:
         pnode = clauses[":parameters"]
         if not pnode.is_list:
             _err(diags, pnode, ":parameters must be a parenthesised list", "malformed")
             return
-        for var, type_name, node in _parse_typed_list(pnode.items, diags, f"action {name!r} parameters", require_type=True):
-            if not var.startswith("?"):
-                _err(diags, node, f"parameter {var!r} must start with '?'", "malformed")
-                return
-            if type_name is None:
-                return
-            if type_name not in domain.types:
-                _err(diags, node, f"parameter type {type_name!r} is not declared", "undeclared-type")
-                return
-            params.append((var, type_name))
+        params = _parse_params(pnode.items, domain, diags, f"action {name!r}")
+        if params is None:
+            return
 
     var_types = dict(params)
     if len(var_types) != len(params):

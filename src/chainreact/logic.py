@@ -192,17 +192,6 @@ class ConditionSet:
             )
 
     @classmethod
-    def from_literals(cls, vocab: Vocabulary, literals: Iterable[Literal]) -> "ConditionSet":
-        pos = neg = 0
-        for lit in literals:
-            bit = 1 << vocab.id_of(lit.atom)
-            if lit.positive:
-                pos |= bit
-            else:
-                neg |= bit
-        return cls(vocab, pos, neg)
-
-    @classmethod
     def from_atoms(
         cls,
         vocab: Vocabulary,
@@ -216,10 +205,6 @@ class ConditionSet:
         pos = {Literal(a, True) for a in self.vocabulary.atoms_of(self.pos_mask)}
         neg = {Literal(a, False) for a in self.vocabulary.atoms_of(self.neg_mask)}
         return frozenset(pos | neg)
-
-    @property
-    def positive_atoms(self) -> frozenset[GroundAtom]:
-        return self.vocabulary.atoms_of(self.pos_mask)
 
     def union(self, other: "ConditionSet") -> "ConditionSet":
         _check_same_vocab(self.vocabulary, other.vocabulary)

@@ -22,7 +22,7 @@ from tests.util import kitchen_domain, kitchen_problem
 
 
 def atom_names(cond):
-    return {str(a) for a in cond.positive_atoms}
+    return {str(a) for a in cond.vocabulary.atoms_of(cond.pos_mask)}
 
 
 def toy_chain(goal_atoms):

@@ -374,6 +374,24 @@ DIAGNOSTICS = {
         "  (:action a :parameters (?x - ghost)))",
         [("undeclared-type", 2, 27)],
     ),
+    "params_two_undeclared_types": (
+        "domain",
+        "(define (domain d) (:types t)\n"
+        "  (:action a :parameters (?x ?y - ghost)))",
+        [("undeclared-type", 2, 27), ("undeclared-type", 2, 30)],
+    ),
+    "params_no_q_and_undeclared_type": (
+        "domain",
+        "(define (domain d) (:types t)\n"
+        "  (:action a :parameters (x - t ?y - ghost)))",
+        [("malformed", 2, 27), ("undeclared-type", 2, 33)],
+    ),
+    "predicate_params_two_undeclared_types": (
+        "domain",
+        "(define (domain d)\n"
+        "  (:predicates (p ?x ?y - ghost)))",
+        [("undeclared-type", 2, 19), ("undeclared-type", 2, 22)],
+    ),
     "param_twice": (
         "domain",
         "(define (domain d) (:types t)\n"

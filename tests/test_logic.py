@@ -15,7 +15,6 @@ from chainreact.logic import (
     ConditionSet,
     EffectSet,
     GroundAtom,
-    Literal,
     LogicalState,
     PredicateSchema,
     UnknownAtomError,
@@ -59,7 +58,7 @@ class TestTypes:
         vocab = make_vocab(1)
         atom = vocab.atoms[0]
         with pytest.raises(ValueError):
-            ConditionSet.from_literals(vocab, [Literal(atom, True), Literal(atom, False)])
+            ConditionSet.from_atoms(vocab, positive=[atom], negative=[atom])
 
     def test_effects_reject_overlap(self):
         vocab = make_vocab(1)
@@ -95,12 +94,10 @@ class TestHolds:
     def test_negative_literal(self):
         vocab = Vocabulary([nullary("drawer_is_open"), nullary("gripper_is_open")])
         state = LogicalState.from_atoms(vocab, [vocab.get("drawer_is_open")])
-        cond = ConditionSet.from_literals(
+        cond = ConditionSet.from_atoms(
             vocab,
-            [
-                Literal(vocab.get("drawer_is_open"), True),
-                Literal(vocab.get("gripper_is_open"), False),
-            ],
+            positive=[vocab.get("drawer_is_open")],
+            negative=[vocab.get("gripper_is_open")],
         )
         # Independent check: enumerate the full 2-atom truth table.
         for mask in range(4):
