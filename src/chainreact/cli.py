@@ -18,7 +18,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from pathlib import Path
 
@@ -31,6 +30,8 @@ from .harness import (
     report,
     run_trial,
     run_trials,
+    start_pool,
+    submit_ranges,
 )
 from .planner import PlanFormatError, plan, plan_from_json
 
@@ -137,15 +138,19 @@ def cmd_bench(args) -> int:
     trace_dir = Path(args.trace_dir) if args.trace_dir else None
     # One pool for the whole run, no larger than the largest trial count.
     # Workers start with the platform's default method (fork on Linux).
+    # Every scenario's ranges are queued before the first is collected, so
+    # a worker that finishes early moves on to the next scenario's.
     jobs = min(args.jobs, max(s.trials for s in scenarios))
     results = []
     metrics_list = []
-    with (
-        ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext()
-    ) as pool:
-        for scenario in scenarios:
+    with start_pool(scenarios, jobs) if jobs > 1 else nullcontext() as pool:
+        queued = [
+            None if pool is None else submit_ranges(pool, k, scenario, jobs, trace_dir)
+            for k, scenario in enumerate(scenarios)
+        ]
+        for scenario, futures in zip(scenarios, queued):
             metrics, records = run_trials(
-                scenario, jobs=jobs, trace_dir=trace_dir, pool=pool
+                scenario, jobs=jobs, trace_dir=trace_dir, futures=futures
             )
             metrics_list.append(metrics)
             results.append(

@@ -16,23 +16,32 @@ Plans are memoized per loaded :class:`Scenario`, keyed on the estimate's
 mask: goal and planner mode are fixed per scenario, and the planner and
 chain builder are deterministic, so a hit returns the chain a miss would
 build, and records and traces are the same as without the memo.  The memo
-lives as long as the Scenario object; it is not pickled, so pool workers
-start with an empty one.  Change a loaded scenario with
-``dataclasses.replace``, which also starts empty, not by assigning its
-fields.  Chains are interned by their plan's operator indices, so estimates
-that lead to the same plan share one chain.
+lives as long as the Scenario object and is not pickled.  Change a loaded
+scenario with ``dataclasses.replace``, which starts with an empty memo, not
+by assigning its fields.  Chains are interned by their plan's operator
+indices, so estimates that lead to the same plan share one chain.
+
+Parallel runs use a pool from :func:`start_pool`.  Its workers receive the
+loaded scenarios once, when they start (under fork they inherit them and
+nothing is pickled), and import ``numpy.random`` then, so no trial pays for
+that import.  A task names a scenario by its position and carries one
+contiguous range of trial indices.  Each range runs on a
+``dataclasses.replace`` copy of its scenario, so it starts with an empty
+memo wherever it lands: how often a range plans does not depend on which
+worker took it or what that worker ran before.  :func:`submit_ranges` queues
+a scenario's ranges and :func:`run_trials` collects them, so a caller can
+queue every scenario before it collects the first, and no worker waits at a
+scenario boundary.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from concurrent.futures import Executor, ProcessPoolExecutor
-from contextlib import nullcontext
-from dataclasses import dataclass, field
-from itertools import repeat
+from concurrent.futures import Executor, Future, ProcessPoolExecutor
+from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import IO, Optional
+from typing import IO, Optional, Sequence
 
 import numpy as np
 
@@ -72,6 +81,8 @@ class Scenario:
     trials: int
     base_seed: int
     optimal_planning: bool
+    # noise.flip_vector over the vocabulary, built once; None under oracle
+    flip_probs: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
     # run_trial's plan memo: estimate mask -> chain, None when unsolved
     _chains_by_mask: dict[int, Optional[Chain]] = field(
         default_factory=dict, init=False, repr=False, compare=False
@@ -82,7 +93,7 @@ class Scenario:
     )
 
     def __getstate__(self) -> dict:
-        # Pool workers get the scenario without its memo and fill their own.
+        # A pickled scenario (initargs under spawn) leaves its memo behind.
         return {**self.__dict__, "_chains_by_mask": {}, "_chains_by_plan": {}}
 
     @property
@@ -151,11 +162,18 @@ def load_scenario(path: str | Path, overrides: Optional[dict] = None) -> Scenari
     ``overrides`` is merged over the raw JSON before validation (used by
     the CLI flags and the acceptance suite for trial-count or primitive
     overrides)."""
+    # The messages leave out the path: the caller prints it before each.
     path = Path(path)
     try:
         raw = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, ValueError) as err:  # ValueError: not JSON or not UTF-8
-        raise ScenarioError([f"{path}: {err}"]) from err
+    except OSError as err:
+        raise ScenarioError([f"cannot read: {err.strerror or err}"]) from err
+    except UnicodeDecodeError as err:
+        raise ScenarioError(
+            [f"not UTF-8 text: {err.reason} at byte {err.start}"]
+        ) from err
+    except ValueError as err:
+        raise ScenarioError([f"not JSON: {err}"]) from err
     if not isinstance(raw, dict):
         raise ScenarioError(["a scenario must be a JSON object"])
     if overrides:
@@ -392,10 +410,9 @@ def build_scenario(
         if spec.min_ticks > spec.max_ticks
     )
 
+    domain_path = (base_dir / raw["domain"]).resolve()
     problem_path = (base_dir / raw["problem"]).resolve()
-    grounded = load_grounded(
-        str((base_dir / raw["domain"]).resolve()), str(problem_path), problems
-    )
+    grounded = load_grounded(str(domain_path), str(problem_path), problems)
     if grounded is not None:
         # build_chain regresses positive goal literals only.
         problems.extend(
@@ -422,7 +439,12 @@ def build_scenario(
             for key in flips
             if grounded.domain.predicate(key) is None
         )
-        problems.extend(contract_problems(grounded))
+        # Its lines start "domain:" or "problem:"; put that file's path first.
+        files = {"domain": domain_path, "problem": problem_path}
+        problems.extend(
+            f"{files[line.split(':', 1)[0]]}: {line}"
+            for line in contract_problems(grounded)
+        )
         disturbances = exe.resolve_disturbances(disturbances, grounded, problems)
 
     if problems:
@@ -454,6 +476,7 @@ def build_scenario(
         trials=raw["trials"],
         base_seed=raw["base_seed"],
         optimal_planning=raw.get("planner", {}).get("optimal", False),
+        flip_probs=None if noise.is_oracle else noise.flip_vector(grounded.vocabulary),
     )
 
 
@@ -485,7 +508,8 @@ def run_trial(
         grounded, world, scenario.primitives, rng=prim_rng, world_rng=sim_rng
     )
     pipeline = PerceptionPipeline(
-        grounded.vocabulary, scenario.noise, scenario.window, perc_rng
+        grounded.vocabulary, scenario.noise, scenario.window, perc_rng,
+        flip_probs=scenario.flip_probs,
     )
 
     writer = (
@@ -600,32 +624,85 @@ def run_trials(
     scenario: Scenario,
     jobs: int = 1,
     trace_dir: Optional[Path] = None,
-    pool: Optional[Executor] = None,
+    futures: Optional[list[Future]] = None,
 ) -> tuple[Metrics, list[TrialRecord]]:
     """Execute all trials; results are ordered by trial index regardless of
     worker scheduling, so parallel runs aggregate identically.
 
-    With ``jobs`` > 1 the trials are split into at most ``jobs`` contiguous
-    ranges of ⌈trials/jobs⌉ indices, one task per range, so the scenario is
-    pickled once per range.  The tasks run on ``pool``, or on a process pool
-    started for this call when none is given."""
-    if trace_dir is not None:
-        trace_dir = Path(trace_dir)
-        trace_dir.mkdir(parents=True, exist_ok=True)
-    trials = scenario.trials
-    if jobs <= 1:
-        records = _run_range(scenario, range(trials), trace_dir)
+    ``futures`` are the scenario's ranges that :func:`submit_ranges` has
+    queued on a pool; this call waits for them.  Without them, ``jobs`` > 1
+    runs the ranges on a pool of one worker per range started for this
+    call, and ``jobs`` <= 1 runs every trial here."""
+    trace_dir = _trace_dir(trace_dir)
+    if futures is None and jobs > 1:
+        with start_pool([scenario], len(_ranges(scenario.trials, jobs))) as pool:
+            futures = submit_ranges(pool, 0, scenario, jobs, trace_dir)
+            return run_trials(scenario, jobs, trace_dir, futures=futures)
+    if futures is None:
+        records = _run_range(scenario, range(scenario.trials), trace_dir)
     else:
-        size = -(-trials // jobs)
-        chunks = [range(lo, min(lo + size, trials)) for lo in range(0, trials, size)]
-        with (
-            ProcessPoolExecutor(max_workers=len(chunks))
-            if pool is None
-            else nullcontext(pool)
-        ) as runner:
-            parts = runner.map(_run_range, repeat(scenario), chunks, repeat(trace_dir))
-            records = [record for part in parts for record in part]
+        records = [record for future in futures for record in future.result()]
     return compute_metrics(scenario.name, records), records
+
+
+def start_pool(scenarios: Sequence[Scenario], workers: int) -> ProcessPoolExecutor:
+    """A process pool of ``workers`` whose workers hold ``scenarios`` and
+    have ``numpy.random`` imported before their first task."""
+    return ProcessPoolExecutor(
+        max_workers=workers, initializer=_start_worker, initargs=(tuple(scenarios),)
+    )
+
+
+def submit_ranges(
+    pool: Executor,
+    position: int,
+    scenario: Scenario,
+    jobs: int,
+    trace_dir: Optional[Path] = None,
+) -> list[Future]:
+    """Queue the trials of ``scenario``, which the pool's workers hold at
+    ``position``, as at most ``jobs`` contiguous ranges of ⌈trials/jobs⌉
+    indices, one task each.  The futures are in trial order."""
+    trace_dir = _trace_dir(trace_dir)
+    return [
+        pool.submit(_run_worker_range, position, chunk, trace_dir)
+        for chunk in _ranges(scenario.trials, jobs)
+    ]
+
+
+def _ranges(trials: int, jobs: int) -> list[range]:
+    size = -(-trials // jobs)
+    return [range(lo, min(lo + size, trials)) for lo in range(0, trials, size)]
+
+
+def _trace_dir(trace_dir) -> Optional[Path]:
+    if trace_dir is None:
+        return None
+    trace_dir = Path(trace_dir)
+    trace_dir.mkdir(parents=True, exist_ok=True)
+    return trace_dir
+
+
+_worker_scenarios: tuple[Scenario, ...] = ()
+
+
+def _start_worker(scenarios: tuple[Scenario, ...]) -> None:
+    # numpy loads numpy.random on first use, so a worker's first trial
+    # would pay for it inside SeedSequence.  It is not imported at the top
+    # of this module: the process that only hands trials to the pool never
+    # needs it, and loading it there raised that process's peak RSS.
+    import numpy.random
+
+    global _worker_scenarios
+    _worker_scenarios = scenarios
+
+
+def _run_worker_range(
+    position: int, indices: range, trace_dir: Optional[Path]
+) -> list[TrialRecord]:
+    # A copy starts with an empty memo, as a fresh worker's scenario would.
+    scenario = replace(_worker_scenarios[position])
+    return _run_range(scenario, indices, trace_dir)
 
 
 def _run_range(

@@ -4,6 +4,7 @@ import json
 import os
 import re
 import sys
+from concurrent.futures import Future
 
 import pytest
 
@@ -271,6 +272,22 @@ def test_execute_bad_scenario_value_exit_2(tmp_path, capsys, primitives, path):
     assert f"'{path}'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["execute", "bench"])
+@pytest.mark.parametrize("fault", ["missing", "not_json"])
+def test_unreadable_scenario_names_its_path_once(tmp_path, capsys, command, fault):
+    # The loader's message used to carry the path, and the command put it in
+    # front again: "t.json: t.json: Expecting property name ...".  A
+    # missing file's message also held it once more, from the OSError.
+    path = tmp_path / "t.json"
+    if fault == "not_json":
+        path.write_text("{")
+    flag = "--scenario" if command == "execute" else "--scenarios"
+    assert main([command, flag, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.count(str(path)) == 1, err
+    assert err.startswith(f"{path}: "), err
+
+
 def test_bench_and_report(tmp_path, capsys):
     results = tmp_path / "results.json"
     code = main([
@@ -317,6 +334,34 @@ def test_bench_parallel_jobs_match(tmp_path):
         ).read_bytes()
 
 
+def test_bench_uneven_scenarios_on_three_jobs_match(tmp_path):
+    # 5, 2 and 7 trials on 3 workers: ranges of 2/2/1, 1/1 and 3/3/1, all
+    # queued before any is collected, so scenarios overlap on the workers.
+    # Results and traces equal the serial run's byte for byte.
+    files = [
+        scenario_copy(tmp_path, name, trials=trials)
+        for name, trials in (
+            ("pick_spam_oracle", 5),
+            ("put_away_spam_noisy", 2),
+            ("teleport_cage_reactive", 7),
+        )
+    ]
+    for name, jobs in (("seq", "1"), ("par", "3")):
+        assert main([
+            "bench", "--scenarios", *map(str, files), "--jobs", jobs,
+            "--out", str(tmp_path / f"{name}.json"),
+            "--trace-dir", str(tmp_path / name),
+        ]) == 0
+    assert (tmp_path / "seq.json").read_bytes() == (tmp_path / "par.json").read_bytes()
+    seq_traces = sorted(p.name for p in (tmp_path / "seq").iterdir())
+    assert len(seq_traces) == 14
+    assert sorted(p.name for p in (tmp_path / "par").iterdir()) == seq_traces
+    for name in seq_traces:
+        assert (tmp_path / "seq" / name).read_bytes() == (
+            tmp_path / "par" / name
+        ).read_bytes()
+
+
 def test_bench_bad_scenario_runs_no_trial(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{}")
@@ -352,20 +397,25 @@ def test_bench_domain_outside_simulator_contract_exit_2(
     tmp_path, capsys, domain_edit, problem_edit, named
 ):
     # Each used to load and then raise inside the first trial, but for the
-    # contradictory goal, which raised in ground while loading.
+    # contradictory goal, which raised in ground while loading.  Every line
+    # names the file at fault; the simulator's contract lines used to say
+    # only "domain:" or "problem:".
     domain, problem = kitchen_source(), problem_source("pick_spam")
     if domain_edit:
         domain = domain.replace(*domain_edit)
     if problem_edit:
         problem = problem.replace(*problem_edit)
     path = scenario_copy(tmp_path, "pick_spam_oracle", domain, problem)
+    at_fault = tmp_path / ("kitchen.dpdl" if domain_edit else "pick_spam.dprob")
     traces = tmp_path / "traces"
     code = main([
         "bench", "--scenarios", str(path), "--trace-dir", str(traces),
         "--out", str(tmp_path / "results.json"),
     ])
     assert code == 2
-    assert named in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert named in err
+    assert err.splitlines()[0].startswith(f"{path}: {at_fault}:"), err
     assert not traces.exists()
     assert not (tmp_path / "results.json").exists()
 
@@ -415,11 +465,12 @@ def test_bench_starts_one_pool_sized_to_trials(monkeypatch, jobs, trials, pools)
     created = []
 
     class InlineExecutor:
-        """Stands in for ProcessPoolExecutor: records its size, runs trials
-        in this process."""
+        """Stands in for ProcessPoolExecutor: records its size, runs its
+        initializer and then each task in this process."""
 
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, initializer, initargs):
             created.append(max_workers)
+            initializer(*initargs)
 
         def __enter__(self):
             return self
@@ -427,12 +478,15 @@ def test_bench_starts_one_pool_sized_to_trials(monkeypatch, jobs, trials, pools)
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, *iterables):
-            return map(fn, *iterables)
+        def submit(self, fn, *args):
+            future = Future()
+            future.set_result(fn(*args))
+            return future
 
-    monkeypatch.setattr(chainreact.cli, "ProcessPoolExecutor", InlineExecutor)
-    # run_trials must use the run's pool, never start one of its own.
-    monkeypatch.setattr(chainreact.harness, "ProcessPoolExecutor", None)
+    # run_trials must use the run's pool, never start one of its own: a
+    # second pool would show up in `created`.
+    monkeypatch.setattr(chainreact.harness, "ProcessPoolExecutor", InlineExecutor)
+    monkeypatch.setattr(chainreact.harness, "_worker_scenarios", ())
     code = main([
         "bench", "--scenarios",
         str(scenario_path("pick_spam_oracle")),

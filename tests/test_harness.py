@@ -6,6 +6,7 @@ import json
 import pickle
 import re
 import tempfile
+from concurrent.futures import Future
 from pathlib import Path
 
 import pytest
@@ -529,6 +530,61 @@ class TestPlanMemo:
         assert first.status == again.status == "no_plan"
         assert first == again
         assert len(calls) == 1
+
+    def test_pool_plans_once_per_mask_per_range(self, monkeypatch):
+        # Every range of two scenarios runs on one in-process executor, so
+        # one scenario object serves all of them.  Each range still plans
+        # once per distinct estimate mask it meets, as on a fresh worker.
+        class InlineExecutor:
+            def __init__(self, max_workers, initializer, initargs):
+                initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                future = Future()
+                future.set_result(fn(*args))
+                return future
+
+        planned = []
+        real_plan = harness.plan
+
+        def counting_plan(grounded, init, **kwargs):
+            planned.append(init.mask)
+            return real_plan(grounded, init=init, **kwargs)
+
+        monkeypatch.setattr(harness, "plan", counting_plan)
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", InlineExecutor)
+        monkeypatch.setattr(harness, "_worker_scenarios", ())
+        names, jobs = ("put_away_spam_noisy", "teleport_cage_reactive"), 3
+        scenarios = [load(name, trials=20) for name in names]
+        expected = 0
+        for name, scenario in zip(names, scenarios):
+            for chunk in harness._ranges(scenario.trials, jobs):
+                del planned[:]
+                harness._run_range(load(name, trials=20), chunk, None)
+                expected += len(planned)
+                assert len(planned) == len(set(planned))
+        serial = [run_trials(load(name, trials=20))[1] for name in names]
+
+        del planned[:]
+        with harness.start_pool(scenarios, jobs) as pool:
+            queued = [
+                harness.submit_ranges(pool, position, scenario, jobs)
+                for position, scenario in enumerate(scenarios)
+            ]
+            records = [
+                run_trials(scenario, jobs, futures=futures)[1]
+                for scenario, futures in zip(scenarios, queued)
+            ]
+        assert len(planned) == expected
+        assert records == serial
+        # The ranges planned on copies; the loaded scenarios stay unused.
+        assert all(not scenario._chains_by_mask for scenario in scenarios)
 
     def test_memo_not_pickled_and_empty_after_replace(self):
         fresh = load("put_away_spam_noisy", trials=10)
