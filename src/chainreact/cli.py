@@ -26,12 +26,11 @@ from .harness import (
     ScenarioError,
     load_grounded,
     load_scenario,
+    queue_trials,
     read_results,
     report,
     run_trial,
     run_trials,
-    start_pool,
-    submit_ranges,
 )
 from .planner import PlanFormatError, plan, plan_from_json
 
@@ -135,6 +134,18 @@ def cmd_bench(args) -> int:
                 print(f"{path}: {problem}", file=sys.stderr)
     if len(scenarios) < len(args.scenarios):
         return EXIT_INPUT
+    # Scenarios run side by side and name their trace files: one name each.
+    first_path = {}
+    for path, scenario in zip(args.scenarios, scenarios):
+        if scenario.name in first_path:
+            print(
+                f"{path}: scenario name {scenario.name!r} is taken by "
+                f"{first_path[scenario.name]}",
+                file=sys.stderr,
+            )
+        first_path.setdefault(scenario.name, path)
+    if len(first_path) < len(scenarios):
+        return EXIT_INPUT
     trace_dir = Path(args.trace_dir) if args.trace_dir else None
     # One pool for the whole run, no larger than the largest trial count.
     # Workers start with the platform's default method (fork on Linux).
@@ -143,11 +154,8 @@ def cmd_bench(args) -> int:
     jobs = min(args.jobs, max(s.trials for s in scenarios))
     results = []
     metrics_list = []
-    with start_pool(scenarios, jobs) if jobs > 1 else nullcontext() as pool:
-        queued = [
-            None if pool is None else submit_ranges(pool, k, scenario, jobs, trace_dir)
-            for k, scenario in enumerate(scenarios)
-        ]
+    serial = nullcontext([None] * len(scenarios))
+    with queue_trials(scenarios, jobs, trace_dir) if jobs > 1 else serial as queued:
         for scenario, futures in zip(scenarios, queued):
             metrics, records = run_trials(
                 scenario, jobs=jobs, trace_dir=trace_dir, futures=futures

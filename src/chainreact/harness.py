@@ -21,27 +21,27 @@ scenario with ``dataclasses.replace``, which starts with an empty memo, not
 by assigning its fields.  Chains are interned by their plan's operator
 indices, so estimates that lead to the same plan share one chain.
 
-Parallel runs use a pool from :func:`start_pool`.  Its workers receive the
-loaded scenarios once, when they start (under fork they inherit them and
-nothing is pickled), and import ``numpy.random`` then, so no trial pays for
-that import.  A task names a scenario by its position and carries one
+Parallel runs use a pool from :func:`queue_trials`.  Its workers receive
+the loaded scenarios once, when they start (under fork they inherit them
+and nothing is pickled), and import ``numpy.random`` then, so no trial pays
+for that import.  A task names a scenario by its position and carries one
 contiguous range of trial indices.  Each range runs on a
 ``dataclasses.replace`` copy of its scenario, so it starts with an empty
 memo wherever it lands: how often a range plans does not depend on which
-worker took it or what that worker ran before.  :func:`submit_ranges` queues
-a scenario's ranges and :func:`run_trials` collects them, so a caller can
-queue every scenario before it collects the first, and no worker waits at a
-scenario boundary.
+worker took it or what that worker ran before.  Every scenario's ranges
+are queued before :func:`run_trials` collects the first, so no worker
+waits at a scenario boundary.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from concurrent.futures import Executor, Future, ProcessPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import IO, Optional, Sequence
+from typing import IO, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -81,8 +81,6 @@ class Scenario:
     trials: int
     base_seed: int
     optimal_planning: bool
-    # noise.flip_vector over the vocabulary, built once; None under oracle
-    flip_probs: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
     # run_trial's plan memo: estimate mask -> chain, None when unsolved
     _chains_by_mask: dict[int, Optional[Chain]] = field(
         default_factory=dict, init=False, repr=False, compare=False
@@ -476,7 +474,6 @@ def build_scenario(
         trials=raw["trials"],
         base_seed=raw["base_seed"],
         optimal_planning=raw.get("planner", {}).get("optimal", False),
-        flip_probs=None if noise.is_oracle else noise.flip_vector(grounded.vocabulary),
     )
 
 
@@ -508,8 +505,7 @@ def run_trial(
         grounded, world, scenario.primitives, rng=prim_rng, world_rng=sim_rng
     )
     pipeline = PerceptionPipeline(
-        grounded.vocabulary, scenario.noise, scenario.window, perc_rng,
-        flip_probs=scenario.flip_probs,
+        grounded.vocabulary, scenario.noise, scenario.window, perc_rng
     )
 
     writer = (
@@ -629,14 +625,13 @@ def run_trials(
     """Execute all trials; results are ordered by trial index regardless of
     worker scheduling, so parallel runs aggregate identically.
 
-    ``futures`` are the scenario's ranges that :func:`submit_ranges` has
+    ``futures`` are the scenario's ranges that :func:`queue_trials` has
     queued on a pool; this call waits for them.  Without them, ``jobs`` > 1
     runs the ranges on a pool of one worker per range started for this
     call, and ``jobs`` <= 1 runs every trial here."""
     trace_dir = _trace_dir(trace_dir)
     if futures is None and jobs > 1:
-        with start_pool([scenario], len(_ranges(scenario.trials, jobs))) as pool:
-            futures = submit_ranges(pool, 0, scenario, jobs, trace_dir)
+        with queue_trials([scenario], jobs, trace_dir) as (futures,):
             return run_trials(scenario, jobs, trace_dir, futures=futures)
     if futures is None:
         records = _run_range(scenario, range(scenario.trials), trace_dir)
@@ -645,29 +640,33 @@ def run_trials(
     return compute_metrics(scenario.name, records), records
 
 
-def start_pool(scenarios: Sequence[Scenario], workers: int) -> ProcessPoolExecutor:
-    """A process pool of ``workers`` whose workers hold ``scenarios`` and
-    have ``numpy.random`` imported before their first task."""
-    return ProcessPoolExecutor(
-        max_workers=workers, initializer=_start_worker, initargs=(tuple(scenarios),)
-    )
-
-
-def submit_ranges(
-    pool: Executor,
-    position: int,
-    scenario: Scenario,
-    jobs: int,
-    trace_dir: Optional[Path] = None,
-) -> list[Future]:
-    """Queue the trials of ``scenario``, which the pool's workers hold at
-    ``position``, as at most ``jobs`` contiguous ranges of ⌈trials/jobs⌉
-    indices, one task each.  The futures are in trial order."""
+@contextmanager
+def queue_trials(
+    scenarios: Sequence[Scenario], jobs: int, trace_dir: Optional[Path] = None
+) -> Iterator[list[list[Future]]]:
+    """Start a process pool and queue every trial of ``scenarios`` on it,
+    each scenario as at most ``jobs`` contiguous ranges of ⌈trials/jobs⌉
+    indices, one task each.  Yields each scenario's futures, in trial
+    order.  The pool has one worker per range of the largest scenario and
+    is shut down on leaving; after an error or Ctrl-C in the block, the
+    ranges no worker has started are dropped."""
     trace_dir = _trace_dir(trace_dir)
-    return [
-        pool.submit(_run_worker_range, position, chunk, trace_dir)
-        for chunk in _ranges(scenario.trials, jobs)
-    ]
+    ranges = [_ranges(scenario.trials, jobs) for scenario in scenarios]
+    with ProcessPoolExecutor(
+        max_workers=max(map(len, ranges)),
+        initializer=_start_worker,
+        initargs=(tuple(scenarios),),
+    ) as pool:
+        try:
+            yield [
+                [pool.submit(_run_worker_range, k, chunk, trace_dir) for chunk in chunks]
+                for k, chunks in enumerate(ranges)
+            ]
+        except BaseException:
+            # Leaving the pool waits for every queued range; drop the ones
+            # no worker has started.
+            pool.shutdown(cancel_futures=True)
+            raise
 
 
 def _ranges(trials: int, jobs: int) -> list[range]:
@@ -683,6 +682,7 @@ def _trace_dir(trace_dir) -> Optional[Path]:
     return trace_dir
 
 
+# The scenarios a pool worker was started with, by position.
 _worker_scenarios: tuple[Scenario, ...] = ()
 
 
@@ -700,7 +700,8 @@ def _start_worker(scenarios: tuple[Scenario, ...]) -> None:
 def _run_worker_range(
     position: int, indices: range, trace_dir: Optional[Path]
 ) -> list[TrialRecord]:
-    # A copy starts with an empty memo, as a fresh worker's scenario would.
+    # Each range plans on a fresh memo, so how often it plans does not
+    # depend on which ranges its worker ran before.
     scenario = replace(_worker_scenarios[position])
     return _run_range(scenario, indices, trace_dir)
 

@@ -108,18 +108,13 @@ class PerceptionPipeline:
         noise: NoiseModel | None = None,
         window: int = DEFAULT_WINDOW,
         rng: np.random.Generator | None = None,
-        flip_probs: np.ndarray | None = None,
     ):
-        """``flip_probs`` is ``noise.flip_vector(vocab)`` when the caller
-        has built it already, as a scenario does once for all its trials."""
         self.vocab = vocab
         self.noise = noise or NoiseModel()
         self.window = EstimatorWindow(window)
         self.rng = rng if rng is not None else np.random.default_rng(0)
         self._oracle = self.noise.is_oracle
-        if flip_probs is None and not self._oracle:
-            flip_probs = self.noise.flip_vector(vocab)
-        self._flip_probs = flip_probs
+        self._flip_probs = None if self._oracle else self.noise.flip_vector(vocab)
 
     def estimate(self, truth: LogicalState) -> LogicalState:
         """Push a noisy observation of ``truth`` and return the filtered

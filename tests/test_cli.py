@@ -377,6 +377,45 @@ def test_bench_bad_scenario_runs_no_trial(tmp_path, capsys):
     assert not (tmp_path / "results.json").exists()
 
 
+@pytest.mark.parametrize("same_file", [False, True])
+def test_bench_rejects_scenarios_sharing_a_name(tmp_path, capsys, same_file):
+    # Scenarios run side by side and their trace files are named after
+    # them, so two of one name would write the same files at once.
+    (tmp_path / "a").mkdir()
+    (tmp_path / "b").mkdir()
+    first = scenario_copy(tmp_path / "a", "pick_spam_oracle")
+    second = first if same_file else scenario_copy(tmp_path / "b", "pick_spam_oracle")
+    traces = tmp_path / "traces"
+    code = main([
+        "bench", "--scenarios", str(first), str(second), "--jobs", "2",
+        "--trace-dir", str(traces), "--out", str(tmp_path / "results.json"),
+    ])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == f"{second}: scenario name 'pick_spam_oracle' is taken by {first}\n"
+    assert not traces.exists()
+    assert not (tmp_path / "results.json").exists()
+
+
+def test_bench_failed_range_cancels_queued_ranges(tmp_path):
+    # The first range of the first scenario fails at once: its first trace
+    # path is a directory.  Leaving the pool must not wait for the ranges
+    # still queued behind it; the last scenario's never start.
+    names = (
+        "pick_spam_oracle", "open_drawer_oracle",
+        "pick_sugar_oracle", "teleport_cage_reactive",
+    )
+    files = [scenario_copy(tmp_path, name, trials=40) for name in names]
+    traces = tmp_path / "traces"
+    (traces / "pick_spam_oracle_trial0000.jsonl").mkdir(parents=True)
+    with pytest.raises(IsADirectoryError):
+        main([
+            "bench", "--scenarios", *map(str, files), "--jobs", "2",
+            "--trace-dir", str(traces),
+        ])
+    assert not list(traces.glob("teleport_cage_reactive_*"))
+
+
 @pytest.mark.parametrize(
     "domain_edit, problem_edit, named",
     [

@@ -533,8 +533,9 @@ class TestPlanMemo:
 
     def test_pool_plans_once_per_mask_per_range(self, monkeypatch):
         # Every range of two scenarios runs on one in-process executor, so
-        # one scenario object serves all of them.  Each range still plans
-        # once per distinct estimate mask it meets, as on a fresh worker.
+        # one scenario object serves all of them, and its memo is warm from
+        # a serial run.  Each range still plans once per distinct estimate
+        # mask it meets, as on a fresh worker.
         class InlineExecutor:
             def __init__(self, max_workers, initializer, initargs):
                 initializer(*initargs)
@@ -569,22 +570,18 @@ class TestPlanMemo:
                 harness._run_range(load(name, trials=20), chunk, None)
                 expected += len(planned)
                 assert len(planned) == len(set(planned))
-        serial = [run_trials(load(name, trials=20))[1] for name in names]
+        # The serial run warms the loaded scenarios' memos.
+        serial = [run_trials(scenario)[1] for scenario in scenarios]
+        assert all(scenario._chains_by_mask for scenario in scenarios)
 
         del planned[:]
-        with harness.start_pool(scenarios, jobs) as pool:
-            queued = [
-                harness.submit_ranges(pool, position, scenario, jobs)
-                for position, scenario in enumerate(scenarios)
-            ]
+        with harness.queue_trials(scenarios, jobs) as queued:
             records = [
                 run_trials(scenario, jobs, futures=futures)[1]
                 for scenario, futures in zip(scenarios, queued)
             ]
         assert len(planned) == expected
         assert records == serial
-        # The ranges planned on copies; the loaded scenarios stay unused.
-        assert all(not scenario._chains_by_mask for scenario in scenarios)
 
     def test_memo_not_pickled_and_empty_after_replace(self):
         fresh = load("put_away_spam_noisy", trials=10)
