@@ -30,7 +30,6 @@ from .logic import (
     ConditionSet,
     EffectSet,
     GroundAtom,
-    Literal,
     LogicalState,
     PredicateSchema,
     UnknownAtomError,
@@ -48,7 +47,6 @@ __all__ = [
     "EffectSet",
     "GroundAtom",
     "KitchenSim",
-    "Literal",
     "LogicalState",
     "NoiseModel",
     "Outcome",

@@ -13,9 +13,8 @@ safe for the remainder of the chain.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
-from .logic import ConditionSet, LogicalState, apply_effects, holds
+from .logic import ConditionSet, LogicalState, _check_same_vocab, apply_effects, holds
 from .planner import GroundOperator, Plan
 
 
@@ -40,8 +39,6 @@ class AugmentedOperator:
     """A ground operator plus the conditions regression attached to it."""
 
     base: GroundOperator
-    extra_pre: ConditionSet
-    extra_run: ConditionSet
     effective_pre: ConditionSet
     effective_run: ConditionSet
 
@@ -64,26 +61,25 @@ class Chain:
     def __len__(self) -> int:
         return len(self.steps)
 
-    def names(self) -> list[str]:
-        return [s.name for s in self.steps]
-
     def to_json_dict(self) -> dict:
-        def atom_names(mask: int, vocab) -> list[str]:
+        vocab = self.goal.vocabulary
+
+        def atom_names(mask: int) -> list[str]:
             return sorted(str(a) for a in vocab.atoms_of(mask))
 
-        vocab = self.goal.vocabulary
         return {
             "format_version": 1,
-            "goal": atom_names(self.goal.pos_mask, vocab),
-            "front_conditions": atom_names(self.front_conditions.pos_mask, vocab),
+            "goal": atom_names(self.goal.pos_mask),
+            "front_conditions": atom_names(self.front_conditions.pos_mask),
             "steps": [
                 {
                     "operator": s.base.schema.name,
                     "args": list(s.base.bound_args),
-                    "pre": atom_names(s.base.pre.pos_mask, vocab),
-                    "run": atom_names(s.base.run.pos_mask, vocab),
-                    "extra_pre": atom_names(s.extra_pre.pos_mask, vocab),
-                    "extra_run": atom_names(s.extra_run.pos_mask, vocab),
+                    "pre": atom_names(s.base.pre.pos_mask),
+                    "run": atom_names(s.base.run.pos_mask),
+                    # The conditions regression added to each set.
+                    "extra_pre": atom_names(s.effective_pre.pos_mask & ~s.base.pre.pos_mask),
+                    "extra_run": atom_names(s.effective_run.pos_mask & ~s.base.run.pos_mask),
                 }
                 for s in self.steps
             ],
@@ -103,6 +99,7 @@ def build_chain(plan: Plan, goal: ConditionSet) -> Chain:
     out of scope).
     """
     vocab = goal.vocabulary
+    _check_same_vocab(plan.init.vocabulary, vocab)
     if goal.neg_mask:
         raise UnsupportedFeatureError(
             "cannot build a chain for a goal with negative literals"
@@ -116,17 +113,11 @@ def build_chain(plan: Plan, goal: ConditionSet) -> Chain:
         if doomed:
             raise ChainInconsistencyError(i, vocab.atoms_of(doomed))
         extra = carry & ~op.eff.add_mask
-        extra_pre_mask = extra & ~op.pre.pos_mask
-        extra_run_mask = extra & ~op.run.pos_mask
-        extra_pre = ConditionSet(vocab, extra_pre_mask)
-        extra_run = ConditionSet(vocab, extra_run_mask)
         augmented.append(
             AugmentedOperator(
                 base=op,
-                extra_pre=extra_pre,
-                extra_run=extra_run,
-                effective_pre=op.pre.union(extra_pre),
-                effective_run=op.run.union(extra_run),
+                effective_pre=ConditionSet(vocab, op.pre.pos_mask | extra, op.pre.neg_mask),
+                effective_run=ConditionSet(vocab, op.run.pos_mask | extra, op.run.neg_mask),
             )
         )
         carry = extra | op.pre.pos_mask
@@ -148,12 +139,3 @@ def verify_chain(chain: Chain, init: LogicalState) -> bool:
             return False
         state = apply_effects(state, step.base.eff)
     return holds(state, chain.goal)
-
-
-def _parse_name(name: str) -> tuple[str, Optional[tuple[str, ...]]]:
-    """Split ``"head(a, b)"`` into ``("head", ("a", "b"))``, stripping
-    whitespace; a name without parentheses has ``None`` for its arguments."""
-    if "(" not in name:
-        return name, None
-    head, rest = name.split("(", 1)
-    return head, tuple(a.strip() for a in rest.rstrip(")").split(",") if a.strip())

@@ -18,6 +18,7 @@ import argparse
 import json
 import os
 import sys
+import tempfile
 from contextlib import nullcontext
 from pathlib import Path
 
@@ -27,6 +28,7 @@ from .harness import (
     load_grounded,
     load_scenario,
     queue_trials,
+    read_json,
     read_results,
     report,
     run_trial,
@@ -45,6 +47,22 @@ def _input_error(problems: list[str]) -> int:
     return EXIT_INPUT
 
 
+def _write_error(path, err: OSError) -> int:
+    return _input_error([f"{path}: cannot write: {err.strerror or err}"])
+
+
+def _write_out(text: str, out) -> int:
+    """Write ``text`` to the file ``out``, or to stdout when it is not given."""
+    if not out:
+        sys.stdout.write(text)
+        return EXIT_OK
+    try:
+        Path(out).write_text(text, encoding="utf-8")
+    except OSError as err:
+        return _write_error(out, err)
+    return EXIT_OK
+
+
 def cmd_plan(args) -> int:
     problems: list[str] = []
     grounded = load_grounded(args.domain, args.problem, problems)
@@ -57,11 +75,8 @@ def cmd_plan(args) -> int:
     if result.status == "budget_exhausted":
         print("node budget exhausted before a plan was found", file=sys.stderr)
         return EXIT_FAILED
-    out = json.dumps(result.plan.to_json_dict(), indent=2) + "\n"
-    if args.out:
-        Path(args.out).write_text(out, encoding="utf-8")
-    else:
-        sys.stdout.write(out)
+    if _write_out(json.dumps(result.plan.to_json_dict(), indent=2) + "\n", args.out):
+        return EXIT_INPUT
     print(f"plan: {len(result.plan)} steps", file=sys.stderr)
     return EXIT_OK
 
@@ -72,10 +87,9 @@ def cmd_chain(args) -> int:
     if grounded is None:
         return _input_error(problems)
     try:
-        data = json.loads(Path(args.plan).read_text(encoding="utf-8"))
-    except (OSError, ValueError) as err:
-        print(f"{args.plan}: {err}", file=sys.stderr)
-        return EXIT_INPUT
+        data = read_json(args.plan)
+    except ValueError as err:
+        return _input_error([f"{args.plan}: {err}"])
     try:
         chain = build_chain(plan_from_json(grounded, data), grounded.goal)
     except PlanFormatError as err:
@@ -87,12 +101,7 @@ def cmd_chain(args) -> int:
     except ValueError as err:
         print(f"plan is not sound for this problem: {err}", file=sys.stderr)
         return EXIT_FAILED
-    out = json.dumps(chain.to_json_dict(), indent=2) + "\n"
-    if args.out:
-        Path(args.out).write_text(out, encoding="utf-8")
-    else:
-        sys.stdout.write(out)
-    return EXIT_OK
+    return _write_out(json.dumps(chain.to_json_dict(), indent=2) + "\n", args.out)
 
 
 def cmd_execute(args) -> int:
@@ -102,14 +111,13 @@ def cmd_execute(args) -> int:
     try:
         scenario = load_scenario(args.scenario, overrides or None)
     except ScenarioError as err:
-        for problem in err.problems:
-            print(f"{args.scenario}: {problem}", file=sys.stderr)
-        return EXIT_INPUT
-    if args.trace:
-        with open(args.trace, "w", encoding="utf-8") as sink:
-            record = run_trial(scenario, 0, trace_sink=sink)
-    else:
-        record = run_trial(scenario, 0)
+        return _input_error([f"{args.scenario}: {problem}" for problem in err.problems])
+    try:
+        sink = open(args.trace, "w", encoding="utf-8") if args.trace else nullcontext()
+    except OSError as err:
+        return _write_error(args.trace, err)
+    with sink as trace:
+        record = run_trial(scenario, 0, trace_sink=trace)
     print(json.dumps(record.to_json_dict(), sort_keys=True))
     return EXIT_OK if record.succeeded else EXIT_FAILED
 
@@ -130,8 +138,7 @@ def cmd_bench(args) -> int:
         try:
             scenarios.append(load_scenario(path, overrides or None))
         except ScenarioError as err:
-            for problem in err.problems:
-                print(f"{path}: {problem}", file=sys.stderr)
+            _input_error([f"{path}: {problem}" for problem in err.problems])
     if len(scenarios) < len(args.scenarios):
         return EXIT_INPUT
     # Scenarios run side by side and name their trace files: one name each.
@@ -146,7 +153,19 @@ def cmd_bench(args) -> int:
         first_path.setdefault(scenario.name, path)
     if len(first_path) < len(scenarios):
         return EXIT_INPUT
+    # An unwritable --out or --trace-dir ends the run before its first
+    # trial; the results file itself is written once the last has run.
+    try:
+        if args.out:
+            tempfile.TemporaryFile(dir=Path(args.out).parent).close()
+    except OSError as err:
+        return _write_error(args.out, err)
     trace_dir = Path(args.trace_dir) if args.trace_dir else None
+    if trace_dir:
+        try:
+            trace_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as err:
+            return _write_error(trace_dir, err)
     # One pool for the whole run, no larger than the largest trial count.
     # Workers start with the platform's default method (fork on Linux).
     # Every scenario's ranges are queued before the first is collected, so
@@ -168,21 +187,17 @@ def cmd_bench(args) -> int:
                 }
             )
     payload = {"format_version": 1, "results": results}
-    if args.out:
-        Path(args.out).write_text(
-            json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
+    if args.out and _write_out(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out):
+        return EXIT_INPUT
     print(report(metrics_list))
     return EXIT_OK
 
 
 def cmd_report(args) -> int:
     try:
-        payload = json.loads(Path(args.results).read_text(encoding="utf-8"))
-        metrics_list = read_results(payload)
-    except (OSError, ValueError) as err:
-        print(f"{args.results}: {err}", file=sys.stderr)
-        return EXIT_INPUT
+        metrics_list = read_results(read_json(args.results))
+    except ValueError as err:
+        return _input_error([f"{args.results}: {err}"])
     if not metrics_list:
         print("results file holds no metrics", file=sys.stderr)
         return EXIT_INPUT

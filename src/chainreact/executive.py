@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
-from .chains import Chain, _parse_name
+from .chains import Chain
 from .kitchen import KitchenSim
 from .logic import ConditionSet, LogicalState, _check_same_vocab
 from .perception import PerceptionPipeline
@@ -76,19 +76,18 @@ class Disturbance:
     """A scripted world change with a one-shot trigger, as
     :func:`resolve_disturbances` reads it from a scenario.
 
-    One trigger field is set: ``at_tick``; ``operator``, the index of the
-    ground operator whose start fires it; ``schema``, a schema any of whose
-    ground operators fires it on start; or ``bit``, the bit of an atom that
-    fires it once the post-tick truth holds it.  ``kind`` is the change,
-    as :meth:`~chainreact.kitchen.KitchenSim.apply_disturbance` reads it.
+    One trigger field is set: ``at_tick``; ``operators``, the indices of
+    the ground operators whose start fires it; or ``bit``, the bit of an
+    atom that fires it once the post-tick truth holds it.  ``kind`` is the
+    change, as :meth:`~chainreact.kitchen.KitchenSim.apply_disturbance`
+    reads it.
     Which disturbances have fired is the state of one run, not of this
     value, so one resolved tuple serves every trial.
     """
 
     kind: dict
     at_tick: Optional[int] = None
-    operator: Optional[int] = None
-    schema: Optional[str] = None
+    operators: frozenset[int] = frozenset()
     bit: int = 0
 
     def matches(
@@ -101,9 +100,7 @@ class Disturbance:
             return tick == self.at_tick
         if self.bit:
             return truth & self.bit != 0
-        return started is not None and (
-            started.index == self.operator or started.schema.name == self.schema
-        )
+        return started is not None and started.index in self.operators
 
 
 def resolve_disturbances(
@@ -112,12 +109,12 @@ def resolve_disturbances(
     """Resolve ``{"trigger": ..., "kind": ...}`` specs, already checked
     against the scenario schema, against ``grounded``.
 
-    ``at_tick`` stays an int.  An operator name with arguments must name one
-    ground operator; one without arguments names a schema.  A predicate
-    must name an atom of the vocabulary.  A teleport must name a movable.
-    Names are read by the parser chain validation uses, so whitespace
-    inside them does not matter.  Each name that resolves to nothing
-    appends a problem with its field path to ``problems``."""
+    ``at_tick`` stays an int.  An operator name with arguments resolves to
+    that ground operator; one without arguments to every ground operator of
+    that schema.  A predicate must name an atom of the vocabulary.  A
+    teleport must name a movable.  Whitespace inside names does not matter.
+    Each name that resolves to nothing appends a problem with its field
+    path to ``problems``."""
     out = []
     for i, spec in enumerate(specs):
         where = f"disturbances[{i}]"
@@ -126,18 +123,14 @@ def resolve_disturbances(
         if "when_operator" in trigger:
             name = trigger["when_operator"]
             head, args = _parse_name(name)
-            ops = [
-                op for op in grounded.operators
+            found["operators"] = frozenset(
+                op.index for op in grounded.operators
                 if op.schema.name == head and args in (None, op.bound_args)
-            ]
-            if not ops:
+            )
+            if not found["operators"]:
                 problems.append(
                     f"field '{where}.trigger.when_operator': unknown operator {name!r}"
                 )
-            elif args is None:
-                found["schema"] = head
-            else:
-                found["operator"] = ops[0].index
         elif "when_predicate" in trigger:
             name = trigger["when_predicate"]
             head, args = _parse_name(name)
@@ -150,6 +143,15 @@ def resolve_disturbances(
             problems.append(f"field '{where}.kind': unknown object {kind['object']!r}")
         out.append(Disturbance(kind, **found))
     return tuple(out)
+
+
+def _parse_name(name: str) -> tuple[str, Optional[tuple[str, ...]]]:
+    """Split ``"head(a, b)"`` into ``("head", ("a", "b"))``, stripping
+    whitespace; a name without parentheses has ``None`` for its arguments."""
+    if "(" not in name:
+        return name, None
+    head, rest = name.split("(", 1)
+    return head, tuple(a.strip() for a in rest.rstrip(")").split(",") if a.strip())
 
 
 @dataclass

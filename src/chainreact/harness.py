@@ -66,8 +66,7 @@ FORMAT_VERSION = 1
 @dataclass
 class Scenario:
     name: str
-    path: Optional[Path]
-    raw: dict
+    config_digest: str  # of the JSON after overrides, for trace headers
     grounded: GroundedDomain
     executive: str
     noise: NoiseModel
@@ -93,11 +92,6 @@ class Scenario:
     def __getstate__(self) -> dict:
         # A pickled scenario (initargs under spawn) leaves its memo behind.
         return {**self.__dict__, "_chains_by_mask": {}, "_chains_by_plan": {}}
-
-    @property
-    def config_digest(self) -> str:
-        canon = json.dumps(self.raw, sort_keys=True).encode()
-        return hashlib.sha256(canon).hexdigest()[:16]
 
 
 @dataclass
@@ -163,20 +157,32 @@ def load_scenario(path: str | Path, overrides: Optional[dict] = None) -> Scenari
     # The messages leave out the path: the caller prints it before each.
     path = Path(path)
     try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
-    except OSError as err:
-        raise ScenarioError([f"cannot read: {err.strerror or err}"]) from err
-    except UnicodeDecodeError as err:
-        raise ScenarioError(
-            [f"not UTF-8 text: {err.reason} at byte {err.start}"]
-        ) from err
+        raw = read_json(path)
     except ValueError as err:
-        raise ScenarioError([f"not JSON: {err}"]) from err
+        raise ScenarioError([str(err)]) from err
     if not isinstance(raw, dict):
         raise ScenarioError(["a scenario must be a JSON object"])
     if overrides:
         raw = _deep_merge(raw, overrides)
-    return build_scenario(raw, base_dir=path.parent, name=path.stem, path=path)
+    return build_scenario(raw, base_dir=path.parent, name=path.stem)
+
+
+def read_json(path: str | Path):
+    """The JSON value in the file at ``path``.  Raises ``ValueError`` whose
+    message, without the path, is ``cannot read: REASON``, ``not UTF-8
+    text: REASON at byte N`` or ``not JSON: MESSAGE``."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError) as err:
+        raise ValueError(_read_error(err)) from err
+    except ValueError as err:
+        raise ValueError(f"not JSON: {err}") from err
+
+
+def _read_error(err: OSError | UnicodeDecodeError) -> str:
+    if isinstance(err, UnicodeDecodeError):
+        return f"not UTF-8 text: {err.reason} at byte {err.start}"
+    return f"cannot read: {err.strerror or err}"
 
 
 def _deep_merge(base: dict, extra: dict) -> dict:
@@ -210,11 +216,8 @@ def _parsed(path: str, problems: list[str], load, *args):
     the faults to ``problems``."""
     try:
         result = load(path, *args)
-    except OSError as err:
-        problems.append(f"{path}: cannot read: {err.strerror or err}")
-        return None
-    except UnicodeDecodeError as err:
-        problems.append(f"{path}: not UTF-8 text: {err.reason} at byte {err.start}")
+    except (OSError, UnicodeDecodeError) as err:
+        problems.append(f"{path}: {_read_error(err)}")
         return None
     if not result.ok:
         problems.extend(f"{path}:{diag}" for diag in result.diagnostics)
@@ -370,12 +373,7 @@ _SCENARIO = _Object(
 )
 
 
-def build_scenario(
-    raw: dict,
-    base_dir: Path,
-    name: str = "scenario",
-    path: Optional[Path] = None,
-) -> Scenario:
+def build_scenario(raw: dict, base_dir: Path, name: str = "scenario") -> Scenario:
     # Shapes first, so that everything below reads well-typed values; then
     # the checks that need several fields or the grounded domain.
     problems: list[str] = []
@@ -457,8 +455,7 @@ def build_scenario(
     initial = raw.get("initial", {})
     return Scenario(
         name=raw.get("name", name),
-        path=path,
-        raw=raw,
+        config_digest=hashlib.sha256(json.dumps(raw, sort_keys=True).encode()).hexdigest()[:16],
         grounded=grounded,
         executive=raw.get("executive", "reactive"),
         noise=noise,

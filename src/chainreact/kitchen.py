@@ -492,11 +492,10 @@ class KitchenSim:
         rule = OUTCOMES.get(op.schema.name)
         if rule is None:
             raise UnknownBindingError(f"no outcome rule for operator {op.schema.name}")
-        spec = self.primitives.get(op.primitive_binding)
+        spec = self.primitives.get(op.schema.binding)
         if spec is None:
             raise UnknownBindingError(
-                f"operator {op.name} is bound to unknown primitive "
-                f"{op.primitive_binding!r}"
+                f"operator {op.name} is bound to unknown primitive {op.schema.binding!r}"
             )
         ticks = int(self.rng.integers(spec.min_ticks, spec.max_ticks + 1))
         will_succeed = bool(self.rng.random() < spec.success_prob)

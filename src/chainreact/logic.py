@@ -74,15 +74,6 @@ class GroundAtom:
         return f"{self.predicate.name}({', '.join(self.args)})"
 
 
-@dataclass(frozen=True)
-class Literal:
-    atom: GroundAtom
-    positive: bool = True
-
-    def __str__(self) -> str:
-        return ("+" if self.positive else "-") + str(self.atom)
-
-
 class Vocabulary:
     """Dense, stable interning of the ground atoms of one domain instance."""
 
@@ -98,7 +89,7 @@ class Vocabulary:
             key: 1 << i for key, i in self._index.items()
         }
         self.names: tuple[str, ...] = tuple(str(a) for a in self.atoms)
-        # atom ids ordered by printed name, for LogicalState.sorted_names
+        # atom ids ordered by printed name, for listing the atoms of a mask
         self.name_order: tuple[int, ...] = tuple(
             sorted(range(len(self.atoms)), key=self.names.__getitem__)
         )
@@ -200,22 +191,17 @@ class ConditionSet:
     ) -> "ConditionSet":
         return cls(vocab, vocab.mask_of(positive), vocab.mask_of(negative))
 
-    @property
-    def literals(self) -> frozenset[Literal]:
-        pos = {Literal(a, True) for a in self.vocabulary.atoms_of(self.pos_mask)}
-        neg = {Literal(a, False) for a in self.vocabulary.atoms_of(self.neg_mask)}
-        return frozenset(pos | neg)
-
-    def union(self, other: "ConditionSet") -> "ConditionSet":
-        _check_same_vocab(self.vocabulary, other.vocabulary)
-        return ConditionSet(
-            self.vocabulary,
-            self.pos_mask | other.pos_mask,
-            self.neg_mask | other.neg_mask,
-        )
-
     def __str__(self) -> str:
-        return "{" + ", ".join(sorted(str(l) for l in self.literals)) + "}"
+        """``{+a, +b, -c}``: the positive literals, then the negative ones,
+        each in name order."""
+        vocab = self.vocabulary
+        literals = [
+            sign + vocab.names[i]
+            for sign, mask in (("+", self.pos_mask), ("-", self.neg_mask))
+            for i in vocab.name_order
+            if mask >> i & 1
+        ]
+        return "{" + ", ".join(literals) + "}"
 
 
 @dataclass(frozen=True)
@@ -242,14 +228,6 @@ class EffectSet:
         deletes: Iterable[GroundAtom] = (),
     ) -> "EffectSet":
         return cls(vocab, vocab.mask_of(adds), vocab.mask_of(deletes))
-
-    @property
-    def adds(self) -> frozenset[GroundAtom]:
-        return self.vocabulary.atoms_of(self.add_mask)
-
-    @property
-    def deletes(self) -> frozenset[GroundAtom]:
-        return self.vocabulary.atoms_of(self.del_mask)
 
 
 def _check_same_vocab(a: Vocabulary, b: Vocabulary) -> None:

@@ -68,11 +68,7 @@ class EstimatorWindow:
     def __init__(self, capacity: int = DEFAULT_WINDOW):
         if capacity < 1:
             raise ValueError("window capacity must be at least 1")
-        self.capacity = capacity
         self._buffer: deque[int] = deque(maxlen=capacity)
-
-    def __len__(self) -> int:
-        return len(self._buffer)
 
     def push(self, mask: int) -> None:
         self._buffer.append(mask)
@@ -94,9 +90,6 @@ class EstimatorWindow:
             for k in range(need, 0, -1):
                 at_least[k] |= at_least[k - 1] & mask
         return at_least[need]
-
-    def clear(self) -> None:
-        self._buffer.clear()
 
 
 class PerceptionPipeline:

@@ -52,7 +52,6 @@ class GroundOperator:
     pre: ConditionSet
     run: ConditionSet
     eff: EffectSet
-    primitive_binding: str
 
     @property
     def name(self) -> str:
@@ -179,7 +178,6 @@ def ground(
                     pre=ConditionSet.from_atoms(vocab, pre_pos, pre_neg),
                     run=ConditionSet.from_atoms(vocab, run_pos, run_neg),
                     eff=EffectSet.from_atoms(vocab, adds, deletes),
-                    primitive_binding=schema.binding,
                 )
             )
 
@@ -223,9 +221,6 @@ class Plan:
 
     def __len__(self) -> int:
         return len(self.steps)
-
-    def names(self) -> list[str]:
-        return [op.name for op in self.steps]
 
     def to_json_dict(self) -> dict:
         return {
@@ -274,10 +269,6 @@ def plan_from_json(grounded: GroundedDomain, data) -> Plan:
 class ExecutionResult:
     state: LogicalState
     failed_step: Optional[int] = None  # index of first step whose pre failed
-
-    @property
-    def ok(self) -> bool:
-        return self.failed_step is None
 
 
 def symbolic_execute(

@@ -15,14 +15,19 @@ from chainreact.chains import (
     build_chain,
     verify_chain,
 )
-from chainreact.logic import ConditionSet, holds
+from chainreact.logic import ConditionSet, UnknownAtomError, holds
 from chainreact.planner import Plan, ground, plan
 from tests.test_planner import make_prop_task, random_task
-from tests.util import kitchen_domain, kitchen_problem
+from tests.util import kitchen_domain, kitchen_problem, step_names
 
 
 def atom_names(cond):
     return {str(a) for a in cond.vocabulary.atoms_of(cond.pos_mask)}
+
+
+def extras(chain, key="extra_pre"):
+    """Each step's extra conditions, as chain JSON lists them."""
+    return [set(step[key]) for step in chain.to_json_dict()["steps"]]
 
 
 def toy_chain(goal_atoms):
@@ -37,14 +42,14 @@ def toy_chain(goal_atoms):
         goal=goal_atoms,
     )
     result = plan(grounded, optimal=True)
-    assert result.solved and result.plan.names() == ["makeA", "makeB", "finish"]
+    assert result.solved and step_names(result.plan.steps) == ["makeA", "makeB", "finish"]
     return grounded, build_chain(result.plan, grounded.goal)
 
 
 class TestRegressionSemantics:
     def test_three_step_goal_created_in_plan(self):
         grounded, chain = toy_chain(["g"])
-        assert [atom_names(s.extra_pre) for s in chain.steps] == [set(), set(), set()]
+        assert extras(chain) == [set(), set(), set()]
         assert atom_names(chain.front_conditions) == set()
 
     def test_three_step_goal_with_untouched_atom(self):
@@ -64,13 +69,12 @@ class TestRegressionSemantics:
         chain = build_chain(result.plan, grounded.goal)
         # 'a' reaches both finish and makeB; for makeB it already sits in the
         # base precondition so the extra set stays disjoint from it.
-        extras = [atom_names(s.extra_pre) for s in chain.steps]
-        assert extras == [set(), set(), {"a"}]
+        assert extras(chain) == [set(), set(), {"a"}]
         assert "a" in atom_names(chain.steps[1].effective_pre)
         assert "a" in atom_names(chain.steps[2].effective_pre)
         assert "a" not in atom_names(chain.steps[0].effective_pre)
         # extras land in the run sets as well
-        assert "a" in atom_names(chain.steps[2].extra_run)
+        assert "a" in extras(chain, "extra_run")[2]
 
     def test_empty_plan_empty_goal(self):
         grounded = make_prop_task([], ["a"], [], [])
@@ -85,6 +89,13 @@ class TestRegressionSemantics:
         goal = ConditionSet.from_atoms(grounded.vocabulary, negative=[a])
         with pytest.raises(UnsupportedFeatureError):
             build_chain(Plan((), grounded.init, goal), goal)
+
+    def test_goal_from_other_vocabulary_rejected(self):
+        grounded, chain = toy_chain(["g"])
+        other = make_prop_task([], ["g"], [], ["g"])
+        plan_ = Plan(tuple(s.base for s in chain.steps), grounded.init, grounded.goal)
+        with pytest.raises(UnknownAtomError):
+            build_chain(plan_, other.goal)
 
     def test_inconsistency_detected(self):
         # The plan is sound for goal {b}, but a chain for the wider goal
@@ -112,14 +123,16 @@ class TestRegressionSemantics:
         for step in chain.steps:
             assert step.effective_pre.pos_mask & step.base.pre.pos_mask == step.base.pre.pos_mask
             assert step.effective_run.pos_mask & step.base.run.pos_mask == step.base.run.pos_mask
-            assert step.extra_pre.pos_mask & step.base.pre.pos_mask == 0
+        for step in chain.to_json_dict()["steps"]:
+            assert not set(step["extra_pre"]) & set(step["pre"])
+            assert not set(step["extra_run"]) & set(step["run"])
 
 
 class TestKitchenChain:
     def test_goal_augmentation_pattern(self):
         grounded = ground(kitchen_domain(), kitchen_problem("put_away_spam"))
         chain = build_chain(plan(grounded, optimal=True).plan, grounded.goal)
-        names = chain.names()
+        names = step_names(chain.steps)
         in_drawer = "obj_is_in_drawer(spam)"
 
         # drawer_is_closed is created by the last step and augments nothing.
@@ -132,9 +145,8 @@ class TestKitchenChain:
         assert [s.name for s in chain.steps[lower_at + 1 :]] == [
             "release_obj", "approach_drawer_close", "push_drawer",
         ]
-        for step in chain.steps[lower_at + 1 :]:
-            assert in_drawer in atom_names(step.extra_pre)
-            assert in_drawer in atom_names(step.extra_run)
+        for pre, run in zip(extras(chain)[lower_at + 1 :], extras(chain, "extra_run")[lower_at + 1 :]):
+            assert in_drawer in pre and in_drawer in run
         for step in chain.steps[: lower_at + 1]:
             assert in_drawer not in atom_names(step.effective_pre)
 
@@ -176,13 +188,12 @@ class TestChainProperties:
         from chainreact.chains import AugmentedOperator, Chain
 
         vocab = grounded.vocabulary
-        ghost = ConditionSet.from_atoms(vocab, [vocab.get("g")])
         first = chain.steps[0]
         hacked = AugmentedOperator(
             base=first.base,
-            extra_pre=ghost,
-            extra_run=first.extra_run,
-            effective_pre=first.base.pre.union(ghost),
+            effective_pre=ConditionSet(
+                vocab, first.base.pre.pos_mask | vocab.mask_of([vocab.get("g")])
+            ),
             effective_run=first.effective_run,
         )
         bad = Chain((hacked,) + chain.steps[1:], chain.goal, chain.front_conditions)
@@ -228,7 +239,7 @@ class TestChainProperties:
         from chainreact.logic import apply_effects
 
         state = grounded.init
-        names = chain.names()
+        names = step_names(chain.steps)
         stop = names.index("release_handle") + 1
         for step in chain.steps[:stop]:
             state = apply_effects(state, step.base.eff)

@@ -233,22 +233,6 @@ def test_execute_bad_scenario_exit_2(tmp_path, capsys):
         assert main(["execute", "--scenario", str(bad)]) == 2
 
 
-@pytest.mark.parametrize("command", ["execute", "bench", "chain"])
-def test_json_input_not_utf8_exit_2(tmp_path, capsys, command):
-    # A scenario or plan file that is not UTF-8 used to end in a
-    # UnicodeDecodeError traceback with exit 1.
-    bad = tmp_path / "bad.json"
-    bad.write_bytes(b'{"format_version": 1, "name": "\xff"}')
-    args = {
-        "execute": ["--scenario", str(bad)],
-        "bench": ["--scenarios", str(bad)],
-        "chain": ["--domain", str(kitchen_path()), "--problem",
-                  str(problem_path("pick_spam")), "--plan", str(bad)],
-    }[command]
-    assert main([command, *args]) == 2
-    assert "bad.json" in capsys.readouterr().err
-
-
 @pytest.mark.parametrize(
     "primitives, path",
     [
@@ -272,20 +256,64 @@ def test_execute_bad_scenario_value_exit_2(tmp_path, capsys, primitives, path):
     assert f"'{path}'" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["execute", "bench"])
-@pytest.mark.parametrize("fault", ["missing", "not_json"])
-def test_unreadable_scenario_names_its_path_once(tmp_path, capsys, command, fault):
-    # The loader's message used to carry the path, and the command put it in
-    # front again: "t.json: t.json: Expecting property name ...".  A
-    # missing file's message also held it once more, from the OSError.
-    path = tmp_path / "t.json"
-    if fault == "not_json":
-        path.write_text("{")
-    flag = "--scenario" if command == "execute" else "--scenarios"
-    assert main([command, flag, str(path)]) == 2
+@pytest.mark.parametrize("command", ["execute", "bench", "chain", "report"])
+@pytest.mark.parametrize("fault", ["missing", "not_utf8", "truncated"])
+def test_json_input_faults_read_alike(tmp_path, capsys, command, fault):
+    # Scenario, plan and results files share one reader: one line naming
+    # the file once, then the fault, and exit 2.
+    path = tmp_path / "in.json"
+    content = {"missing": None, "not_utf8": b'{"x": "\xff"}', "truncated": b'{"x": 1'}[fault]
+    if content is not None:
+        path.write_bytes(content)
+    args = {
+        "execute": ["--scenario", str(path)],
+        "bench": ["--scenarios", str(path)],
+        "chain": ["--domain", str(kitchen_path()), "--problem",
+                  str(problem_path("pick_spam")), "--plan", str(path)],
+        "report": ["--results", str(path)],
+    }[command]
+    assert main([command, *args]) == 2
     err = capsys.readouterr().err
-    assert err.count(str(path)) == 1, err
-    assert err.startswith(f"{path}: "), err
+    expected = {
+        "missing": "cannot read: No such file or directory",
+        "not_utf8": "not UTF-8 text: invalid start byte at byte 7",
+        "truncated": "not JSON: Expecting ',' delimiter: line 1 column 8 (char 7)",
+    }[fault]
+    assert err == f"{path}: {expected}\n"
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [("execute", "--trace"), ("bench", "--out"), ("bench", "--trace-dir"),
+     ("plan", "--out"), ("chain", "--out")],
+)
+def test_unwritable_output_exit_2(tmp_path, capsys, monkeypatch, command, flag):
+    # One line and exit 2, not a traceback.  bench finds out before its
+    # first trial, and creates neither its results file nor its trace dir.
+    blocker = tmp_path / "file.txt"
+    blocker.write_text("")
+    target = blocker / "out.json"
+    files = ["--domain", str(kitchen_path()), "--problem", str(problem_path("pick_spam"))]
+    plan_file = tmp_path / "plan.json"
+    assert main(["plan", *files, "--optimal", "--out", str(plan_file)]) == 0
+    capsys.readouterr()
+    args = {
+        "execute": ["--scenario", str(scenario_path("pick_spam_oracle"))],
+        "bench": ["--scenarios", str(scenario_path("pick_spam_oracle")), "--trials", "2",
+                  "--out" if flag == "--trace-dir" else "--trace-dir", str(tmp_path / "kept")],
+        "plan": files,
+        "chain": [*files, "--plan", str(plan_file)],
+    }[command]
+
+    def no_trials(*args, **kwargs):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr("chainreact.cli.run_trials", no_trials)
+    assert main([command, *args, flag, str(target)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"{target}: cannot write: Not a directory\n"
+    assert captured.out == ""
+    assert not (tmp_path / "kept").exists()
 
 
 def test_bench_and_report(tmp_path, capsys):
@@ -302,6 +330,7 @@ def test_bench_and_report(tmp_path, capsys):
     table = capsys.readouterr().out
     assert "pick_spam_oracle" in table and "open_drawer_oracle" in table
     payload = json.loads(results.read_text())
+    assert [p.name for p in tmp_path.iterdir()] == ["results.json"]  # no probe file left
     assert len(payload["results"]) == 2
     assert payload["results"][0]["metrics"]["trials"] == 3
 

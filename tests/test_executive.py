@@ -395,6 +395,36 @@ class TestMoreTriggers:
         assert fired == [2]
         assert outcome.succeeded
 
+    def test_schema_trigger_fires_on_first_start_of_any_ground_operator(self):
+        # put_away_both cages both objects.  "cage_obj" names the schema and
+        # fires once, on whichever cage starts first; "cage_obj(X)" fires
+        # only on X's cage.  Up to the firing tick a disturbed run is the
+        # undisturbed one, so the firing tick is a start tick of that run.
+        grounded = ground(kitchen_domain(), kitchen_problem("put_away_both"))
+        chain = build_chain(plan(grounded, optimal=True).plan, grounded.goal)
+        outcome = run(*fresh_setup(grounded, seed=3), chain, max_ticks=600)
+        cage_starts = {name: tick for tick, _, name in outcome.history if name.startswith("cage_obj")}
+        assert sorted(cage_starts) == ["cage_obj(spam)", "cage_obj(sugar)"]
+        first, second = sorted(cage_starts, key=cage_starts.get)
+
+        def fired_ticks(trigger):
+            (disturbance,) = resolved(
+                grounded,
+                {"trigger": {"when_operator": trigger},
+                 "kind": {"kind": "set_drawer", "extension": 1.0}},
+            )
+            records = []
+            run(*fresh_setup(grounded, seed=3), chain, max_ticks=600,
+                disturbances=(disturbance,), on_tick=records.append)
+            return disturbance, [r["tick"] for r in records if r["disturbances_fired"]]
+
+        schema, fired = fired_ticks("cage_obj")
+        assert {grounded.operators[i].name for i in schema.operators} == set(cage_starts)
+        assert fired == [cage_starts[first]]
+        one, fired = fired_ticks(second)
+        assert [grounded.operators[i].name for i in one.operators] == [second]
+        assert fired == [cage_starts[second]]
+
 
 # Both executives over a fixed grid: seeds 0-19, two primitive success
 # probabilities, no disturbance, a teleport on cage_obj(spam) and a drawer

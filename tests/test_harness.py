@@ -1,6 +1,7 @@
 """Harness: scenario validation, trial protocol, determinism, reporting."""
 
 import dataclasses
+import hashlib
 import io
 import json
 import pickle
@@ -293,7 +294,7 @@ class TestLoadScenario:
             ))
             del parent[key]
         try:
-            sc = build_scenario(raw, base_dir=path.parent, name=name, path=path)
+            sc = build_scenario(raw, base_dir=path.parent, name=name)
         except ScenarioError:
             return
         sc = dataclasses.replace(sc, trials=1, max_ticks=min(sc.max_ticks, 60))
@@ -614,6 +615,22 @@ class TestTraces:
         for l in ticks:
             assert l["true_atoms"] == sorted(l["true_atoms"])
             assert l["estimated_atoms"] == l["true_atoms"]  # oracle mode
+
+    def test_config_digest_pins_the_merged_scenario(self):
+        # The header's config_digest is the first 16 hex digits of the
+        # SHA-256 of the scenario JSON after overrides, dumped with sorted
+        # keys; a trials override is part of what it hashes.
+        raw = json.loads(scenario_path("put_away_spam_oracle").read_text(encoding="utf-8"))
+
+        def digest(merged):
+            return hashlib.sha256(json.dumps(merged, sort_keys=True).encode()).hexdigest()[:16]
+
+        headers = {}
+        for trials in (None, 1):
+            sc = load("put_away_spam_oracle", **({} if trials is None else {"trials": trials}))
+            headers[trials] = self.trace_lines(sc)[1][0]["config_digest"]
+        assert headers[None] == digest(raw)
+        assert headers[1] == digest({**raw, "trials": 1}) != headers[None]
 
     def test_disturbance_appears_in_trace(self):
         sc = load("teleport_cage_reactive", trials=1)

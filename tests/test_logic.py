@@ -176,7 +176,7 @@ class TestApplyEffects:
         once = apply_effects(state, eff)
         assert apply_effects(once, eff) == once
         # Reference semantics over sets.
-        expected = (state.atoms - eff.deletes) | eff.adds
+        expected = (state.atoms - vocab.atoms_of(dels)) | vocab.atoms_of(adds)
         assert once.atoms == expected
 
 
@@ -220,3 +220,15 @@ class TestSortedNames:
         # "name_suffix" as the strings do.
         state = LogicalState(kitchen_vocab, mask & ((1 << len(kitchen_vocab)) - 1))
         assert state.sorted_names() == sorted(str(a) for a in state.atoms)
+
+    def test_condition_text_lists_positives_then_negatives(self, kitchen_vocab):
+        cond = ConditionSet.from_atoms(
+            kitchen_vocab,
+            positive=[kitchen_vocab.get("drawer_is_open"), kitchen_vocab.get("obj_is_attached", "spam")],
+            negative=[kitchen_vocab.get("obj_is_in_drawer", "sugar"), kitchen_vocab.get("arm_is_moving")],
+        )
+        assert str(cond) == (
+            "{+drawer_is_open, +obj_is_attached(spam), "
+            "-arm_is_moving, -obj_is_in_drawer(sugar)}"
+        )
+        assert str(ConditionSet.from_atoms(kitchen_vocab)) == "{}"

@@ -100,10 +100,9 @@ class TestWindow:
 
     def test_eviction(self):
         w = EstimatorWindow(3)
-        for i in range(5):
-            w.push(int(i >= 2))  # last three pushes are True
-        assert len(w) == 3
-        assert w.majority() == 1
+        for bit in (1, 1, 1, 0, 0):
+            w.push(bit)  # the first two are evicted: one of the last three is True
+        assert w.majority() == 0
 
     def test_empty_window_error(self):
         with pytest.raises(EmptyWindowError):

@@ -39,7 +39,7 @@ from chainreact.planner import (
     plan_from_json,
     symbolic_execute,
 )
-from tests.util import kitchen_domain, kitchen_problem
+from tests.util import kitchen_domain, kitchen_problem, step_names
 
 # --------------------------------------------------------------------------
 # Random propositional tasks plus the set-based oracle
@@ -227,16 +227,16 @@ class TestKitchenPlanning:
         result = plan(grounded, optimal=True)
         assert result.solved
         assert len(result.plan) == 16
-        assert result.plan.names() == G1_PLAN
+        assert step_names(result.plan.steps) == G1_PLAN
         final = symbolic_execute(result.plan.steps, grounded.init)
-        assert final.ok and holds(final.state, grounded.goal)
+        assert final.failed_step is None and holds(final.state, grounded.goal)
 
     def test_gbfs_also_solves_g1(self):
         grounded = ground(kitchen_domain(), kitchen_problem("put_away_spam"))
         result = plan(grounded)
         assert result.solved
         final = symbolic_execute(result.plan.steps, grounded.init)
-        assert final.ok and holds(final.state, grounded.goal)
+        assert final.failed_step is None and holds(final.state, grounded.goal)
 
     def test_open_drawer_subgoal(self):
         grounded = ground(kitchen_domain(), kitchen_problem("put_away_spam"))
@@ -245,7 +245,7 @@ class TestKitchenPlanning:
         )
         result = plan(grounded, goal=goal, optimal=True)
         assert result.solved
-        assert result.plan.names() == [
+        assert step_names(result.plan.steps) == [
             "back_off", "approach_drawer_open", "cage_handle",
             "grasp_handle", "pull_drawer",
         ]
@@ -264,22 +264,22 @@ class TestKitchenPlanning:
         result = plan(grounded, optimal=True)
         assert result.solved
         assert len(result.plan) == 24
-        names = result.plan.names()
+        names = step_names(result.plan.steps)
         assert names.count("back_off") == 3
         assert names.count("move_obj_over_drawer") == 2
         assert names[-1] == "push_drawer"
 
     def test_determinism(self):
         grounded = ground(kitchen_domain(), kitchen_problem("put_away_both"))
-        a = plan(grounded).plan.names()
-        b = plan(grounded).plan.names()
+        a = step_names(plan(grounded).plan.steps)
+        b = step_names(plan(grounded).plan.steps)
         assert a == b
 
     def test_plan_json_round_trip(self):
         grounded = ground(kitchen_domain(), kitchen_problem("put_away_spam"))
         p = plan(grounded, optimal=True).plan
         again = plan_from_json(grounded, p.to_json_dict())
-        assert again.names() == p.names()
+        assert step_names(again.steps) == step_names(p.steps)
 
 
 # --------------------------------------------------------------------------
@@ -302,7 +302,7 @@ class TestRandomDomains:
                 else:
                     assert result.solved
                     ex = symbolic_execute(result.plan.steps, grounded.init)
-                    assert ex.ok and holds(ex.state, grounded.goal)
+                    assert ex.failed_step is None and holds(ex.state, grounded.goal)
                     if optimal:
                         assert len(result.plan) == oracle_len
             if oracle_len is None:
@@ -382,7 +382,7 @@ class TestSymbolicExecute:
         grounded = ground(kitchen_domain(), kitchen_problem("put_away_spam"))
         p = Plan((), grounded.init, ConditionSet.from_atoms(grounded.vocabulary))
         result = symbolic_execute(p.steps, grounded.init)
-        assert result.ok and result.state == grounded.init
+        assert result.failed_step is None and result.state == grounded.init
 
     def test_swapped_steps_fail_at_swap(self):
         grounded = ground(kitchen_domain(), kitchen_problem("put_away_spam"))
@@ -393,7 +393,7 @@ class TestSymbolicExecute:
         assert steps[j].schema.name == "grasp_obj"
         steps[i], steps[j] = steps[j], steps[i]
         result = symbolic_execute(steps, grounded.init)
-        assert not result.ok and result.failed_step == i
+        assert result.failed_step == i
 
 
 class TestNegativeGoals:
@@ -422,7 +422,7 @@ class TestNegativeGoals:
             result = plan(grounded, optimal=optimal)
             assert result.solved
             final = symbolic_execute(result.plan.steps, grounded.init)
-            assert final.ok and holds(final.state, grounded.goal)
+            assert final.failed_step is None and holds(final.state, grounded.goal)
             if optimal:
                 assert len(result.plan) == 2
 
@@ -582,5 +582,5 @@ class TestCompiledSearchEquivalence:
         status, steps, expansions = search(grounded, init, goal, self.BUDGET)
         assert got.status == status
         assert got.expansions == expansions
-        assert (got.plan.names() if got.solved else None) == steps
+        assert (step_names(got.plan.steps) if got.solved else None) == steps
         assert h_add(grounded, init, goal) == ref_h_add(grounded, init, goal)

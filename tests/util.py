@@ -75,6 +75,11 @@ def kitchen_problem(name: str):
     return result.value
 
 
+def step_names(steps) -> list[str]:
+    """The printed names of plan or chain steps, in order."""
+    return [step.name for step in steps]
+
+
 def reference_world(movables: tuple[str, ...] = ("spam", "sugar")) -> WorldState:
     """The reference configuration, which the shipped problems' init
     describes: objects on distinct counter zones, drawer shut, arm parked in
