@@ -638,6 +638,18 @@ class TestTraces:
         fired = [l for l in lines if l.get("disturbances_fired")]
         assert fired and fired[0]["disturbances_fired"] == ["teleport_object"]
 
+    def test_no_plan_trial_is_header_and_outcome(self, monkeypatch):
+        # No shipped scenario reaches no_plan, so the search is made to
+        # fail: the trial then runs no tick and starts no operator.
+        monkeypatch.setattr(
+            harness, "plan", lambda grounded, **kwargs: PlanResult("unsolvable")
+        )
+        record, lines = self.trace_lines(load("put_away_spam_oracle", trials=1))
+        assert (record.status, record.ticks, record.recoveries) == ("no_plan", 0, 0)
+        assert record.false_success is False and record.operator_history == []
+        assert [line["type"] for line in lines] == ["header", "outcome"]
+        assert lines[1] == {"type": "outcome", **record.to_json_dict()}
+
     def test_predicate_trigger_with_spaces_fires(self):
         # Validation and matching read the atom name with one parser, so
         # whitespace inside it neither fails validation nor stops the trigger.
