@@ -15,6 +15,7 @@ Exit codes: 0 success, 1 failed run or invariant, 2 input errors.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import os
 import sys
@@ -158,6 +159,8 @@ def cmd_bench(args) -> int:
     try:
         if args.out:
             tempfile.TemporaryFile(dir=Path(args.out).parent).close()
+            if Path(args.out).is_dir():
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
     except OSError as err:
         return _write_error(args.out, err)
     trace_dir = Path(args.trace_dir) if args.trace_dir else None

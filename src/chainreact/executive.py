@@ -33,20 +33,11 @@ DEFAULT_GOAL_STREAK = 3
 DEFAULT_STUCK_AFTER = 10
 
 
-@dataclass(frozen=True)
-class Decision:
-    selected: Optional[int]
-    reason: str
-
-    def __post_init__(self) -> None:
-        if (self.selected is None) != (self.reason == NONE_ENTERABLE):
-            raise ValueError("selected must be set iff a step was chosen")
-
-
 def select_operator(
     chain: Chain, estimate: LogicalState, current: Optional[int]
-) -> Decision:
-    """Highest-priority-first selection.
+) -> Optional[int]:
+    """Highest-priority-first selection: the index of the chosen step, or
+    ``None`` when no step qualifies.
 
     Scanning from the last step down: a non-current step is entered when
     its effective preconditions hold; the current step continues when its
@@ -61,8 +52,8 @@ def select_operator(
         step = steps[i]
         cond = step.effective_run if i == current else step.effective_pre
         if mask & cond.pos_mask == cond.pos_mask and not mask & cond.neg_mask:
-            return Decision(i, CONTINUE_CURRENT if i == current else ENTER_NEW)
-    return Decision(None, NONE_ENTERABLE)
+            return i
+    return None
 
 
 def _meets(mask: int, cond: ConditionSet) -> bool:
@@ -156,7 +147,7 @@ def _parse_name(name: str) -> tuple[str, Optional[tuple[str, ...]]]:
 
 @dataclass
 class Outcome:
-    status: str  # "succeeded" | "stuck" | "budget_exhausted"
+    status: str  # "succeeded" | "stuck" | "budget_exhausted" | "no_plan"
     ticks: int
     recoveries: int = 0
     false_success: bool = False
@@ -226,7 +217,7 @@ def run(
 
     for tick in range(max_ticks):
         truth = sim.eval_predicates()
-        decision = step = None  # this tick's decision and the step it starts
+        selected = reason = step = None  # this tick's choice and the step it starts
         if open_loop:
             estimate = truth
             if sim.current is None:
@@ -246,11 +237,14 @@ def run(
             # While a streak confirms the goal, hold position: a running
             # primitive finishes its motion.
             if not streak:
-                decision = select_operator(chain, estimate, current)
-                if decision.selected is None:
+                selected = select_operator(chain, estimate, current)
+                reason = (
+                    NONE_ENTERABLE if selected is None
+                    else CONTINUE_CURRENT if selected == current else ENTER_NEW
+                )
+                if selected is None:
                     none_streak += 1
-                    if sim.current is not None:
-                        sim.abort_primitive()
+                    sim.abort_primitive()
                     current = None
                     if none_streak >= stuck_after:
                         outcome.status = "stuck"
@@ -260,13 +254,12 @@ def run(
                     none_streak = 0
                     # Enter a new step, or retry the current one once its
                     # primitive has ended (success or failure).
-                    if decision.reason == ENTER_NEW or sim.current is None:
-                        step = decision.selected
+                    if reason == ENTER_NEW or sim.current is None:
+                        step = selected
 
         started = None
         if step is not None:
-            if sim.current is not None:
-                sim.abort_primitive()
+            sim.abort_primitive()
             started = steps[step].base
             sim.start_primitive(started)
             outcome.history.append((tick, step, started.name))
@@ -275,21 +268,20 @@ def run(
             last_entered = current = step
         prim = sim.tick() if sim.current is not None else None
         fired = _fire_disturbances(sim, pending, tick, started)
-        _emit(chain, on_tick, tick, truth, estimate, decision,
+        _emit(chain, on_tick, tick, truth, estimate, selected, reason,
               prim.phase if prim else "confirming" if streak else "idle", fired)
     else:  # the tick budget ran out
         return outcome
 
     # The tick that ends the episode writes its line without acting.
-    _emit(chain, on_tick, tick, truth, estimate, decision,
+    _emit(chain, on_tick, tick, truth, estimate, selected, reason,
           "goal_reached" if outcome.succeeded else "idle", [])
     return outcome
 
 
-def _emit(chain, on_tick, tick, truth, estimate, decision, phase, fired) -> None:
+def _emit(chain, on_tick, tick, truth, estimate, selected, reason, phase, fired) -> None:
     if on_tick is None:
         return
-    selected = None if decision is None else decision.selected
     on_tick(
         {
             "tick": tick,
@@ -299,7 +291,7 @@ def _emit(chain, on_tick, tick, truth, estimate, decision, phase, fired) -> None
             "selected_operator": (
                 None if selected is None else chain.steps[selected].base.name
             ),
-            "reason": None if decision is None else decision.reason,
+            "reason": reason,
             "primitive_phase": phase,
             "disturbances_fired": fired,
         }

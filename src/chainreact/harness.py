@@ -16,21 +16,20 @@ Plans are memoized per loaded :class:`Scenario`, keyed on the estimate's
 mask: goal and planner mode are fixed per scenario, and the planner and
 chain builder are deterministic, so a hit returns the chain a miss would
 build, and records and traces are the same as without the memo.  The memo
-lives as long as the Scenario object and is not pickled.  Change a loaded
-scenario with ``dataclasses.replace``, which starts with an empty memo, not
-by assigning its fields.  Chains are interned by their plan's operator
-indices, so estimates that lead to the same plan share one chain.
+lives as long as the Scenario object.  A Scenario is frozen: a changed
+copy comes from ``dataclasses.replace``, which starts with an empty memo.
 
 Parallel runs use a pool from :func:`queue_trials`.  Its workers receive
 the loaded scenarios once, when they start (under fork they inherit them
-and nothing is pickled), and import ``numpy.random`` then, so no trial pays
-for that import.  A task names a scenario by its position and carries one
-contiguous range of trial indices.  Each range runs on a
-``dataclasses.replace`` copy of its scenario, so it starts with an empty
-memo wherever it lands: how often a range plans does not depend on which
-worker took it or what that worker ran before.  Every scenario's ranges
-are queued before :func:`run_trials` collects the first, so no worker
-waits at a scenario boundary.
+and nothing is pickled; under spawn they are pickled, memos included),
+and import ``numpy.random`` then, so no trial pays for that import.  A
+task names a scenario by its position and carries one contiguous range
+of trial indices.  Each range runs on a ``dataclasses.replace`` copy of
+its scenario, so it starts with an empty memo wherever it lands: how
+often a range plans does not depend on which worker took it, what that
+worker ran before, or what memo the scenario was pickled with.  Every
+scenario's ranges are queued before :func:`run_trials` collects the
+first, so no worker waits at a scenario boundary.
 """
 
 from __future__ import annotations
@@ -63,12 +62,12 @@ from .planner import GroundedDomain, ground, plan
 FORMAT_VERSION = 1
 
 
-@dataclass
+@dataclass(frozen=True)
 class Scenario:
     name: str
     config_digest: str  # of the JSON after overrides, for trace headers
     grounded: GroundedDomain
-    executive: str
+    open_loop: bool  # the executive: the open-loop baseline, or reactive
     noise: NoiseModel
     window: int
     primitives: dict[str, PrimitiveSpec]
@@ -84,14 +83,6 @@ class Scenario:
     _chains_by_mask: dict[int, Optional[Chain]] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
-    # plan operator indices -> chain, so equal plans share one chain
-    _chains_by_plan: dict[tuple[int, ...], Chain] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
-
-    def __getstate__(self) -> dict:
-        # A pickled scenario (initargs under spawn) leaves its memo behind.
-        return {**self.__dict__, "_chains_by_mask": {}, "_chains_by_plan": {}}
 
 
 @dataclass
@@ -308,6 +299,11 @@ _VERSION_1 = (lambda v: _is_int(v) and v == 1, "1")
 _PROB = (_is_prob, "a number in [0, 1]")
 _FLIP = (lambda v: _is_number(v) and 0.0 <= v < 0.5, "a number in [0, 0.5)")
 _ANY = (lambda v: True, "anything")
+# The name prefixes each trace file, so it must not leave the trace dir.
+_NAME = (
+    lambda v: isinstance(v, str) and v not in ("", ".", "..") and not set(v) & set("/\\\0"),
+    "a file name: not empty, '.' or '..', and without '/', '\\' or NUL",
+)
 _INITIAL_PROBS = ("gripper_open_prob", "drawer_open_prob", "object_in_drawer_prob")
 _TRIGGER = {"at_tick": _int_from(0), "when_operator": _STR, "when_predicate": _STR}
 # The fields of a disturbance's "kind" object, by its "kind" value.
@@ -328,7 +324,7 @@ _DESTINATION = _Object(
 _SCENARIO = _Object(
     {
         "format_version": _VERSION_1,
-        "name": _STR,
+        "name": _NAME,
         "domain": _STR,
         "problem": _STR,
         "executive": _one_of("reactive", "open_loop"),
@@ -457,7 +453,7 @@ def build_scenario(raw: dict, base_dir: Path, name: str = "scenario") -> Scenari
         name=raw.get("name", name),
         config_digest=hashlib.sha256(json.dumps(raw, sort_keys=True).encode()).hexdigest()[:16],
         grounded=grounded,
-        executive=raw.get("executive", "reactive"),
+        open_loop=raw.get("executive") == "open_loop",
         noise=noise,
         window=perception.get("window", 3),
         primitives=primitives,
@@ -487,9 +483,10 @@ def run_trial(
     The chain comes from the scenario's memo, keyed on the warmed
     estimate's mask, for as long as the Scenario object lives.  On a miss,
     :func:`plan` and :func:`build_chain` run as without the memo and the
-    chain (or ``None`` for an unsolved search) is stored.  Both are
-    deterministic in the mask, and neither draws from a seeded stream, so
-    records and traces do not depend on whether the memo hit."""
+    chain (or ``None`` for an unsolved search, which ends the trial as
+    ``no_plan`` before its first tick) is stored.  Both are deterministic
+    in the mask, and neither draws from a seeded stream, so records and
+    traces do not depend on whether the memo hit."""
     seed = scenario.base_seed + index
     sim_ss, perc_ss, prim_ss = np.random.SeedSequence(seed).spawn(3)
     sim_rng = np.random.default_rng(sim_ss)
@@ -518,18 +515,15 @@ def run_trial(
 
     memo = scenario._chains_by_mask
     if estimate.mask not in memo:
-        memo[estimate.mask] = _plan_chain(scenario, estimate)
-    chain = memo[estimate.mask]
-    if chain is None:
-        record = TrialRecord(
-            trial=index, seed=seed, status="no_plan", ticks=0,
-            recoveries=0, false_success=False,
+        result = plan(
+            grounded, init=estimate, goal=grounded.goal,
+            optimal=scenario.optimal_planning,
         )
-        if writer:
-            writer.finish(record)
-        return record
-
-    outcome = exe.run(
+        memo[estimate.mask] = (
+            build_chain(result.plan, grounded.goal) if result.solved else None
+        )
+    chain = memo[estimate.mask]
+    outcome = exe.Outcome("no_plan", 0) if chain is None else exe.run(
         sim,
         pipeline,
         chain,
@@ -538,7 +532,7 @@ def run_trial(
         stuck_after=scenario.stuck_after,
         disturbances=scenario.disturbances,
         on_tick=on_tick,
-        open_loop=scenario.executive == "open_loop",
+        open_loop=scenario.open_loop,
     )
 
     record = TrialRecord(
@@ -553,23 +547,6 @@ def run_trial(
     if writer:
         writer.finish(record)
     return record
-
-
-def _plan_chain(scenario: Scenario, estimate) -> Optional[Chain]:
-    """Plan from ``estimate`` and build its chain, reusing the chain of an
-    equal plan; ``None`` when the search is not solved."""
-    grounded = scenario.grounded
-    result = plan(
-        grounded, init=estimate, goal=grounded.goal,
-        optimal=scenario.optimal_planning,
-    )
-    if not result.solved:
-        return None
-    shared = scenario._chains_by_plan
-    key = tuple(op.index for op in result.plan.steps)
-    if key not in shared:
-        shared[key] = build_chain(result.plan, grounded.goal)
-    return shared[key]
 
 
 class _TraceWriter:

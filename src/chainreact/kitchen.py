@@ -522,7 +522,7 @@ class KitchenSim:
         under real contact, so a primitive dispatched off a wrong estimate
         moves nothing."""
         prim = self.current
-        if prim is None or not prim.running:
+        if prim is None:
             return prim
         w = self.world
         if prim.drawer_step and prim.rule.contact(w):

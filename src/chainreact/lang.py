@@ -97,14 +97,13 @@ class ProblemDefinition:
 
 @dataclass(frozen=True)
 class Diagnostic:
-    severity: str  # "error" | "warning"
     line: int
     column: int
     message: str
     code: str = ""
 
     def __str__(self) -> str:
-        return f"{self.line}:{self.column}: {self.severity}: {self.message}"
+        return f"{self.line}:{self.column}: error: {self.message}"
 
 
 @dataclass
@@ -116,9 +115,7 @@ class ParseResult:
 
     @property
     def ok(self) -> bool:
-        return self.value is not None and not any(
-            d.severity == "error" for d in self.diagnostics
-        )
+        return self.value is not None and not self.diagnostics
 
 
 # --------------------------------------------------------------------------
@@ -168,7 +165,7 @@ def _read_sexprs(source: str, diags: list[Diagnostic]) -> list[_Node]:
 
 
 def _err(diags: list[Diagnostic], node: _Node, message: str, code: str) -> None:
-    diags.append(Diagnostic("error", node.line, node.col, message, code))
+    diags.append(Diagnostic(node.line, node.col, message, code))
 
 
 def _kw(node: _Node) -> str:
@@ -297,11 +294,9 @@ def _parse(source: str, kind: str, begin) -> ParseResult:
     try:
         value = _parse_define(source, kind, begin, diags)
     except Exception as exc:  # totality guard for malformed input
-        diags.append(Diagnostic("error", 1, 1, f"internal parse failure: {exc}", "internal"))
+        diags.append(Diagnostic(1, 1, f"internal parse failure: {exc}", "internal"))
         value = None
-    if any(d.severity == "error" for d in diags):
-        return ParseResult(None, diags)
-    return ParseResult(value, diags)
+    return ParseResult(None if diags else value, diags)
 
 
 def _parse_define(source: str, kind: str, begin, diags: list[Diagnostic]) -> object:

@@ -316,6 +316,21 @@ def test_unwritable_output_exit_2(tmp_path, capsys, monkeypatch, command, flag):
     assert not (tmp_path / "kept").exists()
 
 
+def test_bench_out_directory_exit_2_before_trials(tmp_path, capsys):
+    # An existing directory as --out is caught before the first trial:
+    # no trace is written and nothing is created in the directory.
+    out, traces = tmp_path / "adir", tmp_path / "traces"
+    out.mkdir()
+    assert main([
+        "bench", "--scenarios", str(scenario_path("open_drawer_oracle")),
+        "--trials", "1", "--out", str(out), "--trace-dir", str(traces),
+    ]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"{out}: cannot write: Is a directory\n"
+    assert captured.out == ""
+    assert list(out.iterdir()) == [] and not traces.exists()
+
+
 def test_bench_and_report(tmp_path, capsys):
     results = tmp_path / "results.json"
     code = main([
@@ -424,6 +439,18 @@ def test_bench_rejects_scenarios_sharing_a_name(tmp_path, capsys, same_file):
     assert err == f"{second}: scenario name 'pick_spam_oracle' is taken by {first}\n"
     assert not traces.exists()
     assert not (tmp_path / "results.json").exists()
+
+
+def test_bench_scenario_name_outside_trace_dir_exit_2(tmp_path, capsys):
+    # The name prefixes each trace file; "../escaped" would write beside
+    # the trace dir.
+    path = scenario_copy(tmp_path, "pick_spam_oracle", trials=1)
+    path.write_text(json.dumps({**json.loads(path.read_text()), "name": "../escaped"}))
+    traces = tmp_path / "traces" / "inner"
+    assert main(["bench", "--scenarios", str(path), "--trace-dir", str(traces)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"{path}: field 'name' must be a file name")
+    assert not (tmp_path / "traces").exists()
 
 
 def test_bench_failed_range_cancels_queued_ranges(tmp_path):

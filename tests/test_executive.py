@@ -13,10 +13,6 @@ from hypothesis import strategies as st
 
 from chainreact.chains import build_chain
 from chainreact.executive import (
-    CONTINUE_CURRENT,
-    ENTER_NEW,
-    NONE_ENTERABLE,
-    Decision,
     resolve_disturbances,
     run,
     select_operator,
@@ -94,12 +90,9 @@ def reference_select(chain, estimate, current):
     """Selection as a scan of holds() calls, the executive's definition."""
     for i in range(len(chain.steps) - 1, -1, -1):
         step = chain.steps[i]
-        if i != current:
-            if holds(estimate, step.effective_pre):
-                return Decision(i, ENTER_NEW)
-        elif holds(estimate, step.effective_run):
-            return Decision(i, CONTINUE_CURRENT)
-    return Decision(None, NONE_ENTERABLE)
+        if holds(estimate, step.effective_run if i == current else step.effective_pre):
+            return i
+    return None
 
 
 class TestSelectOperator:
@@ -113,24 +106,18 @@ class TestSelectOperator:
             chain.steps[3].effective_pre.pos_mask
             | chain.steps[2].effective_run.pos_mask,
         )
-        decision = select_operator(chain, state, current=2)
-        assert decision.reason == ENTER_NEW
-        assert decision.selected == 3
+        assert select_operator(chain, state, current=2) == 3
 
     def test_continue_current_when_nothing_higher(self, g1):
         grounded, chain = g1
         vocab = grounded.vocabulary
         state = LogicalState(vocab, chain.steps[2].effective_run.pos_mask)
-        decision = select_operator(chain, state, current=2)
-        assert decision.reason == CONTINUE_CURRENT
-        assert decision.selected == 2
+        assert select_operator(chain, state, current=2) == 2
 
     def test_empty_estimate_none_enterable(self, g1):
         grounded, chain = g1
         state = LogicalState(grounded.vocabulary, 0)
-        decision = select_operator(chain, state, current=None)
-        assert decision.reason == NONE_ENTERABLE
-        assert decision.selected is None
+        assert select_operator(chain, state, current=None) is None
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
@@ -161,12 +148,6 @@ class TestSelectOperator:
         _, chain = g1
         with pytest.raises(UnknownAtomError):
             select_operator(chain, LogicalState(Vocabulary([]), 0), None)
-
-    def test_decision_invariant(self):
-        with pytest.raises(ValueError):
-            Decision(selected=None, reason=ENTER_NEW)
-        with pytest.raises(ValueError):
-            Decision(selected=3, reason=NONE_ENTERABLE)
 
 
 class TestNominalRun:

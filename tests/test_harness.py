@@ -1,13 +1,14 @@
 """Harness: scenario validation, trial protocol, determinism, reporting."""
 
 import dataclasses
+import functools
 import hashlib
 import io
 import json
-import pickle
+import multiprocessing
 import re
 import tempfile
-from concurrent.futures import Future
+from concurrent.futures import Future, ProcessPoolExecutor
 from pathlib import Path
 
 import pytest
@@ -49,7 +50,7 @@ def load(name, **overrides):
 class TestLoadScenario:
     def test_shipped_oracle_scenario(self):
         sc = load("put_away_spam_oracle")
-        assert sc.executive == "reactive"
+        assert sc.open_loop is False
         assert sc.noise.is_oracle
         assert sc.trials == 20
         assert len(sc.grounded.vocabulary) == 42
@@ -173,6 +174,10 @@ class TestLoadScenario:
             ({"stuck_after": 0}, "stuck_after"),
             ({"base_seed": -5}, "base_seed"),
             ({"name": 5}, "name"),
+            # The name prefixes each trace file, so it must not leave the
+            # trace dir.
+            *[({"name": name}, "name")
+              for name in ("", ".", "..", "../escaped", "sub/x", "a\\b", "nul\0")],
             ({"format_version": 7}, "format_version"),
             ({"format_version": True}, "format_version"),
         ],
@@ -186,6 +191,8 @@ class TestLoadScenario:
              "unknown_initial", "unknown_planner", "unknown_disturbance",
              "unknown_trigger", "unknown_kind", "unknown_destination",
              "goal_streak_0", "stuck_after_0", "base_seed_negative", "name_int",
+             "name_empty", "name_dot", "name_dotdot", "name_parent", "name_slash",
+             "name_backslash", "name_nul",
              "format_version_7", "format_version_true"],
     )
     def test_value_that_would_fail_mid_trial(self, override, path):
@@ -498,7 +505,7 @@ class TestPlanMemo:
         # Repeated estimates hit the memo.
         assert 1 <= len(shared._chains_by_mask) < 30
 
-    def test_plan_once_per_mask_and_chain_once_per_plan(self, monkeypatch):
+    def test_plan_and_chain_once_per_mask(self, monkeypatch):
         planned, built = [], []
         real_plan, real_build = harness.plan, harness.build_chain
 
@@ -515,8 +522,9 @@ class TestPlanMemo:
         sc = load("put_away_spam_noisy", trials=30)
         run_trials(sc)
         assert sorted(planned) == sorted(set(planned)) == sorted(sc._chains_by_mask)
-        assert len(built) == len(set(built)) == len(sc._chains_by_plan)
-        assert len(built) < len(planned)  # distinct masks share plans
+        solved = [chain for chain in sc._chains_by_mask.values() if chain is not None]
+        assert len(built) == len(solved)
+        assert len(set(built)) < len(built)  # distinct masks can share a plan
 
     def test_unsolved_plan_is_no_plan_on_miss_and_hit(self, monkeypatch):
         calls = []
@@ -584,15 +592,30 @@ class TestPlanMemo:
         assert len(planned) == expected
         assert records == serial
 
-    def test_memo_not_pickled_and_empty_after_replace(self):
-        fresh = load("put_away_spam_noisy", trials=10)
+    def test_spawn_workers_equal_the_serial_run(self, monkeypatch):
+        # Spawned workers get the scenarios pickled, warm memos included;
+        # each range still runs on an empty-memo copy.
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", functools.partial(
+            ProcessPoolExecutor, mp_context=multiprocessing.get_context("spawn")
+        ))
+        names = ("put_away_spam_noisy", "teleport_cage_reactive")
+        scenarios = [load(name, trials=8) for name in names]
+        serial = [run_trials(scenario)[1] for scenario in scenarios]
+        assert all(scenario._chains_by_mask for scenario in scenarios)
+        with harness.queue_trials(scenarios, 2) as queued:
+            records = [
+                run_trials(scenario, 2, futures=futures)[1]
+                for scenario, futures in zip(scenarios, queued)
+            ]
+        assert records == serial
+
+    def test_scenario_frozen_and_memo_empty_after_replace(self):
         used = load("put_away_spam_noisy", trials=10)
         run_trials(used)
-        assert used._chains_by_mask and used._chains_by_plan
-        assert len(pickle.dumps(used)) == len(pickle.dumps(fresh))
-        assert pickle.loads(pickle.dumps(used))._chains_by_mask == {}
-        replaced = dataclasses.replace(used)
-        assert replaced._chains_by_mask == {} and replaced._chains_by_plan == {}
+        assert used._chains_by_mask
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            used.trials = 3
+        assert dataclasses.replace(used, trials=3)._chains_by_mask == {}
 
 
 class TestTraces:
