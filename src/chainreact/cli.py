@@ -32,6 +32,7 @@ from .harness import (
     read_json,
     read_results,
     report,
+    results_payload,
     run_trial,
     run_trials,
 )
@@ -167,32 +168,29 @@ def cmd_bench(args) -> int:
     if trace_dir:
         try:
             trace_dir.mkdir(parents=True, exist_ok=True)
+            name_max = os.pathconf(trace_dir, "PC_NAME_MAX")
         except OSError as err:
             return _write_error(trace_dir, err)
+        for path, scenario in zip(args.scenarios, scenarios):
+            longest = scenario.trace_name(scenario.trials - 1)
+            if len(longest.encode()) > name_max:
+                too_long = f"trace file name {longest!r} is longer than {name_max} bytes"
+                return _input_error([f"{path}: {too_long}"])
     # One pool for the whole run, no larger than the largest trial count.
     # Workers start with the platform's default method (fork on Linux).
     # Every scenario's ranges are queued before the first is collected, so
     # a worker that finishes early moves on to the next scenario's.
     jobs = min(args.jobs, max(s.trials for s in scenarios))
-    results = []
-    metrics_list = []
     serial = nullcontext([None] * len(scenarios))
     with queue_trials(scenarios, jobs, trace_dir) if jobs > 1 else serial as queued:
-        for scenario, futures in zip(scenarios, queued):
-            metrics, records = run_trials(
-                scenario, jobs=jobs, trace_dir=trace_dir, futures=futures
-            )
-            metrics_list.append(metrics)
-            results.append(
-                {
-                    "metrics": metrics.to_json_dict(),
-                    "records": [r.to_json_dict() for r in records],
-                }
-            )
-    payload = {"format_version": 1, "results": results}
+        runs = [
+            run_trials(scenario, jobs=jobs, trace_dir=trace_dir, futures=futures)
+            for scenario, futures in zip(scenarios, queued)
+        ]
+    payload = results_payload(runs)
     if args.out and _write_out(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out):
         return EXIT_INPUT
-    print(report(metrics_list))
+    print(report([metrics for metrics, _ in runs]))
     return EXIT_OK
 
 

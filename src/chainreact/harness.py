@@ -38,7 +38,7 @@ import hashlib
 import json
 from concurrent.futures import Future, ProcessPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import IO, Iterator, Optional, Sequence
 
@@ -59,7 +59,8 @@ from .lang import load_domain_file, load_problem_file
 from .perception import NoiseModel, PerceptionPipeline
 from .planner import GroundedDomain, ground, plan
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 1  # of trace files
+RESULTS_FORMAT_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -84,9 +85,18 @@ class Scenario:
         default_factory=dict, init=False, repr=False, compare=False
     )
 
+    def trace_name(self, index: int) -> str:
+        return f"{self.name}_trial{index:04d}.jsonl"
+
+
+class _JSONFields:
+    def to_json_dict(self) -> dict:
+        """The dataclass fields by name, without other instance attributes."""
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
 
 @dataclass
-class TrialRecord:
+class TrialRecord(_JSONFields):
     trial: int
     seed: int
     status: str  # succeeded | stuck | budget_exhausted | no_plan
@@ -99,36 +109,15 @@ class TrialRecord:
     def succeeded(self) -> bool:
         return self.status == "succeeded"
 
-    def to_json_dict(self) -> dict:
-        return {
-            "trial": self.trial,
-            "seed": self.seed,
-            "status": self.status,
-            "ticks": self.ticks,
-            "recoveries": self.recoveries,
-            "false_success": self.false_success,
-            "operator_history": self.operator_history,
-        }
-
 
 @dataclass
-class Metrics:
+class Metrics(_JSONFields):
     scenario: str
     trials: int
     success_rate: float
     mean_ticks: Optional[float]  # successes only; None without successes
     recovery_rate: float  # fraction of trials with at least one recovery
     false_success_rate: float
-
-    def to_json_dict(self) -> dict:
-        return {
-            "scenario": self.scenario,
-            "trials": self.trials,
-            "success_rate": self.success_rate,
-            "mean_ticks": self.mean_ticks,
-            "recovery_rate": self.recovery_rate,
-            "false_success_rate": self.false_success_rate,
-        }
 
 
 class ScenarioError(ValueError):
@@ -602,8 +591,8 @@ def run_trials(
     ``futures`` are the scenario's ranges that :func:`queue_trials` has
     queued on a pool; this call waits for them.  Without them, ``jobs`` > 1
     runs the ranges on a pool of one worker per range started for this
-    call, and ``jobs`` <= 1 runs every trial here."""
-    trace_dir = _trace_dir(trace_dir)
+    call, and ``jobs`` <= 1 runs every trial here.  Traces go to
+    ``trace_dir`` when given, which must be an existing directory."""
     if futures is None and jobs > 1:
         with queue_trials([scenario], jobs, trace_dir) as (futures,):
             return run_trials(scenario, jobs, trace_dir, futures=futures)
@@ -623,8 +612,8 @@ def queue_trials(
     indices, one task each.  Yields each scenario's futures, in trial
     order.  The pool has one worker per range of the largest scenario and
     is shut down on leaving; after an error or Ctrl-C in the block, the
-    ranges no worker has started are dropped."""
-    trace_dir = _trace_dir(trace_dir)
+    ranges no worker has started are dropped.  ``trace_dir``, when given,
+    must be an existing directory."""
     ranges = [_ranges(scenario.trials, jobs) for scenario in scenarios]
     with ProcessPoolExecutor(
         max_workers=max(map(len, ranges)),
@@ -646,14 +635,6 @@ def queue_trials(
 def _ranges(trials: int, jobs: int) -> list[range]:
     size = -(-trials // jobs)
     return [range(lo, min(lo + size, trials)) for lo in range(0, trials, size)]
-
-
-def _trace_dir(trace_dir) -> Optional[Path]:
-    if trace_dir is None:
-        return None
-    trace_dir = Path(trace_dir)
-    trace_dir.mkdir(parents=True, exist_ok=True)
-    return trace_dir
 
 
 # The scenarios a pool worker was started with, by position.
@@ -689,8 +670,7 @@ def _run_range(
         return [run_trial(scenario, i) for i in indices]
     records = []
     for i in indices:
-        trace_path = trace_dir / f"{scenario.name}_trial{i:04d}.jsonl"
-        with open(trace_path, "w", encoding="utf-8") as sink:
+        with open(trace_dir / scenario.trace_name(i), "w", encoding="utf-8") as sink:
             records.append(run_trial(scenario, i, trace_sink=sink))
     return records
 
@@ -705,7 +685,9 @@ _METRIC_FIELDS = {
 }
 _RESULTS = _Object(
     {
-        "format_version": _VERSION_1,
+        "format_version": (
+            lambda v: _is_int(v) and v == RESULTS_FORMAT_VERSION, str(RESULTS_FORMAT_VERSION)
+        ),
         "results": [_Object(
             {"metrics": _Object(_METRIC_FIELDS, tuple(_METRIC_FIELDS)), "records": _ANY},
             ("metrics",),
@@ -713,6 +695,15 @@ _RESULTS = _Object(
     },
     ("format_version", "results"),
 )
+
+
+def results_payload(runs: Sequence[tuple[Metrics, list[TrialRecord]]]) -> dict:
+    """The results file, as :func:`read_results` reads it, of one
+    ``(metrics, records)`` pair per scenario."""
+    return {"format_version": RESULTS_FORMAT_VERSION, "results": [
+        {"metrics": m.to_json_dict(), "records": [r.to_json_dict() for r in records]}
+        for m, records in runs
+    ]}
 
 
 def read_results(payload) -> list[Metrics]:

@@ -16,8 +16,8 @@ transit band where neither drawer_is_open nor drawer_is_closed holds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Callable, Optional, Union
+from dataclasses import dataclass, replace
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -237,23 +237,34 @@ class UnknownBindingError(KeyError):
     """An operator has no primitive or no outcome rule in the simulator."""
 
 
-Rule = Union[dict, Callable[[WorldState, "PrimitiveState"], None]]
+Rule = Callable[[WorldState, "PrimitiveState"], None]
+
+
+def _set(let_go: bool = False, **fields) -> Rule:
+    """Let go if asked, then assign ``fields``; with neither, change nothing."""
+
+    def rule(w: WorldState, prim: PrimitiveState) -> None:
+        if let_go:
+            _let_go(w)
+        for name, value in fields.items():
+            setattr(w, name, value)
+
+    return rule
 
 
 @dataclass(frozen=True)
 class OperatorRule:
     """What the primitive behind one operator schema does.
 
-    ``success`` or ``failure`` applies on completion: world fields to assign,
-    or a function of (world, primitive) where the outcome depends on the
-    world.  With ``obj_arg`` the first argument is the movable acted on, and
-    its counter zone is snapshotted at start.  A drawer primitive
-    (``drawer`` +1 pulls, -1 pushes) moves the drawer a step each tick while
-    ``contact`` holds, all the way on success and ``FAILURE_PROGRESS`` of
-    it on failure."""
+    ``success`` or ``failure`` applies on completion, as a function of
+    (world, primitive).  With ``obj_arg`` the first argument is the movable
+    acted on, and its counter zone is snapshotted at start.  A drawer
+    primitive (``drawer`` +1 pulls, -1 pushes) moves the drawer a step each
+    tick while ``contact`` holds, all the way on success and
+    ``FAILURE_PROGRESS`` of it on failure."""
 
     success: Rule
-    failure: Rule = field(default_factory=dict)
+    failure: Rule = _set()  # nothing changes, and the executive retries
     obj_arg: bool = False
     drawer: int = 0
     contact: Optional[Callable[[WorldState], bool]] = None
@@ -279,17 +290,6 @@ def _let_go(w: WorldState, prim: Optional[PrimitiveState] = None) -> None:
         w.object_pose[obj] = ("counter", _free_counter_zone(w))
     w.attached = None
     w.gripper_aperture = 1.0
-
-
-def _let_go_then(**fields) -> Rule:
-    """Let go, then assign ``fields``."""
-
-    def rule(w: WorldState, prim: PrimitiveState) -> None:
-        _let_go(w)
-        for name, value in fields.items():
-            setattr(w, name, value)
-
-    return rule
 
 
 def _reach(kind: str, let_go: bool = False) -> Rule:
@@ -349,20 +349,19 @@ def _carry(
 
 # The simulator's contract with a domain is OUTCOMES' keys, WRITTEN_PREDICATES
 # and MAX_MOVABLES; contract_problems checks a grounded domain against it.
-# OUTCOMES has one row per operator schema the simulator carries out.  An
-# empty failure changes nothing, and the executive retries.
+# OUTCOMES has one row per operator schema the simulator carries out.
 OUTCOMES: dict[str, OperatorRule] = {
     "open_gripper": OperatorRule(_let_go),
-    "approach_drawer_open": OperatorRule({"arm_region": (APPROACH, HANDLE)}),
-    "cage_handle": OperatorRule(_let_go_then(arm_region=(AROUND, HANDLE))),
+    "approach_drawer_open": OperatorRule(_set(arm_region=(APPROACH, HANDLE))),
+    "cage_handle": OperatorRule(_set(let_go=True, arm_region=(AROUND, HANDLE))),
     "grasp_handle": OperatorRule(_grasp, _let_go),
     # A failed pull slips off the handle, the drawer partway out.
     "pull_drawer": OperatorRule(
-        _drawer_end, _let_go_then(arm_region=(NEAR_HANDLE, None)), drawer=1,
+        _drawer_end, _set(let_go=True, arm_region=(NEAR_HANDLE, None)), drawer=1,
         contact=lambda w: w.attached == HANDLE,
     ),
-    "release_handle": OperatorRule(_let_go_then(arm_region=(NEAR_HANDLE, None))),
-    "back_off": OperatorRule({"arm_region": ABOVE}),
+    "release_handle": OperatorRule(_set(let_go=True, arm_region=(NEAR_HANDLE, None))),
+    "back_off": OperatorRule(_set(arm_region=ABOVE)),
     "approach_obj": OperatorRule(_reach(APPROACH), obj_arg=True),
     "cage_obj": OperatorRule(_reach(AROUND, let_go=True), obj_arg=True),
     "grasp_obj": OperatorRule(_grasp, _let_go, obj_arg=True),
@@ -380,7 +379,7 @@ OUTCOMES: dict[str, OperatorRule] = {
         _carry(("in_drawer",), (OVER_DRAWER, None), drop=True),
     ),
     "release_obj": OperatorRule(_let_go),
-    "approach_drawer_close": OperatorRule({"arm_region": (FRONT_OF_DRAWER, None)}),
+    "approach_drawer_close": OperatorRule(_set(arm_region=(FRONT_OF_DRAWER, None))),
     "push_drawer": OperatorRule(
         _drawer_end, drawer=-1,
         contact=lambda w: w.arm_region == (FRONT_OF_DRAWER, None),
@@ -526,17 +525,10 @@ class KitchenSim:
             return prim
         w = self.world
         if prim.drawer_step and prim.rule.contact(w):
-            w.drawer_extension = float(
-                np.clip(w.drawer_extension + prim.drawer_step, 0.0, 1.0)
-            )
+            w.drawer_extension = min(max(w.drawer_extension + prim.drawer_step, 0.0), 1.0)
         prim.ticks_remaining -= 1
         if prim.ticks_remaining <= 0:
-            outcome = prim.rule.success if prim.will_succeed else prim.rule.failure
-            if callable(outcome):
-                outcome(w, prim)
-            else:
-                for name, value in outcome.items():
-                    setattr(w, name, value)
+            (prim.rule.success if prim.will_succeed else prim.rule.failure)(w, prim)
             prim.phase = "done" if prim.will_succeed else "failed"
             self.current = None
             w.arm_moving = False
@@ -574,8 +566,7 @@ class KitchenSim:
                 raise ValueError(f"invalid drawer extension {ext}")
             w.drawer_extension = ext
             if w.attached == HANDLE:
-                w.attached = None
-                w.gripper_aperture = 1.0
+                _let_go(w)
                 w.arm_region = (NEAR_HANDLE, None)
         elif what == "detach_gripper":
             if w.attached is not None:

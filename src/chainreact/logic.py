@@ -12,7 +12,7 @@ its ids in name order for listing a state's atoms.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Iterable
 
 MAX_ARITY = 3
 
@@ -79,15 +79,12 @@ class Vocabulary:
 
     def __init__(self, atoms: Iterable[GroundAtom]):
         self.atoms: tuple[GroundAtom, ...] = tuple(atoms)
-        self._index: dict[tuple[str, tuple[str, ...]], int] = {}
-        for i, atom in enumerate(self.atoms):
-            if atom.key in self._index:
-                raise ValueError(f"duplicate atom {atom} in vocabulary")
-            self._index[atom.key] = i
         # (name, args) -> 1 << id, for building masks without atom objects
-        self.bits: dict[tuple[str, tuple[str, ...]], int] = {
-            key: 1 << i for key, i in self._index.items()
-        }
+        self.bits: dict[tuple[str, tuple[str, ...]], int] = {}
+        for i, atom in enumerate(self.atoms):
+            if atom.key in self.bits:
+                raise ValueError(f"duplicate atom {atom} in vocabulary")
+            self.bits[atom.key] = 1 << i
         self.names: tuple[str, ...] = tuple(str(a) for a in self.atoms)
         # atom ids ordered by printed name, for listing the atoms of a mask
         self.name_order: tuple[int, ...] = tuple(
@@ -97,30 +94,24 @@ class Vocabulary:
     def __len__(self) -> int:
         return len(self.atoms)
 
-    def __iter__(self) -> Iterator[GroundAtom]:
-        return iter(self.atoms)
-
-    def __contains__(self, atom: GroundAtom) -> bool:
-        return atom.key in self._index
-
-    def id_of(self, atom: GroundAtom) -> int:
+    def _bit(self, name: str, args: tuple[str, ...]) -> int:
         try:
-            return self._index[atom.key]
-        except KeyError:
-            raise UnknownAtomError(f"atom {atom} is not in the vocabulary") from None
-
-    def get(self, name: str, *args: str) -> GroundAtom:
-        """Look up an interned atom by name and arguments."""
-        try:
-            return self.atoms[self._index[(name, tuple(args))]]
+            return self.bits[name, args]
         except KeyError:
             pretty = f"{name}({', '.join(args)})" if args else name
             raise UnknownAtomError(f"atom {pretty} is not in the vocabulary") from None
 
+    def id_of(self, atom: GroundAtom) -> int:
+        return self._bit(*atom.key).bit_length() - 1
+
+    def get(self, name: str, *args: str) -> GroundAtom:
+        """Look up an interned atom by name and arguments."""
+        return self.atoms[self._bit(name, args).bit_length() - 1]
+
     def mask_of(self, atoms: Iterable[GroundAtom]) -> int:
         mask = 0
         for atom in atoms:
-            mask |= 1 << self.id_of(atom)
+            mask |= self._bit(*atom.key)
         return mask
 
     def atoms_of(self, mask: int) -> frozenset[GroundAtom]:
@@ -161,9 +152,6 @@ class LogicalState:
         mask = self.mask
         names = self.vocabulary.names
         return [names[i] for i in self.vocabulary.name_order if mask >> i & 1]
-
-    def __str__(self) -> str:
-        return "{" + ", ".join(self.sorted_names()) + "}"
 
 
 @dataclass(frozen=True)

@@ -59,9 +59,6 @@ class GroundOperator:
             return self.schema.name
         return f"{self.schema.name}({', '.join(self.bound_args)})"
 
-    def __str__(self) -> str:
-        return self.name
-
 
 @dataclass
 class GroundedDomain:
@@ -391,13 +388,10 @@ def plan(
 
 
 def _extract(grounded, parents, mask, init, goal) -> Plan:
-    ops = []
-    while mask != init.mask or parents[mask][1] is not None:
-        parent_mask, op_idx = parents[mask]
-        if op_idx is None:
-            break
+    ops = []  # back to the start state, the only one without an operator
+    while parents[mask][1] is not None:
+        mask, op_idx = parents[mask]
         ops.append(grounded.operators[op_idx])
-        mask = parent_mask
     return Plan(tuple(reversed(ops)), init, goal)
 
 

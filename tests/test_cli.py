@@ -453,6 +453,47 @@ def test_bench_scenario_name_outside_trace_dir_exit_2(tmp_path, capsys):
     assert not (tmp_path / "traces").exists()
 
 
+@pytest.mark.parametrize(
+    "name_of, trials",
+    [
+        (lambda fits: "x" * 250, 1),
+        (lambda fits: "x" * (fits + 1), 1),
+        (lambda fits: "\u00e9" * (fits // 2 + 1), 1),
+        (lambda fits: "x" * fits, 10001),
+    ],
+    ids=["250_chars", "one_char_over", "two_byte_chars", "five_digit_trial"],
+)
+def test_bench_trace_name_too_long_exit_2(tmp_path, capsys, name_of, trials):
+    # The longest trace file name, NAME_trialNNNN.jsonl for the last trial,
+    # must fit the trace dir's name limit in UTF-8 bytes, or no trial runs.
+    traces = tmp_path / "traces"
+    traces.mkdir()
+    limit = os.pathconf(traces, "PC_NAME_MAX")
+    name = name_of(limit - len("_trial0000.jsonl"))
+    path = scenario_copy(tmp_path, "pick_spam_oracle", trials=trials)
+    path.write_text(json.dumps({**json.loads(path.read_text()), "name": name}))
+    out = tmp_path / "results.json"
+    code = main([
+        "bench", "--scenarios", str(path), "--trace-dir", str(traces), "--out", str(out),
+    ])
+    assert code == 2
+    longest = f"{name}_trial{trials - 1:04d}.jsonl"
+    assert capsys.readouterr().err == (
+        f"{path}: trace file name {longest!r} is longer than {limit} bytes\n"
+    )
+    assert not list(traces.iterdir()) and not out.exists()
+
+
+def test_bench_trace_name_at_the_limit_runs(tmp_path):
+    traces = tmp_path / "traces"
+    traces.mkdir()
+    name = "x" * (os.pathconf(traces, "PC_NAME_MAX") - len("_trial0000.jsonl"))
+    path = scenario_copy(tmp_path, "pick_spam_oracle", trials=1)
+    path.write_text(json.dumps({**json.loads(path.read_text()), "name": name}))
+    assert main(["bench", "--scenarios", str(path), "--trace-dir", str(traces)]) == 0
+    assert [p.name for p in traces.iterdir()] == [f"{name}_trial0000.jsonl"]
+
+
 def test_bench_failed_range_cancels_queued_ranges(tmp_path):
     # The first range of the first scenario fails at once: its first trace
     # path is a directory.  Leaving the pool must not wait for the ranges

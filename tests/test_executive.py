@@ -178,6 +178,25 @@ class TestNominalRun:
         assert outcome.succeeded
         assert outcome.ticks == 3  # the goal streak gate
 
+    def test_open_gripper_goal_on_a_loaded_gripper_succeeds(self):
+        # A goal that names gripper_is_open with an object to put away: the
+        # simulator's open_gripper drops what the gripper holds, so a plan
+        # that opens the gripper right after grasping loops between the
+        # grasp and the open until the budget ends.  open_gripper's
+        # (arm_is_free) precondition keeps it out of such plans.
+        grounded = ground(kitchen_domain(), kitchen_problem("put_away_both"))
+        vocab = grounded.vocabulary
+        goal = ConditionSet.from_atoms(vocab, [
+            vocab.get("obj_is_in_drawer", "sugar"),
+            vocab.get("gripper_is_open"),
+            vocab.get("handle_is_detected"),
+        ])
+        result = plan(grounded, goal=goal, optimal=True)
+        assert result.solved
+        sim, pipe = fresh_setup(grounded)
+        outcome = run(sim, pipe, build_chain(result.plan, goal), max_ticks=600)
+        assert (outcome.status, outcome.ticks, outcome.recoveries) == ("succeeded", 48, 0)
+
     def test_stuck_detection(self, g1):
         grounded, chain = g1
         # A world the chain cannot handle: spam sits in a half-open drawer

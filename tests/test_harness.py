@@ -708,6 +708,26 @@ class TestReport:
         assert "success" in lines[0]
         assert "100.0%" in lines[2]
 
+    def test_json_keys_are_the_dataclass_fields(self):
+        # Each field is declared once: both JSON writers read the dataclass
+        # fields, and the results reader checks the same names.  Attributes
+        # set on an instance outside its fields stay out of the JSON.
+        metrics, records = run_trials(load("put_away_spam_oracle", trials=1))
+        vars(records[0])["extra"] = 1
+
+        def names(cls):
+            return [f.name for f in dataclasses.fields(cls)]
+
+        assert list(records[0].to_json_dict()) == names(harness.TrialRecord)
+        assert list(metrics.to_json_dict()) == names(harness.Metrics)
+        assert list(harness._METRIC_FIELDS) == names(harness.Metrics)
+
+    def test_results_payload_reads_back(self):
+        metrics, records = run_trials(load("put_away_spam_oracle", trials=2))
+        payload = harness.results_payload([(metrics, records)])
+        assert payload["format_version"] == harness.RESULTS_FORMAT_VERSION
+        assert harness.read_results(payload) == [metrics]
+
     def test_empty_metrics_rejected(self):
         with pytest.raises(ValueError):
             report([])

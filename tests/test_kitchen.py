@@ -298,6 +298,16 @@ class TestDisturbances:
         assert "drawer_is_closed" in names
         assert "obj_is_in_drawer(spam)" in names
 
+    def test_set_drawer_lets_go_of_the_handle(self, grounded):
+        world = loaded_world(("around", "handle"), "handle")
+        sim = reliable_sim(grounded, world)
+        sim.apply_disturbance({"kind": "set_drawer", "extension": 1.0})
+        w = sim.world
+        assert (w.attached, w.gripper_aperture, w.arm_region) == (
+            None, 1.0, ("near_handle", None)
+        )
+        assert w.drawer_extension == 1.0
+
     def test_detach_noop_when_free(self, grounded):
         sim = reliable_sim(grounded, reference_world())
         before = copy.deepcopy(sim.world)
@@ -455,6 +465,15 @@ class TestOutcomesKeepWorldValid:
         sim.world.validate()
         assert sim.world.attached is None
         assert sim.world.object_pose["spam"][0] == "counter"
+
+    def test_failure_without_a_rule_changes_nothing(self, grounded):
+        # back_off's row gives no failure outcome: the world stays as it was
+        # dispatched, and the executive retries.
+        world = reference_world()
+        prims = merge_primitive_config({"success_prob": 0.0})
+        sim = KitchenSim(grounded, copy.deepcopy(world), prims)
+        assert run_op(sim, grounded.operator_named("back_off")).phase == "failed"
+        assert sim.world == world
 
     def test_grasp_while_another_object_is_held(self, grounded):
         world = loaded_world(("around", "spam"), "sugar", ("held",))

@@ -275,6 +275,26 @@ class TestKitchenPlanning:
         b = step_names(plan(grounded).plan.steps)
         assert a == b
 
+    # (plan length, expansions) of BFS and GBFS on every shipped problem, so
+    # a change to kitchen.dpdl or to either search shows here.
+    SEARCH_PINS = {
+        "open_drawer": ((6, 19), (6, 6)),
+        "pick_spam": ((5, 12), (5, 5)),
+        "pick_sugar": ((5, 16), (5, 5)),
+        "put_away_both": ((24, 291), (24, 56)),
+        "put_away_spam": ((16, 173), (16, 32)),
+        "put_away_sugar": ((16, 186), (16, 32)),
+    }
+
+    @pytest.mark.parametrize("problem", sorted(SEARCH_PINS))
+    def test_search_pins(self, problem):
+        grounded = ground(kitchen_domain(), kitchen_problem(problem))
+        got = tuple(
+            (len(result.plan), result.expansions)
+            for result in (plan(grounded, optimal=True), plan(grounded))
+        )
+        assert got == self.SEARCH_PINS[problem]
+
     def test_plan_json_round_trip(self):
         grounded = ground(kitchen_domain(), kitchen_problem("put_away_spam"))
         p = plan(grounded, optimal=True).plan
