@@ -25,12 +25,12 @@ class UnsupportedFeatureError(ValueError):
 class ChainInconsistencyError(ValueError):
     """The plan deletes a condition some later step still needs."""
 
-    def __init__(self, step: int, atoms):
+    def __init__(self, step: int, names: list[str]):
         self.step = step
-        self.atoms = atoms
-        names = ", ".join(sorted(str(a) for a in atoms))
+        self.names = names
         super().__init__(
-            f"step {step} deletes conditions needed later with no re-producer: {names}"
+            f"step {step} deletes conditions needed later with no re-producer: "
+            + ", ".join(names)
         )
 
 
@@ -62,11 +62,7 @@ class Chain:
         return len(self.steps)
 
     def to_json_dict(self) -> dict:
-        vocab = self.goal.vocabulary
-
-        def atom_names(mask: int) -> list[str]:
-            return sorted(str(a) for a in vocab.atoms_of(mask))
-
+        atom_names = self.goal.vocabulary.names_of
         return {
             "format_version": 1,
             "goal": atom_names(self.goal.pos_mask),
@@ -111,7 +107,7 @@ def build_chain(plan: Plan, goal: ConditionSet) -> Chain:
         op = plan.steps[i]
         doomed = carry & op.eff.del_mask
         if doomed:
-            raise ChainInconsistencyError(i, vocab.atoms_of(doomed))
+            raise ChainInconsistencyError(i, vocab.names_of(doomed))
         extra = carry & ~op.eff.add_mask
         augmented.append(
             AugmentedOperator(

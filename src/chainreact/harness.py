@@ -47,6 +47,7 @@ import numpy as np
 from . import executive as exe
 from .chains import Chain, build_chain
 from .kitchen import (
+    DEFAULT_PRIMITIVES,
     NUM_COUNTER_ZONES,
     InitialConfig,
     KitchenSim,
@@ -57,7 +58,7 @@ from .kitchen import (
 )
 from .lang import load_domain_file, load_problem_file
 from .perception import NoiseModel, PerceptionPipeline
-from .planner import GroundedDomain, ground, plan
+from .planner import GroundedDomain, GroundingLimitError, ground, plan
 
 FORMAT_VERSION = 1  # of trace files
 RESULTS_FORMAT_VERSION = 1
@@ -183,12 +184,19 @@ def load_grounded(
     Returns ``None`` after appending to ``problems`` one line per fault,
     each starting with the path of its file: a file that cannot be read or
     is not UTF-8 text, or a parse diagnostic as ``PATH:LINE:COL: error:
-    MESSAGE``.  The problem is read only once the domain parses."""
+    MESSAGE``, or ``PROBLEM_PATH: grounding exceeds N operators`` (or
+    ``atoms``).  The problem is read only once the domain parses."""
     domain = _parsed(domain_path, problems, load_domain_file)
     problem = None if domain is None else _parsed(
         problem_path, problems, load_problem_file, domain
     )
-    return None if problem is None else ground(domain, problem)
+    if problem is None:
+        return None
+    try:
+        return ground(domain, problem)
+    except GroundingLimitError as err:
+        problems.append(f"{problem_path}: {err}")
+        return None
 
 
 def _parsed(path: str, problems: list[str], load, *args):
@@ -363,6 +371,13 @@ def build_scenario(raw: dict, base_dir: Path, name: str = "scenario") -> Scenari
     # the checks that need several fields or the grounded domain.
     problems: list[str] = []
     _check(raw, _SCENARIO, "", problems)
+    bindings = {} if problems else raw.get("primitives", {}).get("bindings", {})
+    problems.extend(
+        f"field 'primitives.bindings.{key}' has no default, so it must give "
+        + " and ".join(k for k in ("min_ticks", "max_ticks") if k not in spec)
+        for key, spec in bindings.items()
+        if key not in DEFAULT_PRIMITIVES and not {"min_ticks", "max_ticks"} <= spec.keys()
+    )
     disturbances = raw.get("disturbances", [])
     for i, dist in enumerate([] if problems else disturbances):
         where = f"disturbances[{i}]"
@@ -718,33 +733,23 @@ def read_results(payload) -> list[Metrics]:
     return [Metrics(**entry["metrics"]) for entry in payload["results"]]
 
 
+# The report's columns: header, and the cell of one scenario's metrics.
+_COLUMNS = (
+    ("scenario", lambda m: m.scenario),
+    ("trials", lambda m: str(m.trials)),
+    ("success", lambda m: f"{m.success_rate * 100:.1f}%"),
+    ("mean_ticks", lambda m: "-" if m.mean_ticks is None else f"{m.mean_ticks:.1f}"),
+    ("recoveries", lambda m: f"{m.recovery_rate * 100:.1f}%"),
+    ("false_succ", lambda m: f"{m.false_success_rate * 100:.1f}%"),
+)
+
+
 def report(metrics_list: list[Metrics]) -> str:
     """Aligned comparison table over one row per scenario."""
     if not metrics_list:
         raise ValueError("no metrics to report")
-    headers = [
-        "scenario", "trials", "success", "mean_ticks", "recoveries", "false_succ",
-    ]
-    rows = []
-    for m in metrics_list:
-        rows.append(
-            [
-                m.scenario,
-                str(m.trials),
-                f"{m.success_rate * 100:.1f}%",
-                "-" if m.mean_ticks is None else f"{m.mean_ticks:.1f}",
-                f"{m.recovery_rate * 100:.1f}%",
-                f"{m.false_success_rate * 100:.1f}%",
-            ]
-        )
-    widths = [
-        max(len(headers[c]), *(len(r[c]) for r in rows))
-        for c in range(len(headers))
-    ]
-    lines = [
-        "  ".join(h.ljust(widths[c]) for c, h in enumerate(headers)),
-        "  ".join("-" * widths[c] for c in range(len(headers))),
-    ]
-    for r in rows:
-        lines.append("  ".join(r[c].ljust(widths[c]) for c in range(len(headers))))
-    return "\n".join(lines)
+    rows = [[h for h, _ in _COLUMNS]]
+    rows += [[cell(m) for _, cell in _COLUMNS] for m in metrics_list]
+    widths = [max(map(len, column)) for column in zip(*rows)]
+    rows.insert(1, ["-" * w for w in widths])
+    return "\n".join("  ".join(t.ljust(w) for t, w in zip(row, widths)) for row in rows)

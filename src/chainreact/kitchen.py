@@ -153,8 +153,7 @@ def evaluate_world(world: WorldState, grounded: GroundedDomain) -> LogicalState:
             if not hidden:
                 mask |= bit["obj_is_detected", args] | bit["obj_is_tracked", args]
     except KeyError as err:
-        name, args = err.args[0]
-        vocab.get(name, *args)  # raises UnknownAtomError naming the atom
+        vocab.bit_of(*err.args[0])  # raises UnknownAtomError naming the atom
         raise
     return LogicalState(vocab, mask)
 
@@ -452,14 +451,15 @@ class PrimitiveState:
 
 def merge_primitive_config(overrides: Optional[dict] = None) -> dict[str, PrimitiveSpec]:
     """Apply scenario overrides: a global success_prob and/or per-binding
-    {min_ticks, max_ticks, success_prob} entries."""
+    {min_ticks, max_ticks, success_prob} entries.  A binding with no
+    default must give both tick bounds."""
     overrides = overrides or {}
     table = dict(DEFAULT_PRIMITIVES)
     if overrides.get("success_prob") is not None:
         p = float(overrides["success_prob"])
         table = {k: replace(v, success_prob=p) for k, v in table.items()}
     for name, spec in overrides.get("bindings", {}).items():
-        table[name] = replace(table.get(name, PrimitiveSpec(1, 1)), **spec)
+        table[name] = replace(table[name], **spec) if name in table else PrimitiveSpec(**spec)
     return table
 
 

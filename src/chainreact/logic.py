@@ -94,7 +94,8 @@ class Vocabulary:
     def __len__(self) -> int:
         return len(self.atoms)
 
-    def _bit(self, name: str, args: tuple[str, ...]) -> int:
+    def bit_of(self, name: str, args: tuple[str, ...]) -> int:
+        """The bit of atom ``name(*args)``."""
         try:
             return self.bits[name, args]
         except KeyError:
@@ -102,22 +103,27 @@ class Vocabulary:
             raise UnknownAtomError(f"atom {pretty} is not in the vocabulary") from None
 
     def id_of(self, atom: GroundAtom) -> int:
-        return self._bit(*atom.key).bit_length() - 1
+        return self.bit_of(*atom.key).bit_length() - 1
 
     def get(self, name: str, *args: str) -> GroundAtom:
         """Look up an interned atom by name and arguments."""
-        return self.atoms[self._bit(name, args).bit_length() - 1]
+        return self.atoms[self.bit_of(name, args).bit_length() - 1]
 
     def mask_of(self, atoms: Iterable[GroundAtom]) -> int:
         mask = 0
         for atom in atoms:
-            mask |= self._bit(*atom.key)
+            mask |= self.bit_of(*atom.key)
         return mask
 
     def atoms_of(self, mask: int) -> frozenset[GroundAtom]:
         return frozenset(
             self.atoms[i] for i in range(len(self.atoms)) if mask >> i & 1
         )
+
+    def names_of(self, mask: int) -> list[str]:
+        """The printed names of the atoms in ``mask``, in name order."""
+        names = self.names
+        return [names[i] for i in self.name_order if mask >> i & 1]
 
 
 @dataclass(frozen=True)
@@ -149,9 +155,7 @@ class LogicalState:
         return hash((id(self.vocabulary), self.mask))
 
     def sorted_names(self) -> list[str]:
-        mask = self.mask
-        names = self.vocabulary.names
-        return [names[i] for i in self.vocabulary.name_order if mask >> i & 1]
+        return self.vocabulary.names_of(self.mask)
 
 
 @dataclass(frozen=True)
@@ -164,10 +168,9 @@ class ConditionSet:
 
     def __post_init__(self) -> None:
         if self.pos_mask & self.neg_mask:
-            both = self.vocabulary.atoms_of(self.pos_mask & self.neg_mask)
+            both = self.vocabulary.names_of(self.pos_mask & self.neg_mask)
             raise ValueError(
-                "atoms with both polarities in condition set: "
-                + ", ".join(sorted(str(a) for a in both))
+                "atoms with both polarities in condition set: " + ", ".join(both)
             )
 
     @classmethod
@@ -182,13 +185,8 @@ class ConditionSet:
     def __str__(self) -> str:
         """``{+a, +b, -c}``: the positive literals, then the negative ones,
         each in name order."""
-        vocab = self.vocabulary
-        literals = [
-            sign + vocab.names[i]
-            for sign, mask in (("+", self.pos_mask), ("-", self.neg_mask))
-            for i in vocab.name_order
-            if mask >> i & 1
-        ]
+        names = self.vocabulary.names_of
+        literals = [f"+{n}" for n in names(self.pos_mask)] + [f"-{n}" for n in names(self.neg_mask)]
         return "{" + ", ".join(literals) + "}"
 
 
@@ -202,11 +200,8 @@ class EffectSet:
 
     def __post_init__(self) -> None:
         if self.add_mask & self.del_mask:
-            both = self.vocabulary.atoms_of(self.add_mask & self.del_mask)
-            raise ValueError(
-                "atoms both added and deleted: "
-                + ", ".join(sorted(str(a) for a in both))
-            )
+            both = self.vocabulary.names_of(self.add_mask & self.del_mask)
+            raise ValueError("atoms both added and deleted: " + ", ".join(both))
 
     @classmethod
     def from_atoms(

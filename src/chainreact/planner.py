@@ -2,8 +2,10 @@
 
 ``ground`` enumerates every type-consistent binding of each operator schema
 against the problem objects (plus domain constants), interning all ground
-atoms into a :class:`~chainreact.logic.Vocabulary`, and compiles every
-operator once into a row of raw integer masks (see :class:`GroundedDomain`).
+atoms into a :class:`~chainreact.logic.Vocabulary`.  Each bound atom goes
+straight to its bit, so every operator's conditions and effects, the
+initial state and the goal are ORs of bits, and every operator is compiled
+once into a row of raw integer masks (see :class:`GroundedDomain`).
 ``plan`` then searches the grounded space on plain ``int`` states: greedy
 best-first on the delete-relaxation additive heuristic by default, or
 exhaustive breadth-first search when ``optimal`` is requested (used wherever
@@ -19,7 +21,7 @@ import heapq
 import itertools
 from collections import deque
 from dataclasses import dataclass, field
-from math import inf, isinf
+from math import inf, isinf, prod
 from typing import Optional, Sequence
 
 from .lang import DomainDefinition, LiftedAtom, OperatorSchema, ProblemDefinition
@@ -117,22 +119,22 @@ class GroundedDomain:
 
 
 def _objects_by_type(domain: DomainDefinition, problem: ProblemDefinition) -> dict[str, list[str]]:
-    pool = list(domain.constants.items()) + list(problem.objects.items())
-    out: dict[str, list[str]] = {t: [] for t in domain.types}
-    for symbol, type_name in pool:
-        for t in domain.types:
-            if domain.is_subtype(type_name, t):
-                out[t].append(symbol)
-    return out
+    pool = [*domain.constants.items(), *problem.objects.items()]
+    return {t: [s for s, of in pool if domain.is_subtype(of, t)] for t in domain.types}
 
 
-def _substitute(atom: LiftedAtom, binding: dict[str, str]) -> tuple[str, tuple[str, ...]]:
-    return atom.name, tuple(binding.get(a, a) for a in atom.args)
+def _split(literals) -> tuple[tuple[LiftedAtom, ...], tuple[LiftedAtom, ...]]:
+    """The atoms of the positive literals, then those of the negative ones."""
+    return tuple(tuple(l.atom for l in literals if l.positive == p) for p in (True, False))
 
 
-def _bind(vocab: Vocabulary, atom: LiftedAtom, binding: dict[str, str]) -> GroundAtom:
-    name, args = _substitute(atom, binding)
-    return vocab.get(name, *args)
+def _mask(vocab: Vocabulary, atoms, binding: dict[str, str]) -> int:
+    """The OR of the bits of ``atoms``, each variable replaced by its value
+    in ``binding``."""
+    mask = 0
+    for atom in atoms:
+        mask |= vocab.bit_of(atom.name, tuple(binding.get(a, a) for a in atom.args))
+    return mask
 
 
 def ground(
@@ -140,59 +142,43 @@ def ground(
     problem: ProblemDefinition,
     max_operators: int = DEFAULT_GROUND_CAP,
 ) -> GroundedDomain:
-    """Enumerate the full grounded vocabulary and operator set."""
+    """Enumerate the full grounded vocabulary and operator set.
+
+    Raises :class:`GroundingLimitError` before building either when the
+    type pools give more than ``DEFAULT_GROUND_CAP`` atoms or more than
+    ``max_operators`` operators."""
     by_type = _objects_by_type(domain, problem)
+    atom_pools = [[by_type.get(t, []) for t in p.param_types] for p in domain.predicates]
+    op_pools = [[by_type.get(t, []) for _, t in o.params] for o in domain.operators]
+    for what, cap, pools in (
+        ("atoms", DEFAULT_GROUND_CAP, atom_pools), ("operators", max_operators, op_pools)
+    ):
+        if sum(prod(map(len, p)) for p in pools) > cap:
+            raise GroundingLimitError(f"grounding exceeds {cap} {what}")
 
-    atoms: list[GroundAtom] = []
-    for schema in domain.predicates:
-        pools = [by_type.get(t, []) for t in schema.param_types]
-        for combo in itertools.product(*pools):
-            atoms.append(GroundAtom(schema, combo))
-    vocab = Vocabulary(atoms)
-
+    vocab = Vocabulary(
+        GroundAtom(schema, combo)
+        for schema, pools in zip(domain.predicates, atom_pools)
+        for combo in itertools.product(*pools)
+    )
     operators: list[GroundOperator] = []
-    for schema in domain.operators:
-        pools = [by_type.get(t, []) for _, t in schema.params]
+    for schema, pools in zip(domain.operators, op_pools):
         names = [v for v, _ in schema.params]
+        parts = (*_split(schema.pre), *_split(schema.effective_run), schema.adds, schema.deletes)
         for combo in itertools.product(*pools):
-            if len(operators) >= max_operators:
-                raise GroundingLimitError(
-                    f"grounding exceeds {max_operators} operators"
-                )
             binding = dict(zip(names, combo))
-            pre_pos = [_bind(vocab, l.atom, binding) for l in schema.pre if l.positive]
-            pre_neg = [_bind(vocab, l.atom, binding) for l in schema.pre if not l.positive]
-            run_src = schema.effective_run
-            run_pos = [_bind(vocab, l.atom, binding) for l in run_src if l.positive]
-            run_neg = [_bind(vocab, l.atom, binding) for l in run_src if not l.positive]
-            adds = [_bind(vocab, a, binding) for a in schema.adds]
-            deletes = [_bind(vocab, a, binding) for a in schema.deletes]
-            operators.append(
-                GroundOperator(
-                    index=len(operators),
-                    schema=schema,
-                    bound_args=combo,
-                    pre=ConditionSet.from_atoms(vocab, pre_pos, pre_neg),
-                    run=ConditionSet.from_atoms(vocab, run_pos, run_neg),
-                    eff=EffectSet.from_atoms(vocab, adds, deletes),
-                )
+            pre_pos, pre_neg, run_pos, run_neg, adds, deletes = (
+                _mask(vocab, atoms, binding) for atoms in parts
             )
-
-    init = LogicalState.from_atoms(
-        vocab, [vocab.get(a.name, *a.args) for a in problem.init]
-    )
-    goal_pos = [vocab.get(l.atom.name, *l.atom.args) for l in problem.goal if l.positive]
-    goal_neg = [vocab.get(l.atom.name, *l.atom.args) for l in problem.goal if not l.positive]
-    goal = ConditionSet.from_atoms(vocab, goal_pos, goal_neg)
-
-    return GroundedDomain(
-        domain=domain,
-        problem=problem,
-        vocabulary=vocab,
-        operators=tuple(operators),
-        init=init,
-        goal=goal,
-    )
+            operators.append(GroundOperator(
+                index=len(operators), schema=schema, bound_args=combo,
+                pre=ConditionSet(vocab, pre_pos, pre_neg),
+                run=ConditionSet(vocab, run_pos, run_neg),
+                eff=EffectSet(vocab, adds, deletes),
+            ))
+    init = LogicalState(vocab, _mask(vocab, problem.init, {}))
+    goal = ConditionSet(vocab, *(_mask(vocab, atoms, {}) for atoms in _split(problem.goal)))
+    return GroundedDomain(domain, problem, vocab, tuple(operators), init, goal)
 
 
 # --------------------------------------------------------------------------

@@ -116,6 +116,8 @@ class TestRegressionSemantics:
         with pytest.raises(ChainInconsistencyError) as exc:
             build_chain(sound, wider)
         assert exc.value.step == 1
+        assert exc.value.names == ["a"]
+        assert str(exc.value).endswith("with no re-producer: a")
 
     def test_monotone_augmentation(self):
         grounded = ground(kitchen_domain(), kitchen_problem("put_away_spam"))

@@ -4,6 +4,7 @@ import json
 import os
 import re
 import sys
+import time
 from concurrent.futures import Future
 
 import pytest
@@ -148,13 +149,14 @@ def test_plan_rejects_bad_domain(tmp_path, capsys):
 
 def _run_on_pair(command, tmp_path, domain, problem):
     """Run ``command`` on the domain and problem files given, through a
-    scenario file for ``bench``; returns the exit code."""
-    if command == "bench":
+    scenario file for ``execute`` and ``bench``; returns the exit code."""
+    if command in ("execute", "bench"):
         raw = json.loads(scenario_path("pick_spam_oracle").read_text())
         raw.update(domain=str(domain), problem=str(problem), trials=1)
         scenario = tmp_path / "scenario.json"
         scenario.write_text(json.dumps(raw))
-        return main(["bench", "--scenarios", str(scenario)])
+        flag = "--scenario" if command == "execute" else "--scenarios"
+        return main([command, flag, str(scenario)])
     args = [command, "--domain", str(domain), "--problem", str(problem)]
     if command == "chain":
         plan_file = tmp_path / "plan.json"
@@ -206,6 +208,58 @@ def test_diagnostics_start_with_their_file(tmp_path, capsys, command, which, edi
     lines = [line for line in capsys.readouterr().err.splitlines() if message in line]
     assert lines and all(re.search(rf"{re.escape(str(bad))}:\d+:\d+: error: ", line)
                          for line in lines), lines
+
+
+CUBE_DOMAIN = """(define (domain cube)
+  (:types thing)
+  (:predicates (p ?a - thing))
+  (:action op
+    :parameters (?a - thing ?b - thing ?c - thing)
+    :precondition (and)
+    :effect (and (p ?a))
+  )
+)
+"""
+
+
+@pytest.mark.parametrize("command", ["plan", "chain", "execute", "bench"])
+def test_grounding_over_cap_exit_2(tmp_path, capsys, command):
+    # 101 objects give 101^3 = 1,030,301 ground operators.  Grounding used
+    # to build 10^6 of them and then end every command in a
+    # GroundingLimitError traceback; now it counts them first.
+    domain = tmp_path / "cube.dpdl"
+    domain.write_text(CUBE_DOMAIN)
+    problem = tmp_path / "cube.dprob"
+    objects = " ".join(f"o{i}" for i in range(101))
+    problem.write_text(
+        f"(define (problem cube) (:domain cube) (:objects {objects} - thing)\n"
+        "  (:init) (:goal (and (p o0))))\n"
+    )
+    start = time.perf_counter()
+    assert _run_on_pair(command, tmp_path, domain, problem) == 2
+    assert time.perf_counter() - start < 1.0
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1, lines
+    assert lines[0].endswith(f"{problem}: grounding exceeds 1000000 operators"), lines
+
+
+@pytest.mark.parametrize("command", ["execute", "bench"])
+@pytest.mark.parametrize(
+    "spec, missing",
+    [({"success_prob": 0.5}, "min_ticks and max_ticks"), ({"max_ticks": 2}, "min_ticks")],
+    ids=["no_ticks", "no_min_ticks"],
+)
+def test_binding_without_default_must_give_ticks(tmp_path, capsys, command, spec, missing):
+    # A binding with no default used to load from a hidden 1-tick primitive.
+    domain = kitchen_source().replace(":binding open_gripper", ":binding wipe")
+    path = scenario_copy(
+        tmp_path, "pick_spam_oracle", domain, primitives={"bindings": {"wipe": spec}}
+    )
+    flag = "--scenario" if command == "execute" else "--scenarios"
+    assert main([command, flag, str(path)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"{path}: field 'primitives.bindings.wipe' has no default, so it must give {missing}"
+    ]
 
 
 def test_execute_writes_trace_and_exit_codes(tmp_path, capsys):

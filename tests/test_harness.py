@@ -218,7 +218,7 @@ class TestLoadScenario:
             load("put_away_spam_oracle", domain=str(domain))
         assert any("'primitives.bindings.warp'" in p for p in err.value.problems)
         sc = load("put_away_spam_oracle", domain=str(domain), trials=1,
-                  primitives={"bindings": {"warp": {"max_ticks": 2}}})
+                  primitives={"bindings": {"warp": {"min_ticks": 1, "max_ticks": 2}}})
         assert run_trial(sc, 0).succeeded
 
     @pytest.mark.parametrize(

@@ -8,6 +8,9 @@ probability 1 and inspecting the evaluated state after every completion.
 
 import copy
 import dataclasses
+import json
+from collections import deque
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,7 +33,7 @@ from chainreact.kitchen import (
     sample_initial,
 )
 from chainreact.lang import parse_problem
-from chainreact.logic import UnknownAtomError, holds
+from chainreact.logic import UnknownAtomError, apply_effects, holds
 from chainreact.planner import ground, plan
 from tests.util import (
     kitchen_domain,
@@ -398,6 +401,76 @@ class TestAlignment:
         assert seen == all_ops
 
 
+# The frame check on put_away_both with success probability 1: for every
+# truth mask the simulator reaches by successful runs, and every operator
+# enterable in it, the atoms in which the truth after a successful run
+# differs from the STRIPS apply.  tests/frame_pins.json holds the counts
+# and, per ground operator, the differing atoms: "+a" where the simulator
+# makes a true and the domain does not, "-a" the other way round.  The
+# accepted misses are explained in docs/kitchen-domain.md.  Regenerate the
+# file with `python -m tests.test_kitchen` only when a change to OUTCOMES,
+# kitchen.dpdl or grounding is meant to change them.
+FRAME_PINS_PATH = Path(__file__).resolve().parent / "frame_pins.json"
+
+
+def frame_starts(movables):
+    """reference_world(), and one world per other branch of
+    sample_initial's support: the drawer open, and an object already in
+    the (closed) drawer."""
+    opened = reference_world(movables)
+    opened.drawer_extension = 1.0
+    stored = reference_world(movables)
+    stored.object_pose[movables[0]] = ("in_drawer",)
+    return [reference_world(movables), opened, stored]
+
+
+def frame_check(grounded) -> dict:
+    """Breadth-first over the truth masks reachable from frame_starts(),
+    one world per mask; see FRAME_PINS_PATH."""
+    vocab = grounded.vocabulary
+    queue = deque(frame_starts(grounded.movables))
+    seen = {evaluate_world(world, grounded).mask for world in queue}
+    pairs = missed = 0
+    misses: dict[str, set] = {}
+    while queue:
+        world = queue.popleft()
+        truth = evaluate_world(world, grounded)
+        for op in grounded.operators:
+            if not holds(truth, op.pre):
+                continue
+            sim = reliable_sim(grounded, copy.deepcopy(world))
+            assert run_op(sim, op).phase == "done"
+            after = sim.eval_predicates().mask
+            predicted = apply_effects(truth, op.eff).mask
+            diff = [f"+{name}" for name in vocab.names_of(after & ~predicted)]
+            diff += [f"-{name}" for name in vocab.names_of(predicted & ~after)]
+            pairs += 1
+            missed += bool(diff)
+            misses.setdefault(op.name, set()).update(diff)
+            if after not in seen:
+                seen.add(after)
+                queue.append(sim.world)
+    return {
+        "reachable_masks": len(seen),
+        "enterable_pairs": pairs,
+        "pairs_with_misses": missed,
+        "misses": {name: sorted(diff) for name, diff in sorted(misses.items()) if diff},
+    }
+
+
+class TestFrame:
+    def test_frame_misses_match_pins(self):
+        grounded = ground(kitchen_domain(), kitchen_problem("put_away_both"))
+        pins = json.loads(FRAME_PINS_PATH.read_text(encoding="utf-8"))
+        assert frame_check(grounded) == pins
+
+    def test_open_gripper_has_no_frame_miss(self):
+        # The domain's open_gripper needs a free arm, so it never drops
+        # what the gripper holds behind the domain's back.
+        pins = json.loads(FRAME_PINS_PATH.read_text(encoding="utf-8"))
+        assert "open_gripper" not in pins["misses"]
+
+
 class TestGoalEvaluation:
     def test_reference_state_does_not_satisfy_put_away_goal(self, grounded):
         from chainreact.logic import holds
@@ -603,3 +676,10 @@ class TestContract:
             else:
                 sim.apply_disturbance({"kind": step})
             assert_in_contract(sim.eval_predicates())
+
+
+if __name__ == "__main__":
+    _grounded = ground(kitchen_domain(), kitchen_problem("put_away_both"))
+    FRAME_PINS_PATH.write_text(
+        json.dumps(frame_check(_grounded), indent=1) + "\n", encoding="utf-8"
+    )

@@ -8,7 +8,7 @@ package on randomly generated small vocabularies.
 import itertools
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chainreact.logic import (
@@ -201,6 +201,22 @@ class TestWideVocabulary:
             state, EffectSet.from_atoms(vocab, adds=[vocab.get("p64")], deletes=[high])
         )
         assert vocab.get("p64") in out and high not in out and low in out
+
+    @settings(max_examples=200)
+    @given(mask=st.integers(min_value=0, max_value=(1 << 130) - 1))
+    @example(mask=1 << 129 | 1 << 64 | 1 << 10 | 1 << 2)
+    def test_names_of_matches_sorted_atom_strings(self, mask):
+        # Name order is string order: "p10" comes before "p2".
+        vocab = make_vocab(130)
+        assert vocab.names_of(mask) == sorted(str(a) for a in vocab.atoms_of(mask))
+
+    def test_overlap_errors_name_atoms_in_name_order(self):
+        vocab = make_vocab(130)
+        both = 1 << 2 | 1 << 10 | 1 << 100
+        with pytest.raises(ValueError, match=r"polarities in condition set: p10, p100, p2$"):
+            ConditionSet(vocab, both, both)
+        with pytest.raises(ValueError, match=r"added and deleted: p10, p100, p2$"):
+            EffectSet(vocab, both, both)
 
 
 

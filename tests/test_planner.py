@@ -23,8 +23,10 @@ from chainreact.lang import (
     OperatorSchema,
     ProblemDefinition,
 )
+from chainreact import planner
 from chainreact.logic import (
     ConditionSet,
+    EffectSet,
     LogicalState,
     PredicateSchema,
     apply_effects,
@@ -39,7 +41,7 @@ from chainreact.planner import (
     plan_from_json,
     symbolic_execute,
 )
-from tests.util import kitchen_domain, kitchen_problem, step_names
+from tests.util import DATA_DIR, kitchen_domain, kitchen_problem, step_names
 
 # --------------------------------------------------------------------------
 # Random propositional tasks plus the set-based oracle
@@ -142,6 +144,32 @@ def oracle_additive_cost(op_specs, state_names, goal_names):
 # --------------------------------------------------------------------------
 
 
+SHIPPED_PROBLEMS = sorted(path.stem for path in (DATA_DIR / "problems").glob("*.dprob"))
+
+
+def cube_task(n_objects, arity):
+    """One type of ``n_objects`` objects and one action over three of them
+    that adds ``p`` of its first ``arity`` arguments: n^3 ground operators
+    and n^arity ground atoms."""
+    d = DomainDefinition(name="d", types={"t": None})
+    d.predicates = [PredicateSchema("p", ("t",) * arity)]
+    d.operators = [
+        OperatorSchema(
+            "op",
+            params=(("?a", "t"), ("?b", "t"), ("?c", "t")),
+            pre=frozenset(),
+            run=None,
+            adds=frozenset({LiftedAtom("p", ("?a", "?b", "?c")[:arity])}),
+            deletes=frozenset(),
+        )
+    ]
+    p = ProblemDefinition(
+        "pb", "d", objects={f"o{i}": "t" for i in range(n_objects)},
+        init=frozenset(), goal=frozenset(),
+    )
+    return d, p
+
+
 class TestGrounding:
     def test_kitchen_counts(self):
         grounded = ground(kitchen_domain(), kitchen_problem("put_away_spam"))
@@ -177,24 +205,57 @@ class TestGrounding:
         assert grounded.movables == ()  # no type "movable" in this domain
 
     def test_grounding_cap(self):
-        d = DomainDefinition(name="d", types={"t": None})
-        d.predicates = [PredicateSchema("p", ("t", "t", "t"))]
-        d.operators = [
-            OperatorSchema(
-                "op",
-                params=(("?a", "t"), ("?b", "t"), ("?c", "t")),
-                pre=frozenset(),
-                run=None,
-                adds=frozenset({LiftedAtom("p", ("?a", "?b", "?c"))}),
-                deletes=frozenset(),
-            )
-        ]
-        p = ProblemDefinition(
-            "pb", "d", objects={f"o{i}": "t" for i in range(30)},
-            init=frozenset(), goal=frozenset(),
-        )
         with pytest.raises(GroundingLimitError):
-            ground(d, p, max_operators=1000)
+            ground(*cube_task(30, 3), max_operators=1000)
+
+    def test_cap_bounds_the_operator_count(self):
+        assert len(ground(*cube_task(10, 1), max_operators=1000).operators) == 1000
+        with pytest.raises(GroundingLimitError, match="grounding exceeds 999 operators$"):
+            ground(*cube_task(10, 1), max_operators=999)
+
+    @pytest.mark.parametrize("arity, what", [(1, "operators"), (3, "atoms")])
+    def test_cap_is_checked_before_anything_is_built(self, monkeypatch, arity, what):
+        # 101 objects give 101^3 = 1,030,301 operators, and as many atoms
+        # under an arity-3 predicate.  Both are counted from the type pools;
+        # grounding used to build 10^6 operators before it raised, and had
+        # no cap on atoms at all.
+        def build(*args, **kwargs):
+            raise AssertionError("built before the cap was checked")
+
+        monkeypatch.setattr(planner, "GroundAtom", build)
+        monkeypatch.setattr(planner, "GroundOperator", build)
+        with pytest.raises(GroundingLimitError, match=f"grounding exceeds 1000000 {what}$"):
+            ground(*cube_task(101, arity))
+
+    @pytest.mark.parametrize("problem", SHIPPED_PROBLEMS)
+    def test_masks_match_atom_by_atom_build(self, problem):
+        # The reference build: every bound atom looked up as a GroundAtom,
+        # and each set made from those atoms.
+        grounded = ground(kitchen_domain(), kitchen_problem(problem))
+        vocab = grounded.vocabulary
+
+        def atoms(lifted, binding):
+            return [vocab.get(a.name, *(binding.get(x, x) for x in a.args)) for a in lifted]
+
+        def literals(lits, binding):
+            return (
+                atoms([l.atom for l in lits if l.positive], binding),
+                atoms([l.atom for l in lits if not l.positive], binding),
+            )
+
+        for op in grounded.operators:
+            schema = op.schema
+            binding = dict(zip((v for v, _ in schema.params), op.bound_args))
+            assert op.pre == ConditionSet.from_atoms(vocab, *literals(schema.pre, binding))
+            assert op.run == ConditionSet.from_atoms(
+                vocab, *literals(schema.effective_run, binding)
+            )
+            assert op.eff == EffectSet.from_atoms(
+                vocab, atoms(schema.adds, binding), atoms(schema.deletes, binding)
+            )
+        task = grounded.problem
+        assert grounded.init == LogicalState.from_atoms(vocab, atoms(task.init, {}))
+        assert grounded.goal == ConditionSet.from_atoms(vocab, *literals(task.goal, {}))
 
 
 # --------------------------------------------------------------------------
