@@ -16,13 +16,7 @@ The package is organised around a small pipeline:
 __version__ = "0.1.0"
 
 from .chains import Chain, build_chain, verify_chain
-from .executive import (
-    Disturbance,
-    Outcome,
-    resolve_disturbances,
-    run,
-    select_operator,
-)
+from .executive import Disturbance, Outcome, run, select_operator
 from .harness import Scenario, load_scenario, run_trial, run_trials
 from .kitchen import KitchenSim, WorldState, evaluate_world, sample_initial
 from .lang import parse_domain, parse_problem, serialize_domain
@@ -67,7 +61,6 @@ __all__ = [
     "parse_domain",
     "parse_problem",
     "plan",
-    "resolve_disturbances",
     "run",
     "run_trial",
     "run_trials",

@@ -23,7 +23,7 @@ from .chains import Chain
 from .kitchen import KitchenSim
 from .logic import ConditionSet, LogicalState, _check_same_vocab
 from .perception import PerceptionPipeline
-from .planner import GroundedDomain, GroundOperator
+from .planner import GroundOperator
 
 ENTER_NEW = "enter_new"
 CONTINUE_CURRENT = "continue_current"
@@ -65,18 +65,23 @@ def _meets(mask: int, cond: ConditionSet) -> bool:
 @dataclass(frozen=True)
 class Disturbance:
     """A scripted world change with a one-shot trigger, as
-    :func:`resolve_disturbances` reads it from a scenario.
+    :func:`~chainreact.harness.resolve_disturbances` reads it from a
+    scenario.
 
-    One trigger field is set: ``at_tick``; ``operators``, the indices of
-    the ground operators whose start fires it; or ``bit``, the bit of an
-    atom that fires it once the post-tick truth holds it.  ``kind`` is the
-    change, as :meth:`~chainreact.kitchen.KitchenSim.apply_disturbance`
-    reads it.
+    ``kind``, ``obj``, ``zone`` (``None`` for a random free zone) and
+    ``extension`` are the change, the arguments of
+    :meth:`~chainreact.kitchen.KitchenSim.apply_disturbance`.  One trigger
+    field is set: ``at_tick``; ``operators``, the indices of the ground
+    operators whose start fires it; or ``bit``, the bit of an atom that
+    fires it once the post-tick truth holds it.
     Which disturbances have fired is the state of one run, not of this
     value, so one resolved tuple serves every trial.
     """
 
-    kind: dict
+    kind: str
+    obj: Optional[str] = None
+    zone: Optional[int] = None
+    extension: float = 0.0
     at_tick: Optional[int] = None
     operators: frozenset[int] = frozenset()
     bit: int = 0
@@ -92,57 +97,6 @@ class Disturbance:
         if self.bit:
             return truth & self.bit != 0
         return started is not None and started.index in self.operators
-
-
-def resolve_disturbances(
-    specs: Sequence[dict], grounded: GroundedDomain, problems: list[str]
-) -> tuple[Disturbance, ...]:
-    """Resolve ``{"trigger": ..., "kind": ...}`` specs, already checked
-    against the scenario schema, against ``grounded``.
-
-    ``at_tick`` stays an int.  An operator name with arguments resolves to
-    that ground operator; one without arguments to every ground operator of
-    that schema.  A predicate must name an atom of the vocabulary.  A
-    teleport must name a movable.  Whitespace inside names does not matter.
-    Each name that resolves to nothing appends a problem with its field
-    path to ``problems``."""
-    out = []
-    for i, spec in enumerate(specs):
-        where = f"disturbances[{i}]"
-        trigger, kind = spec["trigger"], spec["kind"]
-        found: dict = {"at_tick": trigger.get("at_tick")}
-        if "when_operator" in trigger:
-            name = trigger["when_operator"]
-            head, args = _parse_name(name)
-            found["operators"] = frozenset(
-                op.index for op in grounded.operators
-                if op.schema.name == head and args in (None, op.bound_args)
-            )
-            if not found["operators"]:
-                problems.append(
-                    f"field '{where}.trigger.when_operator': unknown operator {name!r}"
-                )
-        elif "when_predicate" in trigger:
-            name = trigger["when_predicate"]
-            head, args = _parse_name(name)
-            found["bit"] = grounded.vocabulary.bits.get((head, args or ()), 0)
-            if not found["bit"]:
-                problems.append(
-                    f"field '{where}.trigger.when_predicate': unknown atom {name!r}"
-                )
-        if kind["kind"] == "teleport_object" and kind["object"] not in grounded.movables:
-            problems.append(f"field '{where}.kind': unknown object {kind['object']!r}")
-        out.append(Disturbance(kind, **found))
-    return tuple(out)
-
-
-def _parse_name(name: str) -> tuple[str, Optional[tuple[str, ...]]]:
-    """Split ``"head(a, b)"`` into ``("head", ("a", "b"))``, stripping
-    whitespace; a name without parentheses has ``None`` for its arguments."""
-    if "(" not in name:
-        return name, None
-    head, rest = name.split("(", 1)
-    return head, tuple(a.strip() for a in rest.rstrip(")").split(",") if a.strip())
 
 
 @dataclass
@@ -176,9 +130,9 @@ def _fire_disturbances(
     truth = sim.eval_predicates().mask if any(d.bit for d in pending) else 0
     fired = [d for d in pending if d.matches(tick, started, truth)]
     for d in fired:
-        sim.apply_disturbance(d.kind)
+        sim.apply_disturbance(d.kind, d.obj, d.zone, d.extension)
         pending.remove(d)
-    return [d.kind["kind"] for d in fired]
+    return [d.kind for d in fired]
 
 
 def run(

@@ -378,23 +378,6 @@ def build_scenario(raw: dict, base_dir: Path, name: str = "scenario") -> Scenari
         for key, spec in bindings.items()
         if key not in DEFAULT_PRIMITIVES and not {"min_ticks", "max_ticks"} <= spec.keys()
     )
-    disturbances = raw.get("disturbances", [])
-    for i, dist in enumerate([] if problems else disturbances):
-        where = f"disturbances[{i}]"
-        if len(dist["trigger"]) != 1:
-            problems.append(
-                f"field '{where}.trigger' must have exactly one of {tuple(_TRIGGER)}"
-            )
-        kind = dist["kind"]
-        _check(kind, _KINDS[kind["kind"]], f"{where}.kind", problems)
-        dest = kind.get("destination", "counter_random")
-        if isinstance(dest, dict):
-            _check(dest, _DESTINATION, f"{where}.kind.destination", problems)
-        elif dest != "counter_random":
-            problems.append(
-                f"field '{where}.kind.destination' must be \"counter_random\" "
-                'or {"zone": n}'
-            )
     if problems:
         raise ScenarioError(problems)
 
@@ -418,6 +401,11 @@ def build_scenario(raw: dict, base_dir: Path, name: str = "scenario") -> Scenari
 
     perception = raw.get("perception", {})
     flips = perception.get("per_predicate_flip", {})
+    problems.extend(
+        f"field 'perception.{key}' is read only with \"mode\": \"noisy\""
+        for key in ("default_flip", "per_predicate_flip")
+        if key in perception and perception.get("mode") != "noisy"
+    )
     if grounded is not None:
         bound = {op.binding for op in grounded.domain.operators}
         problems.extend(
@@ -441,8 +429,7 @@ def build_scenario(raw: dict, base_dir: Path, name: str = "scenario") -> Scenari
             f"{files[line.split(':', 1)[0]]}: {line}"
             for line in contract_problems(grounded)
         )
-        disturbances = exe.resolve_disturbances(disturbances, grounded, problems)
-
+    disturbances = resolve_disturbances(raw.get("disturbances", []), grounded, problems)
     if problems:
         raise ScenarioError(problems)
 
@@ -474,6 +461,61 @@ def build_scenario(raw: dict, base_dir: Path, name: str = "scenario") -> Scenari
     )
 
 
+def resolve_disturbances(
+    specs: Sequence[dict], grounded: Optional[GroundedDomain], problems: list[str]
+) -> tuple[exe.Disturbance, ...]:
+    """Check the disturbance entries, whose outer shape the schema has
+    checked: one trigger each, the fields of the kind, and a destination of
+    ``"counter_random"`` or ``{"zone": n}``.  Resolve each entry that passes
+    against ``grounded``, unless that is ``None``: a trigger name matches a
+    ground operator's or schema's name, or an atom's, once whitespace is
+    removed from both, and a teleport must name a movable.  Each fault
+    appends a problem with its field path to ``problems``."""
+    out = []
+    for i, spec in enumerate(specs):
+        where = f"disturbances[{i}]"
+        trigger, kind = spec["trigger"], spec["kind"]
+        before = len(problems)
+        if len(trigger) != 1:
+            problems.append(
+                f"field '{where}.trigger' must have exactly one of {tuple(_TRIGGER)}"
+            )
+        _check(kind, _KINDS[kind["kind"]], f"{where}.kind", problems)
+        dest = kind.get("destination", "counter_random")
+        if isinstance(dest, dict):
+            _check(dest, _DESTINATION, f"{where}.kind.destination", problems)
+        elif dest != "counter_random":
+            problems.append(
+                f"field '{where}.kind.destination' must be \"counter_random\" "
+                'or {"zone": n}'
+            )
+        if grounded is None or len(problems) > before:
+            continue
+        ((key, value),) = trigger.items()
+        found = {"at_tick": value}
+        name = "" if key == "at_tick" else "".join(value.split())
+        if key == "when_operator":
+            found = {"operators": frozenset(
+                op.index for op in grounded.operators
+                if name in ("".join(op.name.split()), op.schema.name)
+            )}
+        elif key == "when_predicate":
+            found = {"bit": next((
+                1 << k for k, atom in enumerate(grounded.vocabulary.names)
+                if "".join(atom.split()) == name
+            ), 0)}
+        if key != "at_tick" and not all(found.values()):
+            what = "operator" if key == "when_operator" else "atom"
+            problems.append(f"field '{where}.trigger.{key}': unknown {what} {value!r}")
+        obj = kind.get("object")
+        if obj is not None and obj not in grounded.movables:
+            problems.append(f"field '{where}.kind': unknown object {obj!r}")
+        zone = dest["zone"] if isinstance(dest, dict) else None
+        extension = float(kind.get("extension", 0.0))
+        out.append(exe.Disturbance(kind["kind"], obj, zone, extension, **found))
+    return tuple(out)
+
+
 # --------------------------------------------------------------------------
 # Trial execution
 # --------------------------------------------------------------------------
@@ -499,11 +541,9 @@ def run_trial(
 
     grounded = scenario.grounded
     world = sample_initial(scenario.initial, grounded.movables, sim_rng)
-    sim = KitchenSim(
-        grounded, world, scenario.primitives, rng=prim_rng, world_rng=sim_rng
-    )
+    sim = KitchenSim(grounded, world, scenario.primitives, prim_rng, sim_rng)
     pipeline = PerceptionPipeline(
-        grounded.vocabulary, scenario.noise, scenario.window, perc_rng
+        grounded.vocabulary, scenario.noise, scenario.window, rng=perc_rng
     )
 
     writer = (

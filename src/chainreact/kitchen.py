@@ -425,6 +425,14 @@ def contract_problems(grounded: GroundedDomain) -> list[str]:
             problems.append(
                 f"domain: predicate '{name}' must be declared with arity {arity}"
             )
+    for obj in grounded.movables:  # evaluate_world writes its 1-ary atoms
+        outside = ", ".join(
+            f"'{name}'" for name, arity in WRITTEN_PREDICATES.items()
+            if arity == declared.get(name) == 1
+            and (name, (obj,)) not in grounded.vocabulary.bits
+        )
+        if outside:
+            problems.append(f"domain: movable '{obj}' is outside the parameter type of {outside}")
     if len(grounded.movables) > MAX_MOVABLES:
         problems.append(
             f"problem: {len(grounded.movables)} movable objects, above the "
@@ -450,38 +458,38 @@ class PrimitiveState:
 
 
 def merge_primitive_config(overrides: Optional[dict] = None) -> dict[str, PrimitiveSpec]:
-    """Apply scenario overrides: a global success_prob and/or per-binding
-    {min_ticks, max_ticks, success_prob} entries.  A binding with no
-    default must give both tick bounds."""
+    """Apply scenario overrides: a global success_prob, the base of every
+    binding, and/or per-binding {min_ticks, max_ticks, success_prob}
+    entries, whose own success_prob wins.  A binding with no default must
+    give both tick bounds."""
     overrides = overrides or {}
-    table = dict(DEFAULT_PRIMITIVES)
-    if overrides.get("success_prob") is not None:
-        p = float(overrides["success_prob"])
-        table = {k: replace(v, success_prob=p) for k, v in table.items()}
+    p = overrides.get("success_prob")
+    shared = {} if p is None else {"success_prob": float(p)}
+    table = {k: replace(v, **shared) for k, v in DEFAULT_PRIMITIVES.items()}
     for name, spec in overrides.get("bindings", {}).items():
-        table[name] = replace(table[name], **spec) if name in table else PrimitiveSpec(**spec)
+        table[name] = (
+            replace(table[name], **spec) if name in table
+            else PrimitiveSpec(**{**shared, **spec})
+        )
     return table
 
 
 class KitchenSim:
-    """One simulator instance per trial; all randomness from the given rng."""
+    """One simulator instance per trial; all randomness from the given generators."""
 
     def __init__(
-        self,
-        grounded: GroundedDomain,
-        world: WorldState,
-        primitives: Optional[dict[str, PrimitiveSpec]] = None,
-        rng: Optional[np.random.Generator] = None,
-        world_rng: Optional[np.random.Generator] = None,
+        self, grounded: GroundedDomain, world: WorldState,
+        primitives: dict[str, PrimitiveSpec], rng: np.random.Generator,
+        world_rng: np.random.Generator,
     ):
         # rng drives primitive durations and success draws; world_rng drives
-        # exogenous events (disturbance destinations), so extra primitive
-        # draws never shift disturbance randomness and vice versa.
+        # exogenous events (disturbance destinations).  Given two generators,
+        # extra primitive draws never shift disturbance draws and vice versa.
         self.grounded = grounded
         self.world = world
-        self.primitives = primitives or dict(DEFAULT_PRIMITIVES)
-        self.rng = rng if rng is not None else np.random.default_rng(0)
-        self.world_rng = world_rng if world_rng is not None else self.rng
+        self.primitives = primitives
+        self.rng = rng
+        self.world_rng = world_rng
         self.current: Optional[PrimitiveState] = None
 
     def eval_predicates(self) -> LogicalState:
@@ -534,19 +542,20 @@ class KitchenSim:
             w.arm_moving = False
         return prim
 
-    def apply_disturbance(self, kind: dict) -> None:
-        """Apply one scripted world change; invariants are restored (a held
-        object detaches, an arm region aimed at a teleported object resets)."""
+    def apply_disturbance(
+        self, kind: str, obj: Optional[str] = None, zone: Optional[int] = None,
+        extension: float = 0.0,
+    ) -> None:
+        """Apply one scripted world change: a teleport of ``obj`` to counter
+        zone ``zone`` (``None`` for a random free one), a drawer set to
+        ``extension``, or a detach.  Invariants are restored (a held object
+        detaches, an arm region aimed at a teleported object resets)."""
         w = self.world
-        what = kind["kind"]
-        if what == "teleport_object":
-            obj = kind["object"]
-            dest = kind.get("destination", "counter_random")
-            zone = dest.get("zone") if isinstance(dest, dict) else None
+        if kind == "teleport_object":
             if obj not in self.grounded.movables:
                 raise ValueError(f"unknown object {obj!r}")
-            if dest != "counter_random" and zone not in range(NUM_COUNTER_ZONES):
-                raise ValueError(f"invalid teleport destination {dest!r}")
+            if zone is not None and zone not in range(NUM_COUNTER_ZONES):
+                raise ValueError(f"invalid teleport zone {zone!r}")
             if w.attached == obj:
                 w.attached = None
                 w.gripper_aperture = 1.0
@@ -560,17 +569,16 @@ class KitchenSim:
             w.object_pose[obj] = ("counter", int(zone))
             if w.arm_region[1] == obj:
                 w.arm_region = ABOVE
-        elif what == "set_drawer":
-            ext = float(kind["extension"])
-            if not 0.0 <= ext <= 1.0:
-                raise ValueError(f"invalid drawer extension {ext}")
-            w.drawer_extension = ext
+        elif kind == "set_drawer":
+            if not 0.0 <= extension <= 1.0:
+                raise ValueError(f"invalid drawer extension {extension}")
+            w.drawer_extension = extension
             if w.attached == HANDLE:
                 _let_go(w)
                 w.arm_region = (NEAR_HANDLE, None)
-        elif what == "detach_gripper":
+        elif kind == "detach_gripper":
             if w.attached is not None:
                 _let_go(w)
         else:
-            raise ValueError(f"unknown disturbance kind {what!r}")
+            raise ValueError(f"unknown disturbance kind {kind!r}")
         w.validate()

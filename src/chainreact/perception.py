@@ -100,12 +100,13 @@ class PerceptionPipeline:
         vocab: Vocabulary,
         noise: NoiseModel | None = None,
         window: int = DEFAULT_WINDOW,
-        rng: np.random.Generator | None = None,
+        *,
+        rng: np.random.Generator,
     ):
         self.vocab = vocab
         self.noise = noise or NoiseModel()
         self.window = EstimatorWindow(window)
-        self.rng = rng if rng is not None else np.random.default_rng(0)
+        self.rng = rng
         self._oracle = self.noise.is_oracle
         self._flip_probs = None if self._oracle else self.noise.flip_vector(vocab)
 

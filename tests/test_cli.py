@@ -12,6 +12,7 @@ import pytest
 from chainreact.cli import main
 from chainreact.planner import ground, plan
 from tests.util import (
+    CUPS_ONLY,
     kitchen_domain,
     kitchen_path,
     kitchen_problem,
@@ -288,26 +289,29 @@ def test_execute_bad_scenario_exit_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "primitives, path",
+    "field, value, path",
     [
-        ({"bindings": ["grasp"]}, "primitives.bindings"),
-        ({"bindings": {"grasp": {"min_ticks": 5, "max_ticks": 2}}},
+        ("primitives", {"bindings": ["grasp"]}, "primitives.bindings"),
+        ("primitives", {"bindings": {"grasp": {"min_ticks": 5, "max_ticks": 2}}},
          "primitives.bindings.grasp"),
-        ({"bindings": {"graps": {"max_ticks": 5}}}, "primitives.bindings.graps"),
+        ("primitives", {"bindings": {"graps": {"max_ticks": 5}}},
+         "primitives.bindings.graps"),
+        ("perception", {"default_flip": 0.3}, "perception.default_flip"),
     ],
-    ids=["bindings_list", "min_above_max", "unbound_name"],
+    ids=["bindings_list", "min_above_max", "unbound_name", "flip_without_noisy"],
 )
-def test_execute_bad_scenario_value_exit_2(tmp_path, capsys, primitives, path):
+def test_execute_bad_scenario_value_exit_2(tmp_path, capsys, field, value, path):
     # The first used to crash the loader, the second the trial; the third
-    # loaded and was never used.
+    # loaded and was never used, and the fourth loaded as oracle perception.
     raw = json.loads(scenario_path("pick_spam_oracle").read_text())
     for key in ("domain", "problem"):
         raw[key] = str((scenario_path("pick_spam_oracle").parent / raw[key]).resolve())
-    raw["primitives"] = primitives
+    raw[field] = value
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(raw))
     assert main(["execute", "--scenario", str(bad)]) == 2
-    assert f"'{path}'" in capsys.readouterr().err
+    (line,) = capsys.readouterr().err.splitlines()
+    assert f"'{path}'" in line
 
 
 @pytest.mark.parametrize("command", ["execute", "bench", "chain", "report"])
@@ -570,18 +574,20 @@ def test_bench_failed_range_cancels_queued_ranges(tmp_path):
 @pytest.mark.parametrize(
     "domain_edit, problem_edit, named",
     [
-        (("    (arm_is_moving)\n", ""), None, "'arm_is_moving'"),
-        ((":action back_off", ":action retreat"), None, "'retreat'"),
-        (None, ("spam sugar - movable", "spam sugar m0 m1 m2 m3 - movable"),
+        ([("    (arm_is_moving)\n", "")], None, "'arm_is_moving'"),
+        ([(":action back_off", ":action retreat")], None, "'retreat'"),
+        (None, [("spam sugar - movable", "spam sugar m0 m1 m2 m3 - movable")],
          "6 movable objects"),
-        (None, ("(obj_is_clear_above_counter spam)", "(not (obj_is_clear_above_counter spam))"),
+        (None, [("(obj_is_clear_above_counter spam)",
+                 "(not (obj_is_clear_above_counter spam))")],
          "pick_spam.dprob: negative goal literal (not (obj_is_clear_above_counter spam))"),
-        (None, ("(obj_is_clear_above_counter spam)",
-                "(obj_is_clear_above_counter spam) (not (obj_is_clear_above_counter spam))"),
+        (None, [("(obj_is_clear_above_counter spam)",
+                 "(obj_is_clear_above_counter spam) (not (obj_is_clear_above_counter spam))")],
          "both requires and negates ['(obj_is_clear_above_counter spam)']"),
+        (*CUPS_ONLY, "domain: movable 'sugar' is outside the parameter type of"),
     ],
     ids=["no_arm_is_moving", "back_off_renamed", "six_movables", "negative_goal",
-         "contradictory_goal"],
+         "contradictory_goal", "movable_outside_predicate_type"],
 )
 def test_bench_domain_outside_simulator_contract_exit_2(
     tmp_path, capsys, domain_edit, problem_edit, named
@@ -591,10 +597,10 @@ def test_bench_domain_outside_simulator_contract_exit_2(
     # names the file at fault; the simulator's contract lines used to say
     # only "domain:" or "problem:".
     domain, problem = kitchen_source(), problem_source("pick_spam")
-    if domain_edit:
-        domain = domain.replace(*domain_edit)
-    if problem_edit:
-        problem = problem.replace(*problem_edit)
+    for old, new in domain_edit or ():
+        domain = domain.replace(old, new)
+    for old, new in problem_edit or ():
+        problem = problem.replace(old, new)
     path = scenario_copy(tmp_path, "pick_spam_oracle", domain, problem)
     at_fault = tmp_path / ("kitchen.dpdl" if domain_edit else "pick_spam.dprob")
     traces = tmp_path / "traces"
@@ -605,7 +611,8 @@ def test_bench_domain_outside_simulator_contract_exit_2(
     assert code == 2
     err = capsys.readouterr().err
     assert named in err
-    assert err.splitlines()[0].startswith(f"{path}: {at_fault}:"), err
+    (line,) = err.splitlines()
+    assert line.startswith(f"{path}: {at_fault}:"), err
     assert not traces.exists()
     assert not (tmp_path / "results.json").exists()
 

@@ -12,11 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chainreact.chains import build_chain
-from chainreact.executive import (
-    resolve_disturbances,
-    run,
-    select_operator,
-)
+from chainreact.executive import run, select_operator
+from chainreact.harness import resolve_disturbances
 from chainreact.kitchen import KitchenSim, merge_primitive_config
 from chainreact.logic import (
     ConditionSet,
@@ -39,9 +36,8 @@ def g1():
 
 def fresh_setup(grounded, seed=0, success_prob=1.0, world=None, noise=None, window=3):
     prims = merge_primitive_config({"success_prob": success_prob})
-    sim = KitchenSim(
-        grounded, world or reference_world(), prims, np.random.default_rng(seed)
-    )
+    rng = np.random.default_rng(seed)
+    sim = KitchenSim(grounded, world or reference_world(), prims, rng, rng)
     pipe = PerceptionPipeline(
         grounded.vocabulary, noise or NoiseModel(), window=window,
         rng=np.random.default_rng(seed + 10_000),

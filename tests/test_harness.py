@@ -27,6 +27,7 @@ from chainreact.harness import (
 )
 from chainreact.planner import PlanResult
 from tests.util import (
+    CUPS_ONLY,
     DATA_DIR,
     kitchen_source,
     problem_source,
@@ -108,6 +109,62 @@ class TestLoadScenario:
         )
 
     @pytest.mark.parametrize(
+        "key, name, resolved",
+        [
+            ("when_operator", "lift_obj(spam)", ["lift_obj(spam)"]),
+            ("when_operator", " lift _obj ( spam ) ", ["lift_obj(spam)"]),
+            ("when_operator", "lift_obj", ["lift_obj(spam)", "lift_obj(sugar)"]),
+            ("when_operator", "back_off", ["back_off"]),
+            ("when_operator", "open_gripper()", None),
+            ("when_operator", "lift_obj(spam", None),
+            ("when_operator", "lift_obj(spam))", None),
+            ("when_predicate", "obj_is_in_drawer (spam)", ["obj_is_in_drawer(spam)"]),
+            ("when_predicate", "drawer_is_open", ["drawer_is_open"]),
+            ("when_predicate", "drawer_is_open()", None),
+            ("when_predicate", "obj_is_in_drawer", None),
+        ],
+        ids=["operator", "operator_spaced", "schema", "nullary_schema",
+             "empty_parentheses", "unclosed", "extra_parenthesis", "atom_spaced",
+             "nullary_atom", "atom_empty_parentheses", "atom_without_arguments"],
+    )
+    def test_trigger_name_matches_without_whitespace(self, key, name, resolved):
+        # A name matches a ground operator, a schema or an atom once the
+        # whitespace is removed from both; nothing else is parsed out of it.
+        grounded = load("put_away_spam_oracle").grounded
+        problems = []
+        (found,) = harness.resolve_disturbances(
+            [{"trigger": {key: name}, "kind": {"kind": "detach_gripper"}}],
+            grounded, problems,
+        )
+        what = "operator" if key == "when_operator" else "atom"
+        if resolved is None:
+            assert problems == [
+                f"field 'disturbances[0].trigger.{key}': unknown {what} {name!r}"
+            ]
+        elif key == "when_operator":
+            assert problems == []
+            assert sorted(op.name for op in grounded.operators
+                          if op.index in found.operators) == resolved
+        else:
+            assert problems == []
+            assert grounded.vocabulary.names_of(found.bit) == resolved
+
+    def test_disturbance_checks_are_reported_with_the_other_load_errors(self, tmp_path):
+        # They used to stop the load before the domain was read.  An entry
+        # that fails them is not resolved, so its name is not reported.
+        missing = tmp_path / "missing.dpdl"
+        with pytest.raises(ScenarioError) as err:
+            load("put_away_spam_oracle", domain=str(missing), disturbances=[
+                {"trigger": {"at_tick": 1, "when_operator": "nope"},
+                 "kind": {"kind": "detach_gripper"}},
+            ])
+        assert err.value.problems == [
+            f"{missing}: cannot read: No such file or directory",
+            "field 'disturbances[0].trigger' must have exactly one of "
+            "('at_tick', 'when_operator', 'when_predicate')",
+        ]
+
+    @pytest.mark.parametrize(
         "override, path",
         [
             ({"disturbances": [{"trigger": {"at_tick": "x"},
@@ -140,6 +197,11 @@ class TestLoadScenario:
              "perception.per_predicate_flip.x"),
             ({"perception": {"mode": "noisy", "default_flip": None}},
              "perception.default_flip"),
+            # Flips are read only in noisy mode; these used to load as oracle
+            # perception, the flip dropped.
+            ({"perception": {"default_flip": 0.3}}, "perception.default_flip"),
+            ({"perception": {"per_predicate_flip": {"gripper_is_open": 0.1}}},
+             "perception.per_predicate_flip"),
             ({"initial": {"gripper_open_prob": 9}}, "initial.gripper_open_prob"),
             ({"initial": {"drawer_open_prob": -0.1}}, "initial.drawer_open_prob"),
             ({"initial": {"object_in_drawer_prob": "x"}},
@@ -184,7 +246,8 @@ class TestLoadScenario:
         ids=["at_tick_str", "at_tick_negative", "extension", "zone", "window",
              "optimal", "success_prob_str", "success_prob_7", "bindings_list",
              "min_above_max", "min_ticks_0", "binding_success_prob", "flips_list",
-             "flip_list_value", "default_flip_null", "gripper_open_prob_9",
+             "flip_list_value", "default_flip_null", "default_flip_oracle",
+             "per_predicate_flip_oracle", "gripper_open_prob_9",
              "drawer_open_prob_negative", "object_in_drawer_prob_str",
              "unknown_top_level", "unknown_perception", "unknown_primitives",
              "unbound_binding", "unknown_binding_field", "unknown_flip_predicate",
@@ -226,19 +289,22 @@ class TestLoadScenario:
         [
             ([("    (arm_is_moving)\n", "")], None,
              "predicate 'arm_is_moving' must be declared with arity 0"),
-            ([("(obj_is_over_drawer ?o - movable)", "(obj_is_over_drawer)")],
-             None, "predicate 'obj_is_over_drawer' must be declared with arity 1"),
+            ([("    (arm_is_moving)\n", "    (arm_is_moving ?o - movable)\n")],
+             None, "predicate 'arm_is_moving' must be declared with arity 0"),
             ([(":action back_off", ":action retreat")], None,
              "action 'retreat' has no outcome rule"),
             (_SWAP_LIFT_AND_BACK_OFF, None,
              "action 'lift_obj' must take a movable first"),
-            (None, ("spam sugar - movable", "spam sugar m0 m1 m2 m3 - movable"),
+            (None, [("spam sugar - movable", "spam sugar m0 m1 m2 m3 - movable")],
              "problem: 6 movable objects"),
-            (None, ("spam sugar - movable", "spam sugar m0 m1 m2 m3 m4 - movable"),
+            (None, [("spam sugar - movable", "spam sugar m0 m1 m2 m3 m4 - movable")],
              "problem: 7 movable objects"),
+            (*CUPS_ONLY,
+             "domain: movable 'sugar' is outside the parameter type of "
+             "'arm_is_around_obj_loose', 'arm_is_attached_to_obj'"),
         ],
         ids=["no_arm_is_moving", "arity", "back_off_renamed", "lift_any_graspable",
-             "six_movables", "seven_movables"],
+             "six_movables", "seven_movables", "movable_outside_predicate_type"],
     )
     def test_domain_outside_simulator_contract(
         self, tmp_path, domain_edit, problem_edit, expected
@@ -251,9 +317,9 @@ class TestLoadScenario:
         for old, new in domain_edit or ():
             assert old in domain
             domain = domain.replace(old, new)
-        if problem_edit:
-            assert problem_edit[0] in problem
-            problem = problem.replace(*problem_edit)
+        for old, new in problem_edit or ():
+            assert old in problem
+            problem = problem.replace(old, new)
         path = scenario_copy(tmp_path, "pick_spam_oracle", domain, problem)
         with pytest.raises(ScenarioError) as err:
             load_scenario(path)
@@ -674,8 +740,8 @@ class TestTraces:
         assert lines[1] == {"type": "outcome", **record.to_json_dict()}
 
     def test_predicate_trigger_with_spaces_fires(self):
-        # Validation and matching read the atom name with one parser, so
-        # whitespace inside it neither fails validation nor stops the trigger.
+        # The loader matches the atom name without its whitespace, so
+        # whitespace inside it neither fails the load nor stops the trigger.
         def fired(atom):
             sc = load("put_away_spam_oracle", trials=1, disturbances=[
                 {"trigger": {"when_predicate": atom},

@@ -54,7 +54,8 @@ def names_of(state):
 
 def reliable_sim(grounded, world, seed=0):
     prims = merge_primitive_config({"success_prob": 1.0})
-    return KitchenSim(grounded, world, prims, np.random.default_rng(seed))
+    rng = np.random.default_rng(seed)
+    return KitchenSim(grounded, world, prims, rng, rng)
 
 
 def run_op(sim, op):
@@ -187,8 +188,23 @@ class TestPrimitives:
         assert sim.rng.bit_generator.state == state
         assert sim.current is None and not sim.world.arm_moving
 
+    def test_global_success_prob_is_the_base_of_every_binding(self):
+        # A binding with no default used to keep PrimitiveSpec's 0.95 under
+        # a global success_prob; a binding's own success_prob still wins.
+        table = merge_primitive_config({"success_prob": 1.0, "bindings": {
+            "wipe": {"min_ticks": 1, "max_ticks": 2},
+            "mop": {"min_ticks": 1, "max_ticks": 2, "success_prob": 0.25},
+            "grasp": {"success_prob": 0.5},
+        }})
+        assert table["wipe"] == PrimitiveSpec(1, 2, 1.0)
+        assert table["mop"] == PrimitiveSpec(1, 2, 0.25)
+        assert table["grasp"] == PrimitiveSpec(2, 3, 0.5)
+        assert table["lift"] == PrimitiveSpec(2, 4, 1.0)
+
     def test_unknown_binding(self, grounded):
-        sim = KitchenSim(grounded, reference_world(), {"cage": PrimitiveSpec(1, 1)})
+        rng = np.random.default_rng(0)
+        prims = {"cage": PrimitiveSpec(1, 1)}
+        sim = KitchenSim(grounded, reference_world(), prims, rng, rng)
         with pytest.raises(UnknownBindingError):
             sim.start_primitive(grounded.operator_named("back_off"))
 
@@ -218,7 +234,8 @@ class TestPrimitives:
         world = reference_world()
         world.arm_region = ("around", "spam")
         prims = merge_primitive_config({"success_prob": 0.0})
-        sim = KitchenSim(grounded, world, prims, np.random.default_rng(1))
+        rng = np.random.default_rng(1)
+        sim = KitchenSim(grounded, world, prims, rng, rng)
         run_op(sim, grounded.operator_named("grasp_obj", ("spam",)))
         names = names_of(sim.eval_predicates())
         assert "arm_is_attached_to_obj(spam)" not in names
@@ -246,7 +263,8 @@ class TestPrimitives:
         world.attached = "handle"
         world.gripper_aperture = 0.2
         prims = merge_primitive_config({"success_prob": 0.0})
-        sim = KitchenSim(grounded, world, prims, np.random.default_rng(3))
+        rng = np.random.default_rng(3)
+        sim = KitchenSim(grounded, world, prims, rng, rng)
         run_op(sim, grounded.operator_named("pull_drawer"))
         assert 0.0 < sim.world.drawer_extension < DRAWER_OPEN_AT
         assert sim.world.attached is None
@@ -275,9 +293,7 @@ class TestDisturbances:
         world.object_pose["sugar"] = ("held",)
         world.arm_region = ("above_counter", None)
         sim = reliable_sim(grounded, world)
-        sim.apply_disturbance(
-            {"kind": "teleport_object", "object": "sugar", "destination": "counter_random"}
-        )
+        sim.apply_disturbance("teleport_object", "sugar")
         assert sim.world.attached is None
         assert sim.world.object_pose["sugar"][0] == "counter"
         names = names_of(sim.eval_predicates())
@@ -288,7 +304,7 @@ class TestDisturbances:
         world = reference_world()
         world.arm_region = ("around", "spam")
         sim = reliable_sim(grounded, world)
-        sim.apply_disturbance({"kind": "teleport_object", "object": "spam"})
+        sim.apply_disturbance("teleport_object", "spam")
         assert sim.world.arm_region == ("above_counter", None)
 
     def test_set_drawer_keeps_objects_inside(self, grounded):
@@ -296,7 +312,7 @@ class TestDisturbances:
         world.drawer_extension = 1.0
         world.object_pose["spam"] = ("in_drawer",)
         sim = reliable_sim(grounded, world)
-        sim.apply_disturbance({"kind": "set_drawer", "extension": 0.0})
+        sim.apply_disturbance("set_drawer", extension=0.0)
         names = names_of(sim.eval_predicates())
         assert "drawer_is_closed" in names
         assert "obj_is_in_drawer(spam)" in names
@@ -304,7 +320,7 @@ class TestDisturbances:
     def test_set_drawer_lets_go_of_the_handle(self, grounded):
         world = loaded_world(("around", "handle"), "handle")
         sim = reliable_sim(grounded, world)
-        sim.apply_disturbance({"kind": "set_drawer", "extension": 1.0})
+        sim.apply_disturbance("set_drawer", extension=1.0)
         w = sim.world
         assert (w.attached, w.gripper_aperture, w.arm_region) == (
             None, 1.0, ("near_handle", None)
@@ -314,16 +330,14 @@ class TestDisturbances:
     def test_detach_noop_when_free(self, grounded):
         sim = reliable_sim(grounded, reference_world())
         before = copy.deepcopy(sim.world)
-        sim.apply_disturbance({"kind": "detach_gripper"})
+        sim.apply_disturbance("detach_gripper")
         assert sim.world == before
 
     def test_teleport_to_taken_zone_draws_a_free_one(self, grounded):
         # reference_world puts spam on zone 0 and sugar on zone 1
         for seed in range(10):
             sim = reliable_sim(grounded, reference_world(), seed)
-            sim.apply_disturbance(
-                {"kind": "teleport_object", "object": "spam", "destination": {"zone": 1}}
-            )
+            sim.apply_disturbance("teleport_object", "spam", zone=1)
             assert sim.world.object_pose["spam"][0] == "counter"
             assert sim.world.object_pose["spam"][1] not in (0, 1)
 
@@ -331,18 +345,14 @@ class TestDisturbances:
         for zone in (0, 4):
             sim = reliable_sim(grounded, reference_world())
             state = sim.world_rng.bit_generator.state
-            sim.apply_disturbance(
-                {"kind": "teleport_object", "object": "spam", "destination": {"zone": zone}}
-            )
+            sim.apply_disturbance("teleport_object", "spam", zone=zone)
             assert sim.world.object_pose["spam"] == ("counter", zone)
             assert sim.world_rng.bit_generator.state == state  # nothing drawn
 
     def test_invalid_destination(self, grounded):
         sim = reliable_sim(grounded, reference_world())
         with pytest.raises(ValueError):
-            sim.apply_disturbance(
-                {"kind": "teleport_object", "object": "spam", "destination": {"zone": 17}}
-            )
+            sim.apply_disturbance("teleport_object", "spam", zone=17)
 
 
 class TestAlignment:
@@ -533,7 +543,8 @@ class TestOutcomesKeepWorldValid:
     def test_failed_pull_with_an_object_in_hand(self, grounded):
         world = loaded_world(("around", "handle"), "spam", ("held",))
         prims = merge_primitive_config({"success_prob": 0.0})
-        sim = KitchenSim(grounded, world, prims, np.random.default_rng(3))
+        rng = np.random.default_rng(3)
+        sim = KitchenSim(grounded, world, prims, rng, rng)
         run_op(sim, grounded.operator_named("pull_drawer"))
         sim.world.validate()
         assert sim.world.attached is None
@@ -544,7 +555,8 @@ class TestOutcomesKeepWorldValid:
         # dispatched, and the executive retries.
         world = reference_world()
         prims = merge_primitive_config({"success_prob": 0.0})
-        sim = KitchenSim(grounded, copy.deepcopy(world), prims)
+        rng = np.random.default_rng(0)
+        sim = KitchenSim(grounded, copy.deepcopy(world), prims, rng, rng)
         assert run_op(sim, grounded.operator_named("back_off")).phase == "failed"
         assert sim.world == world
 
@@ -561,7 +573,9 @@ class TestOutcomesKeepWorldValid:
     def test_every_outcome_from_a_loaded_gripper(self, grounded, start, succeed):
         prims = merge_primitive_config({"success_prob": float(succeed)})
         for op in grounded.operators:
-            sim = KitchenSim(grounded, loaded_world(**_LOADED_WORLDS[start]), prims)
+            rng = np.random.default_rng(0)
+            world = loaded_world(**_LOADED_WORLDS[start])
+            sim = KitchenSim(grounded, world, prims, rng, rng)
             run_op(sim, op)
             sim.world.validate()
 
@@ -651,7 +665,7 @@ class TestContract:
         config = InitialConfig(objects, drawer, arm, gripper_open_prob=0.5)
         world = sample_initial(config, grounded.movables, rng)
         sim = KitchenSim(
-            grounded, world, merge_primitive_config({"success_prob": 0.7}), rng
+            grounded, world, merge_primitive_config({"success_prob": 0.7}), rng, rng
         )
         assert_in_contract(sim.eval_predicates())
         for step in steps:
@@ -667,14 +681,11 @@ class TestContract:
             elif step == "teleport_object":
                 obj = grounded.movables[int(rng.integers(len(grounded.movables)))]
                 zone = int(rng.integers(-1, 6))
-                sim.apply_disturbance({
-                    "kind": step, "object": obj,
-                    "destination": "counter_random" if zone < 0 else {"zone": zone},
-                })
+                sim.apply_disturbance(step, obj, None if zone < 0 else zone)
             elif step == "set_drawer":
-                sim.apply_disturbance({"kind": step, "extension": float(rng.random())})
+                sim.apply_disturbance(step, extension=float(rng.random()))
             else:
-                sim.apply_disturbance({"kind": step})
+                sim.apply_disturbance(step)
             assert_in_contract(sim.eval_predicates())
 
 

@@ -342,9 +342,9 @@ class TestKitchenPlanning:
         "open_drawer": ((6, 19), (6, 6)),
         "pick_spam": ((5, 12), (5, 5)),
         "pick_sugar": ((5, 16), (5, 5)),
-        "put_away_both": ((24, 291), (24, 56)),
-        "put_away_spam": ((16, 173), (16, 32)),
-        "put_away_sugar": ((16, 186), (16, 32)),
+        "put_away_both": ((24, 280), (24, 56)),
+        "put_away_spam": ((16, 167), (16, 32)),
+        "put_away_sugar": ((16, 178), (16, 32)),
     }
 
     @pytest.mark.parametrize("problem", sorted(SEARCH_PINS))

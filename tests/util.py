@@ -16,6 +16,17 @@ from chainreact.lang import DomainDefinition, parse_domain, parse_problem
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "src" / "chainreact" / "data"
 
+# (domain edits, problem edits) for the kitchen domain and pick_spam: spam
+# is a cup and sugar a plain movable, and every predicate and action that
+# took a movable takes a cup, so no atom of those predicates names sugar.
+CUPS_ONLY = (
+    [("(:types movable - graspable)", "(:types cup - movable movable - graspable)"),
+     ("?o - movable", "?o - cup")],
+    [("spam sugar - movable", "spam - cup sugar - movable"),
+     *((f" ({name} sugar)", "") for name in
+       ("obj_is_on_counter", "obj_is_detected", "obj_is_tracked"))],
+)
+
 
 def kitchen_path() -> Path:
     return DATA_DIR / "kitchen.dpdl"
