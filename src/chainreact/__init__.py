@@ -23,7 +23,6 @@ from .lang import parse_domain, parse_problem, serialize_domain
 from .logic import (
     ConditionSet,
     EffectSet,
-    GroundAtom,
     LogicalState,
     PredicateSchema,
     UnknownAtomError,
@@ -39,7 +38,6 @@ __all__ = [
     "ConditionSet",
     "Disturbance",
     "EffectSet",
-    "GroundAtom",
     "KitchenSim",
     "LogicalState",
     "NoiseModel",

@@ -57,7 +57,7 @@ from .kitchen import (
     sample_initial,
 )
 from .lang import load_domain_file, load_problem_file
-from .perception import NoiseModel, PerceptionPipeline
+from .perception import DEFAULT_WINDOW, NoiseModel, PerceptionPipeline
 from .planner import GroundedDomain, GroundingLimitError, ground, plan
 
 FORMAT_VERSION = 1  # of trace files
@@ -429,7 +429,9 @@ def build_scenario(raw: dict, base_dir: Path, name: str = "scenario") -> Scenari
             f"{files[line.split(':', 1)[0]]}: {line}"
             for line in contract_problems(grounded)
         )
-    disturbances = resolve_disturbances(raw.get("disturbances", []), grounded, problems)
+    disturbances = resolve_disturbances(
+        raw.get("disturbances", []), grounded, raw["max_ticks"], problems
+    )
     if problems:
         raise ScenarioError(problems)
 
@@ -446,7 +448,7 @@ def build_scenario(raw: dict, base_dir: Path, name: str = "scenario") -> Scenari
         grounded=grounded,
         open_loop=raw.get("executive") == "open_loop",
         noise=noise,
-        window=perception.get("window", 3),
+        window=perception.get("window", DEFAULT_WINDOW),
         primitives=primitives,
         initial=InitialConfig(
             **{k: float(v) if k in _INITIAL_PROBS else v for k, v in initial.items()}
@@ -462,11 +464,13 @@ def build_scenario(raw: dict, base_dir: Path, name: str = "scenario") -> Scenari
 
 
 def resolve_disturbances(
-    specs: Sequence[dict], grounded: Optional[GroundedDomain], problems: list[str]
+    specs: Sequence[dict], grounded: Optional[GroundedDomain], max_ticks: int,
+    problems: list[str],
 ) -> tuple[exe.Disturbance, ...]:
     """Check the disturbance entries, whose outer shape the schema has
-    checked: one trigger each, the fields of the kind, and a destination of
-    ``"counter_random"`` or ``{"zone": n}``.  Resolve each entry that passes
+    checked: one trigger each, an ``at_tick`` below ``max_ticks`` (ticks run
+    from 0 to ``max_ticks - 1``), the fields of the kind, and a destination
+    of ``"counter_random"`` or ``{"zone": n}``.  Resolve each entry that passes
     against ``grounded``, unless that is ``None``: a trigger name matches a
     ground operator's or schema's name, or an atom's, once whitespace is
     removed from both, and a teleport must name a movable.  Each fault
@@ -479,6 +483,11 @@ def resolve_disturbances(
         if len(trigger) != 1:
             problems.append(
                 f"field '{where}.trigger' must have exactly one of {tuple(_TRIGGER)}"
+            )
+        elif trigger.get("at_tick", -1) >= max_ticks:
+            problems.append(
+                f"field '{where}.trigger.at_tick': tick {trigger['at_tick']} is not "
+                f"below max_ticks {max_ticks}, so it never fires"
             )
         _check(kind, _KINDS[kind["kind"]], f"{where}.kind", problems)
         dest = kind.get("destination", "counter_random")

@@ -1,12 +1,11 @@
 """Closed-world logical states, conditions and effects.
 
-Ground atoms are interned into a :class:`Vocabulary`, which assigns each
-atom a dense integer id.  A :class:`LogicalState` is then a bitmask over
-that vocabulary, so condition checks and effect application are a handful
-of integer operations regardless of domain size.  Absence of an atom means
-false (closed world).  The vocabulary also keeps the tables that hot code
-reads instead of atom objects: each atom's bit by ``(name, args)`` key, and
-its ids in name order for listing a state's atoms.
+A ground atom is a ``(predicate name, args)`` key.  A :class:`Vocabulary`
+gives each key a dense integer id, a bit (``1 << id``) and a printed name.
+A :class:`LogicalState` is then a bitmask over that vocabulary, so
+condition checks and effect application are a handful of integer
+operations regardless of domain size.  Absence of an atom means false
+(closed world).
 """
 
 from __future__ import annotations
@@ -19,6 +18,12 @@ MAX_ARITY = 3
 
 class UnknownAtomError(KeyError):
     """An atom or literal referenced something outside the vocabulary."""
+
+
+def printed_name(name: str, args: tuple[str, ...]) -> str:
+    """The printed form of a ground atom or operator: ``name`` when it has
+    no arguments, else ``name(a, b)``."""
+    return f"{name}({', '.join(args)})" if args else name
 
 
 @dataclass(frozen=True)
@@ -40,85 +45,34 @@ class PredicateSchema:
         return len(self.param_types)
 
 
-@dataclass(frozen=True, eq=False)
-class GroundAtom:
-    """A predicate with all arguments bound to object symbols.
-
-    Two atoms are equal iff they share the predicate name and argument
-    tuple; the schema object identity does not matter.
-    """
-
-    predicate: PredicateSchema
-    args: tuple[str, ...] = ()
-
-    def __post_init__(self) -> None:
-        if len(self.args) != self.predicate.arity:
-            raise ValueError(
-                f"atom {self.predicate.name}{self.args} does not match "
-                f"arity {self.predicate.arity}"
-            )
-
-    @property
-    def key(self) -> tuple[str, tuple[str, ...]]:
-        return (self.predicate.name, self.args)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, GroundAtom) and self.key == other.key
-
-    def __hash__(self) -> int:
-        return hash(self.key)
-
-    def __str__(self) -> str:
-        if not self.args:
-            return self.predicate.name
-        return f"{self.predicate.name}({', '.join(self.args)})"
-
-
 class Vocabulary:
-    """Dense, stable interning of the ground atoms of one domain instance."""
+    """Dense, stable interning of the ground atoms of one domain instance.
 
-    def __init__(self, atoms: Iterable[GroundAtom]):
-        self.atoms: tuple[GroundAtom, ...] = tuple(atoms)
-        # (name, args) -> 1 << id, for building masks without atom objects
+    ``keys`` are the atoms' ``(name, args)`` keys in id order."""
+
+    def __init__(self, keys: Iterable[tuple[str, tuple[str, ...]]]):
+        # (name, args) -> 1 << id, in id order
         self.bits: dict[tuple[str, tuple[str, ...]], int] = {}
-        for i, atom in enumerate(self.atoms):
-            if atom.key in self.bits:
-                raise ValueError(f"duplicate atom {atom} in vocabulary")
-            self.bits[atom.key] = 1 << i
-        self.names: tuple[str, ...] = tuple(str(a) for a in self.atoms)
+        for key in keys:
+            if key in self.bits:
+                raise ValueError(f"duplicate atom {printed_name(*key)} in vocabulary")
+            self.bits[key] = 1 << len(self.bits)
+        self.names: tuple[str, ...] = tuple(printed_name(*key) for key in self.bits)
         # atom ids ordered by printed name, for listing the atoms of a mask
         self.name_order: tuple[int, ...] = tuple(
-            sorted(range(len(self.atoms)), key=self.names.__getitem__)
+            sorted(range(len(self.names)), key=self.names.__getitem__)
         )
 
     def __len__(self) -> int:
-        return len(self.atoms)
+        return len(self.names)
 
     def bit_of(self, name: str, args: tuple[str, ...]) -> int:
         """The bit of atom ``name(*args)``."""
         try:
             return self.bits[name, args]
         except KeyError:
-            pretty = f"{name}({', '.join(args)})" if args else name
+            pretty = printed_name(name, args)
             raise UnknownAtomError(f"atom {pretty} is not in the vocabulary") from None
-
-    def id_of(self, atom: GroundAtom) -> int:
-        return self.bit_of(*atom.key).bit_length() - 1
-
-    def get(self, name: str, *args: str) -> GroundAtom:
-        """Look up an interned atom by name and arguments."""
-        return self.atoms[self.bit_of(name, args).bit_length() - 1]
-
-    def mask_of(self, atoms: Iterable[GroundAtom]) -> int:
-        mask = 0
-        for atom in atoms:
-            mask |= self.bit_of(*atom.key)
-        return mask
-
-    def atoms_of(self, mask: int) -> frozenset[GroundAtom]:
-        return frozenset(
-            self.atoms[i] for i in range(len(self.atoms)) if mask >> i & 1
-        )
 
     def names_of(self, mask: int) -> list[str]:
         """The printed names of the atoms in ``mask``, in name order."""
@@ -132,17 +86,6 @@ class LogicalState:
 
     vocabulary: Vocabulary = field(compare=False)
     mask: int = 0
-
-    @classmethod
-    def from_atoms(cls, vocab: Vocabulary, atoms: Iterable[GroundAtom]) -> "LogicalState":
-        return cls(vocab, vocab.mask_of(atoms))
-
-    @property
-    def atoms(self) -> frozenset[GroundAtom]:
-        return self.vocabulary.atoms_of(self.mask)
-
-    def __contains__(self, atom: GroundAtom) -> bool:
-        return self.mask >> self.vocabulary.id_of(atom) & 1 == 1
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -173,15 +116,6 @@ class ConditionSet:
                 "atoms with both polarities in condition set: " + ", ".join(both)
             )
 
-    @classmethod
-    def from_atoms(
-        cls,
-        vocab: Vocabulary,
-        positive: Iterable[GroundAtom] = (),
-        negative: Iterable[GroundAtom] = (),
-    ) -> "ConditionSet":
-        return cls(vocab, vocab.mask_of(positive), vocab.mask_of(negative))
-
     def __str__(self) -> str:
         """``{+a, +b, -c}``: the positive literals, then the negative ones,
         each in name order."""
@@ -202,15 +136,6 @@ class EffectSet:
         if self.add_mask & self.del_mask:
             both = self.vocabulary.names_of(self.add_mask & self.del_mask)
             raise ValueError("atoms both added and deleted: " + ", ".join(both))
-
-    @classmethod
-    def from_atoms(
-        cls,
-        vocab: Vocabulary,
-        adds: Iterable[GroundAtom] = (),
-        deletes: Iterable[GroundAtom] = (),
-    ) -> "EffectSet":
-        return cls(vocab, vocab.mask_of(adds), vocab.mask_of(deletes))
 
 
 def _check_same_vocab(a: Vocabulary, b: Vocabulary) -> None:

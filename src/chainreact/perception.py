@@ -49,10 +49,7 @@ class NoiseModel:
 
     def flip_vector(self, vocab: Vocabulary) -> np.ndarray:
         return np.array(
-            [
-                self.per_predicate_flip.get(a.predicate.name, self.default_flip)
-                for a in vocab.atoms
-            ],
+            [self.per_predicate_flip.get(name, self.default_flip) for name, _ in vocab.bits],
             dtype=float,
         )
 

@@ -28,12 +28,12 @@ from .lang import DomainDefinition, LiftedAtom, OperatorSchema, ProblemDefinitio
 from .logic import (
     ConditionSet,
     EffectSet,
-    GroundAtom,
     LogicalState,
     Vocabulary,
     _check_same_vocab,
     apply_effects,
     holds,
+    printed_name,
 )
 
 DEFAULT_GROUND_CAP = 10**6
@@ -57,9 +57,7 @@ class GroundOperator:
 
     @property
     def name(self) -> str:
-        if not self.bound_args:
-            return self.schema.name
-        return f"{self.schema.name}({', '.join(self.bound_args)})"
+        return printed_name(self.schema.name, self.bound_args)
 
 
 @dataclass
@@ -157,7 +155,7 @@ def ground(
             raise GroundingLimitError(f"grounding exceeds {cap} {what}")
 
     vocab = Vocabulary(
-        GroundAtom(schema, combo)
+        (schema.name, combo)
         for schema, pools in zip(domain.predicates, atom_pools)
         for combo in itertools.product(*pools)
     )

@@ -171,9 +171,9 @@ def test_criterion_7_planner_soundness_completeness():
 
 
 def test_criterion_8_perception_filter_math():
-    from chainreact.logic import GroundAtom, PredicateSchema, Vocabulary
+    from chainreact.logic import Vocabulary
 
-    vocab = Vocabulary([GroundAtom(PredicateSchema(f"p{i}")) for i in range(42)])
+    vocab = Vocabulary((f"p{i}", ()) for i in range(42))
     truth = LogicalState(vocab, (1 << 42) - (1 << 9))
     closed_form = majority_error_rate(0.1, 3)
     assert math.isclose(closed_form, 0.028)

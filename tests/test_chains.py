@@ -18,11 +18,11 @@ from chainreact.chains import (
 from chainreact.logic import ConditionSet, UnknownAtomError, holds
 from chainreact.planner import Plan, ground, plan
 from tests.test_planner import make_prop_task, random_task
-from tests.util import kitchen_domain, kitchen_problem, step_names
+from tests.util import bits, kitchen_domain, kitchen_problem, step_names
 
 
 def atom_names(cond):
-    return {str(a) for a in cond.vocabulary.atoms_of(cond.pos_mask)}
+    return set(cond.vocabulary.names_of(cond.pos_mask))
 
 
 def extras(chain, key="extra_pre"):
@@ -78,15 +78,14 @@ class TestRegressionSemantics:
 
     def test_empty_plan_empty_goal(self):
         grounded = make_prop_task([], ["a"], [], [])
-        empty_goal = ConditionSet.from_atoms(grounded.vocabulary)
+        empty_goal = ConditionSet(grounded.vocabulary)
         chain = build_chain(Plan((), grounded.init, empty_goal), empty_goal)
         assert len(chain) == 0
         assert verify_chain(chain, grounded.init)
 
     def test_negative_goal_rejected(self):
         grounded = make_prop_task([], ["a"], [], [])
-        a = grounded.vocabulary.get("a")
-        goal = ConditionSet.from_atoms(grounded.vocabulary, negative=[a])
+        goal = ConditionSet(grounded.vocabulary, neg_mask=bits(grounded.vocabulary, "a"))
         with pytest.raises(UnsupportedFeatureError):
             build_chain(Plan((), grounded.init, goal), goal)
 
@@ -112,7 +111,7 @@ class TestRegressionSemantics:
         steps = (grounded.operators[0], grounded.operators[1])
         sound = Plan(steps, grounded.init, grounded.goal)
         vocab = grounded.vocabulary
-        wider = ConditionSet.from_atoms(vocab, [vocab.get("a"), vocab.get("b")])
+        wider = ConditionSet(vocab, bits(vocab, "a", "b"))
         with pytest.raises(ChainInconsistencyError) as exc:
             build_chain(sound, wider)
         assert exc.value.step == 1
@@ -193,9 +192,7 @@ class TestChainProperties:
         first = chain.steps[0]
         hacked = AugmentedOperator(
             base=first.base,
-            effective_pre=ConditionSet(
-                vocab, first.base.pre.pos_mask | vocab.mask_of([vocab.get("g")])
-            ),
+            effective_pre=ConditionSet(vocab, first.base.pre.pos_mask | bits(vocab, "g")),
             effective_run=first.effective_run,
         )
         bad = Chain((hacked,) + chain.steps[1:], chain.goal, chain.front_conditions)

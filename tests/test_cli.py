@@ -297,12 +297,16 @@ def test_execute_bad_scenario_exit_2(tmp_path, capsys):
         ("primitives", {"bindings": {"graps": {"max_ticks": 5}}},
          "primitives.bindings.graps"),
         ("perception", {"default_flip": 0.3}, "perception.default_flip"),
+        ("disturbances", [{"trigger": {"at_tick": 5000}, "kind": {"kind": "detach_gripper"}}],
+         "disturbances[0].trigger.at_tick"),
     ],
-    ids=["bindings_list", "min_above_max", "unbound_name", "flip_without_noisy"],
+    ids=["bindings_list", "min_above_max", "unbound_name", "flip_without_noisy",
+         "at_tick_past_budget"],
 )
 def test_execute_bad_scenario_value_exit_2(tmp_path, capsys, field, value, path):
     # The first used to crash the loader, the second the trial; the third
-    # loaded and was never used, and the fourth loaded as oracle perception.
+    # and fifth loaded and were never used, and the fourth loaded as oracle
+    # perception.
     raw = json.loads(scenario_path("pick_spam_oracle").read_text())
     for key in ("domain", "problem"):
         raw[key] = str((scenario_path("pick_spam_oracle").parent / raw[key]).resolve())

@@ -24,7 +24,7 @@ from chainreact.logic import (
 )
 from chainreact.perception import NoiseModel, PerceptionPipeline
 from chainreact.planner import ground, plan
-from tests.util import kitchen_domain, kitchen_problem, reference_world
+from tests.util import bits, kitchen_domain, kitchen_problem, reference_world
 
 
 @pytest.fixture(scope="module")
@@ -45,10 +45,11 @@ def fresh_setup(grounded, seed=0, success_prob=1.0, world=None, noise=None, wind
     return sim, pipe
 
 
-def resolved(grounded, *specs):
-    """Disturbances from ``{"trigger", "kind"}`` specs, as a scenario loads them."""
+def resolved(grounded, *specs, max_ticks=1200):
+    """Disturbances from ``{"trigger", "kind"}`` specs, as a scenario with
+    that tick budget loads them."""
     problems = []
-    disturbances = resolve_disturbances(specs, grounded, problems)
+    disturbances = resolve_disturbances(specs, grounded, max_ticks, problems)
     assert problems == []
     return disturbances
 
@@ -165,7 +166,7 @@ class TestNominalRun:
 
     def test_empty_goal_immediate_success(self, g1):
         grounded, _ = g1
-        empty_goal = ConditionSet.from_atoms(grounded.vocabulary)
+        empty_goal = ConditionSet(grounded.vocabulary)
         from chainreact.planner import Plan
 
         chain = build_chain(Plan((), grounded.init, empty_goal), empty_goal)
@@ -182,11 +183,9 @@ class TestNominalRun:
         # (arm_is_free) precondition keeps it out of such plans.
         grounded = ground(kitchen_domain(), kitchen_problem("put_away_both"))
         vocab = grounded.vocabulary
-        goal = ConditionSet.from_atoms(vocab, [
-            vocab.get("obj_is_in_drawer", "sugar"),
-            vocab.get("gripper_is_open"),
-            vocab.get("handle_is_detected"),
-        ])
+        goal = ConditionSet(vocab, bits(
+            vocab, "obj_is_in_drawer(sugar)", "gripper_is_open", "handle_is_detected"
+        ))
         result = plan(grounded, goal=goal, optimal=True)
         assert result.solved
         sim, pipe = fresh_setup(grounded)
@@ -458,7 +457,7 @@ def _pinned_case(grounded, chain, group, seed):
     """One run of ``group`` at ``seed``: its pin line and its records."""
     executive, prob, dist, budget = group.split("/")
     sim, pipe = fresh_setup(grounded, seed=seed, success_prob=float(prob[1:]))
-    disturbances = resolved(grounded, *PIN_DISTURBANCES[dist])
+    disturbances = resolved(grounded, *PIN_DISTURBANCES[dist], max_ticks=int(budget[3:]))
     records = []
     outcome = run(sim, pipe, chain, max_ticks=int(budget[3:]),
                   disturbances=disturbances, on_tick=records.append,

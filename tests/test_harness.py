@@ -134,7 +134,7 @@ class TestLoadScenario:
         problems = []
         (found,) = harness.resolve_disturbances(
             [{"trigger": {key: name}, "kind": {"kind": "detach_gripper"}}],
-            grounded, problems,
+            grounded, 400, problems,
         )
         what = "operator" if key == "when_operator" else "atom"
         if resolved is None:
@@ -148,6 +148,27 @@ class TestLoadScenario:
         else:
             assert problems == []
             assert grounded.vocabulary.names_of(found.bit) == resolved
+
+    def test_at_tick_must_fall_within_the_tick_budget(self):
+        # Ticks run from 0 to max_ticks - 1.  A later at_tick used to load
+        # and never fire; the last tick still fires.
+        detach = {"kind": "detach_gripper"}
+        with pytest.raises(ScenarioError) as err:
+            load("pick_spam_oracle", disturbances=[
+                {"trigger": {"at_tick": 3}, "kind": detach},
+                {"trigger": {"at_tick": 5000}, "kind": detach},
+            ])
+        assert err.value.problems == [
+            "field 'disturbances[1].trigger.at_tick': tick 5000 is not below "
+            "max_ticks 400, so it never fires"
+        ]
+        sc = load("pick_spam_oracle", trials=1, max_ticks=5, disturbances=[
+            {"trigger": {"at_tick": 4}, "kind": {"kind": "set_drawer", "extension": 1.0}},
+        ])
+        sink = io.StringIO()
+        assert run_trial(sc, 0, trace_sink=sink).status == "budget_exhausted"
+        lines = [json.loads(line) for line in sink.getvalue().splitlines()]
+        assert [l["tick"] for l in lines if l.get("disturbances_fired")] == [4]
 
     def test_disturbance_checks_are_reported_with_the_other_load_errors(self, tmp_path):
         # They used to stop the load before the domain was read.  An entry
@@ -172,6 +193,9 @@ class TestLoadScenario:
              "disturbances[0].trigger.at_tick"),
             ({"disturbances": [{"trigger": {"at_tick": -1},
                                 "kind": {"kind": "detach_gripper"}}]},
+             "disturbances[0].trigger.at_tick"),
+            ({"max_ticks": 20, "disturbances": [{"trigger": {"at_tick": 20},
+                                                 "kind": {"kind": "detach_gripper"}}]},
              "disturbances[0].trigger.at_tick"),
             ({"disturbances": [{"trigger": {"at_tick": 3},
                                 "kind": {"kind": "set_drawer", "extension": 5}}]},
@@ -243,7 +267,7 @@ class TestLoadScenario:
             ({"format_version": 7}, "format_version"),
             ({"format_version": True}, "format_version"),
         ],
-        ids=["at_tick_str", "at_tick_negative", "extension", "zone", "window",
+        ids=["at_tick_str", "at_tick_negative", "at_tick_at_max_ticks", "extension", "zone", "window",
              "optimal", "success_prob_str", "success_prob_7", "bindings_list",
              "min_above_max", "min_ticks_0", "binding_success_prob", "flips_list",
              "flip_list_value", "default_flip_null", "default_flip_oracle",

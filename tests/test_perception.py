@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chainreact.logic import GroundAtom, LogicalState, PredicateSchema, Vocabulary
+from chainreact.logic import LogicalState, Vocabulary
 from chainreact.perception import (
     EmptyWindowError,
     EstimatorWindow,
@@ -18,10 +18,12 @@ from chainreact.perception import (
     PerceptionPipeline,
     majority_error_rate,
 )
+from chainreact.planner import ground
+from tests.util import kitchen_domain, kitchen_problem
 
 
 def make_vocab(n):
-    return Vocabulary([GroundAtom(PredicateSchema(f"p{i}")) for i in range(n)])
+    return Vocabulary((f"p{i}", ()) for i in range(n))
 
 
 class TestNoiseModel:
@@ -39,6 +41,15 @@ class TestNoiseModel:
         vocab = make_vocab(3)
         model = NoiseModel(default_flip=0.1, per_predicate_flip={"p1": 0.3})
         assert list(model.flip_vector(vocab)) == [0.1, 0.3, 0.1]
+
+    def test_flip_vector_per_predicate_with_arguments(self):
+        # Every atom of a predicate that takes arguments gets its flip.
+        vocab = ground(kitchen_domain(), kitchen_problem("put_away_both")).vocabulary
+        model = NoiseModel(default_flip=0.1, per_predicate_flip={"obj_is_detected": 0.3})
+        flips = dict(zip(vocab.names, model.flip_vector(vocab)))
+        detected = {"obj_is_detected(spam)", "obj_is_detected(sugar)"}
+        assert {name for name, p in flips.items() if p == 0.3} == detected
+        assert all(p == 0.1 for name, p in flips.items() if name not in detected)
 
     def test_oracle_flag(self):
         assert NoiseModel().is_oracle

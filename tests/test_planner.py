@@ -41,7 +41,7 @@ from chainreact.planner import (
     plan_from_json,
     symbolic_execute,
 )
-from tests.util import DATA_DIR, kitchen_domain, kitchen_problem, step_names
+from tests.util import DATA_DIR, bits, kitchen_domain, kitchen_problem, step_names
 
 # --------------------------------------------------------------------------
 # Random propositional tasks plus the set-based oracle
@@ -222,20 +222,24 @@ class TestGrounding:
         def build(*args, **kwargs):
             raise AssertionError("built before the cap was checked")
 
-        monkeypatch.setattr(planner, "GroundAtom", build)
+        monkeypatch.setattr(planner, "Vocabulary", build)
         monkeypatch.setattr(planner, "GroundOperator", build)
         with pytest.raises(GroundingLimitError, match=f"grounding exceeds 1000000 {what}$"):
             ground(*cube_task(101, arity))
 
     @pytest.mark.parametrize("problem", SHIPPED_PROBLEMS)
     def test_masks_match_atom_by_atom_build(self, problem):
-        # The reference build: every bound atom looked up as a GroundAtom,
-        # and each set made from those atoms.
+        # The reference build: every bound atom printed here and looked up
+        # by its name, and each set made from those names.
         grounded = ground(kitchen_domain(), kitchen_problem(problem))
         vocab = grounded.vocabulary
 
         def atoms(lifted, binding):
-            return [vocab.get(a.name, *(binding.get(x, x) for x in a.args)) for a in lifted]
+            names = []
+            for a in lifted:
+                args = [binding.get(x, x) for x in a.args]
+                names.append(f"{a.name}({', '.join(args)})" if args else a.name)
+            return bits(vocab, *names)
 
         def literals(lits, binding):
             return (
@@ -246,16 +250,14 @@ class TestGrounding:
         for op in grounded.operators:
             schema = op.schema
             binding = dict(zip((v for v, _ in schema.params), op.bound_args))
-            assert op.pre == ConditionSet.from_atoms(vocab, *literals(schema.pre, binding))
-            assert op.run == ConditionSet.from_atoms(
-                vocab, *literals(schema.effective_run, binding)
-            )
-            assert op.eff == EffectSet.from_atoms(
+            assert op.pre == ConditionSet(vocab, *literals(schema.pre, binding))
+            assert op.run == ConditionSet(vocab, *literals(schema.effective_run, binding))
+            assert op.eff == EffectSet(
                 vocab, atoms(schema.adds, binding), atoms(schema.deletes, binding)
             )
         task = grounded.problem
-        assert grounded.init == LogicalState.from_atoms(vocab, atoms(task.init, {}))
-        assert grounded.goal == ConditionSet.from_atoms(vocab, *literals(task.goal, {}))
+        assert grounded.init == LogicalState(vocab, atoms(task.init, {}))
+        assert grounded.goal == ConditionSet(vocab, *literals(task.goal, {}))
 
 
 # --------------------------------------------------------------------------
@@ -301,9 +303,7 @@ class TestKitchenPlanning:
 
     def test_open_drawer_subgoal(self):
         grounded = ground(kitchen_domain(), kitchen_problem("put_away_spam"))
-        goal = ConditionSet.from_atoms(
-            grounded.vocabulary, [grounded.vocabulary.get("drawer_is_open")]
-        )
+        goal = ConditionSet(grounded.vocabulary, bits(grounded.vocabulary, "drawer_is_open"))
         result = plan(grounded, goal=goal, optimal=True)
         assert result.solved
         assert step_names(result.plan.steps) == [
@@ -314,9 +314,7 @@ class TestKitchenPlanning:
 
     def test_empty_plan_when_goal_holds(self):
         grounded = ground(kitchen_domain(), kitchen_problem("put_away_spam"))
-        goal = ConditionSet.from_atoms(
-            grounded.vocabulary, [grounded.vocabulary.get("drawer_is_closed")]
-        )
+        goal = ConditionSet(grounded.vocabulary, bits(grounded.vocabulary, "drawer_is_closed"))
         result = plan(grounded, goal=goal)
         assert result.solved and len(result.plan) == 0
 
@@ -446,9 +444,7 @@ class TestHAdd:
 
     def test_kitchen_drawer_goal_finite(self):
         grounded = ground(kitchen_domain(), kitchen_problem("put_away_spam"))
-        goal = ConditionSet.from_atoms(
-            grounded.vocabulary, [grounded.vocabulary.get("drawer_is_open")]
-        )
+        goal = ConditionSet(grounded.vocabulary, bits(grounded.vocabulary, "drawer_is_open"))
         h = h_add(grounded, grounded.init, goal)
         assert 0 < h < inf
 
@@ -461,7 +457,7 @@ class TestHAdd:
 class TestSymbolicExecute:
     def test_empty_plan_identity(self):
         grounded = ground(kitchen_domain(), kitchen_problem("put_away_spam"))
-        p = Plan((), grounded.init, ConditionSet.from_atoms(grounded.vocabulary))
+        p = Plan((), grounded.init, ConditionSet(grounded.vocabulary))
         result = symbolic_execute(p.steps, grounded.init)
         assert result.failed_step is None and result.state == grounded.init
 
@@ -514,9 +510,8 @@ class TestNegativeGoals:
         from chainreact.logic import LogicalState
 
         vocab = grounded.vocabulary
-        a, b = vocab.get("a"), vocab.get("b")
-        both = LogicalState.from_atoms(vocab, [a, b])
-        only_b = LogicalState.from_atoms(vocab, [b])
+        both = LogicalState(vocab, bits(vocab, "a", "b"))
+        only_b = LogicalState(vocab, bits(vocab, "b"))
         assert h_add(grounded, both, grounded.goal) > 0
         assert h_add(grounded, only_b, grounded.goal) == 0
 

@@ -86,6 +86,15 @@ def kitchen_problem(name: str):
     return result.value
 
 
+def bits(vocab, *names: str) -> int:
+    """The OR of the bits of the atoms printed as ``names``, each found by
+    its position in ``vocab.names`` rather than through ``bit_of``."""
+    mask = 0
+    for name in names:
+        mask |= 1 << vocab.names.index(name)
+    return mask
+
+
 def step_names(steps) -> list[str]:
     """The printed names of plan or chain steps, in order."""
     return [step.name for step in steps]
