@@ -31,7 +31,7 @@ from .logic import (
     holds,
 )
 from .perception import NoiseModel, PerceptionPipeline
-from .planner import Plan, ground, h_add, plan, symbolic_execute
+from .planner import Plan, ground, plan, symbolic_execute
 
 __all__ = [
     "Chain",
@@ -53,7 +53,6 @@ __all__ = [
     "build_chain",
     "evaluate_world",
     "ground",
-    "h_add",
     "holds",
     "load_scenario",
     "parse_domain",

@@ -70,7 +70,7 @@ def cmd_plan(args) -> int:
     grounded = load_grounded(args.domain, args.problem, problems)
     if grounded is None:
         return _input_error(problems)
-    result = plan(grounded, optimal=args.optimal)
+    result = plan(grounded)
     if result.status == "unsolvable":
         print("unsolvable", file=sys.stderr)
         return EXIT_FAILED
@@ -213,11 +213,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("plan", help="search for an operator sequence")
+    p = sub.add_parser(
+        "plan", help="breadth-first search for a shortest operator sequence"
+    )
     p.add_argument("--domain", required=True)
     p.add_argument("--problem", required=True)
-    p.add_argument("--optimal", action="store_true",
-                   help="exhaustive breadth-first search (optimal step count)")
     p.add_argument("--out", help="write plan.json here instead of stdout")
     p.set_defaults(func=cmd_plan)
 

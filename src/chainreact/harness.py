@@ -13,10 +13,10 @@ chain, and hands control to the executive.  There is no replanning: a trial
 whose initial estimate yields no plan is recorded as ``no_plan``.
 
 Plans are memoized per loaded :class:`Scenario`, keyed on the estimate's
-mask: goal and planner mode are fixed per scenario, and the planner and
-chain builder are deterministic, so a hit returns the chain a miss would
-build, and records and traces are the same as without the memo.  The memo
-lives as long as the Scenario object.  A Scenario is frozen: a changed
+mask: the goal is fixed per scenario, and the planner and chain builder
+are deterministic, so a hit returns the chain a miss would build, and
+records and traces are the same as without the memo.  The memo lives as
+long as the Scenario object.  A Scenario is frozen: a changed
 copy comes from ``dataclasses.replace``, which starts with an empty memo.
 
 Parallel runs use a pool from :func:`queue_trials`.  Its workers receive
@@ -60,14 +60,15 @@ from .lang import load_domain_file, load_problem_file
 from .perception import DEFAULT_WINDOW, NoiseModel, PerceptionPipeline
 from .planner import GroundedDomain, GroundingLimitError, ground, plan
 
-FORMAT_VERSION = 1  # of trace files
+FORMAT_VERSION = 2  # of trace files
 RESULTS_FORMAT_VERSION = 1
+SCENARIO_FORMAT_VERSION = 2
 
 
 @dataclass(frozen=True)
 class Scenario:
     name: str
-    config_digest: str  # of the JSON after overrides, for trace headers
+    config_digest: str  # of the JSON after overrides and the domain and problem text
     grounded: GroundedDomain
     open_loop: bool  # the executive: the open-loop baseline, or reactive
     noise: NoiseModel
@@ -80,7 +81,6 @@ class Scenario:
     max_ticks: int
     trials: int
     base_seed: int
-    optimal_planning: bool
     # run_trial's plan memo: estimate mask -> chain, None when unsolved
     _chains_by_mask: dict[int, Optional[Chain]] = field(
         default_factory=dict, init=False, repr=False, compare=False
@@ -177,7 +177,8 @@ def _deep_merge(base: dict, extra: dict) -> dict:
 
 
 def load_grounded(
-    domain_path: str, problem_path: str, problems: list[str]
+    domain_path: str, problem_path: str, problems: list[str],
+    sources: Optional[list[str]] = None,
 ) -> Optional[GroundedDomain]:
     """Read, parse and ground a domain and problem file pair.
 
@@ -185,10 +186,12 @@ def load_grounded(
     each starting with the path of its file: a file that cannot be read or
     is not UTF-8 text, or a parse diagnostic as ``PATH:LINE:COL: error:
     MESSAGE``, or ``PROBLEM_PATH: grounding exceeds N operators`` (or
-    ``atoms``).  The problem is read only once the domain parses."""
-    domain = _parsed(domain_path, problems, load_domain_file)
+    ``atoms``).  The problem is read only once the domain parses.  The
+    text of each file read is appended to ``sources`` when it is given."""
+    sources = [] if sources is None else sources
+    domain = _parsed(domain_path, problems, sources, load_domain_file)
     problem = None if domain is None else _parsed(
-        problem_path, problems, load_problem_file, domain
+        problem_path, problems, sources, load_problem_file, domain
     )
     if problem is None:
         return None
@@ -199,14 +202,15 @@ def load_grounded(
         return None
 
 
-def _parsed(path: str, problems: list[str], load, *args):
+def _parsed(path: str, problems: list[str], sources: list[str], load, *args):
     """The value ``load(path, *args)`` parses, or ``None`` after appending
-    the faults to ``problems``."""
+    the faults to ``problems``.  The text read is appended to ``sources``."""
     try:
         result = load(path, *args)
     except (OSError, UnicodeDecodeError) as err:
         problems.append(f"{path}: {_read_error(err)}")
         return None
+    sources.append(result.source)
     if not result.ok:
         problems.extend(f"{path}:{diag}" for diag in result.diagnostics)
         return None
@@ -233,6 +237,10 @@ def _is_prob(value) -> bool:
 
 def _int_from(low: int) -> tuple:
     return (lambda v: _is_int(v) and v >= low, f"an int >= {low}")
+
+
+def _version(number: int) -> tuple:
+    return (lambda v: _is_int(v) and v == number, str(number))
 
 
 def _one_of(*options) -> tuple:
@@ -292,7 +300,6 @@ def _check(value, shape, where: str, problems: list[str]) -> None:
 
 
 _STR = (lambda v: isinstance(v, str), "a string")
-_VERSION_1 = (lambda v: _is_int(v) and v == 1, "1")
 _PROB = (_is_prob, "a number in [0, 1]")
 _FLIP = (lambda v: _is_number(v) and 0.0 <= v < 0.5, "a number in [0, 0.5)")
 _ANY = (lambda v: True, "anything")
@@ -320,12 +327,11 @@ _DESTINATION = _Object(
 )
 _SCENARIO = _Object(
     {
-        "format_version": _VERSION_1,
+        "format_version": _version(SCENARIO_FORMAT_VERSION),
         "name": _NAME,
         "domain": _STR,
         "problem": _STR,
         "executive": _one_of("reactive", "open_loop"),
-        "planner": _Object({"optimal": (lambda v: isinstance(v, bool), "a bool")}),
         "perception": _Object({
             "mode": _one_of("oracle", "noisy"),
             "window": _int_from(1),
@@ -391,7 +397,8 @@ def build_scenario(raw: dict, base_dir: Path, name: str = "scenario") -> Scenari
 
     domain_path = (base_dir / raw["domain"]).resolve()
     problem_path = (base_dir / raw["problem"]).resolve()
-    grounded = load_grounded(str(domain_path), str(problem_path), problems)
+    sources: list[str] = []
+    grounded = load_grounded(str(domain_path), str(problem_path), problems, sources)
     if grounded is not None:
         # build_chain regresses positive goal literals only.
         problems.extend(
@@ -444,7 +451,10 @@ def build_scenario(raw: dict, base_dir: Path, name: str = "scenario") -> Scenari
     initial = raw.get("initial", {})
     return Scenario(
         name=raw.get("name", name),
-        config_digest=hashlib.sha256(json.dumps(raw, sort_keys=True).encode()).hexdigest()[:16],
+        # The scenario JSON, then the domain and problem text.
+        config_digest=hashlib.sha256(
+            json.dumps([raw, *sources], sort_keys=True).encode()
+        ).hexdigest()[:16],
         grounded=grounded,
         open_loop=raw.get("executive") == "open_loop",
         noise=noise,
@@ -459,7 +469,6 @@ def build_scenario(raw: dict, base_dir: Path, name: str = "scenario") -> Scenari
         max_ticks=raw["max_ticks"],
         trials=raw["trials"],
         base_seed=raw["base_seed"],
-        optimal_planning=raw.get("planner", {}).get("optimal", False),
     )
 
 
@@ -568,10 +577,7 @@ def run_trial(
 
     memo = scenario._chains_by_mask
     if estimate.mask not in memo:
-        result = plan(
-            grounded, init=estimate, goal=grounded.goal,
-            optimal=scenario.optimal_planning,
-        )
+        result = plan(grounded, init=estimate, goal=grounded.goal)
         memo[estimate.mask] = (
             build_chain(result.plan, grounded.goal) if result.solved else None
         )
@@ -749,9 +755,7 @@ _METRIC_FIELDS = {
 }
 _RESULTS = _Object(
     {
-        "format_version": (
-            lambda v: _is_int(v) and v == RESULTS_FORMAT_VERSION, str(RESULTS_FORMAT_VERSION)
-        ),
+        "format_version": _version(RESULTS_FORMAT_VERSION),
         "results": [_Object(
             {"metrics": _Object(_METRIC_FIELDS, tuple(_METRIC_FIELDS)), "records": _ANY},
             ("metrics",),

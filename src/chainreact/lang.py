@@ -108,10 +108,12 @@ class Diagnostic:
 
 @dataclass
 class ParseResult:
-    """Either a value or a non-empty list of error diagnostics."""
+    """Either a value or a non-empty list of error diagnostics, and the
+    text that was parsed."""
 
     value: object = None
     diagnostics: list[Diagnostic] = field(default_factory=list)
+    source: str = ""
 
     @property
     def ok(self) -> bool:
@@ -296,7 +298,7 @@ def _parse(source: str, kind: str, begin) -> ParseResult:
     except Exception as exc:  # totality guard for malformed input
         diags.append(Diagnostic(1, 1, f"internal parse failure: {exc}", "internal"))
         value = None
-    return ParseResult(None if diags else value, diags)
+    return ParseResult(None if diags else value, diags, source)
 
 
 def _parse_define(source: str, kind: str, begin, diags: list[Diagnostic]) -> object:

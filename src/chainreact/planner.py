@@ -6,22 +6,19 @@ atoms into a :class:`~chainreact.logic.Vocabulary`.  Each bound atom goes
 straight to its bit, so every operator's conditions and effects, the
 initial state and the goal are ORs of bits, and every operator is compiled
 once into a row of raw integer masks (see :class:`GroundedDomain`).
-``plan`` then searches the grounded space on plain ``int`` states: greedy
-best-first on the delete-relaxation additive heuristic by default, or
-exhaustive breadth-first search when ``optimal`` is requested (used wherever
-exact plan lengths matter).  Both searches generate successors from the
-compiled rows in operator index order and check the vocabulary once per
-query.  Tie-breaking is total (operator index order plus FIFO), so identical
-inputs always produce identical plans.
+``plan`` then runs breadth-first search over the grounded space on plain
+``int`` states, so every plan it returns is shortest in step count.  It
+generates successors from the compiled rows in operator index order and
+checks the vocabulary once per query.  Tie-breaking is total (operator
+index order plus FIFO), so identical inputs always produce identical plans.
 """
 
 from __future__ import annotations
 
-import heapq
 import itertools
 from collections import deque
 from dataclasses import dataclass, field
-from math import inf, isinf, prod
+from math import prod
 from typing import Optional, Sequence
 
 from .lang import DomainDefinition, LiftedAtom, OperatorSchema, ProblemDefinition
@@ -64,13 +61,10 @@ class GroundOperator:
 class GroundedDomain:
     """The grounded vocabulary and operators of one domain and problem.
 
-    ``compiled`` and ``relaxed`` hold every operator, in index order, as the
-    raw ints the searches and :func:`h_add` read.  A state ``s`` (an ``int``)
-    satisfies an operator's precondition iff ``s & pre_pos == pre_pos and
-    not s & pre_neg``, and its successor is ``s & keep | add`` with ``keep =
-    ~del_mask``.  ``relaxed`` adds the atom ids of ``pre_pos`` and ``add``
-    for the relaxed cost sums; it is a table of its own because unpacking
-    wider rows slows the successor loop.
+    ``compiled`` holds every operator, in index order, as the raw ints the
+    search reads.  A state ``s`` (an ``int``) satisfies an operator's
+    precondition iff ``s & pre_pos == pre_pos and not s & pre_neg``, and its
+    successor is ``s & keep | add`` with ``keep = ~del_mask``.
 
     ``movables`` names the problem objects of type ``movable``, in
     declaration order: the objects the kitchen places, moves and teleports.
@@ -86,10 +80,6 @@ class GroundedDomain:
     compiled: tuple[tuple[int, int, int, int, int], ...] = field(
         init=False, repr=False
     )
-    # (pre_pos, add, pre_ids, add_ids) per operator
-    relaxed: tuple[tuple[int, int, tuple[int, ...], tuple[int, ...]], ...] = field(
-        init=False, repr=False
-    )
     movables: tuple[str, ...] = field(init=False)
 
     def __post_init__(self) -> None:
@@ -101,11 +91,6 @@ class GroundedDomain:
         self.compiled = tuple(
             (op.index, op.pre.pos_mask, op.pre.neg_mask, ~op.eff.del_mask,
              op.eff.add_mask)
-            for op in self.operators
-        )
-        self.relaxed = tuple(
-            (op.pre.pos_mask, op.eff.add_mask, _mask_ids(op.pre.pos_mask),
-             _mask_ids(op.eff.add_mask))
             for op in self.operators
         )
 
@@ -266,71 +251,6 @@ def symbolic_execute(
 
 
 # --------------------------------------------------------------------------
-# Heuristic
-# --------------------------------------------------------------------------
-
-
-def h_add(grounded: GroundedDomain, state: LogicalState, goal: ConditionSet) -> float:
-    """Delete-relaxation additive heuristic.
-
-    Returns 0 iff the goal is satisfied in ``state`` and ``inf`` iff the
-    positive part of the goal is unreachable under the delete relaxation.
-    A violated negative literal with a satisfied positive part costs 1
-    (negative literals are otherwise outside the relaxation).
-    """
-    _check_same_vocab(state.vocabulary, grounded.vocabulary)
-    _check_same_vocab(goal.vocabulary, grounded.vocabulary)
-    return _h_add(
-        grounded.relaxed, len(grounded.vocabulary), state.mask,
-        goal.pos_mask, goal.neg_mask, _mask_ids(goal.pos_mask),
-    )
-
-
-def _h_add(relaxed, n, mask, goal_pos, goal_neg, goal_ids) -> float:
-    """:func:`h_add` on raw ints: ``mask`` is the state, ``goal_ids`` the
-    atom ids of ``goal_pos``."""
-    cost: list[float] = [inf] * n
-    for i in _mask_ids(mask):
-        cost[i] = 0.0
-    # Bellman-Ford sweeps in operator order until no cost falls; ``reached``
-    # is the set of atoms whose cost is finite, so an operator with an
-    # unreached precondition is skipped with one mask test.
-    reached = mask
-    changed = True
-    while changed:
-        changed = False
-        for pre_pos, add, pre_ids, add_ids in relaxed:
-            if reached & pre_pos != pre_pos:
-                continue
-            total = 1.0
-            for a in pre_ids:
-                total += cost[a]
-            for b in add_ids:
-                if total < cost[b]:
-                    cost[b] = total
-                    changed = True
-            reached |= add
-
-    if reached & goal_pos != goal_pos:
-        return inf
-    base = 0.0
-    for a in goal_ids:
-        base += cost[a]
-    if base == 0.0 and mask & goal_neg:
-        return 1.0
-    return base
-
-
-def _mask_ids(mask: int) -> tuple[int, ...]:
-    ids = []
-    while mask:
-        low = mask & -mask
-        ids.append(low.bit_length() - 1)
-        mask ^= low
-    return tuple(ids)
-
-
-# --------------------------------------------------------------------------
 # Search
 # --------------------------------------------------------------------------
 
@@ -350,13 +270,11 @@ def plan(
     grounded: GroundedDomain,
     init: Optional[LogicalState] = None,
     goal: Optional[ConditionSet] = None,
-    optimal: bool = False,
     node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> PlanResult:
     """Search for an operator sequence from ``init`` to ``goal``.
 
-    Greedy best-first on :func:`h_add` by default; breadth-first (optimal
-    in step count) when ``optimal`` is set.  Complete either way: the
+    Breadth-first, so a returned plan has the fewest steps.  Complete: the
     grounded state space is finite and duplicates are eliminated, so
     ``unsolvable`` is returned only when no plan exists.  States are plain
     ``int`` masks during the search; ``init`` and ``goal`` must belong to
@@ -366,32 +284,9 @@ def plan(
     goal = grounded.goal if goal is None else goal
     _check_same_vocab(init.vocabulary, grounded.vocabulary)
     _check_same_vocab(goal.vocabulary, grounded.vocabulary)
-    if optimal:
-        return _bfs(grounded, init, goal, node_budget)
-    return _gbfs(grounded, init, goal, node_budget)
-
-
-def _extract(grounded, parents, mask, init, goal) -> Plan:
-    ops = []  # back to the start state, the only one without an operator
-    while parents[mask][1] is not None:
-        mask, op_idx = parents[mask]
-        ops.append(grounded.operators[op_idx])
-    return Plan(tuple(reversed(ops)), init, goal)
-
-
-def _successors(table, mask):
-    """(operator index, successor state) for each operator applicable in
-    ``mask``, in operator index order."""
-    for index, pre_pos, pre_neg, keep, add in table:
-        if mask & pre_pos == pre_pos and not mask & pre_neg:
-            yield index, mask & keep | add
-
-
-def _bfs(grounded, init, goal, node_budget) -> PlanResult:
     start, goal_pos, goal_neg = init.mask, goal.pos_mask, goal.neg_mask
     if start & goal_pos == goal_pos and not start & goal_neg:
         return PlanResult("solved", Plan((), init, goal))
-    table = grounded.compiled
     parents: dict[int, tuple[int, Optional[int]]] = {start: (start, None)}
     queue = deque([start])
     expansions = 0
@@ -400,7 +295,10 @@ def _bfs(grounded, init, goal, node_budget) -> PlanResult:
         expansions += 1
         if expansions > node_budget:
             return PlanResult("budget_exhausted", expansions=expansions)
-        for index, nxt in _successors(table, mask):
+        for index, pre_pos, pre_neg, keep, add in grounded.compiled:
+            if mask & pre_pos != pre_pos or mask & pre_neg:
+                continue
+            nxt = mask & keep | add
             if nxt in parents:
                 continue
             parents[nxt] = (mask, index)
@@ -412,37 +310,9 @@ def _bfs(grounded, init, goal, node_budget) -> PlanResult:
     return PlanResult("unsolvable", expansions=expansions)
 
 
-def _gbfs(grounded, init, goal, node_budget) -> PlanResult:
-    table, relaxed, n = grounded.compiled, grounded.relaxed, len(grounded.vocabulary)
-    start, goal_pos, goal_neg = init.mask, goal.pos_mask, goal.neg_mask
-    goal_ids = _mask_ids(goal_pos)
-    h0 = _h_add(relaxed, n, start, goal_pos, goal_neg, goal_ids)
-    if isinf(h0):
-        return PlanResult("unsolvable")
-    parents: dict[int, tuple[int, Optional[int]]] = {start: (start, None)}
-    counter = itertools.count()
-    open_heap: list[tuple[float, int, int]] = [(h0, next(counter), start)]
-    closed: set[int] = set()
-    expansions = 0
-    while open_heap:
-        _, _, mask = heapq.heappop(open_heap)
-        if mask in closed:
-            continue
-        closed.add(mask)
-        if mask & goal_pos == goal_pos and not mask & goal_neg:
-            return PlanResult(
-                "solved", _extract(grounded, parents, mask, init, goal), expansions
-            )
-        expansions += 1
-        if expansions > node_budget:
-            return PlanResult("budget_exhausted", expansions=expansions)
-        for index, nxt in _successors(table, mask):
-            if nxt in parents:
-                continue
-            parents[nxt] = (mask, index)
-            h = _h_add(relaxed, n, nxt, goal_pos, goal_neg, goal_ids)
-            # h = inf: unreachable under the relaxation, hence truly
-            # unreachable; recorded as seen but never queued.
-            if not isinf(h):
-                heapq.heappush(open_heap, (h, next(counter), nxt))
-    return PlanResult("unsolvable", expansions=expansions)
+def _extract(grounded, parents, mask, init, goal) -> Plan:
+    ops = []  # back to the start state, the only one without an operator
+    while parents[mask][1] is not None:
+        mask, op_idx = parents[mask]
+        ops.append(grounded.operators[op_idx])
+    return Plan(tuple(reversed(ops)), init, goal)

@@ -41,7 +41,7 @@ def toy_chain(goal_atoms):
         init=[],
         goal=goal_atoms,
     )
-    result = plan(grounded, optimal=True)
+    result = plan(grounded)
     assert result.solved and step_names(result.plan.steps) == ["makeA", "makeB", "finish"]
     return grounded, build_chain(result.plan, grounded.goal)
 
@@ -65,7 +65,7 @@ class TestRegressionSemantics:
             init=[],
             goal=["g", "a"],
         )
-        result = plan(grounded, optimal=True)
+        result = plan(grounded)
         chain = build_chain(result.plan, grounded.goal)
         # 'a' reaches both finish and makeB; for makeB it already sits in the
         # base precondition so the extra set stays disjoint from it.
@@ -120,7 +120,7 @@ class TestRegressionSemantics:
 
     def test_monotone_augmentation(self):
         grounded = ground(kitchen_domain(), kitchen_problem("put_away_spam"))
-        chain = build_chain(plan(grounded, optimal=True).plan, grounded.goal)
+        chain = build_chain(plan(grounded).plan, grounded.goal)
         for step in chain.steps:
             assert step.effective_pre.pos_mask & step.base.pre.pos_mask == step.base.pre.pos_mask
             assert step.effective_run.pos_mask & step.base.run.pos_mask == step.base.run.pos_mask
@@ -132,7 +132,7 @@ class TestRegressionSemantics:
 class TestKitchenChain:
     def test_goal_augmentation_pattern(self):
         grounded = ground(kitchen_domain(), kitchen_problem("put_away_spam"))
-        chain = build_chain(plan(grounded, optimal=True).plan, grounded.goal)
+        chain = build_chain(plan(grounded).plan, grounded.goal)
         names = step_names(chain.steps)
         in_drawer = "obj_is_in_drawer(spam)"
 
@@ -159,7 +159,7 @@ class TestKitchenChain:
 
     def test_verify_chain_from_k1(self):
         grounded = ground(kitchen_domain(), kitchen_problem("put_away_spam"))
-        chain = build_chain(plan(grounded, optimal=True).plan, grounded.goal)
+        chain = build_chain(plan(grounded).plan, grounded.goal)
         assert verify_chain(chain, grounded.init)
 
 
@@ -170,7 +170,7 @@ def sound_random_plans(count, seed, max_steps=8, max_atoms=12):
     while produced < count:
         specs, atoms, init, goal = random_task(rng, n_atoms=rng.randint(3, max_atoms))
         grounded = make_prop_task(specs, atoms, init, goal)
-        result = plan(grounded, optimal=True)
+        result = plan(grounded)
         if not result.solved or len(result.plan) > max_steps:
             continue
         produced += 1
@@ -234,7 +234,7 @@ class TestChainProperties:
         """From the reference configuration, with the pick phase skipped, the close phase must be
         blocked by the propagated obj_is_in_drawer(spam) condition."""
         grounded = ground(kitchen_domain(), kitchen_problem("put_away_spam"))
-        chain = build_chain(plan(grounded, optimal=True).plan, grounded.goal)
+        chain = build_chain(plan(grounded).plan, grounded.goal)
         from chainreact.logic import apply_effects
 
         state = grounded.init

@@ -30,13 +30,12 @@ def test_plan_chain_pipeline(tmp_path, capsys):
         "plan",
         "--domain", str(kitchen_path()),
         "--problem", str(problem_path("put_away_spam")),
-        "--optimal",
         "--out", str(plan_out),
     ])
     assert code == 0
     data = json.loads(plan_out.read_text())
     grounded = ground(kitchen_domain(), kitchen_problem("put_away_spam"))
-    assert data == plan(grounded, optimal=True).plan.to_json_dict()
+    assert data == plan(grounded).plan.to_json_dict()
     assert data["format_version"] == 1
     steps = data["steps"]
     assert len(steps) == 16
@@ -299,14 +298,17 @@ def test_execute_bad_scenario_exit_2(tmp_path, capsys):
         ("perception", {"default_flip": 0.3}, "perception.default_flip"),
         ("disturbances", [{"trigger": {"at_tick": 5000}, "kind": {"kind": "detach_gripper"}}],
          "disturbances[0].trigger.at_tick"),
+        ("planner", {"optimal": True}, "planner"),
+        ("format_version", 1, "format_version"),
     ],
     ids=["bindings_list", "min_above_max", "unbound_name", "flip_without_noisy",
-         "at_tick_past_budget"],
+         "at_tick_past_budget", "planner", "format_version_1"],
 )
 def test_execute_bad_scenario_value_exit_2(tmp_path, capsys, field, value, path):
     # The first used to crash the loader, the second the trial; the third
     # and fifth loaded and were never used, and the fourth loaded as oracle
-    # perception.
+    # perception.  The last two are scenario format 1, which had a planner
+    # switch.
     raw = json.loads(scenario_path("pick_spam_oracle").read_text())
     for key in ("domain", "problem"):
         raw[key] = str((scenario_path("pick_spam_oracle").parent / raw[key]).resolve())
@@ -357,7 +359,7 @@ def test_unwritable_output_exit_2(tmp_path, capsys, monkeypatch, command, flag):
     target = blocker / "out.json"
     files = ["--domain", str(kitchen_path()), "--problem", str(problem_path("pick_spam"))]
     plan_file = tmp_path / "plan.json"
-    assert main(["plan", *files, "--optimal", "--out", str(plan_file)]) == 0
+    assert main(["plan", *files, "--out", str(plan_file)]) == 0
     capsys.readouterr()
     args = {
         "execute": ["--scenario", str(scenario_path("pick_spam_oracle"))],

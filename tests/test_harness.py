@@ -205,7 +205,6 @@ class TestLoadScenario:
                                          "destination": {"zone": 99}}}]},
              "disturbances[0].kind.destination.zone"),
             ({"perception": {"mode": "oracle", "window": "x"}}, "perception.window"),
-            ({"planner": {"optimal": "false"}}, "planner.optimal"),
             ({"primitives": {"success_prob": "hi"}}, "primitives.success_prob"),
             ({"primitives": {"success_prob": 7}}, "primitives.success_prob"),
             ({"primitives": {"bindings": ["grasp"]}}, "primitives.bindings"),
@@ -241,7 +240,8 @@ class TestLoadScenario:
                              "per_predicate_flip": {"gripper_is_opn": 0.1}}},
              "perception.per_predicate_flip.gripper_is_opn"),
             ({"initial": {"arms": "driving"}}, "initial.arms"),
-            ({"planner": {"optimal": True, "greedy": True}}, "planner.greedy"),
+            # The planner switch went with the greedy search, in format 2.
+            ({"planner": {"optimal": True}}, "planner"),
             ({"disturbances": [{"trigger": {"at_tick": 3}, "when": 1,
                                 "kind": {"kind": "detach_gripper"}}]},
              "disturbances[0].when"),
@@ -264,11 +264,12 @@ class TestLoadScenario:
             # trace dir.
             *[({"name": name}, "name")
               for name in ("", ".", "..", "../escaped", "sub/x", "a\\b", "nul\0")],
+            ({"format_version": 1}, "format_version"),
             ({"format_version": 7}, "format_version"),
             ({"format_version": True}, "format_version"),
         ],
         ids=["at_tick_str", "at_tick_negative", "at_tick_at_max_ticks", "extension", "zone", "window",
-             "optimal", "success_prob_str", "success_prob_7", "bindings_list",
+             "success_prob_str", "success_prob_7", "bindings_list",
              "min_above_max", "min_ticks_0", "binding_success_prob", "flips_list",
              "flip_list_value", "default_flip_null", "default_flip_oracle",
              "per_predicate_flip_oracle", "gripper_open_prob_9",
@@ -280,14 +281,13 @@ class TestLoadScenario:
              "goal_streak_0", "stuck_after_0", "base_seed_negative", "name_int",
              "name_empty", "name_dot", "name_dotdot", "name_parent", "name_slash",
              "name_backslash", "name_nul",
-             "format_version_7", "format_version_true"],
+             "format_version_1", "format_version_7", "format_version_true"],
     )
     def test_value_that_would_fail_mid_trial(self, override, path):
         # Each of these used to crash the loader, load and then raise inside
-        # a trial, or load with a meaning it cannot have (planner.optimal
-        # "false" read as true, a probability of 7, an unknown key dropped,
-        # a goal streak of 0 that succeeds on tick 1); now loading names the
-        # field.
+        # a trial, or load with a meaning it cannot have (a probability of
+        # 7, an unknown key dropped, a goal streak of 0 that succeeds on
+        # tick 1); now loading names the field.
         with pytest.raises(ScenarioError) as err:
             load_scenario(scenario_path("put_away_spam_oracle"), override)
         assert any(f"'{path}'" in p for p in err.value.problems), err.value.problems
@@ -731,12 +731,15 @@ class TestTraces:
 
     def test_config_digest_pins_the_merged_scenario(self):
         # The header's config_digest is the first 16 hex digits of the
-        # SHA-256 of the scenario JSON after overrides, dumped with sorted
-        # keys; a trials override is part of what it hashes.
+        # SHA-256 of the JSON list of the scenario JSON after overrides and
+        # the text of its domain and problem files, dumped with sorted keys;
+        # a trials override is part of what it hashes.
         raw = json.loads(scenario_path("put_away_spam_oracle").read_text(encoding="utf-8"))
+        texts = [kitchen_source(), problem_source("put_away_spam")]
 
         def digest(merged):
-            return hashlib.sha256(json.dumps(merged, sort_keys=True).encode()).hexdigest()[:16]
+            payload = json.dumps([merged, *texts], sort_keys=True)
+            return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
         headers = {}
         for trials in (None, 1):
@@ -744,6 +747,20 @@ class TestTraces:
             headers[trials] = self.trace_lines(sc)[1][0]["config_digest"]
         assert headers[None] == digest(raw)
         assert headers[1] == digest({**raw, "trials": 1}) != headers[None]
+
+    def test_config_digest_covers_the_problem_text(self, tmp_path):
+        # The same scenario JSON naming the same paths, with only the
+        # .dprob edited, runs another task; it used to keep the digest.
+        digests = [
+            load_scenario(scenario_copy(tmp_path, "put_away_spam_oracle", problem=text)).config_digest
+            for text in (
+                problem_source("put_away_spam"),
+                problem_source("put_away_spam").replace(
+                    "(obj_is_in_drawer spam)", "(obj_is_in_drawer sugar)"
+                ),
+            )
+        ]
+        assert digests[0] != digests[1]
 
     def test_disturbance_appears_in_trace(self):
         sc = load("teleport_cage_reactive", trials=1)

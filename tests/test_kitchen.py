@@ -359,7 +359,7 @@ class TestAlignment:
     """eval(world after op) must contain the op's adds and none of its deletes."""
 
     def drive_plan(self, grounded_task, seed=0):
-        result = plan(grounded_task, optimal=True)
+        result = plan(grounded_task)
         assert result.solved
         sim = reliable_sim(grounded_task, reference_world(), seed)
         covered = []

@@ -1,16 +1,12 @@
-"""Planner: grounding counts, search soundness/completeness, heuristic.
+"""Planner: grounding counts, search soundness, completeness and pins.
 
 Independent oracles: reachability by breadth-first search over frozensets
-of atom name strings (no bitmasks), a dict-based additive-cost fixpoint
-for the heuristic, and a reference BFS/GBFS on LogicalState objects that the
-compiled int-mask searches must match exactly.
+of atom name strings (no bitmasks), and a reference BFS on LogicalState
+objects that the compiled int-mask search must match exactly.
 """
 
-import heapq
-import itertools
 import random
 from collections import deque
-from math import inf, isinf
 
 import pytest
 from hypothesis import given, settings
@@ -22,6 +18,7 @@ from chainreact.lang import (
     LiftedLiteral,
     OperatorSchema,
     ProblemDefinition,
+    parse_problem,
 )
 from chainreact import planner
 from chainreact.logic import (
@@ -36,12 +33,18 @@ from chainreact.planner import (
     GroundingLimitError,
     Plan,
     ground,
-    h_add,
     plan,
     plan_from_json,
     symbolic_execute,
 )
-from tests.util import DATA_DIR, bits, kitchen_domain, kitchen_problem, step_names
+from tests.util import (
+    DATA_DIR,
+    bits,
+    kitchen_domain,
+    kitchen_problem,
+    put_away_problem,
+    step_names,
+)
 
 # --------------------------------------------------------------------------
 # Random propositional tasks plus the set-based oracle
@@ -115,28 +118,6 @@ def oracle_reachable(op_specs, init, goal):
                 return depth + 1
             queue.append((nxt, depth + 1))
     return None
-
-
-def oracle_additive_cost(op_specs, state_names, goal_names):
-    """Dict-based additive fixpoint, independent of the package heuristic."""
-    cost = {a: 0.0 for a in state_names}
-    changed = True
-    while changed:
-        changed = False
-        for _, pre, adds, _ in op_specs:
-            if any(p not in cost for p in pre):
-                continue
-            c = 1.0 + sum(cost[p] for p in pre)
-            for a in adds:
-                if c < cost.get(a, inf):
-                    cost[a] = c
-                    changed = True
-    total = 0.0
-    for g in goal_names:
-        if g not in cost:
-            return inf
-        total += cost[g]
-    return total
 
 
 # --------------------------------------------------------------------------
@@ -287,24 +268,17 @@ G1_PLAN = [
 class TestKitchenPlanning:
     def test_g1_plan_sixteen_steps(self):
         grounded = ground(kitchen_domain(), kitchen_problem("put_away_spam"))
-        result = plan(grounded, optimal=True)
+        result = plan(grounded)
         assert result.solved
         assert len(result.plan) == 16
         assert step_names(result.plan.steps) == G1_PLAN
         final = symbolic_execute(result.plan.steps, grounded.init)
         assert final.failed_step is None and holds(final.state, grounded.goal)
 
-    def test_gbfs_also_solves_g1(self):
-        grounded = ground(kitchen_domain(), kitchen_problem("put_away_spam"))
-        result = plan(grounded)
-        assert result.solved
-        final = symbolic_execute(result.plan.steps, grounded.init)
-        assert final.failed_step is None and holds(final.state, grounded.goal)
-
     def test_open_drawer_subgoal(self):
         grounded = ground(kitchen_domain(), kitchen_problem("put_away_spam"))
         goal = ConditionSet(grounded.vocabulary, bits(grounded.vocabulary, "drawer_is_open"))
-        result = plan(grounded, goal=goal, optimal=True)
+        result = plan(grounded, goal=goal)
         assert result.solved
         assert step_names(result.plan.steps) == [
             "back_off", "approach_drawer_open", "cage_handle",
@@ -320,7 +294,7 @@ class TestKitchenPlanning:
 
     def test_composite_goal_plan(self):
         grounded = ground(kitchen_domain(), kitchen_problem("put_away_both"))
-        result = plan(grounded, optimal=True)
+        result = plan(grounded)
         assert result.solved
         assert len(result.plan) == 24
         names = step_names(result.plan.steps)
@@ -334,29 +308,38 @@ class TestKitchenPlanning:
         b = step_names(plan(grounded).plan.steps)
         assert a == b
 
-    # (plan length, expansions) of BFS and GBFS on every shipped problem, so
-    # a change to kitchen.dpdl or to either search shows here.
+    # (plan length, expansions) on every shipped problem, so a change to
+    # kitchen.dpdl or to the search shows here.
     SEARCH_PINS = {
-        "open_drawer": ((6, 19), (6, 6)),
-        "pick_spam": ((5, 12), (5, 5)),
-        "pick_sugar": ((5, 16), (5, 5)),
-        "put_away_both": ((24, 280), (24, 56)),
-        "put_away_spam": ((16, 167), (16, 32)),
-        "put_away_sugar": ((16, 178), (16, 32)),
+        "open_drawer": (6, 19),
+        "pick_spam": (5, 12),
+        "pick_sugar": (5, 16),
+        "put_away_both": (24, 280),
+        "put_away_spam": (16, 167),
+        "put_away_sugar": (16, 178),
     }
 
     @pytest.mark.parametrize("problem", sorted(SEARCH_PINS))
     def test_search_pins(self, problem):
         grounded = ground(kitchen_domain(), kitchen_problem(problem))
-        got = tuple(
-            (len(result.plan), result.expansions)
-            for result in (plan(grounded, optimal=True), plan(grounded))
-        )
-        assert got == self.SEARCH_PINS[problem]
+        result = plan(grounded)
+        assert (len(result.plan), result.expansions) == self.SEARCH_PINS[problem]
+
+    # (plan length, expansions) on put-away problems with k movables, up to
+    # the simulator's cap of five: each object adds eight steps, and the
+    # expansions grow 5.5- to 5.8-fold.
+    PUT_AWAY_PINS = {1: (16, 51), 2: (24, 280), 3: (32, 1619), 4: (40, 9282), 5: (48, 52509)}
+
+    @pytest.mark.parametrize("k", sorted(PUT_AWAY_PINS))
+    def test_put_away_pins(self, k):
+        problem = parse_problem(put_away_problem(k), kitchen_domain())
+        assert problem.ok, problem.diagnostics
+        result = plan(ground(kitchen_domain(), problem.value))
+        assert (len(result.plan), result.expansions) == self.PUT_AWAY_PINS[k]
 
     def test_plan_json_round_trip(self):
         grounded = ground(kitchen_domain(), kitchen_problem("put_away_spam"))
-        p = plan(grounded, optimal=True).plan
+        p = plan(grounded).plan
         again = plan_from_json(grounded, p.to_json_dict())
         assert step_names(again.steps) == step_names(p.steps)
 
@@ -374,16 +357,14 @@ class TestRandomDomains:
             specs, atoms, init, goal = random_task(rng)
             grounded = make_prop_task(specs, atoms, init, goal)
             oracle_len = oracle_reachable(specs, init, goal)
-            for optimal in (False, True):
-                result = plan(grounded, optimal=optimal)
-                if oracle_len is None:
-                    assert result.status == "unsolvable", (specs, init, goal)
-                else:
-                    assert result.solved
-                    ex = symbolic_execute(result.plan.steps, grounded.init)
-                    assert ex.failed_step is None and holds(ex.state, grounded.goal)
-                    if optimal:
-                        assert len(result.plan) == oracle_len
+            result = plan(grounded)
+            if oracle_len is None:
+                assert result.status == "unsolvable", (specs, init, goal)
+            else:
+                assert result.solved
+                ex = symbolic_execute(result.plan.steps, grounded.init)
+                assert ex.failed_step is None and holds(ex.state, grounded.goal)
+                assert len(result.plan) == oracle_len
             if oracle_len is None:
                 unsolvable_seen += 1
             else:
@@ -394,59 +375,8 @@ class TestRandomDomains:
     def test_budget_exhaustion_reported(self):
         specs = [("grow", {f"a{i}"}, {f"a{i+1}"}, set()) for i in range(11)]
         grounded = make_prop_task(specs, [f"a{i}" for i in range(12)], ["a0"], ["a11"])
-        result = plan(grounded, optimal=True, node_budget=2)
+        result = plan(grounded, node_budget=2)
         assert result.status == "budget_exhausted"
-
-
-# --------------------------------------------------------------------------
-# Heuristic
-# --------------------------------------------------------------------------
-
-
-class TestHAdd:
-    def test_zero_iff_satisfied(self):
-        rng = random.Random(7)
-        for _ in range(100):
-            specs, atoms, init, goal = random_task(rng)
-            grounded = make_prop_task(specs, atoms, init, goal)
-            h = h_add(grounded, grounded.init, grounded.goal)
-            assert (h == 0) == holds(grounded.init, grounded.goal)
-
-    def test_infinite_iff_relaxed_unreachable(self):
-        grounded = make_prop_task(
-            [("op", set(), {"a"}, set())], ["a", "b"], [], ["b"]
-        )
-        assert isinf(h_add(grounded, grounded.init, grounded.goal))
-
-    def test_unproduced_goal_atom_is_infinite(self):
-        grounded = make_prop_task([], ["g"], [], ["g"])
-        assert isinf(h_add(grounded, grounded.init, grounded.goal))
-
-    def test_matches_independent_fixpoint(self):
-        rng = random.Random(11)
-        for _ in range(200):
-            specs, atoms, init, goal = random_task(rng)
-            grounded = make_prop_task(specs, atoms, init, goal)
-            expected = oracle_additive_cost(specs, init, goal)
-            got = h_add(grounded, grounded.init, grounded.goal)
-            if expected == 0 and not holds(grounded.init, grounded.goal):
-                expected = 1.0
-            assert got == expected
-
-    def test_heuristic_safety(self):
-        # h_add = inf implies the brute-force oracle also finds no plan.
-        rng = random.Random(13)
-        for _ in range(200):
-            specs, atoms, init, goal = random_task(rng)
-            grounded = make_prop_task(specs, atoms, init, goal)
-            if isinf(h_add(grounded, grounded.init, grounded.goal)):
-                assert oracle_reachable(specs, init, goal) is None
-
-    def test_kitchen_drawer_goal_finite(self):
-        grounded = ground(kitchen_domain(), kitchen_problem("put_away_spam"))
-        goal = ConditionSet(grounded.vocabulary, bits(grounded.vocabulary, "drawer_is_open"))
-        h = h_add(grounded, grounded.init, goal)
-        assert 0 < h < inf
 
 
 # --------------------------------------------------------------------------
@@ -463,7 +393,7 @@ class TestSymbolicExecute:
 
     def test_swapped_steps_fail_at_swap(self):
         grounded = ground(kitchen_domain(), kitchen_problem("put_away_spam"))
-        full = plan(grounded, optimal=True).plan
+        full = plan(grounded).plan
         steps = list(full.steps)
         i, j = 8, 9  # cage_obj(spam), grasp_obj(spam)
         assert steps[i].schema.name == "cage_obj"
@@ -495,68 +425,21 @@ class TestNegativeGoals:
 
     def test_plan_reaches_negative_goal(self):
         grounded = self.make_task()
-        for optimal in (False, True):
-            result = plan(grounded, optimal=optimal)
-            assert result.solved
-            final = symbolic_execute(result.plan.steps, grounded.init)
-            assert final.failed_step is None and holds(final.state, grounded.goal)
-            if optimal:
-                assert len(result.plan) == 2
-
-    def test_h_add_zero_iff_satisfied_with_negatives(self):
-        grounded = self.make_task()
-        # positives satisfied but the negative literal violated: h must be
-        # positive, and it must drop to zero exactly at goal states
-        from chainreact.logic import LogicalState
-
-        vocab = grounded.vocabulary
-        both = LogicalState(vocab, bits(vocab, "a", "b"))
-        only_b = LogicalState(vocab, bits(vocab, "b"))
-        assert h_add(grounded, both, grounded.goal) > 0
-        assert h_add(grounded, only_b, grounded.goal) == 0
+        result = plan(grounded)
+        assert result.solved
+        final = symbolic_execute(result.plan.steps, grounded.init)
+        assert final.failed_step is None and holds(final.state, grounded.goal)
+        assert len(result.plan) == 2
 
 
 # --------------------------------------------------------------------------
 # Compiled search against a reference search on LogicalState objects
 # --------------------------------------------------------------------------
 #
-# The reference keeps the plain form of each search: states are LogicalState
-# values stepped by holds/apply_effects over the GroundOperator objects, and
-# h_add runs its additive-cost sweeps on id tuples with no mask shortcut.
-# Operator order, FIFO order and heap tie-breaking are the same, so the
-# compiled searches must return the same status, steps and expansions.
-
-def _ids(mask):
-    return [i for i in range(mask.bit_length()) if mask >> i & 1]
-
-
-def ref_h_add(grounded, state, goal):
-    cost = [inf] * len(grounded.vocabulary)
-    for i in _ids(state.mask):
-        cost[i] = 0.0
-    ops = [(_ids(op.pre.pos_mask), _ids(op.eff.add_mask)) for op in grounded.operators]
-    changed = True
-    while changed:
-        changed = False
-        for pre_ids, add_ids in ops:
-            total = 1.0
-            for a in pre_ids:
-                total += cost[a]
-            if isinf(total):
-                continue
-            for b in add_ids:
-                if total < cost[b]:
-                    cost[b] = total
-                    changed = True
-    base = 0.0
-    for a in _ids(goal.pos_mask):
-        base += cost[a]
-    if isinf(base):
-        return inf
-    if base == 0.0 and not holds(state, goal):
-        return 1.0
-    return base
-
+# The reference keeps the plain form of the search: states are LogicalState
+# values stepped by holds/apply_effects over the GroundOperator objects.
+# Operator order and FIFO order are the same, so the compiled search must
+# return the same status, steps and expansions.
 
 def ref_extract(grounded, parents, mask):
     names = []
@@ -590,38 +473,6 @@ def ref_bfs(grounded, init, goal, budget):
     return "unsolvable", None, expansions
 
 
-def ref_gbfs(grounded, init, goal, budget):
-    h0 = ref_h_add(grounded, init, goal)
-    if isinf(h0):
-        return "unsolvable", None, 0
-    parents = {init.mask: (init.mask, None)}
-    counter = itertools.count()
-    heap = [(h0, next(counter), init)]
-    closed = set()
-    expansions = 0
-    while heap:
-        _, _, state = heapq.heappop(heap)
-        if state.mask in closed:
-            continue
-        closed.add(state.mask)
-        if holds(state, goal):
-            return "solved", ref_extract(grounded, parents, state.mask), expansions
-        expansions += 1
-        if expansions > budget:
-            return "budget_exhausted", None, expansions
-        for op in grounded.operators:
-            if not holds(state, op.pre):
-                continue
-            nxt = apply_effects(state, op.eff)
-            if nxt.mask in parents:
-                continue
-            parents[nxt.mask] = (state.mask, op.index)
-            h = ref_h_add(grounded, nxt, goal)
-            if not isinf(h):
-                heapq.heappush(heap, (h, next(counter), nxt))
-    return "unsolvable", None, expansions
-
-
 _GROUNDED = {
     name: ground(kitchen_domain(), kitchen_problem(name))
     for name in ("put_away_spam", "put_away_both", "open_drawer")
@@ -648,15 +499,12 @@ class TestCompiledSearchEquivalence:
     BUDGET = 150
 
     @settings(max_examples=60, deadline=None)
-    @given(query=kitchen_queries(), optimal=st.booleans())
-    def test_plan_result_matches_reference(self, query, optimal):
+    @given(query=kitchen_queries())
+    def test_plan_result_matches_reference(self, query):
         grounded, init = query
         goal = grounded.goal
-        got = plan(grounded, init=init, goal=goal, optimal=optimal,
-                   node_budget=self.BUDGET)
-        search = ref_bfs if optimal else ref_gbfs
-        status, steps, expansions = search(grounded, init, goal, self.BUDGET)
+        got = plan(grounded, init=init, goal=goal, node_budget=self.BUDGET)
+        status, steps, expansions = ref_bfs(grounded, init, goal, self.BUDGET)
         assert got.status == status
         assert got.expansions == expansions
         assert (step_names(got.plan.steps) if got.solved else None) == steps
-        assert h_add(grounded, init, goal) == ref_h_add(grounded, init, goal)

@@ -86,6 +86,28 @@ def kitchen_problem(name: str):
     return result.value
 
 
+def put_away_problem(k: int) -> str:
+    """The text of a kitchen problem with ``k`` movables, declared in order
+    as ``o1`` to ``ok``: each starts on the counter, detected and tracked,
+    the rest is the reference configuration, and the goal puts every one
+    into the drawer and closes it."""
+    objects = [f"o{i}" for i in range(1, k + 1)]
+    facts = " ".join(
+        f"({pred} {obj})"
+        for pred in ("obj_is_on_counter", "obj_is_detected", "obj_is_tracked")
+        for obj in objects
+    )
+    goal = " ".join(f"(obj_is_in_drawer {obj})" for obj in objects)
+    return f"""(define (problem put-away-{k})
+  (:domain kitchen)
+  (:objects {' '.join(objects)} - movable)
+  (:init (arm_in_driving_posture) (gripper_is_open) (arm_is_free)
+         (drawer_is_closed) (handle_is_detected) (handle_is_tracked) {facts})
+  (:goal (and {goal} (drawer_is_closed)))
+)
+"""
+
+
 def bits(vocab, *names: str) -> int:
     """The OR of the bits of the atoms printed as ``names``, each found by
     its position in ``vocab.names`` rather than through ``bit_of``."""
