@@ -422,12 +422,15 @@ class TestMoreTriggers:
 
 
 # Both executives over a fixed grid: seeds 0-19, two primitive success
-# probabilities, no disturbance, a teleport on cage_obj(spam) and a drawer
-# slam at tick 40, at a tick budget that cuts some runs short and at one
-# that does not.  tests/executive_pins.json holds, for every case, its
-# status, ticks, recoveries and digests of its start history and of its
-# on_tick records.  Regenerate it with `python -m tests.test_executive`
-# only when a change to the executive's outcomes is intended.
+# probabilities, no disturbance, a teleport on cage_obj(spam), a drawer
+# slam at tick 40 and one once spam is in the drawer, at a tick budget that
+# cuts some runs short and at one that does not.  The reactive executive
+# runs each case with exact perception and again with noisy perception
+# (flip 0.05, window 3, group suffix "/noisy").  tests/executive_pins.json
+# holds, for every case, its status, ticks, recoveries and digests of its
+# start history and of its on_tick records.  Regenerate it with
+# `python -m tests.test_executive` only when a change to the executive's
+# outcomes is intended.
 PINS_PATH = Path(__file__).resolve().parent / "executive_pins.json"
 PIN_DISTURBANCES = {
     "none": (),
@@ -439,10 +442,16 @@ PIN_DISTURBANCES = {
     "slam_at_40": (
         {"trigger": {"at_tick": 40}, "kind": {"kind": "set_drawer", "extension": 0.0}},
     ),
+    "pred_slam": (
+        {"trigger": {"when_predicate": "obj_is_in_drawer(spam)"},
+         "kind": {"kind": "set_drawer", "extension": 0.0}},
+    ),
 }
+PIN_NOISE = NoiseModel(default_flip=0.05)
 PIN_GROUPS = [
-    f"{executive}/p{prob}/{dist}/max{budget}"
+    f"{executive}/p{prob}/{dist}/max{budget}{noise}"
     for executive in ("reactive", "open_loop")
+    for noise in (("", "/noisy") if executive == "reactive" else ("",))
     for prob in (1.0, 0.8)
     for dist in PIN_DISTURBANCES
     for budget in (64, 400)
@@ -455,8 +464,9 @@ def _digest(value) -> str:
 
 def _pinned_case(grounded, chain, group, seed):
     """One run of ``group`` at ``seed``: its pin line and its records."""
-    executive, prob, dist, budget = group.split("/")
-    sim, pipe = fresh_setup(grounded, seed=seed, success_prob=float(prob[1:]))
+    executive, prob, dist, budget, *noisy = group.split("/")
+    sim, pipe = fresh_setup(grounded, seed=seed, success_prob=float(prob[1:]),
+                            noise=PIN_NOISE if noisy else None)
     disturbances = resolved(grounded, *PIN_DISTURBANCES[dist], max_ticks=int(budget[3:]))
     records = []
     outcome = run(sim, pipe, chain, max_ticks=int(budget[3:]),
@@ -481,7 +491,7 @@ class TestPinnedRuns:
     def test_outcomes_and_records_match_pins(self, g1, group):
         grounded, chain = g1
         pins = json.loads(PINS_PATH.read_text(encoding="utf-8"))[group]
-        budget = int(group.rsplit("max", 1)[1])
+        budget = int(group.split("/")[3][3:])
         for seed, pin in enumerate(pins):
             line, outcome, records = _pinned_case(grounded, chain, group, seed)
             assert line == pin, f"seed {seed}"
