@@ -151,7 +151,8 @@ def run(
     Each tick reads the truth, makes the executive's choice, starts the
     chosen step if there is one, advances the running primitive and fires
     the disturbances due.  The reactive choice estimates the state, checks
-    the goal streak and calls :func:`select_operator`.  With ``open_loop``
+    the goal streak and calls :func:`select_operator`, again only when the
+    estimate's mask or the current step has changed.  With ``open_loop``
     the choice is the next step in order once the primitive ends; the
     estimate is the truth and no condition is checked.  After its last step
     the open loop ends succeeded or stuck on the truth, with a tick line
@@ -167,6 +168,7 @@ def run(
     last_entered: Optional[int] = None
     streak = 0  # consecutive ticks the estimate has met the goal
     none_streak = 0
+    key = choice = None  # the last (estimate mask, current step) and its selection
     outcome = Outcome(status="budget_exhausted", ticks=max_ticks)
 
     for tick in range(max_ticks):
@@ -191,7 +193,10 @@ def run(
             # While a streak confirms the goal, hold position: a running
             # primitive finishes its motion.
             if not streak:
-                selected = select_operator(chain, estimate, current)
+                if key != (estimate.mask, current):
+                    key = (estimate.mask, current)
+                    choice = select_operator(chain, estimate, current)
+                selected = choice
                 reason = (
                     NONE_ENTERABLE if selected is None
                     else CONTINUE_CURRENT if selected == current else ENTER_NEW

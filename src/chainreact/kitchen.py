@@ -475,7 +475,10 @@ def merge_primitive_config(overrides: Optional[dict] = None) -> dict[str, Primit
 
 
 class KitchenSim:
-    """One simulator instance per trial; all randomness from the given generators."""
+    """One simulator instance per trial; all randomness from the given generators.
+
+    The truth is cached, and the world changes only through these methods: a
+    caller that edits ``sim.world`` in place after construction reads a stale truth."""
 
     def __init__(
         self, grounded: GroundedDomain, world: WorldState,
@@ -491,9 +494,22 @@ class KitchenSim:
         self.rng = rng
         self.world_rng = world_rng
         self.current: Optional[PrimitiveState] = None
+        self._truth: Optional[LogicalState] = None  # None until read after a change
 
     def eval_predicates(self) -> LogicalState:
-        return evaluate_world(self.world, self.grounded)
+        """``evaluate_world`` of the current world, computed once per change."""
+        if self._truth is None:
+            self._truth = evaluate_world(self.world, self.grounded)
+        return self._truth
+
+    def _set_moving(self, moving: bool) -> None:
+        """Set ``arm_moving``, flipping its bit in a cached truth."""
+        if self.world.arm_moving != moving:
+            self.world.arm_moving = moving
+            if self._truth is not None:
+                vocab = self.grounded.vocabulary
+                moving_bit = vocab.bit_of("arm_is_moving", ())
+                self._truth = LogicalState(vocab, self._truth.mask ^ moving_bit)
 
     def start_primitive(self, op: GroundOperator) -> PrimitiveState:
         rule = OUTCOMES.get(op.schema.name)
@@ -516,13 +532,13 @@ class KitchenSim:
             goal = span if will_succeed else span * FAILURE_PROGRESS
             prim.drawer_step = rule.drawer * goal / ticks
         self.current = prim
-        self.world.arm_moving = True
+        self._set_moving(True)
         return prim
 
     def abort_primitive(self) -> None:
         """Preempt the running primitive; the world stays where it is."""
         self.current = None
-        self.world.arm_moving = False
+        self._set_moving(False)
 
     def tick(self) -> Optional[PrimitiveState]:
         """Advance the running primitive by one tick.  The drawer moves only
@@ -534,12 +550,14 @@ class KitchenSim:
         w = self.world
         if prim.drawer_step and prim.rule.contact(w):
             w.drawer_extension = min(max(w.drawer_extension + prim.drawer_step, 0.0), 1.0)
+            self._truth = None
         prim.ticks_remaining -= 1
         if prim.ticks_remaining <= 0:
             (prim.rule.success if prim.will_succeed else prim.rule.failure)(w, prim)
             prim.phase = "done" if prim.will_succeed else "failed"
             self.current = None
             w.arm_moving = False
+            self._truth = None
         return prim
 
     def apply_disturbance(
@@ -550,6 +568,7 @@ class KitchenSim:
         zone ``zone`` (``None`` for a random free one), a drawer set to
         ``extension``, or a detach.  Invariants are restored (a held object
         detaches, an arm region aimed at a teleported object resets)."""
+        self._truth = None
         w = self.world
         if kind == "teleport_object":
             if obj not in self.grounded.movables:

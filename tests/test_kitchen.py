@@ -52,8 +52,9 @@ def names_of(state):
     return set(state.sorted_names())
 
 
-def reliable_sim(grounded, world, seed=0):
-    prims = merge_primitive_config({"success_prob": 1.0})
+def reliable_sim(grounded, world, seed=0, success_prob=1.0):
+    """A simulator whose primitives all succeed, or at success_prob 0 all fail."""
+    prims = merge_primitive_config({"success_prob": success_prob})
     rng = np.random.default_rng(seed)
     return KitchenSim(grounded, world, prims, rng, rng)
 
@@ -434,35 +435,46 @@ def frame_starts(movables):
     return [reference_world(movables), opened, stored]
 
 
-def frame_check(grounded) -> dict:
-    """Breadth-first over the truth masks reachable from frame_starts(),
-    one world per mask; see FRAME_PINS_PATH."""
-    vocab = grounded.vocabulary
+def frame_walk(grounded):
+    """Breadth-first over the truth masks reachable from frame_starts() by
+    successful runs, one world per mask: the worlds in visiting order, and
+    for every operator enterable in one, (the world's truth, the operator,
+    the truth mask its successful run leaves)."""
     queue = deque(frame_starts(grounded.movables))
     seen = {evaluate_world(world, grounded).mask for world in queue}
-    pairs = missed = 0
-    misses: dict[str, set] = {}
+    worlds, runs = [], []
     while queue:
         world = queue.popleft()
+        worlds.append(world)
         truth = evaluate_world(world, grounded)
         for op in grounded.operators:
             if not holds(truth, op.pre):
                 continue
             sim = reliable_sim(grounded, copy.deepcopy(world))
             assert run_op(sim, op).phase == "done"
-            after = sim.eval_predicates().mask
-            predicted = apply_effects(truth, op.eff).mask
-            diff = [f"+{name}" for name in vocab.names_of(after & ~predicted)]
-            diff += [f"-{name}" for name in vocab.names_of(predicted & ~after)]
-            pairs += 1
-            missed += bool(diff)
-            misses.setdefault(op.name, set()).update(diff)
+            after = evaluate_world(sim.world, grounded).mask
+            runs.append((truth, op, after))
             if after not in seen:
                 seen.add(after)
                 queue.append(sim.world)
+    return worlds, runs
+
+
+def frame_check(grounded) -> dict:
+    """The frame misses of frame_walk(); see FRAME_PINS_PATH."""
+    vocab = grounded.vocabulary
+    worlds, runs = frame_walk(grounded)
+    missed = 0
+    misses: dict[str, set] = {}
+    for truth, op, after in runs:
+        predicted = apply_effects(truth, op.eff).mask
+        diff = [f"+{name}" for name in vocab.names_of(after & ~predicted)]
+        diff += [f"-{name}" for name in vocab.names_of(predicted & ~after)]
+        missed += bool(diff)
+        misses.setdefault(op.name, set()).update(diff)
     return {
-        "reachable_masks": len(seen),
-        "enterable_pairs": pairs,
+        "reachable_masks": len(worlds),
+        "enterable_pairs": len(runs),
         "pairs_with_misses": missed,
         "misses": {name: sorted(diff) for name, diff in sorted(misses.items()) if diff},
     }
@@ -479,6 +491,59 @@ class TestFrame:
         # what the gripper holds behind the domain's back.
         pins = json.loads(FRAME_PINS_PATH.read_text(encoding="utf-8"))
         assert "open_gripper" not in pins["misses"]
+
+
+class TestTruthCache:
+    """eval_predicates() caches the truth and every mutator keeps it right:
+    after each call it equals a fresh evaluate_world of the world."""
+
+    @pytest.mark.parametrize("success_prob", [1.0, 0.0])
+    def test_cached_truth_equals_evaluated_truth(self, success_prob):
+        grounded = ground(kitchen_domain(), kitchen_problem("put_away_both"))
+        worlds, _ = frame_walk(grounded)
+        for world in worlds:
+            truth = evaluate_world(world, grounded)
+            for op in grounded.operators:
+                if not holds(truth, op.pre):
+                    continue
+
+                def check(call):
+                    assert sim.eval_predicates() == evaluate_world(sim.world, grounded), (
+                        f"stale truth after {call} during {op.name} from {world}"
+                    )
+
+                # A run aborted before its first tick, restarted and run to
+                # its end, then aborted again while idle.
+                sim = reliable_sim(grounded, copy.deepcopy(world), success_prob=success_prob)
+                check("construction")
+                sim.start_primitive(op)
+                check("start_primitive")
+                sim.abort_primitive()
+                check("abort_primitive")
+                prim = sim.start_primitive(op)
+                check("start_primitive")
+                while prim.running:
+                    sim.tick()
+                    check("tick")
+                sim.abort_primitive()
+                check("abort_primitive")
+                # A run started twice and disturbed before its first tick.
+                sim = reliable_sim(grounded, copy.deepcopy(world), success_prob=success_prob)
+                check("construction")
+                for _ in range(2):
+                    sim.start_primitive(op)
+                    check("start_primitive")
+                for obj in grounded.movables:
+                    sim.apply_disturbance("teleport_object", obj)
+                    check("teleport_object")
+                ext = sim.world.drawer_extension
+                sim.apply_disturbance("set_drawer", extension=0.0 if ext >= 0.5 else 1.0)
+                check("set_drawer")
+                sim.apply_disturbance("detach_gripper")
+                check("detach_gripper")
+                while sim.current is not None:
+                    sim.tick()
+                    check("tick")
 
 
 class TestGoalEvaluation:
