@@ -14,24 +14,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .logic import ConditionSet, LogicalState, _check_same_vocab, apply_effects, holds
+from .logic import ConditionSet, LogicalState, apply_effects, holds
 from .planner import GroundOperator, Plan
 
 
 class UnsupportedFeatureError(ValueError):
     """A chain was requested for a feature regression does not cover."""
-
-
-class ChainInconsistencyError(ValueError):
-    """The plan deletes a condition some later step still needs."""
-
-    def __init__(self, step: int, names: list[str]):
-        self.step = step
-        self.names = names
-        super().__init__(
-            f"step {step} deletes conditions needed later with no re-producer: "
-            + ", ".join(names)
-        )
 
 
 @dataclass(frozen=True)
@@ -82,20 +70,22 @@ class Chain:
         }
 
 
-def build_chain(plan: Plan, goal: ConditionSet) -> Chain:
-    """Back-propagate conditions from the goal through the plan.
+def build_chain(plan: Plan) -> Chain:
+    """Back-propagate conditions from the plan's goal through its steps.
 
     Walking from the last step to the first, the carried set holds every
     positive condition some later step (or the goal) needs that no step in
     between produces.  A step's extras are the carried conditions it does
     not itself add; its own positive preconditions then join the carry.
-    Raises :class:`ChainInconsistencyError` if a step deletes a carried
-    condition, and :class:`UnsupportedFeatureError` for negative goal
-    literals (the kitchen goals are positive; regression over negations is
-    out of scope).
+    No step deletes a carried condition: :class:`Plan` is sound, so each
+    carried condition holds when the step that needs it runs.  For a
+    narrower goal, build from ``Plan(plan.steps, plan.init, narrower)``.
+    Raises :class:`UnsupportedFeatureError` for negative goal literals
+    (the kitchen goals are positive; regression over negations is out of
+    scope).
     """
+    goal = plan.goal
     vocab = goal.vocabulary
-    _check_same_vocab(plan.init.vocabulary, vocab)
     if goal.neg_mask:
         raise UnsupportedFeatureError(
             "cannot build a chain for a goal with negative literals"
@@ -103,11 +93,7 @@ def build_chain(plan: Plan, goal: ConditionSet) -> Chain:
 
     carry = goal.pos_mask
     augmented: list[AugmentedOperator] = []
-    for i in range(len(plan.steps) - 1, -1, -1):
-        op = plan.steps[i]
-        doomed = carry & op.eff.del_mask
-        if doomed:
-            raise ChainInconsistencyError(i, vocab.names_of(doomed))
+    for op in reversed(plan.steps):
         extra = carry & ~op.eff.add_mask
         augmented.append(
             AugmentedOperator(

@@ -93,7 +93,7 @@ def cmd_chain(args) -> int:
     except ValueError as err:
         return _input_error([f"{args.plan}: {err}"])
     try:
-        chain = build_chain(plan_from_json(grounded, data), grounded.goal)
+        chain = build_chain(plan_from_json(grounded, data))
     except PlanFormatError as err:
         print(f"{args.plan}: {err}", file=sys.stderr)
         return EXIT_INPUT

@@ -414,7 +414,8 @@ def build_scenario(raw: dict, base_dir: Path, name: str = "scenario") -> Scenari
         if key in perception and perception.get("mode") != "noisy"
     )
     if grounded is not None:
-        bound = {op.binding for op in grounded.domain.operators}
+        # An action without a :binding is a contract line, not a binding "".
+        bound = {op.binding for op in grounded.domain.operators} - {""}
         problems.extend(
             f"field 'primitives.bindings.{key}': no domain operator is bound to it"
             for key in raw.get("primitives", {}).get("bindings", {})
@@ -577,10 +578,8 @@ def run_trial(
 
     memo = scenario._chains_by_mask
     if estimate.mask not in memo:
-        result = plan(grounded, init=estimate, goal=grounded.goal)
-        memo[estimate.mask] = (
-            build_chain(result.plan, grounded.goal) if result.solved else None
-        )
+        result = plan(grounded, init=estimate)
+        memo[estimate.mask] = build_chain(result.plan) if result.solved else None
     chain = memo[estimate.mask]
     outcome = exe.Outcome("no_plan", 0) if chain is None else exe.run(
         sim,

@@ -347,7 +347,8 @@ def _carry(
 
 
 # The simulator's contract with a domain is OUTCOMES' keys, WRITTEN_PREDICATES
-# and MAX_MOVABLES; contract_problems checks a grounded domain against it.
+# (two of them also of the HANDLE constant), MAX_MOVABLES and a :binding on
+# every action; contract_problems checks a grounded domain against it.
 # OUTCOMES has one row per operator schema the simulator carries out.
 OUTCOMES: dict[str, OperatorRule] = {
     "open_gripper": OperatorRule(_let_go),
@@ -420,6 +421,8 @@ def contract_problems(grounded: GroundedDomain) -> list[str]:
             schema.params and domain.is_subtype(schema.params[0][1], "movable")
         ):
             problems.append(f"domain: action '{schema.name}' must take a movable first")
+        if not schema.binding:
+            problems.append(f"domain: action '{schema.name}' has no :binding")
     for name, arity in WRITTEN_PREDICATES.items():
         if declared.get(name) != arity:
             problems.append(
@@ -433,6 +436,14 @@ def contract_problems(grounded: GroundedDomain) -> list[str]:
         )
         if outside:
             problems.append(f"domain: movable '{obj}' is outside the parameter type of {outside}")
+    outside = ", ".join(  # the two 1-ary atoms evaluate_world writes of the handle
+        f"'{name}'" for name in ("arm_in_approach_region", "arm_is_around")
+        if declared.get(name) == 1 and (name, (HANDLE,)) not in grounded.vocabulary.bits
+    )
+    if outside:
+        problems.append(
+            f"domain: constant '{HANDLE}' is missing or outside the parameter type of {outside}"
+        )
     if len(grounded.movables) > MAX_MOVABLES:
         problems.append(
             f"problem: {len(grounded.movables)} movable objects, above the "

@@ -116,7 +116,7 @@ def test_criterion_6_chain_builder_properties():
     verified = 0
     enforced_pairs = safe_jumps = 0
     for grounded, p in sound_random_plans(500, seed=424242):
-        chain = build_chain(p, grounded.goal)
+        chain = build_chain(p)
         assert verify_chain(chain, grounded.init)
         verified += 1
         states = [grounded.init]

@@ -9,14 +9,9 @@ import random
 
 import pytest
 
-from chainreact.chains import (
-    ChainInconsistencyError,
-    UnsupportedFeatureError,
-    build_chain,
-    verify_chain,
-)
-from chainreact.logic import ConditionSet, UnknownAtomError, holds
-from chainreact.planner import Plan, ground, plan
+from chainreact.chains import UnsupportedFeatureError, build_chain, verify_chain
+from chainreact.logic import ConditionSet, holds
+from chainreact.planner import Plan, ground, plan, symbolic_execute
 from tests.test_planner import make_prop_task, random_task
 from tests.util import bits, kitchen_domain, kitchen_problem, step_names
 
@@ -43,7 +38,7 @@ def toy_chain(goal_atoms):
     )
     result = plan(grounded)
     assert result.solved and step_names(result.plan.steps) == ["makeA", "makeB", "finish"]
-    return grounded, build_chain(result.plan, grounded.goal)
+    return grounded, build_chain(result.plan)
 
 
 class TestRegressionSemantics:
@@ -66,7 +61,7 @@ class TestRegressionSemantics:
             goal=["g", "a"],
         )
         result = plan(grounded)
-        chain = build_chain(result.plan, grounded.goal)
+        chain = build_chain(result.plan)
         # 'a' reaches both finish and makeB; for makeB it already sits in the
         # base precondition so the extra set stays disjoint from it.
         assert extras(chain) == [set(), set(), {"a"}]
@@ -79,7 +74,7 @@ class TestRegressionSemantics:
     def test_empty_plan_empty_goal(self):
         grounded = make_prop_task([], ["a"], [], [])
         empty_goal = ConditionSet(grounded.vocabulary)
-        chain = build_chain(Plan((), grounded.init, empty_goal), empty_goal)
+        chain = build_chain(Plan((), grounded.init, empty_goal))
         assert len(chain) == 0
         assert verify_chain(chain, grounded.init)
 
@@ -87,40 +82,11 @@ class TestRegressionSemantics:
         grounded = make_prop_task([], ["a"], [], [])
         goal = ConditionSet(grounded.vocabulary, neg_mask=bits(grounded.vocabulary, "a"))
         with pytest.raises(UnsupportedFeatureError):
-            build_chain(Plan((), grounded.init, goal), goal)
-
-    def test_goal_from_other_vocabulary_rejected(self):
-        grounded, chain = toy_chain(["g"])
-        other = make_prop_task([], ["g"], [], ["g"])
-        plan_ = Plan(tuple(s.base for s in chain.steps), grounded.init, grounded.goal)
-        with pytest.raises(UnknownAtomError):
-            build_chain(plan_, other.goal)
-
-    def test_inconsistency_detected(self):
-        # The plan is sound for goal {b}, but a chain for the wider goal
-        # {a, b} is impossible: destroy deletes 'a' and nothing re-adds it.
-        grounded = make_prop_task(
-            [
-                ("makeA", set(), {"a"}, set()),
-                ("destroy", set(), {"b"}, {"a"}),
-            ],
-            ["a", "b"],
-            init=[],
-            goal=["b"],
-        )
-        steps = (grounded.operators[0], grounded.operators[1])
-        sound = Plan(steps, grounded.init, grounded.goal)
-        vocab = grounded.vocabulary
-        wider = ConditionSet(vocab, bits(vocab, "a", "b"))
-        with pytest.raises(ChainInconsistencyError) as exc:
-            build_chain(sound, wider)
-        assert exc.value.step == 1
-        assert exc.value.names == ["a"]
-        assert str(exc.value).endswith("with no re-producer: a")
+            build_chain(Plan((), grounded.init, goal))
 
     def test_monotone_augmentation(self):
         grounded = ground(kitchen_domain(), kitchen_problem("put_away_spam"))
-        chain = build_chain(plan(grounded).plan, grounded.goal)
+        chain = build_chain(plan(grounded).plan)
         for step in chain.steps:
             assert step.effective_pre.pos_mask & step.base.pre.pos_mask == step.base.pre.pos_mask
             assert step.effective_run.pos_mask & step.base.run.pos_mask == step.base.run.pos_mask
@@ -132,7 +98,7 @@ class TestRegressionSemantics:
 class TestKitchenChain:
     def test_goal_augmentation_pattern(self):
         grounded = ground(kitchen_domain(), kitchen_problem("put_away_spam"))
-        chain = build_chain(plan(grounded).plan, grounded.goal)
+        chain = build_chain(plan(grounded).plan)
         names = step_names(chain.steps)
         in_drawer = "obj_is_in_drawer(spam)"
 
@@ -159,7 +125,7 @@ class TestKitchenChain:
 
     def test_verify_chain_from_k1(self):
         grounded = ground(kitchen_domain(), kitchen_problem("put_away_spam"))
-        chain = build_chain(plan(grounded).plan, grounded.goal)
+        chain = build_chain(plan(grounded).plan)
         assert verify_chain(chain, grounded.init)
 
 
@@ -180,7 +146,22 @@ def sound_random_plans(count, seed, max_steps=8, max_atoms=12):
 class TestChainProperties:
     def test_nominal_safety_500_random_sound_plans(self):
         for grounded, p in sound_random_plans(500, seed=31337):
-            chain = build_chain(p, grounded.goal)
+            chain = build_chain(p)
+            assert verify_chain(chain, grounded.init)
+
+    def test_random_sub_goal_plans_verify(self):
+        # A chain for another goal the steps reach comes from a Plan with
+        # that goal: here a random subset of the atoms the steps reach,
+        # which covers every subset of the search goal.
+        rng = random.Random(2718)
+        for grounded, p in sound_random_plans(500, seed=4242):
+            reached = symbolic_execute(p.steps, p.init).state.mask
+            sub = 0
+            for b in range(len(grounded.vocabulary)):
+                if reached >> b & 1 and rng.random() < 0.5:
+                    sub |= 1 << b
+            chain = build_chain(Plan(p.steps, p.init, ConditionSet(grounded.vocabulary, sub)))
+            assert chain.goal.pos_mask == sub
             assert verify_chain(chain, grounded.init)
 
     def test_broken_chain_detected(self):
@@ -204,7 +185,7 @@ class TestChainProperties:
         running j..n is safe and still reaches the goal."""
         enforced = allowed = 0
         for grounded, p in sound_random_plans(500, seed=99991):
-            chain = build_chain(p, grounded.goal)
+            chain = build_chain(p)
             # forward prefix states
             states = [grounded.init]
             for step in chain.steps:
@@ -234,7 +215,7 @@ class TestChainProperties:
         """From the reference configuration, with the pick phase skipped, the close phase must be
         blocked by the propagated obj_is_in_drawer(spam) condition."""
         grounded = ground(kitchen_domain(), kitchen_problem("put_away_spam"))
-        chain = build_chain(plan(grounded).plan, grounded.goal)
+        chain = build_chain(plan(grounded).plan)
         from chainreact.logic import apply_effects
 
         state = grounded.init

@@ -30,7 +30,7 @@ from tests.util import bits, kitchen_domain, kitchen_problem, reference_world
 @pytest.fixture(scope="module")
 def g1():
     grounded = ground(kitchen_domain(), kitchen_problem("put_away_spam"))
-    chain = build_chain(plan(grounded).plan, grounded.goal)
+    chain = build_chain(plan(grounded).plan)
     return grounded, chain
 
 
@@ -60,7 +60,7 @@ CHAIN_PROBLEMS = ("open_drawer", "pick_sugar", "put_away_spam", "put_away_both")
 @functools.lru_cache(maxsize=None)
 def kitchen_chain(name):
     grounded = ground(kitchen_domain(), kitchen_problem(name))
-    return build_chain(plan(grounded).plan, grounded.goal)
+    return build_chain(plan(grounded).plan)
 
 
 def with_negative_conditions(chain, pre_neg, run_neg):
@@ -169,7 +169,7 @@ class TestNominalRun:
         empty_goal = ConditionSet(grounded.vocabulary)
         from chainreact.planner import Plan
 
-        chain = build_chain(Plan((), grounded.init, empty_goal), empty_goal)
+        chain = build_chain(Plan((), grounded.init, empty_goal))
         sim, pipe = fresh_setup(grounded)
         outcome = run(sim, pipe, chain, max_ticks=10)
         assert outcome.succeeded
@@ -189,7 +189,7 @@ class TestNominalRun:
         result = plan(grounded, goal=goal)
         assert result.solved
         sim, pipe = fresh_setup(grounded)
-        outcome = run(sim, pipe, build_chain(result.plan, goal), max_ticks=600)
+        outcome = run(sim, pipe, build_chain(result.plan), max_ticks=600)
         assert (outcome.status, outcome.ticks, outcome.recoveries) == ("succeeded", 48, 0)
 
     def test_stuck_detection(self, g1):
@@ -396,7 +396,7 @@ class TestMoreTriggers:
         # only on X's cage.  Up to the firing tick a disturbed run is the
         # undisturbed one, so the firing tick is a start tick of that run.
         grounded = ground(kitchen_domain(), kitchen_problem("put_away_both"))
-        chain = build_chain(plan(grounded).plan, grounded.goal)
+        chain = build_chain(plan(grounded).plan)
         outcome = run(*fresh_setup(grounded, seed=3), chain, max_ticks=600)
         cage_starts = {name: tick for tick, _, name in outcome.history if name.startswith("cage_obj")}
         assert sorted(cage_starts) == ["cage_obj(spam)", "cage_obj(sugar)"]
@@ -523,7 +523,7 @@ class TestPinnedRuns:
 
 if __name__ == "__main__":
     _grounded = ground(kitchen_domain(), kitchen_problem("put_away_spam"))
-    _chain = build_chain(plan(_grounded).plan, _grounded.goal)
+    _chain = build_chain(plan(_grounded).plan)
     PINS_PATH.write_text(
         json.dumps(_observed_pins(_grounded, _chain), indent=1) + "\n", encoding="utf-8"
     )

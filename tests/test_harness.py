@@ -44,6 +44,14 @@ _SWAP_LIFT_AND_BACK_OFF = [
 ]
 
 
+def _subn(old, new, text):
+    """``text`` with ``old``, a string or a compiled regex, replaced by
+    ``new``, and the number of replacements."""
+    if isinstance(old, re.Pattern):
+        return old.subn(new, text)
+    return text.replace(old, new), text.count(old)
+
+
 def load(name, **overrides):
     return load_scenario(scenario_path(name), overrides or None)
 
@@ -326,9 +334,15 @@ class TestLoadScenario:
             (*CUPS_ONLY,
              "domain: movable 'sugar' is outside the parameter type of "
              "'arm_is_around_obj_loose', 'arm_is_attached_to_obj'"),
+            ([(re.compile(r"\bhandle\b"), "knob")], None,
+             "domain: constant 'handle' is missing or outside the parameter type of "
+             "'arm_in_approach_region', 'arm_is_around'"),
+            ([("    :binding back_off\n", "")], None,
+             "domain: action 'back_off' has no :binding"),
         ],
         ids=["no_arm_is_moving", "arity", "back_off_renamed", "lift_any_graspable",
-             "six_movables", "seven_movables", "movable_outside_predicate_type"],
+             "six_movables", "seven_movables", "movable_outside_predicate_type",
+             "handle_renamed", "binding_dropped"],
     )
     def test_domain_outside_simulator_contract(
         self, tmp_path, domain_edit, problem_edit, expected
@@ -336,18 +350,22 @@ class TestLoadScenario:
         # Each of these used to load and then raise inside a trial: an
         # unknown atom on the first tick, no outcome rule when back_off's
         # renamed primitive completed, no sample of 7 of the 6 counter zones,
-        # or a teleport with no free zone.  The contract check names it.
+        # or a teleport with no free zone.  The contract check names it,
+        # after the path of the file at fault.  An edit is a literal pair or
+        # a regex and its replacement.
         domain, problem = kitchen_source(), problem_source("pick_spam")
         for old, new in domain_edit or ():
-            assert old in domain
-            domain = domain.replace(old, new)
+            domain, count = _subn(old, new, domain)
+            assert count
         for old, new in problem_edit or ():
-            assert old in problem
-            problem = problem.replace(old, new)
+            problem, count = _subn(old, new, problem)
+            assert count
         path = scenario_copy(tmp_path, "pick_spam_oracle", domain, problem)
         with pytest.raises(ScenarioError) as err:
             load_scenario(path)
-        assert any(expected in p for p in err.value.problems), err.value.problems
+        at_fault = tmp_path / ("kitchen.dpdl" if domain_edit else "pick_spam.dprob")
+        lines = [p for p in err.value.problems if expected in p]
+        assert lines and all(p.startswith(f"{at_fault}: ") for p in lines), err.value.problems
 
     def test_five_movables_run(self, tmp_path):
         problem = problem_source("pick_spam").replace(
@@ -402,18 +420,19 @@ class TestLoadScenario:
     @given(data=st.data())
     def test_any_domain_or_problem_edit_is_rejected_or_runs(self, data):
         # Mutated copies of kitchen.dpdl and of a scenario's .dprob, one
-        # edit at a time: drop a :predicates line, rename an action, add
-        # movables up to 8 in all, drop or duplicate one object, init atom
-        # or goal atom, negate a goal atom, or add the negation of a goal
-        # or precondition atom next to it.  The scenario must either be
-        # rejected at load or run a trial to a terminal status.
+        # edit at a time: drop a :predicates line, rename an action, rename
+        # the handle constant, drop an action's :binding, add movables up to
+        # 8 in all, drop or duplicate one object, init atom or goal atom,
+        # negate a goal atom, or add the negation of a goal or precondition
+        # atom next to it.  The scenario must either be rejected at load or
+        # run a trial to a terminal status.
         name = data.draw(st.sampled_from(SHIPPED))
         raw = json.loads(scenario_path(name).read_text())
         problem = (scenario_path(name).parent / raw["problem"]).read_text()
         domain = kitchen_source()
         edit = data.draw(st.sampled_from(
-            ["predicate", "action", "movables", "object", "init", "goal",
-             "negate_goal", "contradict_goal", "contradict_precondition"]
+            ["predicate", "action", "rename_handle", "drop_binding", "movables", "object",
+             "init", "goal", "negate_goal", "contradict_goal", "contradict_precondition"]
         ))
         if edit == "predicate":
             line = data.draw(st.sampled_from(_PREDICATE_LINES))
@@ -422,6 +441,11 @@ class TestLoadScenario:
             action = data.draw(st.sampled_from(_ACTIONS))
             new = data.draw(st.sampled_from(["retreat", action + "_2"]))
             domain = domain.replace(f"(:action {action}\n", f"(:action {new}\n")
+        elif edit == "rename_handle":
+            domain = re.sub(r"\bhandle\b", "knob", domain)
+        elif edit == "drop_binding":
+            line = data.draw(st.sampled_from(_BINDING_LINES))
+            domain = domain.replace(line, "", 1)
         elif edit == "movables":
             objects = re.search(r"\(:objects ([^)]*) - movable\)", problem)
             more = 8 - len(objects.group(1).split())
@@ -475,6 +499,7 @@ _PREDICATE_LINES = re.findall(
     re.M,
 )
 _ACTIONS = re.findall(r"\(:action (\w+)", kitchen_source())
+_BINDING_LINES = re.findall(r"^    :binding \w+\n", kitchen_source(), re.M)
 # The spans of kitchen.dpdl's precondition atoms.
 _PRECONDITION_ATOMS = [
     (pre.start(1) + atom.start(), pre.start(1) + atom.end())
@@ -603,9 +628,9 @@ class TestPlanMemo:
             planned.append(init.mask)
             return real_plan(grounded, init=init, **kwargs)
 
-        def counting_build(the_plan, goal):
+        def counting_build(the_plan):
             built.append(tuple(op.index for op in the_plan.steps))
-            return real_build(the_plan, goal)
+            return real_build(the_plan)
 
         monkeypatch.setattr(harness, "plan", counting_plan)
         monkeypatch.setattr(harness, "build_chain", counting_build)
