@@ -1,12 +1,18 @@
 """Noisy, temporally filtered estimation of the logical state.
 
 Each tick the pipeline takes the ground-truth logical state, flips every
-atom independently with its predicate's flip probability (one
-``rng.random(n)`` draw per tick, packed into an ``int`` flip mask), pushes
-the noisy mask into a sliding window, and returns the per-atom majority vote
-over the window, computed bit-parallel on the window's int masks.  With
-window size 3 and flip probability p the per-atom error rate drops from p to
-p^2 (3 - 2p).  Flip probabilities of zero make the pipeline an exact oracle.
+atom independently with its predicate's flip probability, pushes the noisy
+mask into a sliding window, and returns the per-atom majority vote over the
+window, computed bit-parallel on the window's int masks.  With window size 3
+and flip probability p the per-atom error rate drops from p to p^2 (3 - 2p).
+Flip probabilities of zero make the pipeline an exact oracle.
+
+The flips are drawn a block of ticks at a time: one ``rng.random((rows,
+n))`` draw, one compare and one ``packbits`` give a single int holding
+``rows`` flip masks of ``n`` bits, and each tick shifts its mask off the
+bottom.  ``Generator.random`` yields the same doubles in the same order
+whether asked for ``rows * n`` at once or ``n`` at a time, so the estimates
+equal those of one ``rng.random(n)`` draw per tick.
 """
 
 from __future__ import annotations
@@ -21,6 +27,7 @@ import numpy as np
 from .logic import LogicalState, Vocabulary
 
 DEFAULT_WINDOW = 3
+BLOCK_TICKS = 64  # flip masks per draw after the first block
 
 
 class EmptyWindowError(RuntimeError):
@@ -77,8 +84,12 @@ class EstimatorWindow:
         ``at_least[k]`` is the mask of atoms true in at least ``k`` of the
         estimates seen so far, updated for every estimate from the highest
         ``k`` down, so one pass over the window needs ``len // 2 + 1`` ANDs
-        and ORs per estimate whatever the window size.
+        and ORs per estimate whatever the window size.  Exactly three
+        estimates, the shipped window once warm, take the closed form.
         """
+        if len(self._buffer) == 3:
+            a, b, c = self._buffer
+            return a & b | c & (a | b)
         if not self._buffer:
             raise EmptyWindowError("no estimates buffered yet")
         need = len(self._buffer) // 2 + 1
@@ -90,7 +101,14 @@ class EstimatorWindow:
 
 
 class PerceptionPipeline:
-    """observe -> window -> majority filter, one instance per trial."""
+    """observe -> window -> majority filter, one instance per trial.
+
+    The pipeline owns ``rng``: it draws flips up to ``BLOCK_TICKS`` ticks
+    ahead of the estimates it has returned (the first block covers
+    ``min(window, BLOCK_TICKS)`` ticks, the warm-up), so a caller that also
+    draws from the same Generator would see a different interleaving than
+    with one draw per tick.
+    """
 
     def __init__(
         self,
@@ -105,7 +123,13 @@ class PerceptionPipeline:
         self.window = EstimatorWindow(window)
         self.rng = rng
         self._oracle = self.noise.is_oracle
-        self._flip_probs = None if self._oracle else self.noise.flip_vector(vocab)
+        if not self._oracle:
+            self._flip_probs = self.noise.flip_vector(vocab)
+            self._width = len(vocab)
+            self._atoms = (1 << self._width) - 1
+            self._block = 0  # undelivered flip masks, the next tick's lowest
+            self._left = 0  # how many masks _block still holds
+            self._rows = min(window, BLOCK_TICKS)  # of the next block drawn
 
     def estimate(self, truth: LogicalState) -> LogicalState:
         """Push a noisy observation of ``truth`` and return the filtered
@@ -117,9 +141,16 @@ class PerceptionPipeline:
         """
         if self._oracle:
             return truth
-        flips = self.rng.random(len(self.vocab)) < self._flip_probs
-        packed = np.packbits(flips, bitorder="little").tobytes()
-        self.window.push(truth.mask ^ int.from_bytes(packed, "little"))
+        if not self._left:
+            flips = self.rng.random((self._rows, self._width)) < self._flip_probs
+            packed = np.packbits(flips, bitorder="little").tobytes()
+            self._block = int.from_bytes(packed, "little")
+            self._left = self._rows
+            self._rows = BLOCK_TICKS
+        self._left -= 1
+        flip_mask = self._block & self._atoms
+        self._block >>= self._width
+        self.window.push(truth.mask ^ flip_mask)
         return LogicalState(self.vocab, self.window.majority())
 
 

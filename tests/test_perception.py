@@ -5,11 +5,14 @@ binomial quantities (mean Hamming distance n*p, majority error
 p^2 (3 - 2p) for window 3).
 """
 
+import io
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chainreact.harness import load_scenario, run_trial
 from chainreact.logic import LogicalState, Vocabulary
 from chainreact.perception import (
     EmptyWindowError,
@@ -19,7 +22,7 @@ from chainreact.perception import (
     majority_error_rate,
 )
 from chainreact.planner import ground
-from tests.util import kitchen_domain, kitchen_problem
+from tests.util import kitchen_domain, kitchen_problem, scenario_path
 
 
 def make_vocab(n):
@@ -122,19 +125,21 @@ class TestWindow:
     @settings(max_examples=200)
     @given(
         capacity=st.integers(min_value=1, max_value=5),
-        masks=st.lists(st.integers(min_value=0, max_value=(1 << 12) - 1),
+        masks=st.lists(st.integers(min_value=0, max_value=(1 << 130) - 1),
                        min_size=1, max_size=12),
     )
     def test_majority_matches_count_majority(self, capacity, masks):
         # Reference: per-atom counts over the last `capacity` pushes as a
-        # numpy bool matrix, true where count * 2 > len (ties false).
+        # numpy bool matrix, true where count * 2 > len (ties false).  Masks
+        # reach 130 bits, beyond one machine word, for the window-3 closed
+        # form and the general loop alike.
         w = EstimatorWindow(capacity)
         for i, mask in enumerate(masks):
             w.push(mask)
             recent = masks[max(0, i + 1 - capacity): i + 1]
-            bits = np.array([[m >> a & 1 for a in range(12)] for m in recent], dtype=bool)
+            bits = np.array([[m >> a & 1 for a in range(130)] for m in recent], dtype=bool)
             counts = bits.sum(axis=0)
-            expected = sum(1 << a for a in range(12) if counts[a] * 2 > len(recent))
+            expected = sum(1 << a for a in range(130) if counts[a] * 2 > len(recent))
             assert w.majority() == expected
 
 
@@ -233,3 +238,60 @@ class TestWideVocabulary:
             assert est.mask < (1 << 130)
             seen_diff |= est != truth
         assert seen_diff
+
+
+def per_tick_estimate(pipe, truth):
+    """Reference for PerceptionPipeline.estimate: one ``rng.random(n)`` draw
+    per tick instead of one draw per block of ticks."""
+    if pipe.noise.is_oracle:
+        return truth
+    flips = pipe.rng.random(len(pipe.vocab)) < pipe.noise.flip_vector(pipe.vocab)
+    packed = np.packbits(flips, bitorder="little").tobytes()
+    pipe.window.push(truth.mask ^ int.from_bytes(packed, "little"))
+    return LogicalState(pipe.vocab, pipe.window.majority())
+
+
+class TestBlockDraws:
+    """Flips drawn a block of ticks at a time give the per-tick estimates."""
+
+    @pytest.mark.parametrize("width", [1, 8, 31, 64, 65, 130])
+    @pytest.mark.parametrize("window", [1, 2, 3, 4, 5, 70])
+    def test_block_pipeline_equals_per_tick_reference(self, width, window):
+        # 230 ticks cross three block boundaries after the warm-up block;
+        # window 70 makes the warm-up itself span two blocks.
+        vocab = make_vocab(width)
+        noises = [
+            NoiseModel(default_flip=0.2,
+                       per_predicate_flip={f"p{i}": 0.0 for i in range(0, width, 3)}),
+            NoiseModel(per_predicate_flip={"p0": 0.45, f"p{width - 1}": 0.1}),
+        ]
+        truth_rng = np.random.default_rng(width * 100 + window)
+        truths = []
+        mask = 0
+        for _ in range(230):
+            if truth_rng.random() < 0.3:
+                mask = int.from_bytes(truth_rng.bytes(17), "little") & ((1 << width) - 1)
+            truths.append(LogicalState(vocab, mask))
+        for noise in noises:
+            for seed in (0, 1, 2):
+                block = PerceptionPipeline(vocab, noise, window, rng=np.random.default_rng(seed))
+                ref = PerceptionPipeline(vocab, noise, window, rng=np.random.default_rng(seed))
+                for tick, truth in enumerate(truths):
+                    assert block.estimate(truth).mask == per_tick_estimate(ref, truth).mask, tick
+
+    @pytest.mark.parametrize("window", [1, 5, 70])
+    def test_trials_off_the_shipped_window_equal_the_reference(self, window, monkeypatch):
+        # Every shipped noisy scenario uses window 3; the block draw must
+        # give the per-tick records and traces at other windows too.  200
+        # ticks still cross three blocks after a window-70 warm-up and keep
+        # window 70's majority loop, 36 passes per mask, to seconds.
+        overrides = {"perception": {"window": window}, "max_ticks": 200}
+
+        def run(index):
+            scenario = load_scenario(scenario_path("put_away_spam_noisy"), overrides)
+            sink = io.StringIO()
+            return run_trial(scenario, index, trace_sink=sink), sink.getvalue()
+
+        block = [run(i) for i in range(20)]
+        monkeypatch.setattr(PerceptionPipeline, "estimate", per_tick_estimate)
+        assert [run(i) for i in range(20)] == block
