@@ -8,7 +8,7 @@ three named streams (sim, perception, primitives), so identical scenario
 plus seed means byte-identical metrics and traces.
 
 Each trial plans from the perception pipeline's estimate of the sampled
-initial world (the estimator window is warmed up first), builds the robust
+initial world (after ``PerceptionPipeline.warm_up``), builds the robust
 chain, and hands control to the executive.  There is no replanning: a trial
 whose initial estimate yields no plan is recorded as ``no_plan``.
 
@@ -410,9 +410,20 @@ def build_scenario(raw: dict, base_dir: Path, name: str = "scenario") -> Scenari
     flips = perception.get("per_predicate_flip", {})
     problems.extend(
         f"field 'perception.{key}' is read only with \"mode\": \"noisy\""
-        for key in ("default_flip", "per_predicate_flip")
+        for key in ("window", "default_flip", "per_predicate_flip")
         if key in perception and perception.get("mode") != "noisy"
     )
+    streak = raw.get("goal_streak", exe.DEFAULT_GOAL_STREAK)
+    if raw.get("executive") == "open_loop":
+        problems.extend(
+            f"field '{key}' is read only with \"executive\": \"reactive\""
+            for key in ("goal_streak", "stuck_after") if key in raw
+        )
+    elif streak > raw["max_ticks"]:  # the default too: a streak counts ticks
+        problems.append(
+            f"field 'goal_streak': streak {streak} is above max_ticks "
+            f"{raw['max_ticks']}, so no trial can succeed"
+        )
     if grounded is not None:
         # An action without a :binding is a contract line, not a binding "".
         bound = {op.binding for op in grounded.domain.operators} - {""}
@@ -465,7 +476,7 @@ def build_scenario(raw: dict, base_dir: Path, name: str = "scenario") -> Scenari
             **{k: float(v) if k in _INITIAL_PROBS else v for k, v in initial.items()}
         ),
         disturbances=disturbances,
-        goal_streak=raw.get("goal_streak", exe.DEFAULT_GOAL_STREAK),
+        goal_streak=streak,
         stuck_after=raw.get("stuck_after", exe.DEFAULT_STUCK_AFTER),
         max_ticks=raw["max_ticks"],
         trials=raw["trials"],
@@ -570,11 +581,8 @@ def run_trial(
     )
     on_tick = writer.on_tick if writer else None
 
-    # Warm the estimator window on the initial world, then plan from the
-    # filtered estimate (the executive never replans).
-    estimate = pipeline.estimate(sim.eval_predicates())
-    for _ in range(scenario.window - 1):
-        estimate = pipeline.estimate(sim.eval_predicates())
+    # Plan once, from a window warmed on the initial world.
+    estimate = pipeline.warm_up(sim.eval_predicates())
 
     memo = scenario._chains_by_mask
     if estimate.mask not in memo:

@@ -1,11 +1,10 @@
 """Noisy, temporally filtered estimation of the logical state.
 
-Each tick the pipeline takes the ground-truth logical state, flips every
-atom independently with its predicate's flip probability, pushes the noisy
-mask into a sliding window, and returns the per-atom majority vote over the
-window, computed bit-parallel on the window's int masks.  With window size 3
-and flip probability p the per-atom error rate drops from p to p^2 (3 - 2p).
-Flip probabilities of zero make the pipeline an exact oracle.
+Each tick the pipeline flips every atom of the ground-truth state with its
+predicate's flip probability, appends the noisy mask to its window of the
+last ``window`` masks, and returns their per-atom :func:`majority`.  With
+window 3 and flip probability p the per-atom error rate drops from p to
+p^2 (3 - 2p).  Flip probabilities of zero make the pipeline an exact oracle.
 
 The flips are drawn a block of ticks at a time: one ``rng.random((rows,
 n))`` draw, one compare and one ``packbits`` give a single int holding
@@ -20,7 +19,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Collection, Mapping
 
 import numpy as np
 
@@ -28,10 +27,6 @@ from .logic import LogicalState, Vocabulary
 
 DEFAULT_WINDOW = 3
 BLOCK_TICKS = 64  # flip masks per draw after the first block
-
-
-class EmptyWindowError(RuntimeError):
-    """The majority filter needs at least one buffered estimate."""
 
 
 @dataclass(frozen=True)
@@ -65,49 +60,36 @@ class NoiseModel:
         return self.default_flip == 0.0 and not any(self.per_predicate_flip.values())
 
 
-class EstimatorWindow:
-    """Last-N buffer of instantaneous estimates (int masks), oldest evicted
-    first."""
+def majority(masks: Collection[int]) -> int:
+    """Mask of the atoms true in strictly more than half of ``masks``; ties,
+    and no masks at all, resolve to false.
 
-    def __init__(self, capacity: int = DEFAULT_WINDOW):
-        if capacity < 1:
-            raise ValueError("window capacity must be at least 1")
-        self._buffer: deque[int] = deque(maxlen=capacity)
-
-    def push(self, mask: int) -> None:
-        self._buffer.append(mask)
-
-    def majority(self) -> int:
-        """Mask of the atoms true in strictly more than half of the buffered
-        estimates; ties resolve to false.
-
-        ``at_least[k]`` is the mask of atoms true in at least ``k`` of the
-        estimates seen so far, updated for every estimate from the highest
-        ``k`` down, so one pass over the window needs ``len // 2 + 1`` ANDs
-        and ORs per estimate whatever the window size.  Exactly three
-        estimates, the shipped window once warm, take the closed form.
-        """
-        if len(self._buffer) == 3:
-            a, b, c = self._buffer
-            return a & b | c & (a | b)
-        if not self._buffer:
-            raise EmptyWindowError("no estimates buffered yet")
-        need = len(self._buffer) // 2 + 1
-        at_least = [-1] + [0] * need
-        for mask in self._buffer:
-            for k in range(need, 0, -1):
-                at_least[k] |= at_least[k - 1] & mask
-        return at_least[need]
+    ``at_least[k]`` is the mask of atoms true in at least ``k`` of the masks
+    seen so far, updated for every mask from the highest ``k`` down, so one
+    pass needs ``len // 2 + 1`` ANDs and ORs per mask whatever the window
+    size.  Exactly three masks, the shipped window once warm, take the
+    closed form.
+    """
+    if len(masks) == 3:
+        a, b, c = masks
+        return a & b | c & (a | b)
+    need = len(masks) // 2 + 1
+    at_least = [-1] + [0] * need
+    for mask in masks:
+        for k in range(need, 0, -1):
+            at_least[k] |= at_least[k - 1] & mask
+    return at_least[need]
 
 
 class PerceptionPipeline:
     """observe -> window -> majority filter, one instance per trial.
 
-    The pipeline owns ``rng``: it draws flips up to ``BLOCK_TICKS`` ticks
-    ahead of the estimates it has returned (the first block covers
-    ``min(window, BLOCK_TICKS)`` ticks, the warm-up), so a caller that also
-    draws from the same Generator would see a different interleaving than
-    with one draw per tick.
+    :meth:`warm_up` fills the window on the initial world with the first
+    flip block, ``min(window, BLOCK_TICKS)`` ticks; later blocks hold
+    ``BLOCK_TICKS``.  The pipeline owns ``rng``: it draws flips up to a block
+    ahead of the estimates it has returned, so a caller that also draws from
+    the same Generator would see a different interleaving than with one draw
+    per tick.
     """
 
     def __init__(
@@ -118,9 +100,11 @@ class PerceptionPipeline:
         *,
         rng: np.random.Generator,
     ):
+        if window < 1:
+            raise ValueError("window must be at least 1")
         self.vocab = vocab
         self.noise = noise or NoiseModel()
-        self.window = EstimatorWindow(window)
+        self.window: deque[int] = deque(maxlen=window)
         self.rng = rng
         self._oracle = self.noise.is_oracle
         if not self._oracle:
@@ -131,9 +115,16 @@ class PerceptionPipeline:
             self._left = 0  # how many masks _block still holds
             self._rows = min(window, BLOCK_TICKS)  # of the next block drawn
 
+    def warm_up(self, truth: LogicalState) -> LogicalState:
+        """Fill the window with ``window`` estimates of ``truth`` and return
+        the last, the estimate a trial plans from."""
+        for _ in range(self.window.maxlen - 1):
+            self.estimate(truth)
+        return self.estimate(truth)
+
     def estimate(self, truth: LogicalState) -> LogicalState:
-        """Push a noisy observation of ``truth`` and return the filtered
-        estimate of the current logical state.
+        """Append a noisy observation of ``truth`` to the window and return
+        the filtered estimate of the current logical state.
 
         With an all-zero noise model the pipeline is a true oracle: the
         estimate equals the ground truth at every tick, with no filter lag
@@ -150,8 +141,8 @@ class PerceptionPipeline:
         self._left -= 1
         flip_mask = self._block & self._atoms
         self._block >>= self._width
-        self.window.push(truth.mask ^ flip_mask)
-        return LogicalState(self.vocab, self.window.majority())
+        self.window.append(truth.mask ^ flip_mask)
+        return LogicalState(self.vocab, majority(self.window))
 
 
 def majority_error_rate(p: float, window: int = DEFAULT_WINDOW) -> float:

@@ -197,7 +197,7 @@ def test_criterion_8_perception_filter_math():
         raw_wrong = filt_wrong = 0
         for _ in range(ticks):
             est = pipe.estimate(truth)
-            raw = pipe.window._buffer[-1]
+            raw = pipe.window[-1]
             raw_wrong += bin(raw ^ truth.mask).count("1")
             filt_wrong += bin(est.mask ^ truth.mask).count("1")
         improves[p] = filt_wrong < raw_wrong

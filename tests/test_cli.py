@@ -298,16 +298,17 @@ def test_execute_bad_scenario_exit_2(tmp_path, capsys):
         ("perception", {"default_flip": 0.3}, "perception.default_flip"),
         ("disturbances", [{"trigger": {"at_tick": 5000}, "kind": {"kind": "detach_gripper"}}],
          "disturbances[0].trigger.at_tick"),
+        ("goal_streak", 401, "goal_streak"),
         ("planner", {"optimal": True}, "planner"),
         ("format_version", 1, "format_version"),
     ],
     ids=["bindings_list", "min_above_max", "unbound_name", "flip_without_noisy",
-         "at_tick_past_budget", "planner", "format_version_1"],
+         "at_tick_past_budget", "goal_streak_past_budget", "planner", "format_version_1"],
 )
 def test_execute_bad_scenario_value_exit_2(tmp_path, capsys, field, value, path):
-    # The first used to crash the loader, the second the trial; the third
-    # and fifth loaded and were never used, and the fourth loaded as oracle
-    # perception.  The last two are scenario format 1, which had a planner
+    # The first used to crash the loader, the second the trial; the third,
+    # fifth and sixth loaded and were never used, and the fourth loaded as
+    # oracle perception.  The last two are scenario format 1, which had a planner
     # switch.
     raw = json.loads(scenario_path("pick_spam_oracle").read_text())
     for key in ("domain", "problem"):

@@ -266,6 +266,14 @@ class TestLoadScenario:
              "disturbances[0].kind.destination.x"),
             ({"goal_streak": 0}, "goal_streak"),
             ({"stuck_after": 0}, "stuck_after"),
+            # Values that load and never act: a streak no tick budget can
+            # hold (the default streak of 3 too), the reactive executive's
+            # fields on the open loop, and a window oracle perception skips.
+            ({"goal_streak": 401}, "goal_streak"),
+            ({"max_ticks": 2}, "goal_streak"),
+            ({"executive": "open_loop", "goal_streak": 3}, "goal_streak"),
+            ({"executive": "open_loop", "stuck_after": 5}, "stuck_after"),
+            ({"perception": {"window": 5}}, "perception.window"),
             ({"base_seed": -5}, "base_seed"),
             ({"name": 5}, "name"),
             # The name prefixes each trace file, so it must not leave the
@@ -286,7 +294,9 @@ class TestLoadScenario:
              "unbound_binding", "unknown_binding_field", "unknown_flip_predicate",
              "unknown_initial", "unknown_planner", "unknown_disturbance",
              "unknown_trigger", "unknown_kind", "unknown_destination",
-             "goal_streak_0", "stuck_after_0", "base_seed_negative", "name_int",
+             "goal_streak_0", "stuck_after_0", "goal_streak_above_max_ticks",
+             "default_goal_streak_above_max_ticks", "goal_streak_open_loop",
+             "stuck_after_open_loop", "window_oracle", "base_seed_negative", "name_int",
              "name_empty", "name_dot", "name_dotdot", "name_parent", "name_slash",
              "name_backslash", "name_nul",
              "format_version_1", "format_version_7", "format_version_true"],
@@ -299,6 +309,14 @@ class TestLoadScenario:
         with pytest.raises(ScenarioError) as err:
             load_scenario(scenario_path("put_away_spam_oracle"), override)
         assert any(f"'{path}'" in p for p in err.value.problems), err.value.problems
+
+    def test_budget_bound_streaks_that_can_act(self):
+        # A streak of max_ticks can still succeed on a world that meets the
+        # goal from tick 0, and a stuck_after past max_ticks is how a
+        # scenario turns stuck detection off.
+        sc = load_scenario(scenario_path("put_away_spam_oracle"),
+                           {"goal_streak": 400, "stuck_after": 401})
+        assert (sc.goal_streak, sc.stuck_after, sc.max_ticks) == (400, 401, 400)
 
     def test_domain_binding_without_primitive(self, tmp_path):
         # A domain operator bound to a primitive with no default used to

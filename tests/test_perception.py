@@ -6,6 +6,7 @@ p^2 (3 - 2p) for window 3).
 """
 
 import io
+from collections import deque
 
 import numpy as np
 import pytest
@@ -15,10 +16,9 @@ from hypothesis import strategies as st
 from chainreact.harness import load_scenario, run_trial
 from chainreact.logic import LogicalState, Vocabulary
 from chainreact.perception import (
-    EmptyWindowError,
-    EstimatorWindow,
     NoiseModel,
     PerceptionPipeline,
+    majority,
     majority_error_rate,
 )
 from chainreact.planner import ground
@@ -96,31 +96,25 @@ class TestObserve:
 
 class TestWindow:
     def test_majority_two_of_three(self):
-        w = EstimatorWindow(3)
-        for bit in (1, 1, 0):
-            w.push(bit)
-        assert w.majority() == 1
+        assert majority([1, 1, 0]) == 1
 
     def test_single_estimate_passthrough(self):
-        w = EstimatorWindow(3)
-        w.push(0b01)
-        assert w.majority() == 0b01
+        assert majority([0b01]) == 0b01
 
     def test_tie_breaks_false(self):
-        w = EstimatorWindow(4)
-        for bit in (1, 0):
-            w.push(bit)
-        assert w.majority() == 0
+        assert majority([1, 0]) == 0
 
     def test_eviction(self):
-        w = EstimatorWindow(3)
-        for bit in (1, 1, 1, 0, 0):
-            w.push(bit)  # the first two are evicted: one of the last three is True
-        assert w.majority() == 0
+        window = deque(maxlen=3)
+        window.extend([1, 1, 1, 0, 0])  # the first two are evicted
+        assert majority(window) == 0
 
-    def test_empty_window_error(self):
-        with pytest.raises(EmptyWindowError):
-            EstimatorWindow(3).majority()
+    def test_no_masks_give_false(self):
+        assert majority([]) == 0
+
+    def test_window_below_one_rejected(self):
+        with pytest.raises(ValueError):
+            PerceptionPipeline(make_vocab(3), window=0, rng=np.random.default_rng(0))
 
     @settings(max_examples=200)
     @given(
@@ -129,18 +123,18 @@ class TestWindow:
                        min_size=1, max_size=12),
     )
     def test_majority_matches_count_majority(self, capacity, masks):
-        # Reference: per-atom counts over the last `capacity` pushes as a
+        # Reference: per-atom counts over the last `capacity` masks as a
         # numpy bool matrix, true where count * 2 > len (ties false).  Masks
         # reach 130 bits, beyond one machine word, for the window-3 closed
         # form and the general loop alike.
-        w = EstimatorWindow(capacity)
+        window = deque(maxlen=capacity)
         for i, mask in enumerate(masks):
-            w.push(mask)
+            window.append(mask)
             recent = masks[max(0, i + 1 - capacity): i + 1]
             bits = np.array([[m >> a & 1 for a in range(130)] for m in recent], dtype=bool)
             counts = bits.sum(axis=0)
             expected = sum(1 << a for a in range(130) if counts[a] * 2 > len(recent))
-            assert w.majority() == expected
+            assert majority(window) == expected
 
 
 class TestPipeline:
@@ -202,7 +196,7 @@ class TestPipeline:
             raw_wrong = filtered_wrong = 0
             for _ in range(ticks):
                 est = pipe.estimate(truth)
-                raw = pipe.window._buffer[-1]
+                raw = pipe.window[-1]
                 raw_wrong += bin(raw ^ truth.mask).count("1")
                 filtered_wrong += bin(est.mask ^ truth.mask).count("1")
             assert filtered_wrong < raw_wrong
@@ -240,6 +234,28 @@ class TestWideVocabulary:
         assert seen_diff
 
 
+class TestWarmUp:
+    @pytest.mark.parametrize("noise", [NoiseModel(), NoiseModel(default_flip=0.2)],
+                             ids=["oracle", "noisy"])
+    @pytest.mark.parametrize("width", [8, 65, 130])
+    @pytest.mark.parametrize("window", [1, 2, 3, 4, 5, 64, 65, 70])
+    def test_warm_up_equals_window_estimates(self, window, width, noise):
+        # The returned mask and the next 100 estimates match, so the warm-up
+        # leaves the window and the flip block where `window` calls do.
+        vocab = make_vocab(width)
+        truth = LogicalState(vocab, (1 << width) // 3)
+        warmed = PerceptionPipeline(vocab, noise, window, rng=np.random.default_rng(5))
+        stepped = PerceptionPipeline(vocab, noise, window, rng=np.random.default_rng(5))
+        for _ in range(window):
+            last = stepped.estimate(truth)
+        assert warmed.warm_up(truth) == last
+        truth_rng = np.random.default_rng(width + window)
+        for _ in range(100):
+            truth = LogicalState(vocab, int.from_bytes(truth_rng.bytes(17), "little")
+                                 & ((1 << width) - 1))
+            assert warmed.estimate(truth) == stepped.estimate(truth)
+
+
 def per_tick_estimate(pipe, truth):
     """Reference for PerceptionPipeline.estimate: one ``rng.random(n)`` draw
     per tick instead of one draw per block of ticks."""
@@ -247,8 +263,8 @@ def per_tick_estimate(pipe, truth):
         return truth
     flips = pipe.rng.random(len(pipe.vocab)) < pipe.noise.flip_vector(pipe.vocab)
     packed = np.packbits(flips, bitorder="little").tobytes()
-    pipe.window.push(truth.mask ^ int.from_bytes(packed, "little"))
-    return LogicalState(pipe.vocab, pipe.window.majority())
+    pipe.window.append(truth.mask ^ int.from_bytes(packed, "little"))
+    return LogicalState(pipe.vocab, majority(pipe.window))
 
 
 class TestBlockDraws:
