@@ -3,8 +3,8 @@
 Subcommands:
   plan     search for an operator sequence and write plan.json
            ({"format_version": 1, "steps": [{operator, args}, ...]})
-  chain    turn plan.json into chain.json with the propagated extra
-           conditions per step
+  chain    read plan.json, rejecting any other shape, and turn it into
+           chain.json with the propagated extra conditions per step
   execute  run one seeded trial of a scenario, optionally tracing each tick
   bench    run the full trial protocol for one or more scenarios
   report   print the comparison table for a saved results file
@@ -28,15 +28,17 @@ from .harness import (
     ScenarioError,
     load_grounded,
     load_scenario,
+    plan_payload,
     queue_trials,
     read_json,
+    read_plan,
     read_results,
     report,
     results_payload,
     run_trial,
     run_trials,
 )
-from .planner import PlanFormatError, plan, plan_from_json
+from .planner import Plan, plan
 
 EXIT_OK = 0
 EXIT_FAILED = 1
@@ -77,7 +79,7 @@ def cmd_plan(args) -> int:
     if result.status == "budget_exhausted":
         print("node budget exhausted before a plan was found", file=sys.stderr)
         return EXIT_FAILED
-    if _write_out(json.dumps(result.plan.to_json_dict(), indent=2) + "\n", args.out):
+    if _write_out(json.dumps(plan_payload(result.plan), indent=2) + "\n", args.out):
         return EXIT_INPUT
     print(f"plan: {len(result.plan)} steps", file=sys.stderr)
     return EXIT_OK
@@ -89,14 +91,11 @@ def cmd_chain(args) -> int:
     if grounded is None:
         return _input_error(problems)
     try:
-        data = read_json(args.plan)
+        steps = read_plan(grounded, read_json(args.plan))
     except ValueError as err:
         return _input_error([f"{args.plan}: {err}"])
     try:
-        chain = build_chain(plan_from_json(grounded, data))
-    except PlanFormatError as err:
-        print(f"{args.plan}: {err}", file=sys.stderr)
-        return EXIT_INPUT
+        chain = build_chain(Plan(steps, grounded.init, grounded.goal))
     except UnsupportedFeatureError as err:
         print(f"{args.problem}: {err}", file=sys.stderr)
         return EXIT_INPUT

@@ -218,7 +218,6 @@ def run(
 
         started = None
         if step is not None:
-            sim.abort_primitive()
             started = steps[step].base
             sim.start_primitive(started)
             outcome.history.append((tick, step, started.name))

@@ -1,4 +1,7 @@
-"""Scenario files, seeded batch trials, metrics and trace emission.
+"""Scenario, plan and results files, seeded batch trials, metrics and traces.
+
+Every JSON file the program reads is checked here against a schema, by one
+checker that names the field path of each fault and rejects unknown fields.
 
 A scenario is a JSON file naming a domain and problem (paths relative to
 the scenario file), the executive to run, the perception mode, primitive
@@ -37,8 +40,9 @@ from __future__ import annotations
 import hashlib
 import json
 from concurrent.futures import Future, ProcessPoolExecutor
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field, fields, replace
+from functools import partial
 from pathlib import Path
 from typing import IO, Iterator, Optional, Sequence
 
@@ -58,9 +62,10 @@ from .kitchen import (
 )
 from .lang import load_domain_file, load_problem_file
 from .perception import DEFAULT_WINDOW, NoiseModel, PerceptionPipeline
-from .planner import GroundedDomain, GroundingLimitError, ground, plan
+from .planner import GroundedDomain, GroundingLimitError, GroundOperator, Plan, ground, plan
 
 FORMAT_VERSION = 2  # of trace files
+PLAN_FORMAT_VERSION = 1
 RESULTS_FORMAT_VERSION = 1
 SCENARIO_FORMAT_VERSION = 2
 
@@ -413,6 +418,17 @@ def build_scenario(raw: dict, base_dir: Path, name: str = "scenario") -> Scenari
         for key in ("window", "default_flip", "per_predicate_flip")
         if key in perception and perception.get("mode") != "noisy"
     )
+    noise = NoiseModel()
+    if perception.get("mode") == "noisy":
+        noise = NoiseModel(
+            default_flip=float(perception.get("default_flip", 0.05)),
+            per_predicate_flip={str(k): float(v) for k, v in flips.items()},
+        )
+        if noise.is_oracle:
+            problems.append(
+                "field 'perception': every flip is 0, so \"mode\": \"noisy\" "
+                "perceives as the oracle and its window never acts"
+            )
     streak = raw.get("goal_streak", exe.DEFAULT_GOAL_STREAK)
     if raw.get("executive") == "open_loop":
         problems.extend(
@@ -454,12 +470,6 @@ def build_scenario(raw: dict, base_dir: Path, name: str = "scenario") -> Scenari
     if problems:
         raise ScenarioError(problems)
 
-    noise = NoiseModel()
-    if perception.get("mode") == "noisy":
-        noise = NoiseModel(
-            default_flip=float(perception.get("default_flip", 0.05)),
-            per_predicate_flip={str(k): float(v) for k, v in flips.items()},
-        )
     initial = raw.get("initial", {})
     return Scenario(
         name=raw.get("name", name),
@@ -554,7 +564,8 @@ def resolve_disturbances(
 def run_trial(
     scenario: Scenario, index: int, trace_sink: Optional[IO[str]] = None
 ) -> TrialRecord:
-    """Run one seeded trial; the sink, when given, receives the JSONL trace.
+    """Run one seeded trial; the sink, when given, receives the JSONL trace:
+    a header line, one line per tick and an outcome line.
 
     The chain comes from the scenario's memo, keyed on the warmed
     estimate's mask, for as long as the Scenario object lives.  On a miss,
@@ -576,10 +587,19 @@ def run_trial(
         grounded.vocabulary, scenario.noise, scenario.window, rng=perc_rng
     )
 
-    writer = (
-        _TraceWriter(trace_sink, scenario, seed, world) if trace_sink else None
-    )
-    on_tick = writer.on_tick if writer else None
+    on_tick = None
+    if trace_sink:
+        def write(kind: str, payload: dict) -> None:
+            trace_sink.write(json.dumps({"type": kind, **payload}, sort_keys=True) + "\n")
+
+        write("header", {
+            "format_version": FORMAT_VERSION,
+            "scenario": scenario.name,
+            "config_digest": scenario.config_digest,
+            "seed": seed,
+            "initial_world": world.to_json_dict(),
+        })
+        on_tick = partial(write, "tick")
 
     # Plan once, from a window warmed on the initial world.
     estimate = pipeline.warm_up(sim.eval_predicates())
@@ -610,35 +630,9 @@ def run_trial(
         false_success=outcome.false_success,
         operator_history=[name for _, _, name in outcome.history],
     )
-    if writer:
-        writer.finish(record)
+    if trace_sink:
+        write("outcome", record.to_json_dict())
     return record
-
-
-class _TraceWriter:
-    """One JSONL line per tick, bracketed by a header and an outcome line."""
-
-    def __init__(self, sink: IO[str], scenario: Scenario, seed: int, world):
-        self.sink = sink
-        self._write(
-            {
-                "type": "header",
-                "format_version": FORMAT_VERSION,
-                "scenario": scenario.name,
-                "config_digest": scenario.config_digest,
-                "seed": seed,
-                "initial_world": world.to_json_dict(),
-            }
-        )
-
-    def _write(self, payload: dict) -> None:
-        self.sink.write(json.dumps(payload, sort_keys=True) + "\n")
-
-    def on_tick(self, record: dict) -> None:
-        self._write({"type": "tick", **record})
-
-    def finish(self, record: TrialRecord) -> None:
-        self._write({"type": "outcome", **record.to_json_dict()})
 
 
 def compute_metrics(scenario_name: str, records: list[TrialRecord]) -> Metrics:
@@ -743,11 +737,10 @@ def _run_range(
 ) -> list[TrialRecord]:
     """Run trials ``indices`` in order, each writing its trace under
     ``trace_dir`` when one is given.  Serial runs and pool workers share it."""
-    if trace_dir is None:
-        return [run_trial(scenario, i) for i in indices]
     records = []
     for i in indices:
-        with open(trace_dir / scenario.trace_name(i), "w", encoding="utf-8") as sink:
+        path = trace_dir / scenario.trace_name(i) if trace_dir else None
+        with open(path, "w", encoding="utf-8") if path else nullcontext() as sink:
             records.append(run_trial(scenario, i, trace_sink=sink))
     return records
 
@@ -784,13 +777,49 @@ def results_payload(runs: Sequence[tuple[Metrics, list[TrialRecord]]]) -> dict:
 def read_results(payload) -> list[Metrics]:
     """The metrics of a results file as ``chainreact bench --out`` writes
     it; raises ``ValueError`` naming the field path of each problem."""
+    _checked(payload, _RESULTS, "a results file")
+    return [Metrics(**entry["metrics"]) for entry in payload["results"]]
+
+
+def _checked(payload, schema: _Object, what: str) -> None:
+    """Raise ``ValueError`` unless ``payload`` is an object matching
+    ``schema``, naming the field path of each part that does not."""
     if not isinstance(payload, dict):
-        raise ValueError("a results file must be a JSON object")
+        raise ValueError(f"{what} must be a JSON object")
     problems: list[str] = []
-    _check(payload, _RESULTS, "", problems)
+    _check(payload, schema, "", problems)
     if problems:
         raise ValueError("; ".join(problems))
-    return [Metrics(**entry["metrics"]) for entry in payload["results"]]
+
+
+_STEP = _Object({"operator": _STR, "args": [_STR]}, ("operator", "args"))
+_PLAN = _Object(
+    {"format_version": _version(PLAN_FORMAT_VERSION), "steps": [_STEP]},
+    ("format_version", "steps"),
+)
+
+
+def plan_payload(plan: Plan) -> dict:
+    """The plan file, as :func:`read_plan` reads it, of ``plan``'s steps."""
+    return {"format_version": PLAN_FORMAT_VERSION, "steps": [
+        {"operator": op.schema.name, "args": list(op.bound_args)} for op in plan.steps
+    ]}
+
+
+def read_plan(grounded: GroundedDomain, payload) -> tuple[GroundOperator, ...]:
+    """The ground operators, in order, of a plan file as ``chainreact plan``
+    writes it; raises ``ValueError`` naming the field path of each problem,
+    a step that names no ground operator of ``grounded`` included."""
+    _checked(payload, _PLAN, "a plan file")
+    steps, problems = [], []
+    for i, step in enumerate(payload["steps"]):
+        try:
+            steps.append(grounded.operator_named(step["operator"], tuple(step["args"])))
+        except KeyError as err:
+            problems.append(f"field 'steps[{i}]': {err.args[0]}")
+    if problems:
+        raise ValueError("; ".join(problems))
+    return tuple(steps)
 
 
 # The report's columns: header, and the cell of one scenario's metrics.

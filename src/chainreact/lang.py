@@ -609,18 +609,6 @@ def serialize_domain(domain: DomainDefinition) -> str:
     return "\n".join(lines) + "\n"
 
 
-def serialize_problem(problem: ProblemDefinition) -> str:
-    lines = [f"(define (problem {problem.name})"]
-    lines.append(f"  (:domain {problem.domain_name})")
-    if problem.objects:
-        lines.append(f"  (:objects {_fmt_typed(sorted(problem.objects.items()))})")
-    atoms = sorted(str(a) for a in problem.init)
-    lines.append(f"  (:init {' '.join(atoms)})")
-    lines.append(f"  (:goal {_fmt_condition(problem.goal)})")
-    lines.append(")")
-    return "\n".join(lines) + "\n"
-
-
 def load_domain_file(path: str) -> ParseResult:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_domain(fh.read())

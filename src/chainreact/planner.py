@@ -11,6 +11,7 @@ once into a row of raw integer masks (see :class:`GroundedDomain`).
 generates successors from the compiled rows in operator index order and
 checks the vocabulary once per query.  Tie-breaking is total (operator
 index order plus FIFO), so identical inputs always produce identical plans.
+The plan file is written and read in :mod:`chainreact.harness`.
 """
 
 from __future__ import annotations
@@ -187,48 +188,6 @@ class Plan:
 
     def __len__(self) -> int:
         return len(self.steps)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "format_version": 1,
-            "steps": [
-                {"operator": op.schema.name, "args": list(op.bound_args)}
-                for op in self.steps
-            ],
-        }
-
-
-class PlanFormatError(ValueError):
-    """Plan JSON not in the shape :meth:`Plan.to_json_dict` writes, or
-    naming an operator the grounded domain does not have."""
-
-
-def plan_from_json(grounded: GroundedDomain, data) -> Plan:
-    """Read what :meth:`Plan.to_json_dict` writes as a plan from the
-    problem's initial state to its goal.  Raises :class:`PlanFormatError`
-    naming the first bad field, and the ``ValueError`` of :class:`Plan` for
-    steps that are not a sound plan."""
-    if not isinstance(data, dict) or not isinstance(data.get("steps"), list):
-        raise PlanFormatError("a plan must be an object with a 'steps' list")
-    version = data.get("format_version")
-    if type(version) is not int or version != 1:
-        raise PlanFormatError(f"'format_version' must be 1, not {version!r}")
-    ops = []
-    for i, step in enumerate(data["steps"]):
-        args = step.get("args") if isinstance(step, dict) else None
-        if not (
-            isinstance(args, list)
-            and isinstance(step.get("operator"), str)
-            and all(isinstance(a, str) for a in args)
-        ):
-            raise PlanFormatError(
-                f"'steps[{i}]' must be {{\"operator\": string, \"args\": [string]}}"
-            )
-        try:
-            ops.append(grounded.operator_named(step["operator"], tuple(args)))
-        except KeyError as err:
-            raise PlanFormatError(f"'steps[{i}]': {err.args[0]}") from None
-    return Plan(tuple(ops), grounded.init, grounded.goal)
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,7 @@ from concurrent.futures import Future
 import pytest
 
 from chainreact.cli import main
+from chainreact.harness import plan_payload, read_plan
 from chainreact.planner import ground, plan
 from tests.util import (
     CUPS_ONLY,
@@ -35,7 +36,9 @@ def test_plan_chain_pipeline(tmp_path, capsys):
     assert code == 0
     data = json.loads(plan_out.read_text())
     grounded = ground(kitchen_domain(), kitchen_problem("put_away_spam"))
-    assert data == plan(grounded).plan.to_json_dict()
+    found = plan(grounded).plan
+    assert data == plan_payload(found)
+    assert read_plan(grounded, data) == found.steps
     assert data["format_version"] == 1
     steps = data["steps"]
     assert len(steps) == 16
@@ -74,26 +77,36 @@ BACK_OFF = {"operator": "back_off", "args": []}
 
 
 @pytest.mark.parametrize(
-    "data",
+    "data, fault",
     [
-        [BACK_OFF],
-        {"steps": [BACK_OFF]},
-        {"format_version": 2, "steps": [BACK_OFF]},
-        {"format_version": True, "steps": [BACK_OFF]},
-        {"format_version": 1, "steps": BACK_OFF},
-        {"format_version": 1, "steps": [5]},
-        {"format_version": 1, "steps": [{"args": []}]},
-        {"format_version": 1, "steps": [{"operator": 5, "args": []}]},
-        {"format_version": 1, "steps": [{"operator": "back_off", "args": "spam"}]},
-        {"format_version": 1, "steps": [{"operator": "back_off"}]},
-        {"format_version": 1, "steps": [{"operator": "fly_away", "args": []}]},
+        ([BACK_OFF], "a plan file must be a JSON object"),
+        ({"steps": [BACK_OFF]}, "missing required field 'format_version'"),
+        ({"format_version": 2, "steps": [BACK_OFF]}, "field 'format_version' must be 1"),
+        ({"format_version": True, "steps": [BACK_OFF]}, "field 'format_version' must be 1"),
+        ({"format_version": 1, "steps": BACK_OFF}, "field 'steps' must be a list"),
+        ({"format_version": 1, "steps": [5]}, "field 'steps[0]' must be an object"),
+        ({"format_version": 1, "steps": [{"args": []}]},
+         "missing required field 'steps[0].operator'"),
+        ({"format_version": 1, "steps": [{"operator": 5, "args": []}]},
+         "field 'steps[0].operator' must be a string"),
+        ({"format_version": 1, "steps": [{"operator": "back_off", "args": "spam"}]},
+         "field 'steps[0].args' must be a list"),
+        ({"format_version": 1, "steps": [{"operator": "back_off"}]},
+         "missing required field 'steps[0].args'"),
+        ({"format_version": 1, "steps": [{"operator": "fly_away", "args": []}]},
+         "field 'steps[0]': no ground operator fly_away()"),
+        ({"format_version": 1, "steps": [BACK_OFF], "bogus": 1}, "unknown field 'bogus'"),
+        ({"format_version": 1, "steps": [{**BACK_OFF, "extra": 1}]},
+         "unknown field 'steps[0].extra'"),
     ],
     ids=["bare_array", "no_version", "version_2", "version_true", "steps_object",
-         "step_int", "no_operator", "operator_int", "args_string", "no_args", "unknown_operator"],
+         "step_int", "no_operator", "operator_int", "args_string", "no_args", "unknown_operator",
+         "unknown_top_level", "unknown_step_field"],
 )
-def test_chain_rejects_bad_plan_file(tmp_path, capsys, data):
+def test_chain_rejects_bad_plan_file(tmp_path, capsys, data, fault):
     assert chain_from_plan_file(tmp_path, data) == 2
-    assert "plan.json" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith(f"{tmp_path / 'plan.json'}: ") and fault in err
 
 
 def test_chain_unsound_plan_exit_1(tmp_path, capsys):

@@ -268,12 +268,15 @@ class TestLoadScenario:
             ({"stuck_after": 0}, "stuck_after"),
             # Values that load and never act: a streak no tick budget can
             # hold (the default streak of 3 too), the reactive executive's
-            # fields on the open loop, and a window oracle perception skips.
+            # fields on the open loop, a window oracle perception skips, and
+            # noisy mode with every flip 0, which is the oracle.
             ({"goal_streak": 401}, "goal_streak"),
             ({"max_ticks": 2}, "goal_streak"),
             ({"executive": "open_loop", "goal_streak": 3}, "goal_streak"),
             ({"executive": "open_loop", "stuck_after": 5}, "stuck_after"),
             ({"perception": {"window": 5}}, "perception.window"),
+            ({"perception": {"mode": "noisy", "default_flip": 0,
+                             "per_predicate_flip": {"gripper_is_open": 0}}}, "perception"),
             ({"base_seed": -5}, "base_seed"),
             ({"name": 5}, "name"),
             # The name prefixes each trace file, so it must not leave the
@@ -296,7 +299,8 @@ class TestLoadScenario:
              "unknown_trigger", "unknown_kind", "unknown_destination",
              "goal_streak_0", "stuck_after_0", "goal_streak_above_max_ticks",
              "default_goal_streak_above_max_ticks", "goal_streak_open_loop",
-             "stuck_after_open_loop", "window_oracle", "base_seed_negative", "name_int",
+             "stuck_after_open_loop", "window_oracle", "noisy_without_flips",
+             "base_seed_negative", "name_int",
              "name_empty", "name_dot", "name_dotdot", "name_parent", "name_slash",
              "name_backslash", "name_nul",
              "format_version_1", "format_version_7", "format_version_true"],

@@ -17,7 +17,6 @@ from chainreact.lang import (
     parse_domain,
     parse_problem,
     serialize_domain,
-    serialize_problem,
 )
 from tests.util import kitchen_domain, kitchen_source, problem_source
 
@@ -707,15 +706,6 @@ class TestRoundTrip:
     def test_minimal_round_trip(self):
         d = parse_domain(MINIMAL).value
         assert domains_equal(d, parse_domain(serialize_domain(d)).value)
-
-    def test_problem_round_trip(self):
-        domain = kitchen_domain()
-        for name in ("put_away_spam", "put_away_both", "open_drawer"):
-            p = parse_problem(problem_source(name), domain).value
-            reparsed = parse_problem(serialize_problem(p), domain)
-            assert reparsed.ok
-            q = reparsed.value
-            assert (p.objects, p.init, p.goal) == (q.objects, q.init, q.goal)
 
     def test_round_trip_with_injected_comments(self):
         rng = random.Random(7)

@@ -29,12 +29,12 @@ from chainreact.logic import (
     apply_effects,
     holds,
 )
+from chainreact.harness import plan_payload, read_plan
 from chainreact.planner import (
     GroundingLimitError,
     Plan,
     ground,
     plan,
-    plan_from_json,
     symbolic_execute,
 )
 from tests.util import (
@@ -340,8 +340,7 @@ class TestKitchenPlanning:
     def test_plan_json_round_trip(self):
         grounded = ground(kitchen_domain(), kitchen_problem("put_away_spam"))
         p = plan(grounded).plan
-        again = plan_from_json(grounded, p.to_json_dict())
-        assert step_names(again.steps) == step_names(p.steps)
+        assert read_plan(grounded, plan_payload(p)) == p.steps
 
 
 # --------------------------------------------------------------------------
