@@ -10,7 +10,7 @@ The package is organised around a small pipeline:
                evaluation
     perception -- noisy, temporally filtered estimate of the logical state
     executive  -- the reactive selection loop driving simulator primitives
-    harness    -- scenario files, seeded batch trials, metrics and traces
+    harness    -- every JSON file format, seeded batch trials and metrics
 """
 
 __version__ = "0.1.0"

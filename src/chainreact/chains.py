@@ -30,10 +30,6 @@ class AugmentedOperator:
     effective_pre: ConditionSet
     effective_run: ConditionSet
 
-    @property
-    def name(self) -> str:
-        return self.base.name
-
 
 @dataclass(frozen=True)
 class Chain:
@@ -45,29 +41,6 @@ class Chain:
     # Conditions regression pushed past the first step; they must already
     # hold in any state the chain is meant to run from.
     front_conditions: ConditionSet
-
-    def __len__(self) -> int:
-        return len(self.steps)
-
-    def to_json_dict(self) -> dict:
-        atom_names = self.goal.vocabulary.names_of
-        return {
-            "format_version": 1,
-            "goal": atom_names(self.goal.pos_mask),
-            "front_conditions": atom_names(self.front_conditions.pos_mask),
-            "steps": [
-                {
-                    "operator": s.base.schema.name,
-                    "args": list(s.base.bound_args),
-                    "pre": atom_names(s.base.pre.pos_mask),
-                    "run": atom_names(s.base.run.pos_mask),
-                    # The conditions regression added to each set.
-                    "extra_pre": atom_names(s.effective_pre.pos_mask & ~s.base.pre.pos_mask),
-                    "extra_run": atom_names(s.effective_run.pos_mask & ~s.base.run.pos_mask),
-                }
-                for s in self.steps
-            ],
-        }
 
 
 def build_chain(plan: Plan) -> Chain:

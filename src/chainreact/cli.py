@@ -2,7 +2,7 @@
 
 Subcommands:
   plan     search for an operator sequence and write plan.json
-           ({"format_version": 1, "steps": [{operator, args}, ...]})
+           (the object harness.plan_payload builds)
   chain    read plan.json, rejecting any other shape, and turn it into
            chain.json with the propagated extra conditions per step
   execute  run one seeded trial of a scenario, optionally tracing each tick
@@ -26,6 +26,7 @@ from pathlib import Path
 from .chains import UnsupportedFeatureError, build_chain
 from .harness import (
     ScenarioError,
+    chain_payload,
     load_grounded,
     load_scenario,
     plan_payload,
@@ -102,7 +103,7 @@ def cmd_chain(args) -> int:
     except ValueError as err:
         print(f"plan is not sound for this problem: {err}", file=sys.stderr)
         return EXIT_FAILED
-    return _write_out(json.dumps(chain.to_json_dict(), indent=2) + "\n", args.out)
+    return _write_out(json.dumps(chain_payload(chain), indent=2) + "\n", args.out)
 
 
 def cmd_execute(args) -> int:

@@ -11,7 +11,8 @@ bare loop.
 
 The open loop (``run(..., open_loop=True)``) is the non-reactive baseline:
 it runs the steps strictly in order, advancing on primitive completion
-whether or not the step achieved anything.  Both share one tick loop.
+whether or not the step achieved anything.  Both share one tick loop,
+which hands each tick's values to ``on_tick``, when given, to record.
 """
 
 from __future__ import annotations
@@ -113,7 +114,8 @@ class Outcome:
         return self.status == "succeeded"
 
 
-TickCallback = Callable[[dict], None]
+# (tick, truth, estimate, selected step, reason, primitive phase, fired kinds)
+TickCallback = Callable[..., None]
 
 
 def _fire_disturbances(
@@ -155,8 +157,8 @@ def run(
     estimate's mask or the current step has changed.  With ``open_loop``
     the choice is the next step in order once the primitive ends; the
     estimate is the truth and no condition is checked.  After its last step
-    the open loop ends succeeded or stuck on the truth, with a tick line
-    that ``ticks`` does not count."""
+    the open loop ends succeeded or stuck on the truth, in a tick that
+    ``ticks`` does not count; ``on_tick`` gets that tick's values too."""
     # Truth comes from the simulator and the estimate from the perception
     # pipeline; both must share the chain's vocabulary, checked once here
     # so the goal checks below read the masks directly.
@@ -226,31 +228,15 @@ def run(
             last_entered = current = step
         prim = sim.tick() if sim.current is not None else None
         fired = _fire_disturbances(sim, pending, tick, started)
-        _emit(chain, on_tick, tick, truth, estimate, selected, reason,
-              prim.phase if prim else "confirming" if streak else "idle", fired)
+        if on_tick is not None:
+            phase = prim.phase if prim else "confirming" if streak else "idle"
+            on_tick(tick, truth, estimate, selected, reason, phase, fired)
     else:  # the tick budget ran out
         return outcome
 
-    # The tick that ends the episode writes its line without acting.
-    _emit(chain, on_tick, tick, truth, estimate, selected, reason,
-          "goal_reached" if outcome.succeeded else "idle", [])
+    # The tick that ends the episode reports without acting.
+    if on_tick is not None:
+        phase = "goal_reached" if outcome.succeeded else "idle"
+        on_tick(tick, truth, estimate, selected, reason, phase, [])
     return outcome
 
-
-def _emit(chain, on_tick, tick, truth, estimate, selected, reason, phase, fired) -> None:
-    if on_tick is None:
-        return
-    on_tick(
-        {
-            "tick": tick,
-            "true_atoms": truth.sorted_names(),
-            "estimated_atoms": estimate.sorted_names(),
-            "selected_step": selected,
-            "selected_operator": (
-                None if selected is None else chain.steps[selected].base.name
-            ),
-            "reason": reason,
-            "primitive_phase": phase,
-            "disturbances_fired": fired,
-        }
-    )

@@ -1,4 +1,4 @@
-"""Scenario, plan and results files, seeded batch trials, metrics and traces.
+"""Every JSON file format, seeded batch trials and metrics.
 
 Every JSON file the program reads is checked here against a schema, by one
 checker that names the field path of each fault and rejects unknown fields.
@@ -42,7 +42,6 @@ import json
 from concurrent.futures import Future, ProcessPoolExecutor
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field, fields, replace
-from functools import partial
 from pathlib import Path
 from typing import IO, Iterator, Optional, Sequence
 
@@ -65,6 +64,7 @@ from .perception import DEFAULT_WINDOW, NoiseModel, PerceptionPipeline
 from .planner import GroundedDomain, GroundingLimitError, GroundOperator, Plan, ground, plan
 
 FORMAT_VERSION = 2  # of trace files
+CHAIN_FORMAT_VERSION = 1
 PLAN_FORMAT_VERSION = 1
 RESULTS_FORMAT_VERSION = 1
 SCENARIO_FORMAT_VERSION = 2
@@ -587,20 +587,6 @@ def run_trial(
         grounded.vocabulary, scenario.noise, scenario.window, rng=perc_rng
     )
 
-    on_tick = None
-    if trace_sink:
-        def write(kind: str, payload: dict) -> None:
-            trace_sink.write(json.dumps({"type": kind, **payload}, sort_keys=True) + "\n")
-
-        write("header", {
-            "format_version": FORMAT_VERSION,
-            "scenario": scenario.name,
-            "config_digest": scenario.config_digest,
-            "seed": seed,
-            "initial_world": world.to_json_dict(),
-        })
-        on_tick = partial(write, "tick")
-
     # Plan once, from a window warmed on the initial world.
     estimate = pipeline.warm_up(sim.eval_predicates())
 
@@ -609,6 +595,35 @@ def run_trial(
         result = plan(grounded, init=estimate)
         memo[estimate.mask] = build_chain(result.plan) if result.solved else None
     chain = memo[estimate.mask]
+
+    on_tick = None
+    if trace_sink:
+        def write(line: dict) -> None:
+            trace_sink.write(json.dumps(line, sort_keys=True) + "\n")
+
+        write({
+            "type": "header",
+            "format_version": FORMAT_VERSION,
+            "scenario": scenario.name,
+            "config_digest": scenario.config_digest,
+            "seed": seed,
+            "initial_world": vars(world),  # no tick has run yet
+        })
+        names_of = grounded.vocabulary.names_of
+
+        def on_tick(tick, truth, estimate, selected, reason, phase, fired) -> None:
+            write({
+                "type": "tick",
+                "tick": tick,
+                "true_atoms": names_of(truth.mask),
+                "estimated_atoms": names_of(estimate.mask),
+                "selected_step": selected,
+                "selected_operator": None if selected is None else chain.steps[selected].base.name,
+                "reason": reason,
+                "primitive_phase": phase,
+                "disturbances_fired": fired,
+            })
+
     outcome = exe.Outcome("no_plan", 0) if chain is None else exe.run(
         sim,
         pipeline,
@@ -631,7 +646,7 @@ def run_trial(
         operator_history=[name for _, _, name in outcome.history],
     )
     if trace_sink:
-        write("outcome", record.to_json_dict())
+        write({"type": "outcome", **record.to_json_dict()})
     return record
 
 
@@ -820,6 +835,28 @@ def read_plan(grounded: GroundedDomain, payload) -> tuple[GroundOperator, ...]:
     if problems:
         raise ValueError("; ".join(problems))
     return tuple(steps)
+
+
+def chain_payload(chain: Chain) -> dict:
+    """The chain file of ``chain``: per step its operator, its own positive
+    pre and run conditions, and those regression added to each."""
+    names_of = chain.goal.vocabulary.names_of
+    return {
+        "format_version": CHAIN_FORMAT_VERSION,
+        "goal": names_of(chain.goal.pos_mask),
+        "front_conditions": names_of(chain.front_conditions.pos_mask),
+        "steps": [
+            {
+                "operator": s.base.schema.name,
+                "args": list(s.base.bound_args),
+                "pre": names_of(s.base.pre.pos_mask),
+                "run": names_of(s.base.run.pos_mask),
+                "extra_pre": names_of(s.effective_pre.pos_mask & ~s.base.pre.pos_mask),
+                "extra_run": names_of(s.effective_run.pos_mask & ~s.base.run.pos_mask),
+            }
+            for s in chain.steps
+        ],
+    }
 
 
 # The report's columns: header, and the cell of one scenario's metrics.

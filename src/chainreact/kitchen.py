@@ -69,10 +69,6 @@ class WorldState:
             if pose[0] == "held" and self.attached != obj:
                 raise ValueError(f"{obj} is held but not attached")
 
-    def to_json_dict(self) -> dict:
-        # JSON writes the tuples as lists; asdict would take 30x as long.
-        return {**vars(self), "object_pose": dict(self.object_pose)}
-
 
 # --------------------------------------------------------------------------
 # Ground-truth logical state operator
@@ -462,10 +458,6 @@ class PrimitiveState:
     # snapshots taken at start
     target_zone: Optional[int] = None
     drawer_step: float = 0.0
-
-    @property
-    def running(self) -> bool:
-        return self.phase == "running"
 
 
 def merge_primitive_config(overrides: Optional[dict] = None) -> dict[str, PrimitiveSpec]:

@@ -97,9 +97,6 @@ class LogicalState:
     def __hash__(self) -> int:
         return hash((id(self.vocabulary), self.mask))
 
-    def sorted_names(self) -> list[str]:
-        return self.vocabulary.names_of(self.mask)
-
 
 @dataclass(frozen=True)
 class ConditionSet:
@@ -115,13 +112,6 @@ class ConditionSet:
             raise ValueError(
                 "atoms with both polarities in condition set: " + ", ".join(both)
             )
-
-    def __str__(self) -> str:
-        """``{+a, +b, -c}``: the positive literals, then the negative ones,
-        each in name order."""
-        names = self.vocabulary.names_of
-        literals = [f"+{n}" for n in names(self.pos_mask)] + [f"-{n}" for n in names(self.neg_mask)]
-        return "{" + ", ".join(literals) + "}"
 
 
 @dataclass(frozen=True)

@@ -150,9 +150,9 @@ def majority_error_rate(p: float, window: int = DEFAULT_WINDOW) -> float:
 
     For window 3 this is p^2 (3 - 2p).  Ties (even windows) count as
     errors for a true atom, matching the ties-to-false filter on the
-    majority boundary; the closed form here assumes an odd window.
+    majority boundary, so the errors start at half the window, rounded up.
     """
-    need = window // 2 + 1
+    need = (window + 1) // 2
     return sum(
         math.comb(window, k) * p**k * (1 - p) ** (window - k)
         for k in range(need, window + 1)

@@ -10,6 +10,7 @@ import random
 import pytest
 
 from chainreact.chains import UnsupportedFeatureError, build_chain, verify_chain
+from chainreact.harness import chain_payload
 from chainreact.logic import ConditionSet, holds
 from chainreact.planner import Plan, ground, plan, symbolic_execute
 from tests.test_planner import make_prop_task, random_task
@@ -22,7 +23,7 @@ def atom_names(cond):
 
 def extras(chain, key="extra_pre"):
     """Each step's extra conditions, as chain JSON lists them."""
-    return [set(step[key]) for step in chain.to_json_dict()["steps"]]
+    return [set(step[key]) for step in chain_payload(chain)["steps"]]
 
 
 def toy_chain(goal_atoms):
@@ -75,7 +76,7 @@ class TestRegressionSemantics:
         grounded = make_prop_task([], ["a"], [], [])
         empty_goal = ConditionSet(grounded.vocabulary)
         chain = build_chain(Plan((), grounded.init, empty_goal))
-        assert len(chain) == 0
+        assert len(chain.steps) == 0
         assert verify_chain(chain, grounded.init)
 
     def test_negative_goal_rejected(self):
@@ -90,7 +91,7 @@ class TestRegressionSemantics:
         for step in chain.steps:
             assert step.effective_pre.pos_mask & step.base.pre.pos_mask == step.base.pre.pos_mask
             assert step.effective_run.pos_mask & step.base.run.pos_mask == step.base.run.pos_mask
-        for step in chain.to_json_dict()["steps"]:
+        for step in chain_payload(chain)["steps"]:
             assert not set(step["extra_pre"]) & set(step["pre"])
             assert not set(step["extra_run"]) & set(step["run"])
 
@@ -99,7 +100,7 @@ class TestKitchenChain:
     def test_goal_augmentation_pattern(self):
         grounded = ground(kitchen_domain(), kitchen_problem("put_away_spam"))
         chain = build_chain(plan(grounded).plan)
-        names = step_names(chain.steps)
+        names = step_names(s.base for s in chain.steps)
         in_drawer = "obj_is_in_drawer(spam)"
 
         # drawer_is_closed is created by the last step and augments nothing.
@@ -109,7 +110,7 @@ class TestKitchenChain:
         # obj_is_in_drawer(spam) is created by lower_obj_into_drawer and
         # augments exactly the steps after it.
         lower_at = names.index("lower_obj_into_drawer(spam)")
-        assert [s.name for s in chain.steps[lower_at + 1 :]] == [
+        assert [s.base.name for s in chain.steps[lower_at + 1 :]] == [
             "release_obj", "approach_drawer_close", "push_drawer",
         ]
         for pre, run in zip(extras(chain)[lower_at + 1 :], extras(chain, "extra_run")[lower_at + 1 :]):
@@ -219,7 +220,7 @@ class TestChainProperties:
         from chainreact.logic import apply_effects
 
         state = grounded.init
-        names = step_names(chain.steps)
+        names = step_names(s.base for s in chain.steps)
         stop = names.index("release_handle") + 1
         for step in chain.steps[:stop]:
             state = apply_effects(state, step.base.eff)

@@ -14,6 +14,7 @@ from chainreact.harness import plan_payload, read_plan
 from chainreact.planner import ground, plan
 from tests.util import (
     CUPS_ONLY,
+    DATA_DIR,
     kitchen_domain,
     kitchen_path,
     kitchen_problem,
@@ -291,6 +292,21 @@ def test_execute_writes_trace_and_exit_codes(tmp_path, capsys):
     lines = trace.read_text().splitlines()
     assert json.loads(lines[0])["type"] == "header"
     assert json.loads(lines[-1])["type"] == "outcome"
+
+
+def test_execute_trace_is_bench_trial_0_trace(tmp_path, capsys):
+    # Both commands write traces through run_trial, and --seed S makes
+    # execute's one trial bench's trial 0, so the two files are the same.
+    shipped = sorted((DATA_DIR / "scenarios").glob("*.json"))
+    traces = tmp_path / "traces"
+    assert main([
+        "bench", "--scenarios", *map(str, shipped), "--seed", "7", "--trace-dir", str(traces),
+    ]) == 0
+    for path in shipped:
+        trace = tmp_path / f"{path.stem}.jsonl"
+        main(["execute", "--scenario", str(path), "--seed", "7", "--trace", str(trace)])
+        expected = traces / f"{path.stem}_trial0000.jsonl"
+        assert trace.read_bytes() == expected.read_bytes(), path.stem
 
 
 def test_execute_bad_scenario_exit_2(tmp_path, capsys):

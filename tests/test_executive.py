@@ -54,6 +54,28 @@ def resolved(grounded, *specs, max_ticks=1200):
     return disturbances
 
 
+def tick_records(chain):
+    """A list and an ``on_tick`` that appends to it one dict per tick.
+    tests/executive_pins.json hashes these dicts, so their shape is fixed
+    here, apart from the trace format."""
+    records = []
+
+    def on_tick(tick, truth, estimate, selected, reason, phase, fired):
+        names_of = truth.vocabulary.names_of
+        records.append({
+            "tick": tick,
+            "true_atoms": names_of(truth.mask),
+            "estimated_atoms": names_of(estimate.mask),
+            "selected_step": selected,
+            "selected_operator": None if selected is None else chain.steps[selected].base.name,
+            "reason": reason,
+            "primitive_phase": phase,
+            "disturbances_fired": fired,
+        })
+
+    return records, on_tick
+
+
 CHAIN_PROBLEMS = ("open_drawer", "pick_sugar", "put_away_spam", "put_away_both")
 
 
@@ -129,12 +151,12 @@ class TestSelectOperator:
             chain = with_negative_conditions(chain, pre_neg, run_neg)
         # Start from one step's conditions, so that hits are common, then
         # set and clear sparse random bits; that step is often the current.
-        i = data.draw(st.integers(0, len(chain) - 1))
+        i = data.draw(st.integers(0, len(chain.steps) - 1))
         step = chain.steps[i]
         base = data.draw(st.sampled_from([step.effective_pre, step.effective_run]))
         mask = (base.pos_mask | data.draw(sparse)) & ~data.draw(sparse)
         current = data.draw(
-            st.sampled_from([None, i]) | st.integers(0, len(chain) - 1)
+            st.sampled_from([None, i]) | st.integers(0, len(chain.steps) - 1)
         )
         estimate = LogicalState(chain.goal.vocabulary, mask)
         assert select_operator(chain, estimate, current) == reference_select(
@@ -343,8 +365,8 @@ class TestNoisyPerception:
     def test_trace_callback_sees_every_tick(self, g1):
         grounded, chain = g1
         sim, pipe = fresh_setup(grounded, seed=6)
-        records = []
-        outcome = run(sim, pipe, chain, max_ticks=400, on_tick=records.append)
+        records, on_tick = tick_records(chain)
+        outcome = run(sim, pipe, chain, max_ticks=400, on_tick=on_tick)
         assert len(records) == outcome.ticks
         assert records[0]["tick"] == 0
         assert records[-1]["primitive_phase"] == "goal_reached"
@@ -361,8 +383,8 @@ class TestMoreTriggers:
         # Find a tick while spam is held: run once undisturbed to locate it.
         probe_sim, probe_pipe = fresh_setup(grounded, seed=8)
         held_tick = None
-        records = []
-        run(probe_sim, probe_pipe, chain, max_ticks=400, on_tick=records.append)
+        records, on_tick = tick_records(chain)
+        run(probe_sim, probe_pipe, chain, max_ticks=400, on_tick=on_tick)
         for rec in records:
             if "obj_is_clear_above_counter(spam)" in rec["true_atoms"]:
                 held_tick = rec["tick"]
@@ -383,9 +405,9 @@ class TestMoreTriggers:
             grounded,
             {"trigger": {"at_tick": 2}, "kind": {"kind": "set_drawer", "extension": 1.0}},
         )
-        records = []
+        records, on_tick = tick_records(chain)
         outcome = run(sim, pipe, chain, max_ticks=400, disturbances=disturbances,
-                      on_tick=records.append)
+                      on_tick=on_tick)
         fired = [r["tick"] for r in records if r["disturbances_fired"]]
         assert fired == [2]
         assert outcome.succeeded
@@ -408,9 +430,9 @@ class TestMoreTriggers:
                 {"trigger": {"when_operator": trigger},
                  "kind": {"kind": "set_drawer", "extension": 1.0}},
             )
-            records = []
+            records, on_tick = tick_records(chain)
             run(*fresh_setup(grounded, seed=3), chain, max_ticks=600,
-                disturbances=(disturbance,), on_tick=records.append)
+                disturbances=(disturbance,), on_tick=on_tick)
             return disturbance, [r["tick"] for r in records if r["disturbances_fired"]]
 
         schema, fired = fired_ticks("cage_obj")
@@ -468,9 +490,9 @@ def _pinned_case(grounded, chain, group, seed):
     sim, pipe = fresh_setup(grounded, seed=seed, success_prob=float(prob[1:]),
                             noise=PIN_NOISE if noisy else None)
     disturbances = resolved(grounded, *PIN_DISTURBANCES[dist], max_ticks=int(budget[3:]))
-    records = []
+    records, on_tick = tick_records(chain)
     outcome = run(sim, pipe, chain, max_ticks=int(budget[3:]),
-                  disturbances=disturbances, on_tick=records.append,
+                  disturbances=disturbances, on_tick=on_tick,
                   open_loop=executive == "open_loop")
     line = (
         f"{outcome.status} {outcome.ticks} {outcome.recoveries} "

@@ -1,5 +1,6 @@
 """Harness: scenario validation, trial protocol, determinism, reporting."""
 
+import ast
 import dataclasses
 import functools
 import hashlib
@@ -911,3 +912,42 @@ class TestObjectsStartInDrawer:
         assert metrics.success_rate == 1.0
         for r in records:
             assert "grasp_obj(spam)" not in r.operator_history
+
+
+def test_harness_alone_holds_the_formats():
+    # The modules holding a "format_version" dict key or keyword, or a
+    # *FORMAT_VERSION constant.
+    holders = set()
+    for path in sorted(Path(harness.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            keys = node.keys if isinstance(node, ast.Dict) else []
+            targets = (
+                node.targets if isinstance(node, ast.Assign)
+                else [node.target] if isinstance(node, ast.AnnAssign) else []
+            )
+            if (
+                any(isinstance(k, ast.Constant) and k.value == "format_version" for k in keys)
+                or isinstance(node, ast.keyword) and node.arg == "format_version"
+                or any(getattr(t, "id", "").endswith("FORMAT_VERSION") for t in targets)
+            ):
+                holders.add(path.name)
+    assert holders == {"harness.py"}
+
+
+def test_documented_format_versions_are_the_harness_constants():
+    # The one "format_version" of each section's example in docs/formats.md.
+    doc = Path(__file__).resolve().parent.parent / "docs" / "formats.md"
+    sections = {
+        part.split("\n", 1)[0]: part
+        for part in re.split(r"^## ", doc.read_text(encoding="utf-8"), flags=re.M)
+    }
+    versions = {
+        "plan.json": harness.PLAN_FORMAT_VERSION,
+        "chain.json": harness.CHAIN_FORMAT_VERSION,
+        "Scenario files": harness.SCENARIO_FORMAT_VERSION,
+        "Trace files (JSONL)": harness.FORMAT_VERSION,
+        "results.json": harness.RESULTS_FORMAT_VERSION,
+    }
+    for heading, version in versions.items():
+        documented = re.findall(r'"format_version": (\d+)', sections[heading])
+        assert documented == [str(version)], heading

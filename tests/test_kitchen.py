@@ -49,7 +49,7 @@ def grounded():
 
 
 def names_of(state):
-    return set(state.sorted_names())
+    return set(state.vocabulary.names_of(state.mask))
 
 
 def reliable_sim(grounded, world, seed=0, success_prob=1.0):
@@ -61,7 +61,7 @@ def reliable_sim(grounded, world, seed=0, success_prob=1.0):
 
 def run_op(sim, op):
     prim = sim.start_primitive(op)
-    while prim.running:
+    while prim.phase == "running":
         sim.tick()
     return prim
 
@@ -250,10 +250,10 @@ class TestPrimitives:
         sim = reliable_sim(grounded, world)
         prim = sim.start_primitive(grounded.operator_named("pull_drawer"))
         mid_seen = False
-        while prim.running:
+        while prim.phase == "running":
             sim.tick()
             names = names_of(sim.eval_predicates())
-            if prim.running and "drawer_is_open" not in names and "drawer_is_closed" not in names:
+            if prim.phase == "running" and "drawer_is_open" not in names and "drawer_is_closed" not in names:
                 mid_seen = True
         assert mid_seen
         assert sim.world.drawer_extension == 1.0
@@ -522,7 +522,7 @@ class TestTruthCache:
                 check("abort_primitive")
                 prim = sim.start_primitive(op)
                 check("start_primitive")
-                while prim.running:
+                while prim.phase == "running":
                     sim.tick()
                     check("tick")
                 sim.abort_primitive()
@@ -740,7 +740,7 @@ class TestContract:
                 if not enabled:
                     continue
                 prim = sim.start_primitive(enabled[step % len(enabled)])
-                while prim.running:
+                while prim.phase == "running":
                     assert_in_contract(sim.eval_predicates())
                     sim.tick()
             elif step == "teleport_object":

@@ -185,6 +185,21 @@ class TestPipeline:
         rate = wrong / (ticks * 42)
         assert abs(rate - 0.028) < 0.005
 
+    @pytest.mark.parametrize("window, rate", [(2, 0.19), (4, 0.0523)])
+    def test_even_window_error_rate_of_a_true_atom(self, window, rate):
+        # A tie filters to false, so a true atom reads wrong once half of
+        # its window is flipped: at window 2 that is 1 - 0.9^2, one flip.
+        assert majority_error_rate(0.1, window) == pytest.approx(rate)
+        vocab = make_vocab(42)
+        pipe = PerceptionPipeline(
+            vocab, NoiseModel(default_flip=0.1), window, rng=np.random.default_rng(window)
+        )
+        truth = LogicalState(vocab, (1 << 42) - 1)
+        pipe.warm_up(truth)
+        ticks = 5_000
+        wrong = sum(bin(pipe.estimate(truth).mask ^ truth.mask).count("1") for _ in range(ticks))
+        assert abs(wrong / (ticks * 42) - rate) < 0.01
+
     def test_filtered_beats_raw_for_standard_probabilities(self):
         vocab = make_vocab(42)
         truth = LogicalState(vocab, (1 << 42) - (1 << 7))

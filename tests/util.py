@@ -118,7 +118,7 @@ def bits(vocab, *names: str) -> int:
 
 
 def step_names(steps) -> list[str]:
-    """The printed names of plan or chain steps, in order."""
+    """The printed names of ground operators, in order."""
     return [step.name for step in steps]
 
 
