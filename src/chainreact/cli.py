@@ -25,7 +25,7 @@ from pathlib import Path
 
 from .chains import UnsupportedFeatureError, build_chain
 from .harness import (
-    ScenarioError,
+    InputError,
     chain_payload,
     load_grounded,
     load_scenario,
@@ -46,14 +46,14 @@ EXIT_FAILED = 1
 EXIT_INPUT = 2
 
 
-def _input_error(problems: list[str]) -> int:
+def _input_error(problems: list[str], path=None) -> int:
     for problem in problems:
-        print(problem, file=sys.stderr)
+        print(f"{path}: {problem}" if path else problem, file=sys.stderr)
     return EXIT_INPUT
 
 
 def _write_error(path, err: OSError) -> int:
-    return _input_error([f"{path}: cannot write: {err.strerror or err}"])
+    return _input_error([f"cannot write: {err.strerror or err}"], path)
 
 
 def _write_out(text: str, out) -> int:
@@ -93,8 +93,8 @@ def cmd_chain(args) -> int:
         return _input_error(problems)
     try:
         steps = read_plan(grounded, read_json(args.plan))
-    except ValueError as err:
-        return _input_error([f"{args.plan}: {err}"])
+    except InputError as err:
+        return _input_error(err.problems, args.plan)
     try:
         chain = build_chain(Plan(steps, grounded.init, grounded.goal))
     except UnsupportedFeatureError as err:
@@ -112,8 +112,8 @@ def cmd_execute(args) -> int:
         overrides["base_seed"] = args.seed
     try:
         scenario = load_scenario(args.scenario, overrides or None)
-    except ScenarioError as err:
-        return _input_error([f"{args.scenario}: {problem}" for problem in err.problems])
+    except InputError as err:
+        return _input_error(err.problems, args.scenario)
     try:
         sink = open(args.trace, "w", encoding="utf-8") if args.trace else nullcontext()
     except OSError as err:
@@ -139,8 +139,8 @@ def cmd_bench(args) -> int:
     for path in args.scenarios:
         try:
             scenarios.append(load_scenario(path, overrides or None))
-        except ScenarioError as err:
-            _input_error([f"{path}: {problem}" for problem in err.problems])
+        except InputError as err:
+            _input_error(err.problems, path)
     if len(scenarios) < len(args.scenarios):
         return EXIT_INPUT
     # Scenarios run side by side and name their trace files: one name each.
@@ -175,7 +175,7 @@ def cmd_bench(args) -> int:
             longest = scenario.trace_name(scenario.trials - 1)
             if len(longest.encode()) > name_max:
                 too_long = f"trace file name {longest!r} is longer than {name_max} bytes"
-                return _input_error([f"{path}: {too_long}"])
+                return _input_error([too_long], path)
     # One pool for the whole run, no larger than the largest trial count.
     # Workers start with the platform's default method (fork on Linux).
     # Every scenario's ranges are queued before the first is collected, so
@@ -197,8 +197,8 @@ def cmd_bench(args) -> int:
 def cmd_report(args) -> int:
     try:
         metrics_list = read_results(read_json(args.results))
-    except ValueError as err:
-        return _input_error([f"{args.results}: {err}"])
+    except InputError as err:
+        return _input_error(err.problems, args.results)
     if not metrics_list:
         print("results file holds no metrics", file=sys.stderr)
         return EXIT_INPUT

@@ -1,14 +1,16 @@
 """Every JSON file format, seeded batch trials and metrics.
 
 Every JSON file the program reads is checked here against a schema, by one
-checker that names the field path of each fault and rejects unknown fields.
+checker that names the field path of each fault and rejects unknown fields;
+a file with faults raises one :class:`InputError` that lists them all.
 
 A scenario is a JSON file naming a domain and problem (paths relative to
-the scenario file), the executive to run, the perception mode, primitive
-overrides, initial-condition randomisation, scripted disturbances and the
-trial protocol.  Trial ``i`` runs with seed ``base_seed + i``, split into
-three named streams (sim, perception, primitives), so identical scenario
-plus seed means byte-identical metrics and traces.
+the scenario file), the executive to run, the perception mode, overrides of
+the kitchen's ``DEFAULT_PRIMITIVES``, initial-condition randomisation,
+scripted disturbances and the trial protocol.  Trial ``i`` runs with seed
+``base_seed + i``, split into three named streams (sim, perception,
+primitives), so identical scenario plus seed means byte-identical metrics
+and traces.
 
 Each trial plans from the perception pipeline's estimate of the sampled
 initial world (after ``PerceptionPipeline.warm_up``), builds the robust
@@ -56,7 +58,6 @@ from .kitchen import (
     KitchenSim,
     PrimitiveSpec,
     contract_problems,
-    merge_primitive_config,
     sample_initial,
 )
 from .lang import load_domain_file, load_problem_file
@@ -126,8 +127,8 @@ class Metrics(_JSONFields):
     false_success_rate: float
 
 
-class ScenarioError(ValueError):
-    """Scenario file failed validation; ``problems`` lists field paths."""
+class InputError(ValueError):
+    """A bad input file; ``problems`` holds one line per fault, without the path."""
 
     def __init__(self, problems: list[str]):
         self.problems = problems
@@ -140,29 +141,25 @@ def load_scenario(path: str | Path, overrides: Optional[dict] = None) -> Scenari
     ``overrides`` is merged over the raw JSON before validation (used by
     the CLI flags and the acceptance suite for trial-count or primitive
     overrides)."""
-    # The messages leave out the path: the caller prints it before each.
     path = Path(path)
-    try:
-        raw = read_json(path)
-    except ValueError as err:
-        raise ScenarioError([str(err)]) from err
+    raw = read_json(path)
     if not isinstance(raw, dict):
-        raise ScenarioError(["a scenario must be a JSON object"])
+        raise InputError(["a scenario must be a JSON object"])
     if overrides:
         raw = _deep_merge(raw, overrides)
     return build_scenario(raw, base_dir=path.parent, name=path.stem)
 
 
 def read_json(path: str | Path):
-    """The JSON value in the file at ``path``.  Raises ``ValueError`` whose
-    message, without the path, is ``cannot read: REASON``, ``not UTF-8
-    text: REASON at byte N`` or ``not JSON: MESSAGE``."""
+    """The JSON value in the file at ``path``.  Raises :class:`InputError`
+    whose one problem is ``cannot read: REASON``, ``not UTF-8 text: REASON
+    at byte N`` or ``not JSON: MESSAGE``."""
     try:
         return json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, UnicodeDecodeError) as err:
-        raise ValueError(_read_error(err)) from err
+        raise InputError([_read_error(err)]) from err
     except ValueError as err:
-        raise ValueError(f"not JSON: {err}") from err
+        raise InputError([f"not JSON: {err}"]) from err
 
 
 def _read_error(err: OSError | UnicodeDecodeError) -> str:
@@ -382,17 +379,25 @@ def build_scenario(raw: dict, base_dir: Path, name: str = "scenario") -> Scenari
     # the checks that need several fields or the grounded domain.
     problems: list[str] = []
     _check(raw, _SCENARIO, "", problems)
-    bindings = {} if problems else raw.get("primitives", {}).get("bindings", {})
-    problems.extend(
-        f"field 'primitives.bindings.{key}' has no default, so it must give "
-        + " and ".join(k for k in ("min_ticks", "max_ticks") if k not in spec)
-        for key, spec in bindings.items()
-        if key not in DEFAULT_PRIMITIVES and not {"min_ticks", "max_ticks"} <= spec.keys()
-    )
+    # The primitive table: each binding's fields over its default, if any, and
+    # the global success_prob under both.
+    overrides = {} if problems else raw.get("primitives", {})
+    p = overrides.get("success_prob")
+    shared = {} if p is None else {"success_prob": float(p)}
+    primitives = {k: replace(v, **shared) for k, v in DEFAULT_PRIMITIVES.items()}
+    for key, spec in overrides.get("bindings", {}).items():
+        if key in primitives:
+            primitives[key] = replace(primitives[key], **spec)
+        elif {"min_ticks", "max_ticks"} <= spec.keys():
+            primitives[key] = PrimitiveSpec(**{**shared, **spec})
+        else:
+            problems.append(
+                f"field 'primitives.bindings.{key}' has no default, so it must give "
+                + " and ".join(k for k in ("min_ticks", "max_ticks") if k not in spec)
+            )
     if problems:
-        raise ScenarioError(problems)
+        raise InputError(problems)
 
-    primitives = merge_primitive_config(raw.get("primitives", {}))
     problems.extend(
         f"field 'primitives.bindings.{key}' has min_ticks {spec.min_ticks} "
         f"above max_ticks {spec.max_ticks}"
@@ -410,6 +415,8 @@ def build_scenario(raw: dict, base_dir: Path, name: str = "scenario") -> Scenari
             f"{problem_path}: negative goal literal (not {atom}) is not supported"
             for atom in sorted(str(lit.atom) for lit in grounded.problem.goal if not lit.positive)
         )
+        if not grounded.problem.goal:
+            problems.append(f"{problem_path}: the goal is empty, so trials succeed without a step")
 
     perception = raw.get("perception", {})
     flips = perception.get("per_predicate_flip", {})
@@ -468,7 +475,7 @@ def build_scenario(raw: dict, base_dir: Path, name: str = "scenario") -> Scenari
         raw.get("disturbances", []), grounded, raw["max_ticks"], problems
     )
     if problems:
-        raise ScenarioError(problems)
+        raise InputError(problems)
 
     initial = raw.get("initial", {})
     return Scenario(
@@ -791,20 +798,20 @@ def results_payload(runs: Sequence[tuple[Metrics, list[TrialRecord]]]) -> dict:
 
 def read_results(payload) -> list[Metrics]:
     """The metrics of a results file as ``chainreact bench --out`` writes
-    it; raises ``ValueError`` naming the field path of each problem."""
+    it; raises :class:`InputError` naming the field path of each problem."""
     _checked(payload, _RESULTS, "a results file")
     return [Metrics(**entry["metrics"]) for entry in payload["results"]]
 
 
 def _checked(payload, schema: _Object, what: str) -> None:
-    """Raise ``ValueError`` unless ``payload`` is an object matching
+    """Raise :class:`InputError` unless ``payload`` is an object matching
     ``schema``, naming the field path of each part that does not."""
     if not isinstance(payload, dict):
-        raise ValueError(f"{what} must be a JSON object")
+        raise InputError([f"{what} must be a JSON object"])
     problems: list[str] = []
     _check(payload, schema, "", problems)
     if problems:
-        raise ValueError("; ".join(problems))
+        raise InputError(problems)
 
 
 _STEP = _Object({"operator": _STR, "args": [_STR]}, ("operator", "args"))
@@ -823,8 +830,8 @@ def plan_payload(plan: Plan) -> dict:
 
 def read_plan(grounded: GroundedDomain, payload) -> tuple[GroundOperator, ...]:
     """The ground operators, in order, of a plan file as ``chainreact plan``
-    writes it; raises ``ValueError`` naming the field path of each problem,
-    a step that names no ground operator of ``grounded`` included."""
+    writes it; raises :class:`InputError` naming the field path of each
+    problem, a step that names no ground operator of ``grounded`` included."""
     _checked(payload, _PLAN, "a plan file")
     steps, problems = [], []
     for i, step in enumerate(payload["steps"]):
@@ -833,7 +840,7 @@ def read_plan(grounded: GroundedDomain, payload) -> tuple[GroundOperator, ...]:
         except KeyError as err:
             problems.append(f"field 'steps[{i}]': {err.args[0]}")
     if problems:
-        raise ValueError("; ".join(problems))
+        raise InputError(problems)
     return tuple(steps)
 
 

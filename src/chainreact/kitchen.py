@@ -3,12 +3,13 @@
 The hidden world state tracks the arm's discrete region, gripper aperture,
 attachment, drawer extension and object poses.  ``evaluate_world`` is the
 ground-truth logical state operator mapping a world state onto the grounded
-predicate vocabulary.  Primitives run for a sampled number of ticks and then
-apply their operator's row of ``OUTCOMES``: the intended physical outcome,
-or a failure into a consistent non-goal configuration (a failed grasp
-closes on air and re-opens, a failed pull slips off the handle partway, a
-failed lift drops the object back onto the counter).  Both tables are
-documented in ``docs/kitchen-domain.md``.
+predicate vocabulary.  Primitives run for a number of ticks drawn from their
+``PrimitiveSpec``, which the scenario loader builds over
+``DEFAULT_PRIMITIVES``, and then apply their operator's row of ``OUTCOMES``:
+the intended physical outcome, or a failure into a consistent non-goal
+configuration (a failed grasp closes on air and re-opens, a failed pull
+slips off the handle partway, a failed lift drops the object back onto the
+counter).  Both tables are documented in ``docs/kitchen-domain.md``.
 
 Drawer motion is continuous across ticks, so mid-pull the drawer sits in a
 transit band where neither drawer_is_open nor drawer_is_closed holds.
@@ -16,7 +17,7 @@ transit band where neither drawer_is_open nor drawer_is_closed holds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -458,23 +459,6 @@ class PrimitiveState:
     # snapshots taken at start
     target_zone: Optional[int] = None
     drawer_step: float = 0.0
-
-
-def merge_primitive_config(overrides: Optional[dict] = None) -> dict[str, PrimitiveSpec]:
-    """Apply scenario overrides: a global success_prob, the base of every
-    binding, and/or per-binding {min_ticks, max_ticks, success_prob}
-    entries, whose own success_prob wins.  A binding with no default must
-    give both tick bounds."""
-    overrides = overrides or {}
-    p = overrides.get("success_prob")
-    shared = {} if p is None else {"success_prob": float(p)}
-    table = {k: replace(v, **shared) for k, v in DEFAULT_PRIMITIVES.items()}
-    for name, spec in overrides.get("bindings", {}).items():
-        table[name] = (
-            replace(table[name], **spec) if name in table
-            else PrimitiveSpec(**{**shared, **spec})
-        )
-    return table
 
 
 class KitchenSim:

@@ -290,7 +290,8 @@ def _parse(source: str, kind: str, begin) -> ParseResult:
 
     ``begin(name, diags)`` returns the value under construction and a map
     from section keyword to a handler, called as ``handler(section, body)``
-    for each section in source order.
+    for each section in source order.  A second ``:domain`` or ``:goal``
+    section is a ``duplicate-name`` error; other repeated sections merge.
     """
     diags: list[Diagnostic] = []
     try:
@@ -318,14 +319,19 @@ def _parse_define(source: str, kind: str, begin, diags: list[Diagnostic]) -> obj
         _err(diags, top[0], f"missing ({kind} NAME) header", "missing-name")
         return None
     value, handlers = begin(header[1].text, diags)
+    seen: set[str] = set()
     for section in form[2:]:
         if not section.is_list or not section.items or section.items[0].is_list:
             _err(diags, section, "expected a (:section ...) form", "malformed")
             continue
-        handler = handlers.get(_kw(section.items[0]))
+        key = _kw(section.items[0])
+        handler = handlers.get(key)
         if handler is None:
             _err(diags, section.items[0], f"unknown section keyword {section.items[0].text!r}", "unknown-section")
+        elif key in seen and key in (":domain", ":goal"):
+            _err(diags, section.items[0], f"section {key} repeated in {kind} {header[1].text!r}", "duplicate-name")
         else:
+            seen.add(key)
             handler(section, section.items[1:])
     return value
 

@@ -110,10 +110,38 @@ def test_chain_rejects_bad_plan_file(tmp_path, capsys, data, fault):
     assert err.startswith(f"{tmp_path / 'plan.json'}: ") and fault in err
 
 
+@pytest.mark.parametrize("command", ["chain", "report"])
+def test_input_file_prints_one_line_per_fault(tmp_path, capsys, command):
+    # A plan or results file with several faults names each on its own
+    # line, as a scenario file does.
+    if command == "chain":
+        path = tmp_path / "plan.json"
+        assert chain_from_plan_file(tmp_path, {"format_version": 2, "steps": 3}) == 2
+        listed = "steps"
+    else:
+        path = tmp_path / "results.json"
+        path.write_text(json.dumps({"format_version": 2, "results": 3}))
+        assert main(["report", "--results", str(path)]) == 2
+        listed = "results"
+    assert capsys.readouterr().err.splitlines() == [
+        f"{path}: field 'format_version' must be 1",
+        f"{path}: field '{listed}' must be a list",
+    ]
+
+
 def test_chain_unsound_plan_exit_1(tmp_path, capsys):
     # Well formed, but one step does not reach the goal.
     assert chain_from_plan_file(tmp_path, {"format_version": 1, "steps": [BACK_OFF]}) == 1
     assert "not sound" in capsys.readouterr().err
+
+
+def test_chain_plan_failing_a_precondition_exit_1(tmp_path, capsys):
+    # The drawer starts closed, so pushing it shut cannot be the first step.
+    push = {"operator": "push_drawer", "args": []}
+    assert chain_from_plan_file(tmp_path, {"format_version": 1, "steps": [push]}) == 1
+    assert capsys.readouterr().err == (
+        "plan is not sound for this problem: plan violates preconditions at step 0\n"
+    )
 
 
 def test_chain_negative_goal_exit_2(tmp_path, capsys):
@@ -621,15 +649,19 @@ def test_bench_failed_range_cancels_queued_ranges(tmp_path):
                  "(obj_is_clear_above_counter spam) (not (obj_is_clear_above_counter spam))")],
          "both requires and negates ['(obj_is_clear_above_counter spam)']"),
         (*CUPS_ONLY, "domain: movable 'sugar' is outside the parameter type of"),
+        (None, [("(:goal (and (arm_is_attached_to_obj spam) (obj_is_clear_above_counter spam)))",
+                 "(:goal (and))")],
+         "pick_spam.dprob: the goal is empty, so trials succeed without a step"),
     ],
     ids=["no_arm_is_moving", "back_off_renamed", "six_movables", "negative_goal",
-         "contradictory_goal", "movable_outside_predicate_type"],
+         "contradictory_goal", "movable_outside_predicate_type", "empty_goal"],
 )
 def test_bench_domain_outside_simulator_contract_exit_2(
     tmp_path, capsys, domain_edit, problem_edit, named
 ):
     # Each used to load and then raise inside the first trial, but for the
-    # contradictory goal, which raised in ground while loading.  Every line
+    # contradictory goal, which raised in ground while loading, and the
+    # empty goal, whose every trial succeeded without a step.  Every line
     # names the file at fault; the simulator's contract lines used to say
     # only "domain:" or "problem:".
     domain, problem = kitchen_source(), problem_source("pick_spam")
@@ -754,3 +786,11 @@ def test_report_rejects_malformed_results(tmp_path, capsys, payload):
     results.write_text(json.dumps(payload))
     assert main(["report", "--results", str(results)]) == 2
     assert "results.json" in capsys.readouterr().err
+
+
+def test_report_on_results_without_metrics_exit_2(tmp_path, capsys):
+    results = tmp_path / "results.json"
+    results.write_text(json.dumps({"format_version": 1, "results": []}))
+    assert main(["report", "--results", str(results)]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "results file holds no metrics\n")

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from chainreact.chains import build_chain
 from chainreact.executive import run, select_operator
 from chainreact.harness import resolve_disturbances
-from chainreact.kitchen import KitchenSim, merge_primitive_config
+from chainreact.kitchen import KitchenSim
 from chainreact.logic import (
     ConditionSet,
     LogicalState,
@@ -24,7 +24,13 @@ from chainreact.logic import (
 )
 from chainreact.perception import NoiseModel, PerceptionPipeline
 from chainreact.planner import ground, plan
-from tests.util import bits, kitchen_domain, kitchen_problem, reference_world
+from tests.util import (
+    bits,
+    kitchen_domain,
+    kitchen_problem,
+    primitives,
+    reference_world,
+)
 
 
 @pytest.fixture(scope="module")
@@ -35,7 +41,7 @@ def g1():
 
 
 def fresh_setup(grounded, seed=0, success_prob=1.0, world=None, noise=None, window=3):
-    prims = merge_primitive_config({"success_prob": success_prob})
+    prims = primitives(success_prob)
     rng = np.random.default_rng(seed)
     sim = KitchenSim(grounded, world or reference_world(), prims, rng, rng)
     pipe = PerceptionPipeline(

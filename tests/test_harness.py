@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from chainreact import harness
 from chainreact.harness import (
-    ScenarioError,
+    InputError,
     build_scenario,
     compute_metrics,
     load_scenario,
@@ -26,6 +26,7 @@ from chainreact.harness import (
     run_trial,
     run_trials,
 )
+from chainreact.kitchen import PrimitiveSpec
 from chainreact.planner import PlanResult
 from tests.util import (
     CUPS_ONLY,
@@ -73,7 +74,7 @@ class TestLoadScenario:
         del raw["max_ticks"]
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(raw))
-        with pytest.raises(ScenarioError) as err:
+        with pytest.raises(InputError) as err:
             load_scenario(bad)
         assert err.value.problems == ["missing required field 'max_ticks'"]
 
@@ -86,7 +87,7 @@ class TestLoadScenario:
         ]
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(raw))
-        with pytest.raises(ScenarioError) as err:
+        with pytest.raises(InputError) as err:
             load_scenario(bad)
         assert any("disturbances[0]" in p for p in err.value.problems)
 
@@ -100,14 +101,14 @@ class TestLoadScenario:
         ]
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(raw))
-        with pytest.raises(ScenarioError) as err:
+        with pytest.raises(InputError) as err:
             load_scenario(bad)
         assert any("unknown atom" in p for p in err.value.problems)
 
     def test_operator_trigger_with_unknown_argument(self):
         # Arguments name one ground operator, so a misspelt object is
         # rejected at load instead of a trigger that never fires.
-        with pytest.raises(ScenarioError) as err:
+        with pytest.raises(InputError) as err:
             load("put_away_spam_oracle", disturbances=[
                 {"trigger": {"when_operator": "lift_obj(sugr)"},
                  "kind": {"kind": "set_drawer", "extension": 1.0}}
@@ -116,6 +117,22 @@ class TestLoadScenario:
             "disturbances[0].trigger.when_operator" in p and "lift_obj(sugr)" in p
             for p in err.value.problems
         )
+
+    @pytest.mark.parametrize(
+        "kind, problem",
+        [
+            ({"kind": "teleport_object", "object": "handle"},
+             "field 'disturbances[0].kind': unknown object 'handle'"),
+            *[({"kind": "teleport_object", "object": "spam", "destination": dest},
+               "field 'disturbances[0].kind.destination' must be \"counter_random\" "
+               'or {"zone": n}') for dest in ("zone_3", 3, [3])],
+        ],
+        ids=["non_movable", "destination_string", "destination_int", "destination_list"],
+    )
+    def test_teleport_needs_a_movable_and_a_destination(self, kind, problem):
+        with pytest.raises(InputError) as err:
+            load("pick_spam_oracle", disturbances=[{"trigger": {"at_tick": 3}, "kind": kind}])
+        assert err.value.problems == [problem]
 
     @pytest.mark.parametrize(
         "key, name, resolved",
@@ -162,7 +179,7 @@ class TestLoadScenario:
         # Ticks run from 0 to max_ticks - 1.  A later at_tick used to load
         # and never fire; the last tick still fires.
         detach = {"kind": "detach_gripper"}
-        with pytest.raises(ScenarioError) as err:
+        with pytest.raises(InputError) as err:
             load("pick_spam_oracle", disturbances=[
                 {"trigger": {"at_tick": 3}, "kind": detach},
                 {"trigger": {"at_tick": 5000}, "kind": detach},
@@ -183,7 +200,7 @@ class TestLoadScenario:
         # They used to stop the load before the domain was read.  An entry
         # that fails them is not resolved, so its name is not reported.
         missing = tmp_path / "missing.dpdl"
-        with pytest.raises(ScenarioError) as err:
+        with pytest.raises(InputError) as err:
             load("put_away_spam_oracle", domain=str(missing), disturbances=[
                 {"trigger": {"at_tick": 1, "when_operator": "nope"},
                  "kind": {"kind": "detach_gripper"}},
@@ -311,7 +328,7 @@ class TestLoadScenario:
         # a trial, or load with a meaning it cannot have (a probability of
         # 7, an unknown key dropped, a goal streak of 0 that succeeds on
         # tick 1); now loading names the field.
-        with pytest.raises(ScenarioError) as err:
+        with pytest.raises(InputError) as err:
             load_scenario(scenario_path("put_away_spam_oracle"), override)
         assert any(f"'{path}'" in p for p in err.value.problems), err.value.problems
 
@@ -332,12 +349,30 @@ class TestLoadScenario:
                 ":binding back_off", ":binding warp"
             )
         )
-        with pytest.raises(ScenarioError) as err:
+        with pytest.raises(InputError) as err:
             load("put_away_spam_oracle", domain=str(domain))
         assert any("'primitives.bindings.warp'" in p for p in err.value.problems)
         sc = load("put_away_spam_oracle", domain=str(domain), trials=1,
                   primitives={"bindings": {"warp": {"min_ticks": 1, "max_ticks": 2}}})
         assert run_trial(sc, 0).succeeded
+
+    def test_global_success_prob_is_the_base_of_every_binding(self, tmp_path):
+        # A binding with no default used to keep PrimitiveSpec's 0.95 under
+        # a global success_prob; a binding's own success_prob still wins.
+        domain = tmp_path / "wipe.dpdl"
+        domain.write_text(kitchen_source().replace(":binding back_off", ":binding wipe")
+                          .replace(":binding push_drawer", ":binding mop"))
+        table = load("put_away_spam_oracle", domain=str(domain), primitives={
+            "success_prob": 1.0, "bindings": {
+                "wipe": {"min_ticks": 1, "max_ticks": 2},
+                "mop": {"min_ticks": 1, "max_ticks": 2, "success_prob": 0.25},
+                "grasp": {"success_prob": 0.5},
+            },
+        }).primitives
+        assert table["wipe"] == PrimitiveSpec(1, 2, 1.0)
+        assert table["mop"] == PrimitiveSpec(1, 2, 0.25)
+        assert table["grasp"] == PrimitiveSpec(2, 3, 0.5)
+        assert table["lift"] == PrimitiveSpec(2, 4, 1.0)
 
     @pytest.mark.parametrize(
         "domain_edit, problem_edit, expected",
@@ -384,11 +419,25 @@ class TestLoadScenario:
             problem, count = _subn(old, new, problem)
             assert count
         path = scenario_copy(tmp_path, "pick_spam_oracle", domain, problem)
-        with pytest.raises(ScenarioError) as err:
+        with pytest.raises(InputError) as err:
             load_scenario(path)
         at_fault = tmp_path / ("kitchen.dpdl" if domain_edit else "pick_spam.dprob")
         lines = [p for p in err.value.problems if expected in p]
         assert lines and all(p.startswith(f"{at_fault}: ") for p in lines), err.value.problems
+
+    @pytest.mark.parametrize(
+        "goal", ["", "  (:goal (and))\n"], ids=["no_goal_section", "empty_and"]
+    )
+    def test_empty_goal_is_rejected(self, tmp_path, goal):
+        # Such a scenario used to load, and every trial succeeded after the
+        # goal streak without a single step.
+        problem, count = re.subn(r"  \(:goal .*\n", goal, problem_source("pick_spam"))
+        assert count == 1
+        with pytest.raises(InputError) as err:
+            load_scenario(scenario_copy(tmp_path, "pick_spam_oracle", problem=problem))
+        assert err.value.problems == [
+            f"{tmp_path / 'pick_spam.dprob'}: the goal is empty, so trials succeed without a step"
+        ]
 
     def test_five_movables_run(self, tmp_path):
         problem = problem_source("pick_spam").replace(
@@ -433,7 +482,7 @@ class TestLoadScenario:
             del parent[key]
         try:
             sc = build_scenario(raw, base_dir=path.parent, name=name)
-        except ScenarioError:
+        except InputError:
             return
         sc = dataclasses.replace(sc, trials=1, max_ticks=min(sc.max_ticks, 60))
         record = run_trial(sc, 0)
@@ -497,7 +546,7 @@ class TestLoadScenario:
             path = scenario_copy(Path(tmp), name, domain, problem)
             try:
                 sc = load_scenario(path)
-            except ScenarioError:
+            except InputError:
                 return
         sc = dataclasses.replace(sc, trials=1, max_ticks=min(sc.max_ticks, 60))
         record = run_trial(sc, 0)

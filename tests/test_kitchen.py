@@ -29,7 +29,6 @@ from chainreact.kitchen import (
     WorldState,
     contract_problems,
     evaluate_world,
-    merge_primitive_config,
     sample_initial,
 )
 from chainreact.lang import parse_problem
@@ -38,6 +37,7 @@ from chainreact.planner import ground, plan
 from tests.util import (
     kitchen_domain,
     kitchen_problem,
+    primitives,
     problem_source,
     reference_world,
 )
@@ -54,7 +54,7 @@ def names_of(state):
 
 def reliable_sim(grounded, world, seed=0, success_prob=1.0):
     """A simulator whose primitives all succeed, or at success_prob 0 all fail."""
-    prims = merge_primitive_config({"success_prob": success_prob})
+    prims = primitives(success_prob)
     rng = np.random.default_rng(seed)
     return KitchenSim(grounded, world, prims, rng, rng)
 
@@ -189,19 +189,6 @@ class TestPrimitives:
         assert sim.rng.bit_generator.state == state
         assert sim.current is None and not sim.world.arm_moving
 
-    def test_global_success_prob_is_the_base_of_every_binding(self):
-        # A binding with no default used to keep PrimitiveSpec's 0.95 under
-        # a global success_prob; a binding's own success_prob still wins.
-        table = merge_primitive_config({"success_prob": 1.0, "bindings": {
-            "wipe": {"min_ticks": 1, "max_ticks": 2},
-            "mop": {"min_ticks": 1, "max_ticks": 2, "success_prob": 0.25},
-            "grasp": {"success_prob": 0.5},
-        }})
-        assert table["wipe"] == PrimitiveSpec(1, 2, 1.0)
-        assert table["mop"] == PrimitiveSpec(1, 2, 0.25)
-        assert table["grasp"] == PrimitiveSpec(2, 3, 0.5)
-        assert table["lift"] == PrimitiveSpec(2, 4, 1.0)
-
     def test_unknown_binding(self, grounded):
         rng = np.random.default_rng(0)
         prims = {"cage": PrimitiveSpec(1, 1)}
@@ -234,7 +221,7 @@ class TestPrimitives:
     def test_failed_grasp_leaves_nothing_attached(self, grounded):
         world = reference_world()
         world.arm_region = ("around", "spam")
-        prims = merge_primitive_config({"success_prob": 0.0})
+        prims = primitives(0.0)
         rng = np.random.default_rng(1)
         sim = KitchenSim(grounded, world, prims, rng, rng)
         run_op(sim, grounded.operator_named("grasp_obj", ("spam",)))
@@ -263,7 +250,7 @@ class TestPrimitives:
         world.arm_region = ("around", "handle")
         world.attached = "handle"
         world.gripper_aperture = 0.2
-        prims = merge_primitive_config({"success_prob": 0.0})
+        prims = primitives(0.0)
         rng = np.random.default_rng(3)
         sim = KitchenSim(grounded, world, prims, rng, rng)
         run_op(sim, grounded.operator_named("pull_drawer"))
@@ -605,9 +592,27 @@ class TestOutcomesKeepWorldValid:
     """No outcome opens the gripper on an attached entity or takes a second
     one, whatever the world the primitive was dispatched in."""
 
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"attached": "spam", "gripper_aperture": 1.0},
+             "attached entity with an open gripper"),
+            ({"object_pose": {"spam": ("counter", 2), "sugar": ("counter", 2)}},
+             "two objects share a counter zone"),
+            ({"object_pose": {"spam": ("held",), "sugar": ("counter", 1)}},
+             "spam is held but not attached"),
+        ],
+        ids=["open_gripper_attached", "shared_zone", "held_not_attached"],
+    )
+    def test_validate_names_each_broken_invariant(self, change, message):
+        world = dataclasses.replace(reference_world(), **change)
+        with pytest.raises(ValueError) as err:
+            world.validate()
+        assert str(err.value) == message
+
     def test_failed_pull_with_an_object_in_hand(self, grounded):
         world = loaded_world(("around", "handle"), "spam", ("held",))
-        prims = merge_primitive_config({"success_prob": 0.0})
+        prims = primitives(0.0)
         rng = np.random.default_rng(3)
         sim = KitchenSim(grounded, world, prims, rng, rng)
         run_op(sim, grounded.operator_named("pull_drawer"))
@@ -619,7 +624,7 @@ class TestOutcomesKeepWorldValid:
         # back_off's row gives no failure outcome: the world stays as it was
         # dispatched, and the executive retries.
         world = reference_world()
-        prims = merge_primitive_config({"success_prob": 0.0})
+        prims = primitives(0.0)
         rng = np.random.default_rng(0)
         sim = KitchenSim(grounded, copy.deepcopy(world), prims, rng, rng)
         assert run_op(sim, grounded.operator_named("back_off")).phase == "failed"
@@ -636,7 +641,7 @@ class TestOutcomesKeepWorldValid:
     @pytest.mark.parametrize("succeed", [True, False], ids=["success", "failure"])
     @pytest.mark.parametrize("start", _LOADED_WORLDS)
     def test_every_outcome_from_a_loaded_gripper(self, grounded, start, succeed):
-        prims = merge_primitive_config({"success_prob": float(succeed)})
+        prims = primitives(succeed)
         for op in grounded.operators:
             rng = np.random.default_rng(0)
             world = loaded_world(**_LOADED_WORLDS[start])
@@ -730,7 +735,7 @@ class TestContract:
         config = InitialConfig(objects, drawer, arm, gripper_open_prob=0.5)
         world = sample_initial(config, grounded.movables, rng)
         sim = KitchenSim(
-            grounded, world, merge_primitive_config({"success_prob": 0.7}), rng, rng
+            grounded, world, primitives(0.7), rng, rng
         )
         assert_in_contract(sim.eval_predicates())
         for step in steps:

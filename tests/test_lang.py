@@ -638,6 +638,15 @@ DIAGNOSTICS = {
         "  (:goal (not (q z))))",
         [("unknown-object", 2, 15)],
     ),
+    # A problem names one domain and one goal; repeated :objects and :init
+    # sections merge.
+    "domain_and_goal_twice": (
+        "problem",
+        "(define (problem p) (:domain d) (:goal (r))\n"
+        "  (:init (r)) (:domain d)\n"
+        "  (:goal (p c)) (:init (q k)))",
+        [("duplicate-name", 2, 16), ("duplicate-name", 3, 4)],
+    ),
     "problem_errors_in_order": (
         "problem",
         "(define (problem p)\n"

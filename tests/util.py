@@ -6,12 +6,13 @@ name strings, independent of the package's bitmask representation.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import json
 from pathlib import Path
 from typing import Optional
 
-from chainreact.kitchen import DRIVING, WorldState
+from chainreact.kitchen import DEFAULT_PRIMITIVES, DRIVING, PrimitiveSpec, WorldState
 from chainreact.lang import DomainDefinition, parse_domain, parse_problem
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "src" / "chainreact" / "data"
@@ -63,6 +64,15 @@ def scenario_copy(
     out = directory / f"{name}.json"
     out.write_text(json.dumps(raw), encoding="utf-8")
     return out
+
+
+def primitives(success_prob: float) -> dict[str, PrimitiveSpec]:
+    """The default primitive table with every ``success_prob`` set to
+    ``success_prob``, as a scenario's global ``success_prob`` sets it."""
+    return {
+        name: dataclasses.replace(spec, success_prob=float(success_prob))
+        for name, spec in DEFAULT_PRIMITIVES.items()
+    }
 
 
 def kitchen_source() -> str:
