@@ -2,9 +2,9 @@
 
 Conditions are regressed from the goal through the plan, stopping at the
 step whose effects create them; every step in between gains the condition
-in both its entry (pre) and continuation (run) sets.  Each step's own
-positive preconditions join the carried set, so mid-plan achievements are
-ordered as well, not just goal atoms.  The reactive executive can then
+in its entry (pre) set, and in its continuation (run) set unless that
+negates it.  Each step's own positive preconditions join the carried set,
+so mid-plan achievements are ordered as well, not just goal atoms.  The reactive executive can then
 never enter a step whose prerequisites a skipped step was supposed to
 establish, and entering a step whose effective conditions hold is always
 safe for the remainder of the chain.
@@ -51,7 +51,9 @@ def build_chain(plan: Plan) -> Chain:
     between produces.  A step's extras are the carried conditions it does
     not itself add; its own positive preconditions then join the carry.
     No step deletes a carried condition: :class:`Plan` is sound, so each
-    carried condition holds when the step that needs it runs.  For a
+    carried condition holds when the step that needs it runs.  A step's run
+    condition leaves out the extras it negates itself, since it may run
+    while they are false; its precondition negates none of them.  For a
     narrower goal, build from ``Plan(plan.steps, plan.init, narrower)``.
     Raises :class:`UnsupportedFeatureError` for negative goal literals
     (the kitchen goals are positive; regression over negations is out of
@@ -72,7 +74,9 @@ def build_chain(plan: Plan) -> Chain:
             AugmentedOperator(
                 base=op,
                 effective_pre=ConditionSet(vocab, op.pre.pos_mask | extra, op.pre.neg_mask),
-                effective_run=ConditionSet(vocab, op.run.pos_mask | extra, op.run.neg_mask),
+                effective_run=ConditionSet(
+                    vocab, op.run.pos_mask | extra & ~op.run.neg_mask, op.run.neg_mask
+                ),
             )
         )
         carry = extra | op.pre.pos_mask

@@ -800,6 +800,8 @@ def read_results(payload) -> list[Metrics]:
     """The metrics of a results file as ``chainreact bench --out`` writes
     it; raises :class:`InputError` naming the field path of each problem."""
     _checked(payload, _RESULTS, "a results file")
+    if not payload["results"]:
+        raise InputError(["field 'results' must not be empty"])
     return [Metrics(**entry["metrics"]) for entry in payload["results"]]
 
 

@@ -45,19 +45,16 @@ class LiftedLiteral:
 
 @dataclass(frozen=True)
 class OperatorSchema:
-    """Parameterised action with preconditions, run conditions and effects."""
+    """Parameterised action: its precondition, run condition and effect are
+    literal sets.  ``run`` is ``pre`` itself for an action without a
+    ``:runcondition``; in ``eff`` positive literals add, negated ones delete."""
 
     name: str
     params: tuple[tuple[str, str], ...]  # (variable, type)
     pre: frozenset[LiftedLiteral]
-    run: Optional[frozenset[LiftedLiteral]]  # None means "defaults to pre"
-    adds: frozenset[LiftedAtom]
-    deletes: frozenset[LiftedAtom]
+    run: frozenset[LiftedLiteral]
+    eff: frozenset[LiftedLiteral]
     binding: str = ""
-
-    @property
-    def effective_run(self) -> frozenset[LiftedLiteral]:
-        return self.pre if self.run is None else self.run
 
 
 @dataclass
@@ -468,13 +465,10 @@ def _parse_action(section: _Node, body: list[_Node], domain: DomainDefinition, d
             binding = bnode.text
     if not ok:
         return
-    effect = literals.get(":effect", frozenset())
+    pre = literals.get(":precondition", frozenset())
     domain.operators.append(OperatorSchema(
-        name, tuple(params),
-        literals.get(":precondition", frozenset()), literals.get(":runcondition"),
-        frozenset(lit.atom for lit in effect if lit.positive),
-        frozenset(lit.atom for lit in effect if not lit.positive),
-        binding,
+        name, tuple(params), pre, literals.get(":runcondition", pre),
+        literals.get(":effect", frozenset()), binding,
     ))
 
 
@@ -602,12 +596,9 @@ def serialize_domain(domain: DomainDefinition) -> str:
         lines.append(f"  (:action {op.name}")
         lines.append(f"    :parameters ({_fmt_typed(op.params)})")
         lines.append(f"    :precondition {_fmt_condition(op.pre)}")
-        if op.run is not None:
+        if op.run != op.pre:
             lines.append(f"    :runcondition {_fmt_condition(op.run)}")
-        effects = sorted(str(a) for a in op.adds) + sorted(
-            f"(not {a})" for a in op.deletes
-        )
-        lines.append(f"    :effect (and {' '.join(effects)})")
+        lines.append(f"    :effect {_fmt_condition(op.eff)}")
         if op.binding:
             lines.append(f"    :binding {op.binding}")
         lines.append("  )")

@@ -94,9 +94,6 @@ class LogicalState:
             and self.mask == other.mask
         )
 
-    def __hash__(self) -> int:
-        return hash((id(self.vocabulary), self.mask))
-
 
 @dataclass(frozen=True)
 class ConditionSet:

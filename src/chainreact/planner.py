@@ -5,7 +5,10 @@ against the problem objects (plus domain constants), interning all ground
 atoms into a :class:`~chainreact.logic.Vocabulary`.  Each bound atom goes
 straight to its bit, so every operator's conditions and effects, the
 initial state and the goal are ORs of bits, and every operator is compiled
-once into a row of raw integer masks (see :class:`GroundedDomain`).
+once into a row of raw integer masks (see :class:`GroundedDomain`).  Two
+variables bound to one object can make a binding collide with itself: one
+whose precondition or run condition requires and negates one atom is not
+grounded, and where one adds and deletes an atom the add wins, as in PDDL.
 ``plan`` then runs breadth-first search over the grounded space on plain
 ``int`` states, so every plan it returns is shortest in step count.  It
 generates successors from the compiled rows in operator index order and
@@ -148,17 +151,19 @@ def ground(
     operators: list[GroundOperator] = []
     for schema, pools in zip(domain.operators, op_pools):
         names = [v for v, _ in schema.params]
-        parts = (*_split(schema.pre), *_split(schema.effective_run), schema.adds, schema.deletes)
+        parts = (*_split(schema.pre), *_split(schema.run), *_split(schema.eff))
         for combo in itertools.product(*pools):
             binding = dict(zip(names, combo))
             pre_pos, pre_neg, run_pos, run_neg, adds, deletes = (
                 _mask(vocab, atoms, binding) for atoms in parts
             )
+            if pre_pos & pre_neg or run_pos & run_neg:
+                continue  # it could never apply, or never continue
             operators.append(GroundOperator(
                 index=len(operators), schema=schema, bound_args=combo,
                 pre=ConditionSet(vocab, pre_pos, pre_neg),
                 run=ConditionSet(vocab, run_pos, run_neg),
-                eff=EffectSet(vocab, adds, deletes),
+                eff=EffectSet(vocab, adds, deletes & ~adds),  # adds win
             ))
     init = LogicalState(vocab, _mask(vocab, problem.init, {}))
     goal = ConditionSet(vocab, *(_mask(vocab, atoms, {}) for atoms in _split(problem.goal)))

@@ -11,10 +11,17 @@ import pytest
 
 from chainreact.chains import UnsupportedFeatureError, build_chain, verify_chain
 from chainreact.harness import chain_payload
+from chainreact.lang import parse_domain, parse_problem
 from chainreact.logic import ConditionSet, holds
 from chainreact.planner import Plan, ground, plan, symbolic_execute
 from tests.test_planner import make_prop_task, random_task
-from tests.util import bits, kitchen_domain, kitchen_problem, step_names
+from tests.util import (
+    NEGATED_CARRY,
+    bits,
+    kitchen_domain,
+    kitchen_problem,
+    step_names,
+)
 
 
 def atom_names(cond):
@@ -94,6 +101,21 @@ class TestRegressionSemantics:
         for step in chain_payload(chain)["steps"]:
             assert not set(step["extra_pre"]) & set(step["pre"])
             assert not set(step["extra_run"]) & set(step["run"])
+
+    def test_run_condition_keeps_its_own_negation_over_a_carried_atom(self):
+        # The run condition of a used to gain the carried p as well, and
+        # ConditionSet raised on p required and negated.
+        domain = parse_domain(NEGATED_CARRY[0]).value
+        grounded = ground(domain, parse_problem(NEGATED_CARRY[1], domain).value)
+        chain = build_chain(plan(grounded).plan)
+        assert step_names(s.base for s in chain.steps) == ["a", "b"]
+        assert extras(chain) == [{"p"}, set()]
+        assert extras(chain, "extra_run") == [set(), set()]
+        vocab = grounded.vocabulary
+        assert chain.steps[0].effective_run == ConditionSet(
+            vocab, bits(vocab, "q"), bits(vocab, "p")
+        )
+        assert verify_chain(chain, grounded.init)
 
 
 class TestKitchenChain:

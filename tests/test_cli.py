@@ -1,5 +1,6 @@
 """CLI: the plan/chain/execute/bench/report pipeline and exit codes."""
 
+import functools
 import json
 import os
 import re
@@ -9,12 +10,15 @@ from concurrent.futures import Future
 
 import pytest
 
+from chainreact import cli
 from chainreact.cli import main
 from chainreact.harness import plan_payload, read_plan
 from chainreact.planner import ground, plan
 from tests.util import (
     CUPS_ONLY,
     DATA_DIR,
+    NEGATED_CARRY,
+    SELF_COLLISIONS,
     kitchen_domain,
     kitchen_path,
     kitchen_problem,
@@ -23,6 +27,7 @@ from tests.util import (
     problem_source,
     scenario_copy,
     scenario_path,
+    two_object_files,
 )
 
 
@@ -61,6 +66,53 @@ def test_plan_chain_pipeline(tmp_path, capsys):
     release = next(s for s in chain["steps"] if s["operator"] == "release_obj")
     assert "obj_is_in_drawer(spam)" in release["extra_pre"]
     assert "obj_is_in_drawer(spam)" in release["extra_run"]
+
+
+def test_without_out_stdout_is_what_out_writes(tmp_path, capsys):
+    files = ["--domain", str(kitchen_path()), "--problem", str(problem_path("pick_spam"))]
+    plan_file, chain_file = tmp_path / "plan.json", tmp_path / "chain.json"
+    runs = [
+        (["plan", *files], plan_file),
+        (["chain", *files, "--plan", str(plan_file)], chain_file),
+    ]
+    for command, out in runs:
+        assert main([*command, "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert main(command) == 0
+        assert capsys.readouterr().out == out.read_text(encoding="utf-8")
+
+
+def test_plan_node_budget_exhausted_exit_1(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "plan", functools.partial(plan, node_budget=3))
+    code = main(["plan", "--domain", str(kitchen_path()),
+                 "--problem", str(problem_path("put_away_spam"))])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (
+        "", "node budget exhausted before a plan was found\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "domain, problem, steps",
+    [*((*two_object_files(clauses), 1) for clauses in SELF_COLLISIONS.values()),
+     (*NEGATED_CARRY, 2)],
+    ids=[*SELF_COLLISIONS, "run_negates_carried"],
+)
+def test_self_colliding_clauses_plan_and_chain(tmp_path, capsys, domain, problem, steps):
+    # Each used to end in a ValueError traceback, exit 1: grounding a
+    # binding whose effect or condition collides with itself, or chaining
+    # a step whose run condition negates a carried atom.
+    (tmp_path / "d.dpdl").write_text(domain)
+    (tmp_path / "p.dprob").write_text(problem)
+    files = ["--domain", str(tmp_path / "d.dpdl"), "--problem", str(tmp_path / "p.dprob")]
+    plan_file = tmp_path / "plan.json"
+    assert main(["plan", *files, "--out", str(plan_file)]) == 0
+    assert capsys.readouterr().err == f"plan: {steps} steps\n"
+    assert main(["chain", *files, "--plan", str(plan_file)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert len(json.loads(captured.out)["steps"]) == steps
 
 
 def chain_from_plan_file(tmp_path, data):
@@ -793,4 +845,6 @@ def test_report_on_results_without_metrics_exit_2(tmp_path, capsys):
     results.write_text(json.dumps({"format_version": 1, "results": []}))
     assert main(["report", "--results", str(results)]) == 2
     captured = capsys.readouterr()
-    assert (captured.out, captured.err) == ("", "results file holds no metrics\n")
+    assert (captured.out, captured.err) == (
+        "", f"{results}: field 'results' must not be empty\n"
+    )

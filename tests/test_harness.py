@@ -449,6 +449,21 @@ class TestLoadScenario:
         _, records = run_trials(sc)
         assert all(r.succeeded for r in records)
 
+    def test_run_condition_negating_a_carried_atom_runs(self, tmp_path):
+        # Regression carries arm_is_free into cage_handle, whose run
+        # condition negates it.  Such a scenario loaded, then its first
+        # chain build raised ConditionSet's ValueError mid-trial.
+        domain, count = _subn(
+            "(arm_is_free))\n    :effect (and (arm_is_around handle)",
+            "(arm_is_free))\n    :runcondition (and (arm_in_approach_region handle)"
+            " (not (arm_is_free)))\n    :effect (and (arm_is_around handle)",
+            kitchen_source(),
+        )
+        assert count == 1
+        sc = load_scenario(scenario_copy(tmp_path, "put_away_spam_oracle", domain, trials=2))
+        metrics, records = run_trials(sc)
+        assert metrics.trials == len(records) == 2
+
     def test_override_merging(self):
         sc = load("put_away_spam_oracle", trials=3,
                   primitives={"success_prob": 0.5})

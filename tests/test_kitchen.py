@@ -9,6 +9,7 @@ probability 1 and inspecting the evaluated state after every completion.
 import copy
 import dataclasses
 import json
+import re
 from collections import deque
 from pathlib import Path
 
@@ -337,10 +338,25 @@ class TestDisturbances:
             assert sim.world.object_pose["spam"] == ("counter", zone)
             assert sim.world_rng.bit_generator.state == state  # nothing drawn
 
-    def test_invalid_destination(self, grounded):
+    @pytest.mark.parametrize(
+        "kind, kwargs, message",
+        [
+            ("teleport_object", {"obj": "spam", "zone": 17}, "invalid teleport zone 17"),
+            ("teleport_object", {"obj": "salt"}, "unknown object 'salt'"),
+            ("teleport_object", {"obj": "handle"}, "unknown object 'handle'"),
+            ("set_drawer", {"extension": 1.5}, "invalid drawer extension 1.5"),
+            ("set_drawer", {"extension": -0.25}, "invalid drawer extension -0.25"),
+            ("drop_spoon", {}, "unknown disturbance kind 'drop_spoon'"),
+        ],
+        ids=["zone", "unknown_object", "handle", "extension_above_1",
+             "extension_below_0", "unknown_kind"],
+    )
+    def test_invalid_disturbance_leaves_the_world_alone(self, grounded, kind, kwargs, message):
         sim = reliable_sim(grounded, reference_world())
-        with pytest.raises(ValueError):
-            sim.apply_disturbance("teleport_object", "spam", zone=17)
+        before = copy.deepcopy(sim.world)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            sim.apply_disturbance(kind, **kwargs)
+        assert sim.world == before
 
 
 class TestAlignment:

@@ -115,8 +115,7 @@ class TestParseDomain:
         )
         assert result.ok
         op = result.value.operators[0]
-        assert op.run is None
-        assert op.effective_run == op.pre
+        assert op.run == op.pre
 
     def test_keywords_case_insensitive_symbols_not(self):
         result = parse_domain(
@@ -822,13 +821,14 @@ def _random_domain(rng: random.Random) -> DomainDefinition:
         run = (
             frozenset(LiftedLiteral(a) for a in atoms(1))
             if rng.random() < 0.4
-            else None
+            else pre
         )
         adds = atoms(2)
         deletes = atoms(2) - adds
+        eff = frozenset(LiftedLiteral(a, a in adds) for a in adds | deletes)
         d.operators.append(
             OperatorSchema(
-                f"a{i}", params, pre, run, frozenset(adds), frozenset(deletes),
+                f"a{i}", params, pre, run, eff,
                 binding=f"b{i}" if rng.random() < 0.7 else "",
             )
         )

@@ -62,6 +62,14 @@ class TestTypes:
         with pytest.raises(ValueError):
             EffectSet(vocab, atom, atom)
 
+    def test_equal_states_hash_equal(self):
+        vocab = make_vocab(3)
+        mask = bits(vocab, "p0", "p2")
+        a, b = LogicalState(vocab, mask), LogicalState(vocab, mask)
+        assert a == b and a is not b
+        assert hash(a) == hash(b)
+        assert len({a, b, LogicalState(vocab, bits(vocab, "p1"))}) == 2
+
     def test_vocabulary_rejects_duplicates(self):
         with pytest.raises(ValueError, match=r"^duplicate atom p in vocabulary$"):
             Vocabulary([("p", ()), ("p", ())])

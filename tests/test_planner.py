@@ -18,6 +18,7 @@ from chainreact.lang import (
     LiftedLiteral,
     OperatorSchema,
     ProblemDefinition,
+    parse_domain,
     parse_problem,
 )
 from chainreact import planner
@@ -39,11 +40,13 @@ from chainreact.planner import (
 )
 from tests.util import (
     DATA_DIR,
+    SELF_COLLISIONS,
     bits,
     kitchen_domain,
     kitchen_problem,
     put_away_problem,
     step_names,
+    two_object_files,
 )
 
 # --------------------------------------------------------------------------
@@ -61,9 +64,9 @@ def make_prop_domain(op_specs, atom_names, name="toy"):
                 name=op_name,
                 params=(),
                 pre=frozenset(LiftedLiteral(LiftedAtom(p)) for p in pre),
-                run=None,
-                adds=frozenset(LiftedAtom(a) for a in adds),
-                deletes=frozenset(LiftedAtom(a) for a in dels),
+                run=frozenset(LiftedLiteral(LiftedAtom(p)) for p in pre),
+                eff=frozenset(LiftedLiteral(LiftedAtom(a)) for a in adds)
+                | frozenset(LiftedLiteral(LiftedAtom(a), False) for a in dels),
                 binding=op_name,
             )
         )
@@ -139,9 +142,8 @@ def cube_task(n_objects, arity):
             "op",
             params=(("?a", "t"), ("?b", "t"), ("?c", "t")),
             pre=frozenset(),
-            run=None,
-            adds=frozenset({LiftedAtom("p", ("?a", "?b", "?c")[:arity])}),
-            deletes=frozenset(),
+            run=frozenset(),
+            eff=frozenset({LiftedLiteral(LiftedAtom("p", ("?a", "?b", "?c")[:arity]))}),
         )
     ]
     p = ProblemDefinition(
@@ -171,9 +173,8 @@ class TestGrounding:
                 "touch",
                 params=(("?x", "t"),),
                 pre=frozenset(),
-                run=None,
-                adds=frozenset({LiftedAtom("p", ("?x",))}),
-                deletes=frozenset(),
+                run=frozenset(),
+                eff=frozenset({LiftedLiteral(LiftedAtom("p", ("?x",)))}),
             )
         ]
         p = ProblemDefinition(
@@ -232,13 +233,39 @@ class TestGrounding:
             schema = op.schema
             binding = dict(zip((v for v, _ in schema.params), op.bound_args))
             assert op.pre == ConditionSet(vocab, *literals(schema.pre, binding))
-            assert op.run == ConditionSet(vocab, *literals(schema.effective_run, binding))
-            assert op.eff == EffectSet(
-                vocab, atoms(schema.adds, binding), atoms(schema.deletes, binding)
-            )
+            assert op.run == ConditionSet(vocab, *literals(schema.run, binding))
+            assert op.eff == EffectSet(vocab, *literals(schema.eff, binding))
         task = grounded.problem
         assert grounded.init == LogicalState(vocab, atoms(task.init, {}))
         assert grounded.goal == ConditionSet(vocab, *literals(task.goal, {}))
+
+
+def self_collision_task(clause):
+    # Each binding with ?x = ?y used to raise inside ground: EffectSet on p
+    # added and deleted, ConditionSet on p required and negated.
+    domain_text, problem_text = two_object_files(SELF_COLLISIONS[clause])
+    domain = parse_domain(domain_text).value
+    return ground(domain, parse_problem(problem_text, domain).value)
+
+
+class TestSelfCollidingBindings:
+    def test_adds_win_over_deletes(self):
+        grounded = self_collision_task("effect")
+        vocab = grounded.vocabulary
+        assert len(grounded.operators) == 4
+        for obj in ("a", "b"):
+            op = grounded.operator_named("mv", (obj, obj))
+            assert op.eff == EffectSet(vocab, bits(vocab, f"p({obj})"), 0)
+        op = grounded.operator_named("mv", ("a", "b"))
+        assert op.eff == EffectSet(vocab, bits(vocab, "p(a)"), bits(vocab, "p(b)"))
+        assert step_names(plan(grounded).plan.steps) == ["mv(b, a)"]
+
+    @pytest.mark.parametrize("clause", ["precondition", "runcondition"])
+    def test_contradictory_condition_is_not_grounded(self, clause):
+        grounded = self_collision_task(clause)
+        assert step_names(grounded.operators) == ["mv(a, b)", "mv(b, a)"]
+        assert [op.index for op in grounded.operators] == [0, 1]
+        assert step_names(plan(grounded).plan.steps) == ["mv(a, b)"]
 
 
 # --------------------------------------------------------------------------

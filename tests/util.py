@@ -28,6 +28,38 @@ CUPS_ONLY = (
        ("obj_is_on_counter", "obj_is_detected", "obj_is_tracked"))],
 )
 
+# Clauses of an action mv over ?x and ?y of one type whose binding ?x = ?y
+# collides with itself: its effect adds and deletes p, or a condition
+# requires and negates p.
+SELF_COLLISIONS = {
+    "effect": ":precondition (p ?y) :effect (and (p ?x) (not (p ?y)))",
+    "precondition": ":precondition (and (p ?x) (not (p ?y))) :effect (and (p ?y) (not (p ?x)))",
+    "runcondition": ":precondition (p ?x) :runcondition (and (p ?x) (not (p ?y)))"
+                    " :effect (and (p ?y) (not (p ?x)))",
+}
+
+
+def two_object_files(clauses: str) -> tuple[str, str]:
+    """The text of a domain whose one action is ``mv ?x ?y`` with
+    ``clauses``, over objects of type obj, and of a problem over objects a
+    and b whose goal moves p from a to b."""
+    return (
+        "(define (domain d) (:types obj) (:predicates (p ?x - obj))\n"
+        f"  (:action mv :parameters (?x - obj ?y - obj) {clauses}))\n",
+        "(define (problem ab) (:domain d) (:objects a b - obj)"
+        " (:init (p a)) (:goal (p b)))\n",
+    )
+
+
+# A domain and problem whose plan is a then b: b needs p, which holds from
+# the start, so regression carries p into a, whose run condition negates p.
+NEGATED_CARRY = (
+    "(define (domain d) (:predicates (p) (q) (g1) (g))\n"
+    "  (:action a :precondition (q) :runcondition (and (q) (not (p))) :effect (g1))\n"
+    "  (:action b :precondition (and (p) (g1)) :effect (g)))\n",
+    "(define (problem pq) (:domain d) (:init (p) (q)) (:goal (g)))\n",
+)
+
 
 def kitchen_path() -> Path:
     return DATA_DIR / "kitchen.dpdl"
