@@ -20,9 +20,15 @@ whose initial estimate yields no plan is recorded as ``no_plan``.
 Plans are memoized per loaded :class:`Scenario`, keyed on the estimate's
 mask: the goal is fixed per scenario, and the planner and chain builder
 are deterministic, so a hit returns the chain a miss would build, and
-records and traces are the same as without the memo.  The memo lives as
-long as the Scenario object.  A Scenario is frozen: a changed
-copy comes from ``dataclasses.replace``, which starts with an empty memo.
+records and traces are the same as without the memo.  A traced trial
+also keeps, per truth mask a tick line lists, the JSON text of its atom
+names; an estimate reuses the truth's text when the masks are equal, and
+any other estimate's text is encoded without being stored, so the memo
+grows with the distinct truth masks, not with trials or noise.  Each tick
+line is written from that text as the bytes ``json.dumps(line,
+sort_keys=True)`` would give.  Both memos live as long as the Scenario
+object.  A Scenario is frozen: a changed copy comes from
+``dataclasses.replace``, which starts with empty memos.
 
 Parallel runs use a pool from :func:`queue_trials`.  Its workers receive
 the loaded scenarios once, when they start (under fork they inherit them
@@ -30,7 +36,7 @@ and nothing is pickled; under spawn they are pickled, memos included),
 and import ``numpy.random`` then, so no trial pays for that import.  A
 task names a scenario by its position and carries one contiguous range
 of trial indices.  Each range runs on a ``dataclasses.replace`` copy of
-its scenario, so it starts with an empty memo wherever it lands: how
+its scenario, so it starts with empty memos wherever it lands: how
 often a range plans does not depend on which worker took it, what that
 worker ran before, or what memo the scenario was pickled with.  Every
 scenario's ranges are queued before :func:`run_trials` collects the
@@ -89,6 +95,10 @@ class Scenario:
     base_seed: int
     # run_trial's plan memo: estimate mask -> chain, None when unsolved
     _chains_by_mask: dict[int, Optional[Chain]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+    # run_trial's trace memo: truth mask -> JSON text of its atom names
+    _atoms_text_by_mask: dict[int, str] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
 
@@ -417,6 +427,19 @@ def build_scenario(raw: dict, base_dir: Path, name: str = "scenario") -> Scenari
         )
         if not grounded.problem.goal:
             problems.append(f"{problem_path}: the goal is empty, so trials succeed without a step")
+        # The executive enters such a step and then never continues it.
+        names_of = grounded.vocabulary.names_of
+        problems.extend(
+            f"{domain_path}: action '{op.name}': its run condition {verb} {atom}, "
+            f"which its precondition {opposite}, so the step is entered and never continued"
+            for op in grounded.operators
+            for clash, verb, opposite in (
+                (op.run.neg_mask & op.pre.pos_mask, "negates", "requires"),
+                (op.run.pos_mask & op.pre.neg_mask, "requires", "negates"),
+            )
+            if clash
+            for atom in names_of(clash)
+        )
 
     perception = raw.get("perception", {})
     flips = perception.get("per_predicate_flip", {})
@@ -617,19 +640,39 @@ def run_trial(
             "initial_world": vars(world),  # no tick has run yet
         })
         names_of = grounded.vocabulary.names_of
+        atoms_text = scenario._atoms_text_by_mask
+        dumps = json.dumps
+        texts: dict[Optional[str], str] = {}  # this trial's phases and reasons
+        # selected step -> the text of selected_operator and selected_step
+        step_texts: dict[Optional[int], str] = {}
 
+        # The line json.dumps(..., sort_keys=True) writes of the tick's dict,
+        # from cached text: the keys in sorted order, every value JSON-encoded.
         def on_tick(tick, truth, estimate, selected, reason, phase, fired) -> None:
-            write({
-                "type": "tick",
-                "tick": tick,
-                "true_atoms": names_of(truth.mask),
-                "estimated_atoms": names_of(estimate.mask),
-                "selected_step": selected,
-                "selected_operator": None if selected is None else chain.steps[selected].base.name,
-                "reason": reason,
-                "primitive_phase": phase,
-                "disturbances_fired": fired,
-            })
+            true_text = atoms_text.get(truth.mask)
+            if true_text is None:
+                true_text = atoms_text[truth.mask] = dumps(names_of(truth.mask))
+            estimated_text = true_text
+            if estimate.mask != truth.mask:
+                # Not stored: a noisy estimate's masks grow with the trials.
+                estimated_text = atoms_text.get(estimate.mask) or dumps(names_of(estimate.mask))
+            step_text = step_texts.get(selected)
+            if step_text is None:
+                if selected is None:
+                    null = dumps(None)
+                    step_text = f'"selected_operator": {null}, "selected_step": {null}'
+                else:  # an int is its own JSON text, as the tick is
+                    operator = dumps(chain.steps[selected].base.name)
+                    step_text = f'"selected_operator": {operator}, "selected_step": {selected}'
+                step_texts[selected] = step_text
+            phase_text = texts.get(phase) or texts.setdefault(phase, dumps(phase))
+            reason_text = texts.get(reason) or texts.setdefault(reason, dumps(reason))
+            fired_text = dumps(fired) if fired else "[]"
+            trace_sink.write(
+                f'{{"disturbances_fired": {fired_text}, "estimated_atoms": {estimated_text}, '
+                f'"primitive_phase": {phase_text}, "reason": {reason_text}, {step_text}, '
+                f'"tick": {tick}, "true_atoms": {true_text}, "type": "tick"}}\n'
+            )
 
     outcome = exe.Outcome("no_plan", 0) if chain is None else exe.run(
         sim,

@@ -38,6 +38,7 @@ from tests.util import (
 )
 
 SHIPPED = sorted(p.stem for p in (DATA_DIR / "scenarios").glob("*.json"))
+_CAGE_HANDLE_PRE = "    :precondition (and (arm_in_approach_region handle) (arm_is_free))\n"
 # lift_obj then has back_off's empty parameter list, and back_off lift's.
 _SWAP_LIFT_AND_BACK_OFF = [
     (":action lift_obj\n", ":action swapped\n"),
@@ -397,10 +398,19 @@ class TestLoadScenario:
              "'arm_in_approach_region', 'arm_is_around'"),
             ([("    :binding back_off\n", "")], None,
              "domain: action 'back_off' has no :binding"),
+            ([(_CAGE_HANDLE_PRE, _CAGE_HANDLE_PRE
+               + "    :runcondition (and (arm_in_approach_region handle) (not (arm_is_free)))\n")],
+             None, "action 'cage_handle': its run condition negates arm_is_free, which its "
+             "precondition requires, so the step is entered and never continued"),
+            ([(_CAGE_HANDLE_PRE, _CAGE_HANDLE_PRE.replace("(arm_is_free))", "(arm_is_free)"
+                                                          " (not (gripper_is_open)))")
+               + "    :runcondition (and (arm_in_approach_region handle) (gripper_is_open))\n")],
+             None, "action 'cage_handle': its run condition requires gripper_is_open, which "
+             "its precondition negates, so the step is entered and never continued"),
         ],
         ids=["no_arm_is_moving", "arity", "back_off_renamed", "lift_any_graspable",
              "six_movables", "seven_movables", "movable_outside_predicate_type",
-             "handle_renamed", "binding_dropped"],
+             "handle_renamed", "binding_dropped", "run_negates_pre", "run_requires_pre_negated"],
     )
     def test_domain_outside_simulator_contract(
         self, tmp_path, domain_edit, problem_edit, expected
@@ -409,8 +419,10 @@ class TestLoadScenario:
         # unknown atom on the first tick, no outcome rule when back_off's
         # renamed primitive completed, no sample of 7 of the 6 counter zones,
         # or a teleport with no free zone.  The contract check names it,
-        # after the path of the file at fault.  An edit is a literal pair or
-        # a regex and its replacement.
+        # after the path of the file at fault.  A step whose run condition
+        # contradicts its precondition used to load, and a trial then
+        # entered it and looped until budget_exhausted.  An edit is a
+        # literal pair or a regex and its replacement.
         domain, problem = kitchen_source(), problem_source("pick_spam")
         for old, new in domain_edit or ():
             domain, count = _subn(old, new, domain)
@@ -450,13 +462,14 @@ class TestLoadScenario:
         assert all(r.succeeded for r in records)
 
     def test_run_condition_negating_a_carried_atom_runs(self, tmp_path):
-        # Regression carries arm_is_free into cage_handle, whose run
+        # Regression carries drawer_is_open into lift_obj, whose run
         # condition negates it.  Such a scenario loaded, then its first
         # chain build raised ConditionSet's ValueError mid-trial.
+        pre = "    :precondition (and (arm_is_attached_to_obj ?o) (arm_is_around ?o))\n"
         domain, count = _subn(
-            "(arm_is_free))\n    :effect (and (arm_is_around handle)",
-            "(arm_is_free))\n    :runcondition (and (arm_in_approach_region handle)"
-            " (not (arm_is_free)))\n    :effect (and (arm_is_around handle)",
+            pre,
+            pre + "    :runcondition (and (arm_is_attached_to_obj ?o) (arm_is_around ?o)"
+            " (not (drawer_is_open)))\n",
             kitchen_source(),
         )
         assert count == 1
@@ -811,13 +824,33 @@ class TestPlanMemo:
             ]
         assert records == serial
 
-    def test_scenario_frozen_and_memo_empty_after_replace(self):
+    def test_scenario_frozen_and_memo_empty_after_replace(self, tmp_path):
         used = load("put_away_spam_noisy", trials=10)
-        run_trials(used)
-        assert used._chains_by_mask
+        run_trials(used, trace_dir=tmp_path)
+        assert used._chains_by_mask and used._atoms_text_by_mask
         with pytest.raises(dataclasses.FrozenInstanceError):
             used.trials = 3
-        assert dataclasses.replace(used, trials=3)._chains_by_mask == {}
+        copy = dataclasses.replace(used, trials=3)
+        assert copy._chains_by_mask == {} and copy._atoms_text_by_mask == {}
+
+    def test_atom_text_memo_holds_the_traced_truth_masks(self):
+        # The memo grows with the distinct truth masks a trace lists, never
+        # with a noisy estimate's masks, which mostly differ per trial.
+        sc = load("put_away_spam_noisy")
+        bits = {name: 1 << k for k, name in enumerate(sc.grounded.vocabulary.names)}
+        truths, estimates = set(), set()
+        for i in range(10):
+            sink = io.StringIO()
+            run_trial(sc, i, trace_sink=sink)
+            for line in map(json.loads, sink.getvalue().splitlines()):
+                if line["type"] == "tick":
+                    truths.add(sum(bits[name] for name in line["true_atoms"]))
+                    estimates.add(sum(bits[name] for name in line["estimated_atoms"]))
+        assert estimates - truths  # the seeds hold estimate-only masks
+        assert set(sc._atoms_text_by_mask) == truths
+        names_of = sc.grounded.vocabulary.names_of
+        assert all(text == json.dumps(names_of(mask))
+                   for mask, text in sc._atoms_text_by_mask.items())
 
 
 class TestTraces:
@@ -825,6 +858,7 @@ class TestTraces:
         sink = io.StringIO()
         record = run_trial(scenario, 0, trace_sink=sink)
         lines = [json.loads(line) for line in sink.getvalue().splitlines()]
+        assert sink.getvalue().splitlines() == [json.dumps(l, sort_keys=True) for l in lines]
         return record, lines
 
     def test_trace_structure(self):
@@ -907,6 +941,32 @@ class TestTraces:
         spaced = fired("obj_is_in_drawer( spam )")
         assert spaced == fired("obj_is_in_drawer(spam)")
         assert [kinds for _, kinds in spaced] == [["set_drawer"]]
+
+    @pytest.mark.parametrize("name", SHIPPED)
+    def test_every_line_is_canonical_json(self, name):
+        # run_trial writes tick lines from cached text; each must be what
+        # json.dumps(..., sort_keys=True) writes of the object it holds.
+        # The seeds reach a fired disturbance, a noisy estimate off the
+        # truth and the open loop's goal-check line; trace_lines checks
+        # the same of a no_plan trial.
+        sc = load(name)
+        sinks = [io.StringIO() for _ in range(3)]
+        records = [run_trial(sc, i, trace_sink=sink) for i, sink in enumerate(sinks)]
+        texts = [sink.getvalue() for sink in sinks]
+        lines = [line for text in texts for line in text.splitlines()]
+        assert all(line == json.dumps(json.loads(line), sort_keys=True) for line in lines)
+        ticks = [json.loads(line) for line in lines if '"type": "tick"' in line]
+        if name == "put_away_both_zero_shot":
+            assert any(tick["disturbances_fired"] for tick in ticks)
+        if name == "put_away_spam_noisy":
+            assert any(tick["estimated_atoms"] != tick["true_atoms"] for tick in ticks)
+        if name == "teleport_cage_open_loop":
+            assert len(ticks) == sum(r.ticks + 1 for r in records)
+        # Index 0 again on the warm scenario, and on a fresh load.
+        warm, fresh = io.StringIO(), io.StringIO()
+        run_trial(sc, 0, trace_sink=warm)
+        run_trial(load(name), 0, trace_sink=fresh)
+        assert warm.getvalue() == fresh.getvalue() == texts[0]
 
     def test_replay_is_byte_identical(self):
         for name in ("put_away_spam_oracle", "put_away_spam_noisy",
