@@ -1,13 +1,13 @@
 """Reactive execution of a robust chain against the simulator.
 
-Each tick the executive estimates the logical state, scans the chain from
-the highest-priority step (the last) downward, and picks the first step
-whose effective entry conditions hold, or stays with the current step while
-its effective run conditions hold.  Selecting a different step preempts the
-running primitive immediately.  Success is declared once the goal has held
-in the estimate for a configurable streak of consecutive ticks, which
-guards against single-tick perception noise; a streak of 1 reproduces the
-bare loop.
+Each tick the executive estimates the logical state as an int mask, whose
+vocabulary ``run`` checks once, scans the chain from the highest-priority
+step (the last) downward, and picks the first step whose effective entry
+conditions hold, or stays with the current step while its effective run
+conditions hold.  Selecting a different step preempts the running primitive
+immediately.  Success is declared once the goal has held in the estimate
+for a configurable streak of consecutive ticks, which guards against
+single-tick perception noise; a streak of 1 reproduces the bare loop.
 
 The open loop (``run(..., open_loop=True)``) is the non-reactive baseline:
 it runs the steps strictly in order, advancing on primitive completion
@@ -22,7 +22,7 @@ from typing import Callable, Optional, Sequence
 
 from .chains import Chain
 from .kitchen import KitchenSim
-from .logic import ConditionSet, LogicalState, _check_same_vocab
+from .logic import ConditionSet, _check_same_vocab
 from .perception import PerceptionPipeline
 from .planner import GroundOperator
 
@@ -34,20 +34,16 @@ DEFAULT_GOAL_STREAK = 3
 DEFAULT_STUCK_AFTER = 10
 
 
-def select_operator(
-    chain: Chain, estimate: LogicalState, current: Optional[int]
-) -> Optional[int]:
-    """Highest-priority-first selection: the index of the chosen step, or
-    ``None`` when no step qualifies.
+def select_operator(chain: Chain, mask: int, current: Optional[int]) -> Optional[int]:
+    """Highest-priority-first selection on the estimate ``mask``: the index
+    of the chosen step, or ``None`` when no step qualifies.
 
     Scanning from the last step down: a non-current step is entered when
     its effective preconditions hold; the current step continues when its
-    effective run conditions hold.  The first match wins.  The vocabulary
-    is checked once per call; the scan then tests the condition masks
-    directly, which is :func:`~chainreact.logic.holds` without its check.
+    effective run conditions hold.  The first match wins.  Each test is
+    :func:`~chainreact.logic.holds` on the mask, whose vocabulary the
+    caller has checked against the chain's, as :func:`run` does once.
     """
-    _check_same_vocab(estimate.vocabulary, chain.goal.vocabulary)
-    mask = estimate.mask
     steps = chain.steps
     for i in range(len(steps) - 1, -1, -1):
         step = steps[i]
@@ -114,7 +110,7 @@ class Outcome:
         return self.status == "succeeded"
 
 
-# (tick, truth, estimate, selected step, reason, primitive phase, fired kinds)
+# (tick, truth mask, estimate mask, selected step, reason, phase, fired kinds)
 TickCallback = Callable[..., None]
 
 
@@ -129,7 +125,7 @@ def _fire_disturbances(
     if not pending:
         return []
     # Only a predicate trigger reads the post-tick truth.
-    truth = sim.eval_predicates().mask if any(d.bit for d in pending) else 0
+    truth = sim.eval_predicates() if any(d.bit for d in pending) else 0
     fired = [d for d in pending if d.matches(tick, started, truth)]
     for d in fired:
         sim.apply_disturbance(d.kind, d.obj, d.zone, d.extension)
@@ -154,14 +150,14 @@ def run(
     chosen step if there is one, advances the running primitive and fires
     the disturbances due.  The reactive choice estimates the state, checks
     the goal streak and calls :func:`select_operator`, again only when the
-    estimate's mask or the current step has changed.  With ``open_loop``
+    estimate mask or the current step has changed.  With ``open_loop``
     the choice is the next step in order once the primitive ends; the
     estimate is the truth and no condition is checked.  After its last step
     the open loop ends succeeded or stuck on the truth, in a tick that
     ``ticks`` does not count; ``on_tick`` gets that tick's values too."""
     # Truth comes from the simulator and the estimate from the perception
     # pipeline; both must share the chain's vocabulary, checked once here
-    # so the goal checks below read the masks directly.
+    # so the goal checks and select_operator below read the masks directly.
     _check_same_vocab(sim.grounded.vocabulary, chain.goal.vocabulary)
     _check_same_vocab(perception.vocab, chain.goal.vocabulary)
     goal, steps = chain.goal, chain.steps
@@ -181,22 +177,22 @@ def run(
             if sim.current is None:
                 step = 0 if current is None else current + 1
                 if step == len(steps):
-                    outcome.status = "succeeded" if _meets(truth.mask, goal) else "stuck"
+                    outcome.status = "succeeded" if _meets(truth, goal) else "stuck"
                     outcome.ticks = tick
                     break
         else:
             estimate = perception.estimate(truth)
-            streak = streak + 1 if _meets(estimate.mask, goal) else 0
+            streak = streak + 1 if _meets(estimate, goal) else 0
             if streak >= goal_streak:
                 outcome.status = "succeeded"
                 outcome.ticks = tick + 1
-                outcome.false_success = not _meets(truth.mask, goal)
+                outcome.false_success = not _meets(truth, goal)
                 break
             # While a streak confirms the goal, hold position: a running
             # primitive finishes its motion.
             if not streak:
-                if key != (estimate.mask, current):
-                    key = (estimate.mask, current)
+                if key != (estimate, current):
+                    key = (estimate, current)
                     choice = select_operator(chain, estimate, current)
                 selected = choice
                 reason = (

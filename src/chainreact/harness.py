@@ -9,8 +9,8 @@ the scenario file), the executive to run, the perception mode, overrides of
 the kitchen's ``DEFAULT_PRIMITIVES``, initial-condition randomisation,
 scripted disturbances and the trial protocol.  Trial ``i`` runs with seed
 ``base_seed + i``, split into three named streams (sim, perception,
-primitives), so identical scenario plus seed means byte-identical metrics
-and traces.
+primitives; the oracle builds no Generator for perception), so identical
+scenario plus seed means byte-identical metrics and traces.
 
 Each trial plans from the perception pipeline's estimate of the sampled
 initial world (after ``PerceptionPipeline.warm_up``), builds the robust
@@ -67,6 +67,7 @@ from .kitchen import (
     sample_initial,
 )
 from .lang import load_domain_file, load_problem_file
+from .logic import LogicalState
 from .perception import DEFAULT_WINDOW, NoiseModel, PerceptionPipeline
 from .planner import GroundedDomain, GroundingLimitError, GroundOperator, Plan, ground, plan
 
@@ -427,15 +428,19 @@ def build_scenario(raw: dict, base_dir: Path, name: str = "scenario") -> Scenari
         )
         if not grounded.problem.goal:
             problems.append(f"{problem_path}: the goal is empty, so trials succeed without a step")
-        # The executive enters such a step and then never continues it.
+        # The executive can enter such a step and then never continue it.
+        # Starting a step sets arm_is_moving, so a run condition may require it.
         names_of = grounded.vocabulary.names_of
+        moving = grounded.vocabulary.bits.get(("arm_is_moving", ()), 0)
         problems.extend(
             f"{domain_path}: action '{op.name}': its run condition {verb} {atom}, "
-            f"which its precondition {opposite}, so the step is entered and never continued"
+            f"which its precondition {opposite}, so the step {is_} entered and never continued"
             for op in grounded.operators
-            for clash, verb, opposite in (
-                (op.run.neg_mask & op.pre.pos_mask, "negates", "requires"),
-                (op.run.pos_mask & op.pre.neg_mask, "requires", "negates"),
+            for clash, verb, opposite, is_ in (
+                (op.run.neg_mask & op.pre.pos_mask, "negates", "requires", "is"),
+                (op.run.pos_mask & op.pre.neg_mask, "requires", "negates", "is"),
+                (op.run.pos_mask & ~op.pre.pos_mask & ~op.pre.neg_mask & ~moving,
+                 "requires", "does not require", "can be"),
             )
             if clash
             for atom in names_of(clash)
@@ -448,8 +453,13 @@ def build_scenario(raw: dict, base_dir: Path, name: str = "scenario") -> Scenari
         for key in ("window", "default_flip", "per_predicate_flip")
         if key in perception and perception.get("mode") != "noisy"
     )
-    noise = NoiseModel()
+    noise, window = NoiseModel(), perception.get("window", DEFAULT_WINDOW)
     if perception.get("mode") == "noisy":
+        if window > raw["max_ticks"]:  # the default too: the warm-up fills it
+            problems.append(
+                f"field 'perception.window': window {window} is above max_ticks "
+                f"{raw['max_ticks']}, so the initial world's votes never leave it"
+            )
         noise = NoiseModel(
             default_flip=float(perception.get("default_flip", 0.05)),
             per_predicate_flip={str(k): float(v) for k, v in flips.items()},
@@ -510,7 +520,7 @@ def build_scenario(raw: dict, base_dir: Path, name: str = "scenario") -> Scenari
         grounded=grounded,
         open_loop=raw.get("executive") == "open_loop",
         noise=noise,
-        window=perception.get("window", DEFAULT_WINDOW),
+        window=window,
         primitives=primitives,
         initial=InitialConfig(
             **{k: float(v) if k in _INITIAL_PROBS else v for k, v in initial.items()}
@@ -598,16 +608,16 @@ def run_trial(
     a header line, one line per tick and an outcome line.
 
     The chain comes from the scenario's memo, keyed on the warmed
-    estimate's mask, for as long as the Scenario object lives.  On a miss,
-    :func:`plan` and :func:`build_chain` run as without the memo and the
-    chain (or ``None`` for an unsolved search, which ends the trial as
+    estimate mask, for as long as the Scenario object lives.  On a miss,
+    :func:`plan` (from a ``LogicalState``) and :func:`build_chain` run and
+    the chain (or ``None`` for an unsolved search, which ends the trial as
     ``no_plan`` before its first tick) is stored.  Both are deterministic
     in the mask, and neither draws from a seeded stream, so records and
     traces do not depend on whether the memo hit."""
     seed = scenario.base_seed + index
     sim_ss, perc_ss, prim_ss = np.random.SeedSequence(seed).spawn(3)
     sim_rng = np.random.default_rng(sim_ss)
-    perc_rng = np.random.default_rng(perc_ss)
+    perc_rng = None if scenario.noise.is_oracle else np.random.default_rng(perc_ss)
     prim_rng = np.random.default_rng(prim_ss)
 
     grounded = scenario.grounded
@@ -621,10 +631,10 @@ def run_trial(
     estimate = pipeline.warm_up(sim.eval_predicates())
 
     memo = scenario._chains_by_mask
-    if estimate.mask not in memo:
-        result = plan(grounded, init=estimate)
-        memo[estimate.mask] = build_chain(result.plan) if result.solved else None
-    chain = memo[estimate.mask]
+    if estimate not in memo:
+        result = plan(grounded, init=LogicalState(grounded.vocabulary, estimate))
+        memo[estimate] = build_chain(result.plan) if result.solved else None
+    chain = memo[estimate]
 
     on_tick = None
     if trace_sink:
@@ -649,13 +659,13 @@ def run_trial(
         # The line json.dumps(..., sort_keys=True) writes of the tick's dict,
         # from cached text: the keys in sorted order, every value JSON-encoded.
         def on_tick(tick, truth, estimate, selected, reason, phase, fired) -> None:
-            true_text = atoms_text.get(truth.mask)
+            true_text = atoms_text.get(truth)
             if true_text is None:
-                true_text = atoms_text[truth.mask] = dumps(names_of(truth.mask))
+                true_text = atoms_text[truth] = dumps(names_of(truth))
             estimated_text = true_text
-            if estimate.mask != truth.mask:
+            if estimate != truth:
                 # Not stored: a noisy estimate's masks grow with the trials.
-                estimated_text = atoms_text.get(estimate.mask) or dumps(names_of(estimate.mask))
+                estimated_text = atoms_text.get(estimate) or dumps(names_of(estimate))
             step_text = step_texts.get(selected)
             if step_text is None:
                 if selected is None:

@@ -2,8 +2,8 @@
 
 The hidden world state tracks the arm's discrete region, gripper aperture,
 attachment, drawer extension and object poses.  ``evaluate_world`` is the
-ground-truth logical state operator mapping a world state onto the grounded
-predicate vocabulary.  Primitives run for a number of ticks drawn from their
+ground-truth logical state operator mapping a world state onto a mask over
+the grounded predicate vocabulary.  Primitives run for ticks drawn from their
 ``PrimitiveSpec``, which the scenario loader builds over
 ``DEFAULT_PRIMITIVES``, and then apply their operator's row of ``OUTCOMES``:
 the intended physical outcome, or a failure into a consistent non-goal
@@ -22,7 +22,6 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .logic import LogicalState
 from .planner import GroundedDomain, GroundOperator
 
 GRIPPER_OPEN_AT = 0.9  # aperture at or above this reads as "open"
@@ -76,8 +75,8 @@ class WorldState:
 # --------------------------------------------------------------------------
 
 
-def evaluate_world(world: WorldState, grounded: GroundedDomain) -> LogicalState:
-    """Deterministic, total map from a world state to the logical state.
+def evaluate_world(world: WorldState, grounded: GroundedDomain) -> int:
+    """Deterministic, total map from a world state to its logical state's mask.
 
     Each rule ORs the bit of its atom, read by ``(name, args)`` from the
     vocabulary's precomputed table; an atom outside the vocabulary raises
@@ -152,7 +151,7 @@ def evaluate_world(world: WorldState, grounded: GroundedDomain) -> LogicalState:
     except KeyError as err:
         vocab.bit_of(*err.args[0])  # raises UnknownAtomError naming the atom
         raise
-    return LogicalState(vocab, mask)
+    return mask
 
 
 # --------------------------------------------------------------------------
@@ -481,10 +480,11 @@ class KitchenSim:
         self.rng = rng
         self.world_rng = world_rng
         self.current: Optional[PrimitiveState] = None
-        self._truth: Optional[LogicalState] = None  # None until read after a change
+        self._truth: Optional[int] = None  # None until read after a change
+        self._moving_bit = grounded.vocabulary.bit_of("arm_is_moving", ())
 
-    def eval_predicates(self) -> LogicalState:
-        """``evaluate_world`` of the current world, computed once per change."""
+    def eval_predicates(self) -> int:
+        """The truth mask, ``evaluate_world`` of the world, computed once per change."""
         if self._truth is None:
             self._truth = evaluate_world(self.world, self.grounded)
         return self._truth
@@ -494,9 +494,7 @@ class KitchenSim:
         if self.world.arm_moving != moving:
             self.world.arm_moving = moving
             if self._truth is not None:
-                vocab = self.grounded.vocabulary
-                moving_bit = vocab.bit_of("arm_is_moving", ())
-                self._truth = LogicalState(vocab, self._truth.mask ^ moving_bit)
+                self._truth ^= self._moving_bit
 
     def start_primitive(self, op: GroundOperator) -> PrimitiveState:
         rule = OUTCOMES.get(op.schema.name)

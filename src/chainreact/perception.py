@@ -1,6 +1,6 @@
 """Noisy, temporally filtered estimation of the logical state.
 
-Each tick the pipeline flips every atom of the ground-truth state with its
+Each tick the pipeline flips every atom of the int truth mask with its
 predicate's flip probability, appends the noisy mask to its window of the
 last ``window`` masks, and returns their per-atom :func:`majority`.  With
 window 3 and flip probability p the per-atom error rate drops from p to
@@ -23,7 +23,7 @@ from typing import Collection, Mapping
 
 import numpy as np
 
-from .logic import LogicalState, Vocabulary
+from .logic import Vocabulary
 
 DEFAULT_WINDOW = 3
 BLOCK_TICKS = 64  # flip masks per draw after the first block
@@ -50,10 +50,15 @@ class NoiseModel:
                 )
 
     def flip_vector(self, vocab: Vocabulary) -> np.ndarray:
-        return np.array(
-            [self.per_predicate_flip.get(name, self.default_flip) for name, _ in vocab.bits],
-            dtype=float,
-        )
+        """Each atom's flip probability in id order, read-only.  The array of
+        the last ``vocab`` asked for is kept, so one scenario's trials share it."""
+        last = self.__dict__.get("_flips")
+        if last is None or last[0] is not vocab:
+            get = self.per_predicate_flip.get
+            flips = np.array([get(name, self.default_flip) for name, _ in vocab.bits], float)
+            flips.flags.writeable = False
+            last = self.__dict__["_flips"] = (vocab, flips)
+        return last[1]
 
     @property
     def is_oracle(self) -> bool:
@@ -89,16 +94,13 @@ class PerceptionPipeline:
     ``BLOCK_TICKS``.  The pipeline owns ``rng``: it draws flips up to a block
     ahead of the estimates it has returned, so a caller that also draws from
     the same Generator would see a different interleaving than with one draw
-    per tick.
+    per tick; only an oracle, which draws nothing, may have ``rng=None``.
+    Masks carry no vocabulary: ``executive.run`` checks ``vocab`` once.
     """
 
     def __init__(
-        self,
-        vocab: Vocabulary,
-        noise: NoiseModel | None = None,
-        window: int = DEFAULT_WINDOW,
-        *,
-        rng: np.random.Generator,
+        self, vocab: Vocabulary, noise: NoiseModel | None = None,
+        window: int = DEFAULT_WINDOW, *, rng: np.random.Generator | None,
     ):
         if window < 1:
             raise ValueError("window must be at least 1")
@@ -108,6 +110,8 @@ class PerceptionPipeline:
         self.rng = rng
         self._oracle = self.noise.is_oracle
         if not self._oracle:
+            if rng is None:
+                raise ValueError("a noisy pipeline needs an rng to draw its flips from")
             self._flip_probs = self.noise.flip_vector(vocab)
             self._width = len(vocab)
             self._atoms = (1 << self._width) - 1
@@ -115,16 +119,16 @@ class PerceptionPipeline:
             self._left = 0  # how many masks _block still holds
             self._rows = min(window, BLOCK_TICKS)  # of the next block drawn
 
-    def warm_up(self, truth: LogicalState) -> LogicalState:
-        """Fill the window with ``window`` estimates of ``truth`` and return
-        the last, the estimate a trial plans from."""
+    def warm_up(self, truth: int) -> int:
+        """Fill the window with ``window`` estimates of the truth mask
+        ``truth`` and return the last, the estimate a trial plans from."""
         for _ in range(self.window.maxlen - 1):
             self.estimate(truth)
         return self.estimate(truth)
 
-    def estimate(self, truth: LogicalState) -> LogicalState:
-        """Append a noisy observation of ``truth`` to the window and return
-        the filtered estimate of the current logical state.
+    def estimate(self, truth: int) -> int:
+        """Append a noisy observation of the truth mask ``truth`` to the
+        window and return the filtered estimate mask.
 
         With an all-zero noise model the pipeline is a true oracle: the
         estimate equals the ground truth at every tick, with no filter lag
@@ -141,8 +145,8 @@ class PerceptionPipeline:
         self._left -= 1
         flip_mask = self._block & self._atoms
         self._block >>= self._width
-        self.window.append(truth.mask ^ flip_mask)
-        return LogicalState(self.vocab, majority(self.window))
+        self.window.append(truth ^ flip_mask)
+        return majority(self.window)
 
 
 def majority_error_rate(p: float, window: int = DEFAULT_WINDOW) -> float:

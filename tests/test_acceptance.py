@@ -14,7 +14,7 @@ import pytest
 
 from chainreact.chains import build_chain, verify_chain
 from chainreact.harness import load_scenario, run_trial, run_trials
-from chainreact.logic import LogicalState, holds, apply_effects
+from chainreact.logic import holds, apply_effects
 from chainreact.perception import NoiseModel, PerceptionPipeline, majority_error_rate
 from chainreact.planner import ground, plan, symbolic_execute
 from tests.test_chains import sound_random_plans
@@ -174,7 +174,7 @@ def test_criterion_8_perception_filter_math():
     from chainreact.logic import Vocabulary
 
     vocab = Vocabulary((f"p{i}", ()) for i in range(42))
-    truth = LogicalState(vocab, (1 << 42) - (1 << 9))
+    truth = (1 << 42) - (1 << 9)
     closed_form = majority_error_rate(0.1, 3)
     assert math.isclose(closed_form, 0.028)
 
@@ -185,7 +185,7 @@ def test_criterion_8_perception_filter_math():
     wrong = 0
     for _ in range(ticks):
         est = pipe.estimate(truth)
-        wrong += bin(est.mask ^ truth.mask).count("1")
+        wrong += bin(est ^ truth).count("1")
     empirical = wrong / (ticks * 42)
 
     improves = {}
@@ -198,8 +198,8 @@ def test_criterion_8_perception_filter_math():
         for _ in range(ticks):
             est = pipe.estimate(truth)
             raw = pipe.window[-1]
-            raw_wrong += bin(raw ^ truth.mask).count("1")
-            filt_wrong += bin(est.mask ^ truth.mask).count("1")
+            raw_wrong += bin(raw ^ truth).count("1")
+            filt_wrong += bin(est ^ truth).count("1")
         improves[p] = filt_wrong < raw_wrong
 
     ok = abs(empirical - 0.028) <= 0.005 and all(improves.values())

@@ -408,16 +408,19 @@ def test_execute_bad_scenario_exit_2(tmp_path, capsys):
         ("disturbances", [{"trigger": {"at_tick": 5000}, "kind": {"kind": "detach_gripper"}}],
          "disturbances[0].trigger.at_tick"),
         ("goal_streak", 401, "goal_streak"),
+        ("perception", {"mode": "noisy", "window": 10**20}, "perception.window"),
         ("planner", {"optimal": True}, "planner"),
         ("format_version", 1, "format_version"),
     ],
     ids=["bindings_list", "min_above_max", "unbound_name", "flip_without_noisy",
-         "at_tick_past_budget", "goal_streak_past_budget", "planner", "format_version_1"],
+         "at_tick_past_budget", "goal_streak_past_budget", "huge_window", "planner",
+         "format_version_1"],
 )
 def test_execute_bad_scenario_value_exit_2(tmp_path, capsys, field, value, path):
     # The first used to crash the loader, the second the trial; the third,
     # fifth and sixth loaded and were never used, and the fourth loaded as
-    # oracle perception.  The last two are scenario format 1, which had a planner
+    # oracle perception.  The seventh loaded and then raised OverflowError
+    # in the trial.  The last two are scenario format 1, which had a planner
     # switch.
     raw = json.loads(scenario_path("pick_spam_oracle").read_text())
     for key in ("domain", "problem"):

@@ -66,12 +66,13 @@ def tick_records(chain):
     here, apart from the trace format."""
     records = []
 
+    names_of = chain.goal.vocabulary.names_of
+
     def on_tick(tick, truth, estimate, selected, reason, phase, fired):
-        names_of = truth.vocabulary.names_of
         records.append({
             "tick": tick,
-            "true_atoms": names_of(truth.mask),
-            "estimated_atoms": names_of(estimate.mask),
+            "true_atoms": names_of(truth),
+            "estimated_atoms": names_of(estimate),
             "selected_step": selected,
             "selected_operator": None if selected is None else chain.steps[selected].base.name,
             "reason": reason,
@@ -82,7 +83,11 @@ def tick_records(chain):
     return records, on_tick
 
 
-CHAIN_PROBLEMS = ("open_drawer", "pick_sugar", "put_away_spam", "put_away_both")
+# Every shipped problem.
+CHAIN_PROBLEMS = (
+    "open_drawer", "pick_spam", "pick_sugar", "put_away_spam", "put_away_sugar",
+    "put_away_both",
+)
 
 
 @functools.lru_cache(maxsize=None)
@@ -112,7 +117,8 @@ def with_negative_conditions(chain, pre_neg, run_neg):
 
 
 def reference_select(chain, estimate, current):
-    """Selection as a scan of holds() calls, the executive's definition."""
+    """Selection as a scan of holds() calls on a LogicalState, the
+    executive's definition."""
     for i in range(len(chain.steps) - 1, -1, -1):
         step = chain.steps[i]
         if holds(estimate, step.effective_run if i == current else step.effective_pre):
@@ -125,24 +131,17 @@ class TestSelectOperator:
         grounded, chain = g1
         # Build an estimate satisfying step 3's entry conditions and step
         # 2's run conditions: the scan must pick the higher index.
-        vocab = grounded.vocabulary
-        state = LogicalState(
-            vocab,
-            chain.steps[3].effective_pre.pos_mask
-            | chain.steps[2].effective_run.pos_mask,
-        )
-        assert select_operator(chain, state, current=2) == 3
+        mask = chain.steps[3].effective_pre.pos_mask | chain.steps[2].effective_run.pos_mask
+        assert select_operator(chain, mask, current=2) == 3
 
     def test_continue_current_when_nothing_higher(self, g1):
         grounded, chain = g1
-        vocab = grounded.vocabulary
-        state = LogicalState(vocab, chain.steps[2].effective_run.pos_mask)
-        assert select_operator(chain, state, current=2) == 2
+        mask = chain.steps[2].effective_run.pos_mask
+        assert select_operator(chain, mask, current=2) == 2
 
     def test_empty_estimate_none_enterable(self, g1):
         grounded, chain = g1
-        state = LogicalState(grounded.vocabulary, 0)
-        assert select_operator(chain, state, current=None) is None
+        assert select_operator(chain, 0, current=None) is None
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
@@ -156,23 +155,26 @@ class TestSelectOperator:
             pre_neg, run_neg = data.draw(sparse), data.draw(sparse)
             chain = with_negative_conditions(chain, pre_neg, run_neg)
         # Start from one step's conditions, so that hits are common, then
-        # set and clear sparse random bits; that step is often the current.
+        # set and clear sparse random bits.  Every step, and none, is tried
+        # as the current one.
         i = data.draw(st.integers(0, len(chain.steps) - 1))
         step = chain.steps[i]
         base = data.draw(st.sampled_from([step.effective_pre, step.effective_run]))
         mask = (base.pos_mask | data.draw(sparse)) & ~data.draw(sparse)
-        current = data.draw(
-            st.sampled_from([None, i]) | st.integers(0, len(chain.steps) - 1)
-        )
         estimate = LogicalState(chain.goal.vocabulary, mask)
-        assert select_operator(chain, estimate, current) == reference_select(
-            chain, estimate, current
-        )
+        for current in (None, *range(len(chain.steps))):
+            assert select_operator(chain, mask, current) == reference_select(
+                chain, estimate, current
+            )
 
-    def test_estimate_from_other_vocabulary_rejected(self, g1):
-        _, chain = g1
+    def test_run_rejects_a_pipeline_from_another_vocabulary(self, g1):
+        # select_operator reads bare masks; run checks, once, that the
+        # estimate's vocabulary is the chain's.
+        grounded, chain = g1
+        sim, _ = fresh_setup(grounded)
+        pipe = PerceptionPipeline(Vocabulary([]), NoiseModel(), rng=None)
         with pytest.raises(UnknownAtomError):
-            select_operator(chain, LogicalState(Vocabulary([]), 0), None)
+            run(sim, pipe, chain, max_ticks=10)
 
 
 class TestNominalRun:

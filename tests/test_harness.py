@@ -12,6 +12,7 @@ import tempfile
 from concurrent.futures import Future, ProcessPoolExecutor
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -341,6 +342,23 @@ class TestLoadScenario:
                            {"goal_streak": 400, "stuck_after": 401})
         assert (sc.goal_streak, sc.stuck_after, sc.max_ticks) == (400, 401, 400)
 
+    @pytest.mark.parametrize("window", [10**20, 901], ids=["huge", "max_ticks_plus_1"])
+    def test_window_above_max_ticks_is_rejected(self, window):
+        # A window of 10**20 used to load, and the first trial then raised
+        # OverflowError from deque(maxlen=...).  Above max_ticks the warm-up's
+        # votes on the initial world never all leave the window.
+        with pytest.raises(InputError) as err:
+            load_scenario(scenario_path("put_away_spam_noisy"), {"perception": {"window": window}})
+        assert err.value.problems == [
+            f"field 'perception.window': window {window} is above max_ticks 900, "
+            "so the initial world's votes never leave it"
+        ]
+
+    def test_window_of_max_ticks_runs(self):
+        sc = load_scenario(scenario_path("put_away_spam_noisy"),
+                           {"perception": {"window": 5}, "max_ticks": 5, "trials": 1})
+        assert run_trial(sc, 0).ticks <= 5
+
     def test_domain_binding_without_primitive(self, tmp_path):
         # A domain operator bound to a primitive with no default used to
         # load and then raise UnknownBindingError in the first trial.
@@ -407,10 +425,16 @@ class TestLoadScenario:
                + "    :runcondition (and (arm_in_approach_region handle) (gripper_is_open))\n")],
              None, "action 'cage_handle': its run condition requires gripper_is_open, which "
              "its precondition negates, so the step is entered and never continued"),
+            # The copy whose trial 0 made 393 starts until budget_exhausted.
+            ([(_CAGE_HANDLE_PRE, _CAGE_HANDLE_PRE + "    :runcondition (and (arm_in_approach_"
+               "region handle) (arm_is_free) (handle_is_attached))\n")],
+             None, "action 'cage_handle': its run condition requires handle_is_attached, which "
+             "its precondition does not require, so the step can be entered and never continued"),
         ],
         ids=["no_arm_is_moving", "arity", "back_off_renamed", "lift_any_graspable",
              "six_movables", "seven_movables", "movable_outside_predicate_type",
-             "handle_renamed", "binding_dropped", "run_negates_pre", "run_requires_pre_negated"],
+             "handle_renamed", "binding_dropped", "run_negates_pre", "run_requires_pre_negated",
+             "run_requires_atom_outside_pre"],
     )
     def test_domain_outside_simulator_contract(
         self, tmp_path, domain_edit, problem_edit, expected
@@ -476,6 +500,21 @@ class TestLoadScenario:
         sc = load_scenario(scenario_copy(tmp_path, "put_away_spam_oracle", domain, trials=2))
         metrics, records = run_trials(sc)
         assert metrics.trials == len(records) == 2
+
+    def test_run_condition_requiring_arm_is_moving_runs(self, tmp_path):
+        # Starting a step sets arm_is_moving, so a run condition may require
+        # it although no precondition does.
+        domain, count = _subn(
+            _CAGE_HANDLE_PRE,
+            _CAGE_HANDLE_PRE + "    :runcondition (and (arm_in_approach_region handle)"
+            " (arm_is_free) (arm_is_moving))\n",
+            kitchen_source(),
+        )
+        assert count == 1
+        sc = load_scenario(scenario_copy(tmp_path, "open_drawer_oracle", domain, trials=5))
+        _, records = run_trials(sc)
+        assert all(r.succeeded for r in records)
+        assert all("cage_handle" in r.operator_history for r in records)
 
     def test_override_merging(self):
         sc = load("put_away_spam_oracle", trials=3,
@@ -670,6 +709,49 @@ class TestTrials:
         m_r, _ = run_trials(reactive)
         m_o, _ = run_trials(open_loop)
         assert m_r.success_rate > m_o.success_rate
+
+
+# Digests of every trial record of each shipped oracle scenario, taken before
+# the oracle stopped building a perception Generator: the sim and primitive
+# streams must not shift.
+ORACLE_RECORD_PINS = {
+    "open_drawer_oracle": "cc5c9cd4b7627199",
+    "pick_spam_oracle": "2ed0d3ba91efc5f0",
+    "pick_sugar_oracle": "4ca6adc80badfe72",
+    "put_away_both_zero_shot": "b2a3c86d6bb02354",
+    "put_away_spam_oracle": "bee453a8141fa094",
+    "put_away_sugar_oracle": "eb6c828b8d8792ee",
+    "teleport_cage_open_loop": "2fc8dffef8a7d80b",
+    "teleport_cage_reactive": "b6f470f896bd5578",
+}
+
+
+class TestSeedStreams:
+    @pytest.mark.parametrize("name, generators", [
+        ("pick_spam_oracle", 2), ("put_away_spam_noisy", 3),
+    ])
+    def test_only_noisy_perception_builds_its_generator(self, monkeypatch, name, generators):
+        # Every trial splits its seed into three streams; the oracle never
+        # draws from the perception one, so it builds no Generator for it.
+        sc = load(name, trials=1)
+        calls = []
+        default_rng = np.random.default_rng
+
+        def counting(seed):
+            calls.append(seed)
+            return default_rng(seed)
+
+        monkeypatch.setattr(np.random, "default_rng", counting)
+        run_trial(sc, 0)
+        assert len(calls) == generators
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_RECORD_PINS))
+    def test_oracle_records_match_pins(self, name):
+        sc = load(name)
+        assert sc.noise.is_oracle
+        records = [run_trial(sc, i).to_json_dict() for i in range(sc.trials)]
+        digest = hashlib.sha256(json.dumps(records, sort_keys=True).encode()).hexdigest()
+        assert digest[:16] == ORACLE_RECORD_PINS[name]
 
 
 class TestProperties:

@@ -33,7 +33,7 @@ from chainreact.kitchen import (
     sample_initial,
 )
 from chainreact.lang import parse_problem
-from chainreact.logic import UnknownAtomError, apply_effects, holds
+from chainreact.logic import LogicalState, UnknownAtomError, apply_effects, holds
 from chainreact.planner import ground, plan
 from tests.util import (
     kitchen_domain,
@@ -49,8 +49,13 @@ def grounded():
     return ground(kitchen_domain(), kitchen_problem("put_away_spam"))
 
 
-def names_of(state):
-    return set(state.vocabulary.names_of(state.mask))
+def names_of(grounded, mask):
+    return set(grounded.vocabulary.names_of(mask))
+
+
+def state(grounded, mask):
+    """The truth mask as a LogicalState, for logic.holds and apply_effects."""
+    return LogicalState(grounded.vocabulary, mask)
 
 
 def reliable_sim(grounded, world, seed=0, success_prob=1.0):
@@ -69,8 +74,8 @@ def run_op(sim, op):
 
 class TestEvaluateWorld:
     def test_k1(self, grounded):
-        state = evaluate_world(reference_world(), grounded)
-        assert names_of(state) == {
+        truth = evaluate_world(reference_world(), grounded)
+        assert names_of(grounded, truth) == {
             "arm_in_driving_posture",
             "gripper_is_open",
             "arm_is_free",
@@ -88,9 +93,9 @@ class TestEvaluateWorld:
     def test_transit_band(self, grounded):
         world = reference_world()
         world.drawer_extension = 0.4
-        state = evaluate_world(world, grounded)
-        assert "drawer_is_open" not in names_of(state)
-        assert "drawer_is_closed" not in names_of(state)
+        truth = evaluate_world(world, grounded)
+        assert "drawer_is_open" not in names_of(grounded, truth)
+        assert "drawer_is_closed" not in names_of(grounded, truth)
 
     def test_attached_object(self, grounded):
         world = reference_world()
@@ -98,7 +103,7 @@ class TestEvaluateWorld:
         world.gripper_aperture = 0.2
         world.object_pose["spam"] = ("held",)
         world.arm_region = ("above_counter", None)
-        names = names_of(evaluate_world(world, grounded))
+        names = names_of(grounded, evaluate_world(world, grounded))
         assert "arm_is_attached_to_obj(spam)" in names
         assert "obj_is_attached(spam)" in names
         assert "arm_is_free" not in names
@@ -108,11 +113,11 @@ class TestEvaluateWorld:
     def test_object_hidden_in_closed_drawer(self, grounded):
         world = reference_world()
         world.object_pose["spam"] = ("in_drawer",)
-        names = names_of(evaluate_world(world, grounded))
+        names = names_of(grounded, evaluate_world(world, grounded))
         assert "obj_is_detected(spam)" not in names
         assert "obj_is_in_drawer(spam)" in names
         world.drawer_extension = 1.0
-        names = names_of(evaluate_world(world, grounded))
+        names = names_of(grounded, evaluate_world(world, grounded))
         assert "obj_is_detected(spam)" in names
 
     def test_total_and_deterministic(self, grounded):
@@ -136,7 +141,7 @@ class TestEvaluateWorld:
             a = evaluate_world(world, grounded)
             b = evaluate_world(world, grounded)
             assert a == b  # and every atom is inside the 42-atom vocabulary
-            assert a.mask < (1 << 42)
+            assert a < (1 << 42)
 
     def test_object_outside_vocabulary_raises(self, grounded):
         world = reference_world(("spam", "sugar", "salt"))
@@ -214,10 +219,10 @@ class TestPrimitives:
     def test_arm_moving_during_primitive(self, grounded):
         sim = reliable_sim(grounded, reference_world())
         sim.start_primitive(grounded.operator_named("back_off"))
-        assert "arm_is_moving" in names_of(sim.eval_predicates())
+        assert "arm_is_moving" in names_of(grounded, sim.eval_predicates())
         while sim.current is not None:
             sim.tick()
-        assert "arm_is_moving" not in names_of(sim.eval_predicates())
+        assert "arm_is_moving" not in names_of(grounded, sim.eval_predicates())
 
     def test_failed_grasp_leaves_nothing_attached(self, grounded):
         world = reference_world()
@@ -226,7 +231,7 @@ class TestPrimitives:
         rng = np.random.default_rng(1)
         sim = KitchenSim(grounded, world, prims, rng, rng)
         run_op(sim, grounded.operator_named("grasp_obj", ("spam",)))
-        names = names_of(sim.eval_predicates())
+        names = names_of(grounded, sim.eval_predicates())
         assert "arm_is_attached_to_obj(spam)" not in names
         assert "gripper_is_open" in names  # re-opened for a retry
 
@@ -240,7 +245,7 @@ class TestPrimitives:
         mid_seen = False
         while prim.phase == "running":
             sim.tick()
-            names = names_of(sim.eval_predicates())
+            names = names_of(grounded, sim.eval_predicates())
             if prim.phase == "running" and "drawer_is_open" not in names and "drawer_is_closed" not in names:
                 mid_seen = True
         assert mid_seen
@@ -285,7 +290,7 @@ class TestDisturbances:
         sim.apply_disturbance("teleport_object", "sugar")
         assert sim.world.attached is None
         assert sim.world.object_pose["sugar"][0] == "counter"
-        names = names_of(sim.eval_predicates())
+        names = names_of(grounded, sim.eval_predicates())
         assert "obj_is_on_counter(sugar)" in names
         assert "arm_is_free" in names
 
@@ -302,7 +307,7 @@ class TestDisturbances:
         world.object_pose["spam"] = ("in_drawer",)
         sim = reliable_sim(grounded, world)
         sim.apply_disturbance("set_drawer", extension=0.0)
-        names = names_of(sim.eval_predicates())
+        names = names_of(grounded, sim.eval_predicates())
         assert "drawer_is_closed" in names
         assert "obj_is_in_drawer(spam)" in names
 
@@ -368,15 +373,15 @@ class TestAlignment:
         sim = reliable_sim(grounded_task, reference_world(), seed)
         covered = []
         for op in result.plan.steps:
-            before = sim.eval_predicates()
+            before = state(grounded_task, sim.eval_predicates())
             assert holds(before, op.pre), f"{op.name} not enterable in sim"
             prim = run_op(sim, op)
             assert prim.phase == "done"
             after = sim.eval_predicates()
-            assert after.mask & op.eff.add_mask == op.eff.add_mask, (
+            assert after & op.eff.add_mask == op.eff.add_mask, (
                 f"{op.name}: adds missing from world"
             )
-            assert after.mask & op.eff.del_mask == 0, (
+            assert after & op.eff.del_mask == 0, (
                 f"{op.name}: deletes still true in world"
             )
             covered.append(op.name)
@@ -385,14 +390,14 @@ class TestAlignment:
     def test_alignment_over_g1_plan(self, grounded):
         covered, sim = self.drive_plan(grounded)
         assert len(covered) == 16
-        final = sim.eval_predicates()
+        final = state(grounded, sim.eval_predicates())
         assert holds(final, grounded.goal)
 
     def test_alignment_over_g2_plan_covers_sugar_ops(self):
         grounded2 = ground(kitchen_domain(), kitchen_problem("put_away_both"))
         covered, sim = self.drive_plan(grounded2)
         assert "lower_obj_into_drawer(sugar)" in covered
-        assert holds(sim.eval_predicates(), grounded2.goal)
+        assert holds(state(grounded2, sim.eval_predicates()), grounded2.goal)
 
     def test_alignment_all_21_operators(self, grounded):
         # The two nominal plans plus a direct open_gripper run cover every
@@ -408,7 +413,7 @@ class TestAlignment:
         op = grounded.operator_named("open_gripper")
         run_op(sim, op)
         after = sim.eval_predicates()
-        assert after.mask & op.eff.add_mask == op.eff.add_mask
+        assert after & op.eff.add_mask == op.eff.add_mask
         seen.add("open_gripper")
 
         all_ops = {o.name for o in grounded.operators}
@@ -444,18 +449,18 @@ def frame_walk(grounded):
     for every operator enterable in one, (the world's truth, the operator,
     the truth mask its successful run leaves)."""
     queue = deque(frame_starts(grounded.movables))
-    seen = {evaluate_world(world, grounded).mask for world in queue}
+    seen = {evaluate_world(world, grounded) for world in queue}
     worlds, runs = [], []
     while queue:
         world = queue.popleft()
         worlds.append(world)
-        truth = evaluate_world(world, grounded)
+        truth = state(grounded, evaluate_world(world, grounded))
         for op in grounded.operators:
             if not holds(truth, op.pre):
                 continue
             sim = reliable_sim(grounded, copy.deepcopy(world))
             assert run_op(sim, op).phase == "done"
-            after = evaluate_world(sim.world, grounded).mask
+            after = evaluate_world(sim.world, grounded)
             runs.append((truth, op, after))
             if after not in seen:
                 seen.add(after)
@@ -505,7 +510,7 @@ class TestTruthCache:
         grounded = ground(kitchen_domain(), kitchen_problem("put_away_both"))
         worlds, _ = frame_walk(grounded)
         for world in worlds:
-            truth = evaluate_world(world, grounded)
+            truth = state(grounded, evaluate_world(world, grounded))
             for op in grounded.operators:
                 if not holds(truth, op.pre):
                     continue
@@ -551,10 +556,8 @@ class TestTruthCache:
 
 class TestGoalEvaluation:
     def test_reference_state_does_not_satisfy_put_away_goal(self, grounded):
-        from chainreact.logic import holds
-
-        state = evaluate_world(reference_world(), grounded)
-        assert not holds(state, grounded.goal)
+        truth = state(grounded, evaluate_world(reference_world(), grounded))
+        assert not holds(truth, grounded.goal)
 
 
 class TestContactPhysics:
@@ -675,14 +678,14 @@ class TestFixtureConsistency:
                      "pick_sugar", "open_drawer"):
             grounded = ground(kitchen_domain(), kitchen_problem(name))
             world_state = evaluate_world(reference_world(), grounded)
-            assert world_state == grounded.init, name
+            assert world_state == grounded.init.mask, name
 
     def test_composite_problem_init_matches_too(self):
         grounded = ground(kitchen_domain(), kitchen_problem("put_away_both"))
         world_state = evaluate_world(
             reference_world(("sugar", "spam")), grounded
         )
-        assert world_state == grounded.init
+        assert world_state == grounded.init.mask
 
 
 SHIPPED_PROBLEMS = (
@@ -703,9 +706,9 @@ def with_movables(count: int):
     return ground(kitchen_domain(), result.value)
 
 
-def assert_in_contract(state):
-    for (name, args), bit in state.vocabulary.bits.items():
-        if state.mask & bit:
+def assert_in_contract(grounded, truth):
+    for (name, args), bit in grounded.vocabulary.bits.items():
+        if truth & bit:
             assert name in WRITTEN_PREDICATES, name
             assert WRITTEN_PREDICATES[name] == len(args)
 
@@ -753,16 +756,16 @@ class TestContract:
         sim = KitchenSim(
             grounded, world, primitives(0.7), rng, rng
         )
-        assert_in_contract(sim.eval_predicates())
+        assert_in_contract(grounded, sim.eval_predicates())
         for step in steps:
             if isinstance(step, int):
-                truth = sim.eval_predicates()
+                truth = state(grounded, sim.eval_predicates())
                 enabled = [op for op in grounded.operators if holds(truth, op.pre)]
                 if not enabled:
                     continue
                 prim = sim.start_primitive(enabled[step % len(enabled)])
                 while prim.phase == "running":
-                    assert_in_contract(sim.eval_predicates())
+                    assert_in_contract(grounded, sim.eval_predicates())
                     sim.tick()
             elif step == "teleport_object":
                 obj = grounded.movables[int(rng.integers(len(grounded.movables)))]
@@ -772,7 +775,7 @@ class TestContract:
                 sim.apply_disturbance(step, extension=float(rng.random()))
             else:
                 sim.apply_disturbance(step)
-            assert_in_contract(sim.eval_predicates())
+            assert_in_contract(grounded, sim.eval_predicates())
 
 
 if __name__ == "__main__":

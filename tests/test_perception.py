@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chainreact.harness import load_scenario, run_trial
-from chainreact.logic import LogicalState, Vocabulary
+from chainreact.logic import Vocabulary
 from chainreact.perception import (
     NoiseModel,
     PerceptionPipeline,
@@ -54,6 +54,16 @@ class TestNoiseModel:
         assert {name for name, p in flips.items() if p == 0.3} == detected
         assert all(p == 0.1 for name, p in flips.items() if name not in detected)
 
+    def test_flip_vector_is_built_once_per_vocabulary(self):
+        # One scenario's trials share the array; another vocabulary gets its own.
+        model = NoiseModel(default_flip=0.1)
+        vocab, other = make_vocab(3), make_vocab(3)
+        first = model.flip_vector(vocab)
+        assert model.flip_vector(vocab) is first
+        assert not first.flags.writeable
+        assert model.flip_vector(other) is not first
+        assert list(model.flip_vector(other)) == list(first)
+
     def test_oracle_flag(self):
         assert NoiseModel().is_oracle
         assert not NoiseModel(default_flip=0.01).is_oracle
@@ -69,26 +79,25 @@ class TestObserve:
         # A vanishing (not exactly zero) flip keeps the noisy path engaged.
         vocab = make_vocab(8)
         pipe = observer(vocab, NoiseModel(default_flip=1e-12), np.random.default_rng(0))
-        for mask in (0, 0b10101010, 0b11111111):
-            truth = LogicalState(vocab, mask)
+        for truth in (0, 0b10101010, 0b11111111):
             assert pipe.estimate(truth) == truth
 
     def test_expected_hamming_distance(self):
         # 42-atom vocabulary, p = 0.1: binomial mean 4.2 flips per draw.
         vocab = make_vocab(42)
         pipe = observer(vocab, NoiseModel(default_flip=0.1), np.random.default_rng(1234))
-        truth = LogicalState(vocab, (1 << 21) - 1)
+        truth = (1 << 21) - 1
         total = 0
         draws = 10_000
         for _ in range(draws):
             noisy = pipe.estimate(truth)
-            total += bin(noisy.mask ^ truth.mask).count("1")
+            total += bin(noisy ^ truth).count("1")
         assert abs(total / draws - 4.2) < 0.5
 
     def test_deterministic_given_seed(self):
         vocab = make_vocab(10)
         noise = NoiseModel(default_flip=0.2)
-        truth = LogicalState(vocab, 0b1100110011)
+        truth = 0b1100110011
         a = observer(vocab, noise, np.random.default_rng(7)).estimate(truth)
         b = observer(vocab, noise, np.random.default_rng(7)).estimate(truth)
         assert a == b
@@ -115,6 +124,13 @@ class TestWindow:
     def test_window_below_one_rejected(self):
         with pytest.raises(ValueError):
             PerceptionPipeline(make_vocab(3), window=0, rng=np.random.default_rng(0))
+
+    def test_only_the_oracle_goes_without_an_rng(self):
+        # The oracle draws nothing; a noisy pipeline would fail at its first
+        # estimate, so it fails at construction instead.
+        assert PerceptionPipeline(make_vocab(3), NoiseModel(), rng=None).estimate(0b101) == 0b101
+        with pytest.raises(ValueError):
+            PerceptionPipeline(make_vocab(3), NoiseModel(default_flip=0.1), rng=None)
 
     @settings(max_examples=200)
     @given(
@@ -143,7 +159,7 @@ class TestPipeline:
         pipe = PerceptionPipeline(vocab, NoiseModel(), rng=np.random.default_rng(3))
         rng = np.random.default_rng(10)
         for _ in range(200):
-            truth = LogicalState(vocab, int(rng.integers(0, 1 << 12)))
+            truth = int(rng.integers(0, 1 << 12))
             assert pipe.estimate(truth) == truth
 
     def test_lag_after_truth_change(self):
@@ -155,8 +171,8 @@ class TestPipeline:
         pipe = PerceptionPipeline(
             vocab, NoiseModel(default_flip=1e-12), rng=np.random.default_rng(4)
         )
-        old = LogicalState(vocab, 0b101010)
-        new = LogicalState(vocab, 0b010101)
+        old = 0b101010
+        new = 0b010101
         for _ in range(5):
             pipe.estimate(old)
         first = pipe.estimate(new)
@@ -176,12 +192,12 @@ class TestPipeline:
         pipe = PerceptionPipeline(
             vocab, NoiseModel(default_flip=0.1), rng=np.random.default_rng(99)
         )
-        truth = LogicalState(vocab, (1 << 42) - (1 << 10))
+        truth = (1 << 42) - (1 << 10)
         ticks = 10_000
         wrong = 0
         for _ in range(ticks):
             est = pipe.estimate(truth)
-            wrong += bin(est.mask ^ truth.mask).count("1")
+            wrong += bin(est ^ truth).count("1")
         rate = wrong / (ticks * 42)
         assert abs(rate - 0.028) < 0.005
 
@@ -194,15 +210,15 @@ class TestPipeline:
         pipe = PerceptionPipeline(
             vocab, NoiseModel(default_flip=0.1), window, rng=np.random.default_rng(window)
         )
-        truth = LogicalState(vocab, (1 << 42) - 1)
+        truth = (1 << 42) - 1
         pipe.warm_up(truth)
         ticks = 5_000
-        wrong = sum(bin(pipe.estimate(truth).mask ^ truth.mask).count("1") for _ in range(ticks))
+        wrong = sum(bin(pipe.estimate(truth) ^ truth).count("1") for _ in range(ticks))
         assert abs(wrong / (ticks * 42) - rate) < 0.01
 
     def test_filtered_beats_raw_for_standard_probabilities(self):
         vocab = make_vocab(42)
-        truth = LogicalState(vocab, (1 << 42) - (1 << 7))
+        truth = (1 << 42) - (1 << 7)
         ticks = 10_000
         for p in (0.02, 0.05, 0.1, 0.2):
             pipe = PerceptionPipeline(
@@ -212,20 +228,20 @@ class TestPipeline:
             for _ in range(ticks):
                 est = pipe.estimate(truth)
                 raw = pipe.window[-1]
-                raw_wrong += bin(raw ^ truth.mask).count("1")
-                filtered_wrong += bin(est.mask ^ truth.mask).count("1")
+                raw_wrong += bin(raw ^ truth).count("1")
+                filtered_wrong += bin(est ^ truth).count("1")
             assert filtered_wrong < raw_wrong
 
     def test_determinism_of_estimate_sequences(self):
         vocab = make_vocab(20)
         truth_rng = np.random.default_rng(55)
-        truths = [LogicalState(vocab, int(truth_rng.integers(0, 1 << 20))) for _ in range(100)]
+        truths = [int(truth_rng.integers(0, 1 << 20)) for _ in range(100)]
 
         def run(seed):
             pipe = PerceptionPipeline(
                 vocab, NoiseModel(default_flip=0.15), rng=np.random.default_rng(seed)
             )
-            return [pipe.estimate(t).mask for t in truths]
+            return [pipe.estimate(t) for t in truths]
 
         assert run(42) == run(42)
         assert run(42) != run(43)
@@ -235,7 +251,7 @@ class TestWideVocabulary:
     def test_pipeline_beyond_word_width(self):
         # byte packing must round-trip masks wider than 64 bits
         vocab = make_vocab(130)
-        truth = LogicalState(vocab, (1 << 130) - (1 << 65) + 0b1011)
+        truth = (1 << 130) - (1 << 65) + 0b1011
         pipe = PerceptionPipeline(vocab, NoiseModel(), rng=np.random.default_rng(0))
         assert pipe.estimate(truth) == truth
         noisy_pipe = PerceptionPipeline(
@@ -244,7 +260,7 @@ class TestWideVocabulary:
         seen_diff = False
         for _ in range(20):
             est = noisy_pipe.estimate(truth)
-            assert est.mask < (1 << 130)
+            assert est < (1 << 130)
             seen_diff |= est != truth
         assert seen_diff
 
@@ -258,7 +274,7 @@ class TestWarmUp:
         # The returned mask and the next 100 estimates match, so the warm-up
         # leaves the window and the flip block where `window` calls do.
         vocab = make_vocab(width)
-        truth = LogicalState(vocab, (1 << width) // 3)
+        truth = (1 << width) // 3
         warmed = PerceptionPipeline(vocab, noise, window, rng=np.random.default_rng(5))
         stepped = PerceptionPipeline(vocab, noise, window, rng=np.random.default_rng(5))
         for _ in range(window):
@@ -266,8 +282,7 @@ class TestWarmUp:
         assert warmed.warm_up(truth) == last
         truth_rng = np.random.default_rng(width + window)
         for _ in range(100):
-            truth = LogicalState(vocab, int.from_bytes(truth_rng.bytes(17), "little")
-                                 & ((1 << width) - 1))
+            truth = int.from_bytes(truth_rng.bytes(17), "little") & ((1 << width) - 1)
             assert warmed.estimate(truth) == stepped.estimate(truth)
 
 
@@ -278,8 +293,8 @@ def per_tick_estimate(pipe, truth):
         return truth
     flips = pipe.rng.random(len(pipe.vocab)) < pipe.noise.flip_vector(pipe.vocab)
     packed = np.packbits(flips, bitorder="little").tobytes()
-    pipe.window.append(truth.mask ^ int.from_bytes(packed, "little"))
-    return LogicalState(pipe.vocab, majority(pipe.window))
+    pipe.window.append(truth ^ int.from_bytes(packed, "little"))
+    return majority(pipe.window)
 
 
 class TestBlockDraws:
@@ -302,13 +317,13 @@ class TestBlockDraws:
         for _ in range(230):
             if truth_rng.random() < 0.3:
                 mask = int.from_bytes(truth_rng.bytes(17), "little") & ((1 << width) - 1)
-            truths.append(LogicalState(vocab, mask))
+            truths.append(mask)
         for noise in noises:
             for seed in (0, 1, 2):
                 block = PerceptionPipeline(vocab, noise, window, rng=np.random.default_rng(seed))
                 ref = PerceptionPipeline(vocab, noise, window, rng=np.random.default_rng(seed))
                 for tick, truth in enumerate(truths):
-                    assert block.estimate(truth).mask == per_tick_estimate(ref, truth).mask, tick
+                    assert block.estimate(truth) == per_tick_estimate(ref, truth), tick
 
     @pytest.mark.parametrize("window", [1, 5, 70])
     def test_trials_off_the_shipped_window_equal_the_reference(self, window, monkeypatch):
