@@ -4,6 +4,11 @@ Every JSON file the program reads is checked here against a schema, by one
 checker that names the field path of each fault and rejects unknown fields;
 a file with faults raises one :class:`InputError` that lists them all.
 
+The domain and problem files are read on every load, and their parses
+and grounding cached by text (the last ``_CACHED_TEXTS`` of each) for the
+life of the process: an edited file is parsed again, and scenarios naming
+the same texts share one :class:`GroundedDomain`, which is read-only.
+
 A scenario is a JSON file naming a domain and problem (paths relative to
 the scenario file), the executive to run, the perception mode, overrides of
 the kitchen's ``DEFAULT_PRIMITIVES``, initial-condition randomisation,
@@ -50,6 +55,7 @@ import json
 from concurrent.futures import Future, ProcessPoolExecutor
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field, fields, replace
+from functools import lru_cache
 from pathlib import Path
 from typing import IO, Iterator, Optional, Sequence
 
@@ -66,7 +72,7 @@ from .kitchen import (
     contract_problems,
     sample_initial,
 )
-from .lang import load_domain_file, load_problem_file
+from .lang import ParseResult, parse_domain, parse_problem
 from .logic import LogicalState
 from .perception import DEFAULT_WINDOW, NoiseModel, PerceptionPipeline
 from .planner import GroundedDomain, GroundingLimitError, GroundOperator, Plan, ground, plan
@@ -200,34 +206,45 @@ def load_grounded(
     is not UTF-8 text, or a parse diagnostic as ``PATH:LINE:COL: error:
     MESSAGE``, or ``PROBLEM_PATH: grounding exceeds N operators`` (or
     ``atoms``).  The problem is read only once the domain parses.  The
-    text of each file read is appended to ``sources`` when it is given."""
+    text of each file read is appended to ``sources`` when it is given,
+    and keys the cached parse and grounding."""
     sources = [] if sources is None else sources
-    domain = _parsed(domain_path, problems, sources, load_domain_file)
-    problem = None if domain is None else _parsed(
-        problem_path, problems, sources, load_problem_file, domain
-    )
-    if problem is None:
-        return None
-    try:
-        return ground(domain, problem)
-    except GroundingLimitError as err:
-        problems.append(f"{problem_path}: {err}")
-        return None
-
-
-def _parsed(path: str, problems: list[str], sources: list[str], load, *args):
-    """The value ``load(path, *args)`` parses, or ``None`` after appending
-    the faults to ``problems``.  The text read is appended to ``sources``."""
-    try:
-        result = load(path, *args)
-    except (OSError, UnicodeDecodeError) as err:
-        problems.append(f"{path}: {_read_error(err)}")
-        return None
-    sources.append(result.source)
-    if not result.ok:
+    texts: list[str] = []
+    for path, parse in ((domain_path, _parse_domain), (problem_path, _ground)):
+        try:
+            texts.append(Path(path).read_text(encoding="utf-8"))
+        except (OSError, UnicodeDecodeError) as err:
+            problems.append(f"{path}: {_read_error(err)}")
+            return None
+        sources.append(texts[-1])
+        try:
+            result = parse(*texts)
+        except GroundingLimitError as err:
+            problems.append(f"{path}: {err}")
+            return None
         problems.extend(f"{path}:{diag}" for diag in result.diagnostics)
-        return None
+        if not result.ok:
+            return None
     return result.value
+
+
+# How many domain texts, and (domain, problem) text pairs, keep their
+# parses and grounding: the ones loaded last.
+_CACHED_TEXTS = 32
+
+
+@lru_cache(maxsize=_CACHED_TEXTS)
+def _parse_domain(domain_text: str) -> ParseResult:
+    return parse_domain(domain_text)
+
+
+@lru_cache(maxsize=_CACHED_TEXTS)
+def _ground(domain_text: str, problem_text: str) -> ParseResult:
+    """The problem's parse against the cached domain, its value grounded
+    if it parses.  A :class:`GroundingLimitError` is raised, not cached."""
+    domain = _parse_domain(domain_text).value
+    result = parse_problem(problem_text, domain)
+    return replace(result, value=ground(domain, result.value)) if result.ok else result
 
 
 # --------------------------------------------------------------------------
@@ -615,10 +632,13 @@ def run_trial(
     in the mask, and neither draws from a seeded stream, so records and
     traces do not depend on whether the memo hit."""
     seed = scenario.base_seed + index
-    sim_ss, perc_ss, prim_ss = np.random.SeedSequence(seed).spawn(3)
-    sim_rng = np.random.default_rng(sim_ss)
-    perc_rng = None if scenario.noise.is_oracle else np.random.default_rng(perc_ss)
-    prim_rng = np.random.default_rng(prim_ss)
+
+    def stream(k: int) -> np.random.Generator:  # SeedSequence(seed).spawn(3)[k]
+        return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(k,)))
+
+    sim_rng = stream(0)
+    perc_rng = None if scenario.noise.is_oracle else stream(1)
+    prim_rng = stream(2)
 
     grounded = scenario.grounded
     world = sample_initial(scenario.initial, grounded.movables, sim_rng)

@@ -604,13 +604,3 @@ def serialize_domain(domain: DomainDefinition) -> str:
         lines.append("  )")
     lines.append(")")
     return "\n".join(lines) + "\n"
-
-
-def load_domain_file(path: str) -> ParseResult:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_domain(fh.read())
-
-
-def load_problem_file(path: str, domain: DomainDefinition) -> ParseResult:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_problem(fh.read(), domain)

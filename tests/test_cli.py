@@ -12,7 +12,7 @@ import pytest
 
 from chainreact import cli
 from chainreact.cli import main
-from chainreact.harness import plan_payload, read_plan
+from chainreact.harness import load_scenario, plan_payload, read_plan
 from chainreact.planner import ground, plan
 from tests.util import (
     CUPS_ONLY,
@@ -567,6 +567,10 @@ def test_bench_uneven_scenarios_on_three_jobs_match(tmp_path):
             ("teleport_cage_reactive", 7),
         )
     ]
+    # The first and the last name the same domain and problem files, so
+    # they load one shared grounding, which the workers inherit.
+    first, _, last = (load_scenario(path).grounded for path in files)
+    assert first is last
     for name, jobs in (("seq", "1"), ("par", "3")):
         assert main([
             "bench", "--scenarios", *map(str, files), "--jobs", jobs,

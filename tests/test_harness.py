@@ -631,6 +631,57 @@ class TestLoadScenario:
             assert sc.trials >= 1
 
 
+class TestLoadCache:
+    """load_grounded reads both files on every load and keeps their parses
+    and grounding by text, so loads of the same texts share one grounding."""
+
+    def test_scenarios_naming_the_same_files_share_one_grounding(self):
+        reactive, open_loop = load("teleport_cage_reactive"), load("teleport_cage_open_loop")
+        assert reactive.grounded is open_loop.grounded
+        assert reactive.config_digest != open_loop.config_digest
+
+    def test_domain_rewritten_in_place_is_parsed_again(self, tmp_path):
+        path = scenario_copy(tmp_path, "pick_spam_oracle", domain=kitchen_source())
+        domain = (tmp_path / "kitchen.dpdl").resolve()
+        first = load_scenario(path)
+        domain.write_text(kitchen_source().replace("(:action", "(:acton", 1), encoding="utf-8")
+        with pytest.raises(InputError) as err:
+            load_scenario(path)
+        (line,) = err.value.problems
+        assert re.fullmatch(rf"{re.escape(str(domain))}:\d+:\d+: error: .*':acton'", line)
+        domain.write_text(kitchen_source() + "; edited\n", encoding="utf-8")
+        second = load_scenario(path)
+        assert second.config_digest != first.config_digest
+        assert second.grounded is not first.grounded
+
+    @pytest.mark.parametrize("edit", ["domain", "problem"])
+    def test_the_same_bad_text_at_two_paths_reports_each_path(self, tmp_path, edit):
+        texts = {"domain": kitchen_source().replace("(:action", "(:acton", 1),
+                 "problem": problem_source("pick_spam") + ")"}
+        reported = []
+        for sub in ("a", "b"):
+            (tmp_path / sub).mkdir()
+            path = scenario_copy(tmp_path / sub, "pick_spam_oracle", **{edit: texts[edit]})
+            with pytest.raises(InputError) as err:
+                load_scenario(path)
+            reported.append(err.value.problems)
+        bad = {sub: str((tmp_path / sub).resolve()) for sub in ("a", "b")}
+        assert len(reported[0]) == 1 and reported[0][0].startswith(bad["a"] + "/")
+        assert reported[1] == [line.replace(bad["a"], bad["b"]) for line in reported[0]]
+
+    def test_distinct_texts_beyond_the_bound_keep_the_cache_at_the_bound(self, tmp_path):
+        domain = tmp_path / "kitchen.dpdl"
+        problem = str(DATA_DIR / "problems" / "pick_spam.dprob")
+        for i in range(harness._CACHED_TEXTS + 3):
+            domain.write_text(f"{kitchen_source()}; text {i}\n", encoding="utf-8")
+            problems = []
+            assert harness.load_grounded(str(domain), problem, problems) is not None
+            assert problems == []
+        for cached in (harness._parse_domain, harness._ground):
+            assert cached.cache_info().maxsize == harness._CACHED_TEXTS
+            assert cached.cache_info().currsize == harness._CACHED_TEXTS
+
+
 # The lines of kitchen.dpdl's :predicates block that declare a predicate.
 _PREDICATE_LINES = re.findall(
     r"^    \(\w+[^()]*\)\n",
@@ -744,6 +795,26 @@ class TestSeedStreams:
         monkeypatch.setattr(np.random, "default_rng", counting)
         run_trial(sc, 0)
         assert len(calls) == generators
+
+    @pytest.mark.parametrize("seed", [0, 7, 2**32 + 5, 10**12])
+    def test_streams_are_the_children_spawn_builds(self, monkeypatch, seed):
+        # run_trial builds child k of the trial's SeedSequence directly;
+        # each stream draws what SeedSequence(seed).spawn(3)[k] would.
+        sc = load("put_away_spam_noisy", trials=1, base_seed=seed)
+        built = []
+        default_rng = np.random.default_rng
+
+        def capturing(seed_sequence):
+            built.append(seed_sequence)
+            return default_rng(seed_sequence)
+
+        monkeypatch.setattr(np.random, "default_rng", capturing)
+        run_trial(sc, 0)
+        built.sort(key=lambda seq: seq.spawn_key)
+        assert [seq.spawn_key for seq in built] == [(0,), (1,), (2,)]
+        for ours, child in zip(built, np.random.SeedSequence(seed).spawn(3)):
+            draws = [default_rng(seq).integers(2**63, size=4).tolist() for seq in (ours, child)]
+            assert draws[0] == draws[1]
 
     @pytest.mark.parametrize("name", sorted(ORACLE_RECORD_PINS))
     def test_oracle_records_match_pins(self, name):
