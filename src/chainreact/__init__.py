@@ -19,7 +19,7 @@ from .chains import Chain, build_chain, verify_chain
 from .executive import Disturbance, Outcome, run, select_operator
 from .harness import Scenario, load_scenario, run_trial, run_trials
 from .kitchen import KitchenSim, WorldState, evaluate_world, sample_initial
-from .lang import parse_domain, parse_problem, serialize_domain
+from .lang import parse_domain, parse_problem
 from .logic import (
     ConditionSet,
     EffectSet,
@@ -63,7 +63,6 @@ __all__ = [
     "run_trials",
     "sample_initial",
     "select_operator",
-    "serialize_domain",
     "symbolic_execute",
     "verify_chain",
     "__version__",

@@ -52,6 +52,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import sys
 from concurrent.futures import Future, ProcessPoolExecutor
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field, fields, replace
@@ -333,6 +334,9 @@ _STR = (lambda v: isinstance(v, str), "a string")
 _PROB = (_is_prob, "a number in [0, 1]")
 _FLIP = (lambda v: _is_number(v) and 0.0 <= v < 0.5, "a number in [0, 0.5)")
 _ANY = (lambda v: True, "anything")
+# The simulator draws a primitive's ticks as an int64, and the perception
+# window (at most max_ticks long) is a deque: both take at most sys.maxsize.
+_TICKS = (lambda v: _is_int(v) and 1 <= v <= sys.maxsize, f"an int in 1..{sys.maxsize}")
 # The name prefixes each trace file, so it must not leave the trace dir.
 _NAME = (
     lambda v: isinstance(v, str) and v not in ("", ".", "..") and not set(v) & set("/\\\0"),
@@ -371,8 +375,8 @@ _SCENARIO = _Object(
         "primitives": _Object({
             "success_prob": _PROB,
             "bindings": _Each(_Object({
-                "min_ticks": _int_from(1),
-                "max_ticks": _int_from(1),
+                "min_ticks": _TICKS,
+                "max_ticks": _TICKS,
                 "success_prob": _PROB,
             })),
         }),
@@ -394,7 +398,7 @@ _SCENARIO = _Object(
         )],
         "goal_streak": _int_from(1),
         "stuck_after": _int_from(1),
-        "max_ticks": _int_from(1),
+        "max_ticks": _TICKS,
         "trials": _int_from(1),
         "base_seed": _int_from(0),
     },

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Optional
 
 from .logic import MAX_ARITY, PredicateSchema
 
@@ -86,7 +86,6 @@ class DomainDefinition:
 @dataclass
 class ProblemDefinition:
     name: str
-    domain_name: str
     objects: dict[str, str] = field(default_factory=dict)  # symbol -> type
     init: frozenset[LiftedAtom] = frozenset()  # fully ground atoms
     goal: frozenset[LiftedLiteral] = frozenset()  # fully ground literals
@@ -105,12 +104,10 @@ class Diagnostic:
 
 @dataclass
 class ParseResult:
-    """Either a value or a non-empty list of error diagnostics, and the
-    text that was parsed."""
+    """Either a value or a non-empty list of error diagnostics."""
 
     value: object = None
     diagnostics: list[Diagnostic] = field(default_factory=list)
-    source: str = ""
 
     @property
     def ok(self) -> bool:
@@ -243,18 +240,17 @@ def parse_problem(source: str, domain: DomainDefinition) -> ParseResult:
     """Parse and validate a problem against an already validated domain."""
 
     def begin(name: str, diags: list[Diagnostic]):
-        problem = ProblemDefinition(name=name, domain_name="")
+        problem = ProblemDefinition(name=name)
 
         def symbols() -> dict[str, str]:
             return {**domain.constants, **problem.objects}
 
-        def domain_name(section: _Node, body: list[_Node]) -> None:
+        def target(section: _Node, body: list[_Node]) -> None:
             if len(body) != 1 or body[0].is_list:
                 _err(diags, section, "(:domain NAME) expects one name", "malformed")
                 return
-            problem.domain_name = body[0].text
-            if problem.domain_name != domain.name:
-                _err(diags, body[0], f"problem targets domain {problem.domain_name!r}, loaded domain is {domain.name!r}", "wrong-domain")
+            if body[0].text != domain.name:
+                _err(diags, body[0], f"problem targets domain {body[0].text!r}, loaded domain is {domain.name!r}", "wrong-domain")
 
         def init(section: _Node, body: list[_Node]) -> None:
             known = symbols()
@@ -270,7 +266,7 @@ def parse_problem(source: str, domain: DomainDefinition) -> ParseResult:
                 problem.goal = got
 
         return problem, {
-            ":domain": domain_name,
+            ":domain": target,
             ":objects": lambda section, body: _declare(
                 body, domain, problem.objects, "object", diags
             ),
@@ -296,7 +292,7 @@ def _parse(source: str, kind: str, begin) -> ParseResult:
     except Exception as exc:  # totality guard for malformed input
         diags.append(Diagnostic(1, 1, f"internal parse failure: {exc}", "internal"))
         value = None
-    return ParseResult(None if diags else value, diags, source)
+    return ParseResult(None if diags else value, diags)
 
 
 def _parse_define(source: str, kind: str, begin, diags: list[Diagnostic]) -> object:
@@ -553,54 +549,3 @@ def _parse_literals(
     elif both:
         _err(diags, node, f"condition both requires and negates {names}", "contradictory-literals")
     return None if both else frozenset(literals)
-
-
-# --------------------------------------------------------------------------
-# Serialization
-# --------------------------------------------------------------------------
-
-
-def _fmt_typed(pairs: Iterable[tuple[str, str]]) -> str:
-    return " ".join(f"{name} - {type_name}" for name, type_name in pairs)
-
-
-def _fmt_literal(lit: LiftedLiteral) -> str:
-    return str(lit.atom) if lit.positive else f"(not {lit.atom})"
-
-
-def _fmt_condition(literals: frozenset[LiftedLiteral]) -> str:
-    parts = sorted(_fmt_literal(l) for l in literals)
-    return "(and " + " ".join(parts) + ")" if parts else "(and)"
-
-
-def serialize_domain(domain: DomainDefinition) -> str:
-    """Render a domain such that parsing the output reproduces it."""
-    lines = [f"(define (domain {domain.name})"]
-    if domain.types:
-        decls = []
-        for name in domain.types:
-            parent = domain.types[name]
-            decls.append(f"{name} - {parent}" if parent else name)
-        lines.append(f"  (:types {' '.join(decls)})")
-    if domain.constants:
-        lines.append(f"  (:constants {_fmt_typed(domain.constants.items())})")
-    if domain.predicates:
-        lines.append("  (:predicates")
-        for pred in domain.predicates:
-            params = " ".join(
-                f"?v{i} - {t}" for i, t in enumerate(pred.param_types)
-            )
-            lines.append(f"    ({pred.name}{' ' + params if params else ''})")
-        lines.append("  )")
-    for op in domain.operators:
-        lines.append(f"  (:action {op.name}")
-        lines.append(f"    :parameters ({_fmt_typed(op.params)})")
-        lines.append(f"    :precondition {_fmt_condition(op.pre)}")
-        if op.run != op.pre:
-            lines.append(f"    :runcondition {_fmt_condition(op.run)}")
-        lines.append(f"    :effect {_fmt_condition(op.eff)}")
-        if op.binding:
-            lines.append(f"    :binding {op.binding}")
-        lines.append("  )")
-    lines.append(")")
-    return "\n".join(lines) + "\n"

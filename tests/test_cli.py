@@ -397,35 +397,41 @@ def test_execute_bad_scenario_exit_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "field, value, path",
+    "override, path",
     [
-        ("primitives", {"bindings": ["grasp"]}, "primitives.bindings"),
-        ("primitives", {"bindings": {"grasp": {"min_ticks": 5, "max_ticks": 2}}},
+        ({"primitives": {"bindings": ["grasp"]}}, "primitives.bindings"),
+        ({"primitives": {"bindings": {"grasp": {"min_ticks": 5, "max_ticks": 2}}}},
          "primitives.bindings.grasp"),
-        ("primitives", {"bindings": {"graps": {"max_ticks": 5}}},
+        ({"primitives": {"bindings": {"graps": {"max_ticks": 5}}}},
          "primitives.bindings.graps"),
-        ("perception", {"default_flip": 0.3}, "perception.default_flip"),
-        ("disturbances", [{"trigger": {"at_tick": 5000}, "kind": {"kind": "detach_gripper"}}],
+        ({"perception": {"default_flip": 0.3}}, "perception.default_flip"),
+        ({"disturbances": [{"trigger": {"at_tick": 5000}, "kind": {"kind": "detach_gripper"}}]},
          "disturbances[0].trigger.at_tick"),
-        ("goal_streak", 401, "goal_streak"),
-        ("perception", {"mode": "noisy", "window": 10**20}, "perception.window"),
-        ("planner", {"optimal": True}, "planner"),
-        ("format_version", 1, "format_version"),
+        ({"goal_streak": 401}, "goal_streak"),
+        ({"perception": {"mode": "noisy", "window": 10**20}}, "perception.window"),
+        ({"primitives": {"bindings": {"approach_obj": {"min_ticks": 1, "max_ticks": 10**20}}}},
+         "primitives.bindings.approach_obj.max_ticks"),
+        ({"max_ticks": 10**20, "perception": {"mode": "noisy", "window": 10**20}},
+         "max_ticks"),
+        ({"planner": {"optimal": True}}, "planner"),
+        ({"format_version": 1}, "format_version"),
     ],
     ids=["bindings_list", "min_above_max", "unbound_name", "flip_without_noisy",
-         "at_tick_past_budget", "goal_streak_past_budget", "huge_window", "planner",
+         "at_tick_past_budget", "goal_streak_past_budget", "huge_window",
+         "huge_binding_max_ticks", "huge_max_ticks_and_window", "planner",
          "format_version_1"],
 )
-def test_execute_bad_scenario_value_exit_2(tmp_path, capsys, field, value, path):
+def test_execute_bad_scenario_value_exit_2(tmp_path, capsys, override, path):
     # The first used to crash the loader, the second the trial; the third,
     # fifth and sixth loaded and were never used, and the fourth loaded as
-    # oracle perception.  The seventh loaded and then raised OverflowError
-    # in the trial.  The last two are scenario format 1, which had a planner
-    # switch.
+    # oracle perception.  The next three loaded and then raised in the
+    # trial: OverflowError from the window's deque, ValueError from the
+    # simulator's int64 tick draw, and OverflowError again.  The last two
+    # are scenario format 1, which had a planner switch.
     raw = json.loads(scenario_path("pick_spam_oracle").read_text())
     for key in ("domain", "problem"):
         raw[key] = str((scenario_path("pick_spam_oracle").parent / raw[key]).resolve())
-    raw[field] = value
+    raw.update(override)
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(raw))
     assert main(["execute", "--scenario", str(bad)]) == 2

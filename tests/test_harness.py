@@ -8,6 +8,7 @@ import io
 import json
 import multiprocessing
 import re
+import sys
 import tempfile
 from concurrent.futures import Future, ProcessPoolExecutor
 from pathlib import Path
@@ -240,6 +241,10 @@ class TestLoadScenario:
              "primitives.bindings.grasp"),
             ({"primitives": {"bindings": {"grasp": {"min_ticks": 0}}}},
              "primitives.bindings.grasp.min_ticks"),
+            # The first start of approach_obj used to raise ValueError from
+            # the simulator's int64 draw.
+            ({"primitives": {"bindings": {"approach_obj": {"min_ticks": 1, "max_ticks": 10**20}}}},
+             "primitives.bindings.approach_obj.max_ticks"),
             ({"primitives": {"bindings": {"grasp": {"success_prob": 1.5}}}},
              "primitives.bindings.grasp.success_prob"),
             ({"perception": {"mode": "noisy", "per_predicate_flip": []}},
@@ -262,6 +267,8 @@ class TestLoadScenario:
             ({"primitives": {"sucess_prob": 1.0}}, "primitives.sucess_prob"),
             ({"primitives": {"bindings": {"graps": {"max_ticks": 5}}}},
              "primitives.bindings.graps"),
+            ({"primitives": {"bindings": {"wipe": {"min_ticks": 1, "max_ticks": 2}}}},
+             "primitives.bindings.wipe"),
             ({"primitives": {"bindings": {"grasp": {"min_tick": 3}}}},
              "primitives.bindings.grasp.min_tick"),
             ({"perception": {"mode": "noisy",
@@ -309,12 +316,14 @@ class TestLoadScenario:
         ],
         ids=["at_tick_str", "at_tick_negative", "at_tick_at_max_ticks", "extension", "zone", "window",
              "success_prob_str", "success_prob_7", "bindings_list",
-             "min_above_max", "min_ticks_0", "binding_success_prob", "flips_list",
+             "min_above_max", "min_ticks_0", "binding_max_ticks_huge", "binding_success_prob",
+             "flips_list",
              "flip_list_value", "default_flip_null", "default_flip_oracle",
              "per_predicate_flip_oracle", "gripper_open_prob_9",
              "drawer_open_prob_negative", "object_in_drawer_prob_str",
              "unknown_top_level", "unknown_perception", "unknown_primitives",
-             "unbound_binding", "unknown_binding_field", "unknown_flip_predicate",
+             "unbound_binding", "unbound_binding_with_ticks", "unknown_binding_field",
+             "unknown_flip_predicate",
              "unknown_initial", "unknown_planner", "unknown_disturbance",
              "unknown_trigger", "unknown_kind", "unknown_destination",
              "goal_streak_0", "stuck_after_0", "goal_streak_above_max_ticks",
@@ -342,22 +351,40 @@ class TestLoadScenario:
                            {"goal_streak": 400, "stuck_after": 401})
         assert (sc.goal_streak, sc.stuck_after, sc.max_ticks) == (400, 401, 400)
 
-    @pytest.mark.parametrize("window", [10**20, 901], ids=["huge", "max_ticks_plus_1"])
-    def test_window_above_max_ticks_is_rejected(self, window):
+    @pytest.mark.parametrize(
+        "override, problem",
+        [
+            ({"perception": {"window": 10**20}},
+             f"field 'perception.window': window {10**20} is above max_ticks 900, "
+             "so the initial world's votes never leave it"),
+            ({"perception": {"window": 901}},
+             "field 'perception.window': window 901 is above max_ticks 900, "
+             "so the initial world's votes never leave it"),
+            ({"perception": {"window": 10**20}, "max_ticks": 10**20},
+             f"field 'max_ticks' must be an int in 1..{sys.maxsize}"),
+        ],
+        ids=["huge", "max_ticks_plus_1", "huge_max_ticks_too"],
+    )
+    def test_window_above_max_ticks_is_rejected(self, override, problem):
         # A window of 10**20 used to load, and the first trial then raised
-        # OverflowError from deque(maxlen=...).  Above max_ticks the warm-up's
-        # votes on the initial world never all leave the window.
+        # OverflowError from deque(maxlen=...), also with max_ticks as large.
+        # Above max_ticks the warm-up's votes on the initial world never all
+        # leave the window, and max_ticks stops at sys.maxsize.
         with pytest.raises(InputError) as err:
-            load_scenario(scenario_path("put_away_spam_noisy"), {"perception": {"window": window}})
-        assert err.value.problems == [
-            f"field 'perception.window': window {window} is above max_ticks 900, "
-            "so the initial world's votes never leave it"
-        ]
+            load_scenario(scenario_path("put_away_spam_noisy"), override)
+        assert err.value.problems == [problem]
 
     def test_window_of_max_ticks_runs(self):
         sc = load_scenario(scenario_path("put_away_spam_noisy"),
                            {"perception": {"window": 5}, "max_ticks": 5, "trials": 1})
         assert run_trial(sc, 0).ticks <= 5
+
+    def test_binding_ticks_of_sys_maxsize_run(self):
+        # The largest tick count the simulator can draw: the primitive
+        # outlasts the budget.
+        sc = load("put_away_spam_oracle", trials=1, primitives={"bindings": {
+            "approach_obj": {"min_ticks": 1, "max_ticks": sys.maxsize}}})
+        assert run_trial(sc, 0).status == "budget_exhausted"
 
     def test_domain_binding_without_primitive(self, tmp_path):
         # A domain operator bound to a primitive with no default used to

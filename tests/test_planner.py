@@ -77,7 +77,6 @@ def make_prop_task(op_specs, atom_names, init, goal, name="toy"):
     d = make_prop_domain(op_specs, atom_names, name)
     p = ProblemDefinition(
         name=name + "-p",
-        domain_name=name,
         objects={},
         init=frozenset(LiftedAtom(a) for a in init),
         goal=frozenset(LiftedLiteral(LiftedAtom(g)) for g in goal),
@@ -147,7 +146,7 @@ def cube_task(n_objects, arity):
         )
     ]
     p = ProblemDefinition(
-        "pb", "d", objects={f"o{i}": "t" for i in range(n_objects)},
+        "pb", objects={f"o{i}": "t" for i in range(n_objects)},
         init=frozenset(), goal=frozenset(),
     )
     return d, p
@@ -178,7 +177,7 @@ class TestGrounding:
             )
         ]
         p = ProblemDefinition(
-            "p3", "d", objects={"o1": "t", "o2": "t", "o3": "t"},
+            "p3", objects={"o1": "t", "o2": "t", "o3": "t"},
             init=frozenset(), goal=frozenset(),
         )
         grounded = ground(d, p)
@@ -441,7 +440,7 @@ class TestNegativeGoals:
             ["a", "b"],
         )
         p = ProblemDefinition(
-            name="neg", domain_name="toy", objects={},
+            name="neg", objects={},
             init=frozenset({LiftedAtom("a")}),
             goal=frozenset(
                 {LiftedLiteral(LiftedAtom("b"), True), LiftedLiteral(LiftedAtom("a"), False)}
