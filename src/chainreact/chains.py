@@ -12,7 +12,7 @@ safe for the remainder of the chain.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .logic import ConditionSet, LogicalState, apply_effects, holds
 from .planner import GroundOperator, Plan
@@ -41,6 +41,10 @@ class Chain:
     # Conditions regression pushed past the first step; they must already
     # hold in any state the chain is meant to run from.
     front_conditions: ConditionSet
+    # executive.run's selection memo: (truth mask, current step) -> step
+    selections: dict[tuple[int, int | None], int | None] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
 
 def build_chain(plan: Plan) -> Chain:

@@ -4,10 +4,11 @@ Each tick the executive estimates the logical state as an int mask, whose
 vocabulary ``run`` checks once, scans the chain from the highest-priority
 step (the last) downward, and picks the first step whose effective entry
 conditions hold, or stays with the current step while its effective run
-conditions hold.  Selecting a different step preempts the running primitive
-immediately.  Success is declared once the goal has held in the estimate
-for a configurable streak of consecutive ticks, which guards against
-single-tick perception noise; a streak of 1 reproduces the bare loop.
+conditions hold, a choice the chain keeps per truth mask and current step.
+Selecting a different step preempts the running primitive at once.  Success
+is declared once the goal has held in the estimate for a configurable
+streak of ticks, which guards against single-tick perception noise; a
+streak of 1 reproduces the bare loop.
 
 The open loop (``run(..., open_loop=True)``) is the non-reactive baseline:
 it runs the steps strictly in order, advancing on primitive completion
@@ -18,6 +19,8 @@ which hands each tick's values to ``on_tick``, when given, to record.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import or_
 from typing import Callable, Optional, Sequence
 
 from .chains import Chain
@@ -119,13 +122,11 @@ def _fire_disturbances(
     pending: list[Disturbance],
     tick: int,
     started: Optional[GroundOperator],
+    truth: int,
 ) -> list[str]:
     """Apply, in order, each pending disturbance whose trigger matches this
-    tick, and drop it from ``pending``, the run's list of those not fired."""
-    if not pending:
-        return []
-    # Only a predicate trigger reads the post-tick truth.
-    truth = sim.eval_predicates() if any(d.bit for d in pending) else 0
+    tick, and drop it from ``pending``, the run's list of those not fired.
+    ``truth`` is the post-tick truth mask, read only by a predicate trigger."""
     fired = [d for d in pending if d.matches(tick, started, truth)]
     for d in fired:
         sim.apply_disturbance(d.kind, d.obj, d.zone, d.extension)
@@ -148,20 +149,26 @@ def run(
 
     Each tick reads the truth, makes the executive's choice, starts the
     chosen step if there is one, advances the running primitive and fires
-    the disturbances due.  The reactive choice estimates the state, checks
-    the goal streak and calls :func:`select_operator`, again only when the
-    estimate mask or the current step has changed.  With ``open_loop``
-    the choice is the next step in order once the primitive ends; the
-    estimate is the truth and no condition is checked.  After its last step
-    the open loop ends succeeded or stuck on the truth, in a tick that
-    ``ticks`` does not count; ``on_tick`` gets that tick's values too."""
+    the disturbances due, checked only on a tick that starts a step, is a
+    pending ``at_tick`` or whose truth holds a pending trigger's atom.  The
+    reactive choice estimates the state, checks the goal streak and selects
+    again only when the estimate mask or the current step has changed, from
+    ``chain.selections`` when the estimate equals the truth: that memo holds
+    truth masks only.  With ``open_loop`` the choice is the next step in
+    order once the primitive ends; the estimate is the truth and no
+    condition is checked.  After its last step the open loop ends succeeded
+    or stuck on the truth, in a tick that ``ticks`` does not count;
+    ``on_tick`` gets that tick's values too."""
     # Truth comes from the simulator and the estimate from the perception
     # pipeline; both must share the chain's vocabulary, checked once here
     # so the goal checks and select_operator below read the masks directly.
     _check_same_vocab(sim.grounded.vocabulary, chain.goal.vocabulary)
     _check_same_vocab(perception.vocab, chain.goal.vocabulary)
-    goal, steps = chain.goal, chain.steps
+    goal, steps, selections = chain.goal, chain.steps, chain.selections
     pending = list(disturbances)
+    # What a pending trigger can match; a tick, once past, never recurs.
+    watch_bits = reduce(or_, (d.bit for d in pending), 0)
+    watch_ticks = {d.at_tick for d in pending}
     current: Optional[int] = None  # active step index, if any
     last_entered: Optional[int] = None
     streak = 0  # consecutive ticks the estimate has met the goal
@@ -193,7 +200,12 @@ def run(
             if not streak:
                 if key != (estimate, current):
                     key = (estimate, current)
-                    choice = select_operator(chain, estimate, current)
+                    if estimate != truth:
+                        choice = select_operator(chain, estimate, current)
+                    elif key in selections:
+                        choice = selections[key]
+                    else:
+                        choice = selections[key] = select_operator(chain, estimate, current)
                 selected = choice
                 reason = (
                     NONE_ENTERABLE if selected is None
@@ -223,7 +235,10 @@ def run(
                 outcome.recoveries += 1
             last_entered = current = step
         prim = sim.tick() if sim.current is not None else None
-        fired = _fire_disturbances(sim, pending, tick, started)
+        fired, after = [], sim.eval_predicates() if watch_bits else 0
+        if pending and (started is not None or tick in watch_ticks or after & watch_bits):
+            fired = _fire_disturbances(sim, pending, tick, started, after)
+            watch_bits = reduce(or_, (d.bit for d in pending), 0)
         if on_tick is not None:
             phase = prim.phase if prim else "confirming" if streak else "idle"
             on_tick(tick, truth, estimate, selected, reason, phase, fired)

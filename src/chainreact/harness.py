@@ -23,15 +23,17 @@ chain, and hands control to the executive.  There is no replanning: a trial
 whose initial estimate yields no plan is recorded as ``no_plan``.
 
 Plans are memoized per loaded :class:`Scenario`, keyed on the estimate's
-mask: the goal is fixed per scenario, and the planner and chain builder
-are deterministic, so a hit returns the chain a miss would build, and
-records and traces are the same as without the memo.  A traced trial
-also keeps, per truth mask a tick line lists, the JSON text of its atom
-names; an estimate reuses the truth's text when the masks are equal, and
-any other estimate's text is encoded without being stored, so the memo
-grows with the distinct truth masks, not with trials or noise.  Each tick
-line is written from that text as the bytes ``json.dumps(line,
-sort_keys=True)`` would give.  Both memos live as long as the Scenario
+mask, and chains per plan, keyed on its operator indices: the goal is
+fixed per scenario, and the planner and chain builder are deterministic,
+so a hit returns the chain a miss would build, and records and traces are
+the same as without the memos.  Masks that share a plan share its chain
+and so the chain's selection memo, keyed on truth masks (``executive.run``).
+A traced trial also keeps, per truth mask a tick line lists, the JSON text
+of its atom names; an estimate reuses the truth's text when the masks are
+equal, and any other estimate's text is encoded without being stored, so
+the memo grows with the distinct truth masks, not with trials or noise.
+Each tick line is written from that text as the bytes ``json.dumps(line,
+sort_keys=True)`` would give.  The memos live as long as the Scenario
 object.  A Scenario is frozen: a changed copy comes from
 ``dataclasses.replace``, which starts with empty memos.
 
@@ -101,8 +103,12 @@ class Scenario:
     max_ticks: int
     trials: int
     base_seed: int
-    # run_trial's plan memo: estimate mask -> chain, None when unsolved
+    # run_trial's plan memo: estimate mask -> chain, None when unsolved,
+    # and the one chain of each solved plan, by its operator indices
     _chains_by_mask: dict[int, Optional[Chain]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+    _chains_by_plan: dict[tuple[int, ...], Chain] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
     # run_trial's trace memo: truth mask -> JSON text of its atom names
@@ -630,11 +636,11 @@ def run_trial(
 
     The chain comes from the scenario's memo, keyed on the warmed
     estimate mask, for as long as the Scenario object lives.  On a miss,
-    :func:`plan` (from a ``LogicalState``) and :func:`build_chain` run and
-    the chain (or ``None`` for an unsolved search, which ends the trial as
-    ``no_plan`` before its first tick) is stored.  Both are deterministic
-    in the mask, and neither draws from a seeded stream, so records and
-    traces do not depend on whether the memo hit."""
+    :func:`plan` (from a ``LogicalState``) runs and its plan's chain (from
+    :func:`build_chain` once per plan), or ``None`` for an unsolved search,
+    which ends the trial as ``no_plan`` before its first tick, is stored.
+    Both are deterministic in the mask, and neither draws from a seeded
+    stream, so records and traces do not depend on whether the memo hit."""
     seed = scenario.base_seed + index
 
     def stream(k: int) -> np.random.Generator:  # SeedSequence(seed).spawn(3)[k]
@@ -657,7 +663,13 @@ def run_trial(
     memo = scenario._chains_by_mask
     if estimate not in memo:
         result = plan(grounded, init=LogicalState(grounded.vocabulary, estimate))
-        memo[estimate] = build_chain(result.plan) if result.solved else None
+        memo[estimate] = None
+        if result.solved:
+            chains = scenario._chains_by_plan
+            indices = tuple(op.index for op in result.plan.steps)
+            if indices not in chains:
+                chains[indices] = build_chain(result.plan)
+            memo[estimate] = chains[indices]
     chain = memo[estimate]
 
     on_tick = None

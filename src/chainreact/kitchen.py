@@ -525,13 +525,11 @@ class KitchenSim:
         self.current = None
         self._set_moving(False)
 
-    def tick(self) -> Optional[PrimitiveState]:
-        """Advance the running primitive by one tick.  The drawer moves only
-        under real contact, so a primitive dispatched off a wrong estimate
-        moves nothing."""
+    def tick(self) -> PrimitiveState:
+        """Advance the running primitive by one tick; call it only while
+        ``current`` is set.  The drawer moves only under real contact, so a
+        primitive dispatched off a wrong estimate moves nothing."""
         prim = self.current
-        if prim is None:
-            return prim
         w = self.world
         if prim.drawer_step and prim.rule.contact(w):
             w.drawer_extension = min(max(w.drawer_extension + prim.drawer_step, 0.0), 1.0)

@@ -22,6 +22,7 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 from math import prod
 from typing import Optional, Sequence
 
@@ -56,7 +57,7 @@ class GroundOperator:
     run: ConditionSet
     eff: EffectSet
 
-    @property
+    @cached_property
     def name(self) -> str:
         return printed_name(self.schema.name, self.bound_args)
 

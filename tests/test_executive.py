@@ -5,6 +5,7 @@ import functools
 import hashlib
 import json
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -126,6 +127,35 @@ def reference_select(chain, estimate, current):
     return None
 
 
+class _ScriptedSim:
+    """A simulator whose truth is the next of ``masks`` each tick, and whose
+    primitives run until preempted."""
+
+    def __init__(self, vocab, masks):
+        self.grounded = SimpleNamespace(vocabulary=vocab)
+        self.script = iter(masks)
+        self.current = None
+
+    def eval_predicates(self):
+        return next(self.script)
+
+    def start_primitive(self, op):
+        self.current = SimpleNamespace(phase="running")
+
+    def tick(self):
+        return self.current
+
+    def abort_primitive(self):
+        self.current = None
+
+
+class _Unstored(dict):
+    """A selection memo that keeps nothing."""
+
+    def __setitem__(self, key, value):
+        pass
+
+
 class TestSelectOperator:
     def test_higher_priority_checked_first(self, g1):
         grounded, chain = g1
@@ -166,6 +196,47 @@ class TestSelectOperator:
             assert select_operator(chain, mask, current) == reference_select(
                 chain, estimate, current
             )
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_memoised_selection_matches_select_operator(self, data):
+        chain = kitchen_chain(data.draw(st.sampled_from(CHAIN_PROBLEMS)))
+        vocab = chain.goal.vocabulary
+        n = len(vocab)
+        sparse = st.tuples(*[st.integers(0, (1 << n) - 1)] * 3).map(
+            lambda t: t[0] & t[1] & t[2]
+        )
+        # Either copy of the cached chain starts with an empty selection
+        # memo; negative conditions make the current step matter.
+        if data.draw(st.booleans()):
+            chain = with_negative_conditions(chain, data.draw(sparse), data.draw(sparse))
+        else:
+            chain = dataclasses.replace(chain)
+        # Masks near the steps' conditions, drawn from a small pool so that
+        # they repeat, and with them the (mask, current step) keys.
+        pool = [
+            (step.effective_pre.pos_mask | data.draw(sparse)) & ~data.draw(sparse)
+            for step in data.draw(st.lists(st.sampled_from(chain.steps), min_size=1, max_size=4))
+        ]
+        masks = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=40))
+
+        def ticks(memo_chain):
+            """The on_tick values of a run through ``masks``, which no goal
+            streak or dead end cuts short."""
+            seen = []
+            run(_ScriptedSim(vocab, masks), PerceptionPipeline(vocab, NoiseModel(), rng=None),
+                memo_chain, max_ticks=len(masks), goal_streak=len(masks) + 1,
+                stuck_after=len(masks) + 1, on_tick=lambda *values: seen.append(values))
+            return seen
+
+        # The reference scans on every change of key: its memo stores nothing.
+        reference = dataclasses.replace(chain)
+        object.__setattr__(reference, "selections", _Unstored())
+        expected = ticks(reference)
+        assert ticks(chain) == ticks(chain) == expected  # the second run hits only
+        for (mask, current), selected in chain.selections.items():
+            assert selected == select_operator(chain, mask, current)
+        assert {mask for mask, _ in chain.selections} <= set(masks)
 
     def test_run_rejects_a_pipeline_from_another_vocabulary(self, g1):
         # select_operator reads bare masks; run checks, once, that the

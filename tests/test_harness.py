@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chainreact import harness
+from chainreact import executive, harness
 from chainreact.harness import (
     InputError,
     build_scenario,
@@ -884,6 +884,69 @@ class TestProperties:
         )
 
 
+@dataclasses.dataclass(frozen=True)
+class _NeverFires(executive.Disturbance):
+    """A trigger that matches no tick."""
+
+    def matches(self, tick, started, truth):
+        return False
+
+
+class TestDisturbanceWatch:
+    """run checks the triggers only on the ticks where one can match."""
+
+    @pytest.mark.parametrize("name, overrides", [
+        ("put_away_both_zero_shot", {}),
+        ("teleport_cage_reactive", {}),
+        ("put_away_spam_oracle", {"disturbances": [
+            {"trigger": {"at_tick": 12}, "kind": {"kind": "detach_gripper"}},
+            {"trigger": {"at_tick": 40}, "kind": {"kind": "set_drawer", "extension": 0.0}},
+        ]}),
+    ])
+    def test_runs_equal_a_reference_that_checks_every_tick(self, monkeypatch, name, overrides):
+        sc = load(name, **overrides)
+        # Pending all run long, a trigger that watches every atom and never
+        # fires makes run check every trigger on every tick whose truth is
+        # not empty: the reference.
+        every = (1 << len(sc.grounded.vocabulary)) - 1
+        reference = dataclasses.replace(
+            sc, disturbances=sc.disturbances + (_NeverFires("detach_gripper", bit=every),)
+        )
+        outcomes, checked = [], []
+        real_run, real_fire = executive.run, executive._fire_disturbances
+
+        def recording_run(*args, **kwargs):
+            outcomes.append(real_run(*args, **kwargs))
+            return outcomes[-1]
+
+        def recording_fire(sim, pending, tick, *args):
+            checked.append(tick)
+            return real_fire(sim, pending, tick, *args)
+
+        monkeypatch.setattr(executive, "run", recording_run)
+        monkeypatch.setattr(executive, "_fire_disturbances", recording_fire)
+        fired_ticks, checks = 0, {"watched": 0, "reference": 0}
+        for i in range(50):
+            traces, histories = [], []
+            for scenario, kind in ((sc, "watched"), (reference, "reference")):
+                sink = io.StringIO()
+                del checked[:]
+                run_trial(scenario, i, trace_sink=sink)
+                traces.append(sink.getvalue())
+                histories.append(outcomes[-1].history)
+                checks[kind] += len(checked)
+            # Every tick line holds that tick's fired list.
+            assert traces[0] == traces[1]
+            assert histories[0] == histories[1]
+            ticks = [line for line in traces[0].splitlines() if '"type": "tick"' in line]
+            # The tick that ends an episode early checks no trigger.
+            loop_ticks = len(ticks) - (outcomes[-1].status != "budget_exhausted")
+            assert checked == list(range(loop_ticks))
+            fired_ticks += sum('"disturbances_fired": []' not in line for line in ticks)
+        assert fired_ticks  # the seeds fire triggers
+        assert checks["watched"] < checks["reference"]
+
+
 class TestPlanMemo:
     """run_trial keeps one chain per estimate mask on the loaded Scenario."""
 
@@ -900,13 +963,16 @@ class TestPlanMemo:
         # Repeated estimates hit the memo.
         assert 1 <= len(shared._chains_by_mask) < 30
 
-    def test_plan_and_chain_once_per_mask(self, monkeypatch):
-        planned, built = [], []
+    def test_plan_once_per_mask_and_chain_once_per_plan(self, monkeypatch):
+        planned, built, plans = [], [], {}
         real_plan, real_build = harness.plan, harness.build_chain
 
         def counting_plan(grounded, init, **kwargs):
             planned.append(init.mask)
-            return real_plan(grounded, init=init, **kwargs)
+            result = real_plan(grounded, init=init, **kwargs)
+            if result.solved:
+                plans[init.mask] = tuple(op.index for op in result.plan.steps)
+            return result
 
         def counting_build(the_plan):
             built.append(tuple(op.index for op in the_plan.steps))
@@ -917,9 +983,31 @@ class TestPlanMemo:
         sc = load("put_away_spam_noisy", trials=30)
         run_trials(sc)
         assert sorted(planned) == sorted(set(planned)) == sorted(sc._chains_by_mask)
-        solved = [chain for chain in sc._chains_by_mask.values() if chain is not None]
-        assert len(built) == len(solved)
-        assert len(set(built)) < len(built)  # distinct masks can share a plan
+        # One build per distinct plan; masks that share a plan share its chain.
+        assert sorted(built) == sorted(set(built)) == sorted(set(plans.values()))
+        assert len(plans) > len(built)  # the seeds hold masks that share a plan
+        for mask, indices in plans.items():
+            assert sc._chains_by_mask[mask] is sc._chains_by_plan[indices]
+
+    def test_selection_memo_holds_truth_masks_and_chains_one_per_plan(self):
+        # Each chain's selection memo grows with the truth masks the trials
+        # visit, never with a noisy estimate's masks.
+        sc = load("put_away_spam_noisy")
+        bits = {name: 1 << k for k, name in enumerate(sc.grounded.vocabulary.names)}
+        truths, estimates = set(), set()
+        for i in range(200):
+            sink = io.StringIO()
+            run_trial(sc, i, trace_sink=sink)
+            for line in map(json.loads, sink.getvalue().splitlines()):
+                if line["type"] == "tick":
+                    truths.add(sum(bits[name] for name in line["true_atoms"]))
+                    estimates.add(sum(bits[name] for name in line["estimated_atoms"]))
+        assert estimates - truths  # the seeds hold estimate-only masks
+        chains = {id(chain): chain for chain in sc._chains_by_mask.values() if chain}
+        assert set(chains) == {id(chain) for chain in sc._chains_by_plan.values()}
+        assert len(chains) == len(sc._chains_by_plan) < len(sc._chains_by_mask)
+        keys = [mask for chain in chains.values() for mask, _ in chain.selections]
+        assert keys and set(keys) <= truths
 
     def test_unsolved_plan_is_no_plan_on_miss_and_hit(self, monkeypatch):
         calls = []
@@ -977,7 +1065,20 @@ class TestPlanMemo:
         # The serial run warms the loaded scenarios' memos.
         serial = [run_trials(scenario)[1] for scenario in scenarios]
         assert all(scenario._chains_by_mask for scenario in scenarios)
+        warm = [chain for sc in scenarios for chain in sc._chains_by_plan.values()]
 
+        # Each range starts with no chain, so with no selection memo, and
+        # the chains it builds are its own.
+        started_empty, range_chains = [], []
+        real_range = harness._run_range
+
+        def recording_range(scenario, indices, trace_dir):
+            started_empty.append(not scenario._chains_by_mask and not scenario._chains_by_plan)
+            records = real_range(scenario, indices, trace_dir)
+            range_chains.extend(scenario._chains_by_plan.values())
+            return records
+
+        monkeypatch.setattr(harness, "_run_range", recording_range)
         del planned[:]
         with harness.queue_trials(scenarios, jobs) as queued:
             records = [
@@ -986,6 +1087,8 @@ class TestPlanMemo:
             ]
         assert len(planned) == expected
         assert records == serial
+        assert started_empty == [True] * len(names) * jobs
+        assert len({id(chain) for chain in range_chains + warm}) == len(range_chains + warm)
 
     def test_spawn_workers_equal_the_serial_run(self, monkeypatch):
         # Spawned workers get the scenarios pickled, warm memos included;
