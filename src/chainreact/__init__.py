@@ -31,7 +31,7 @@ from .logic import (
     holds,
 )
 from .perception import NoiseModel, PerceptionPipeline
-from .planner import Plan, ground, plan, symbolic_execute
+from .planner import Plan, ground, plan
 
 __all__ = [
     "Chain",
@@ -63,7 +63,6 @@ __all__ = [
     "run_trials",
     "sample_initial",
     "select_operator",
-    "symbolic_execute",
     "verify_chain",
     "__version__",
 ]

@@ -25,7 +25,7 @@ from typing import Callable, Optional, Sequence
 
 from .chains import Chain
 from .kitchen import KitchenSim
-from .logic import ConditionSet, _check_same_vocab
+from .logic import _check_same_vocab, meets
 from .perception import PerceptionPipeline
 from .planner import GroundOperator
 
@@ -44,8 +44,9 @@ def select_operator(chain: Chain, mask: int, current: Optional[int]) -> Optional
     Scanning from the last step down: a non-current step is entered when
     its effective preconditions hold; the current step continues when its
     effective run conditions hold.  The first match wins.  Each test is
-    :func:`~chainreact.logic.holds` on the mask, whose vocabulary the
-    caller has checked against the chain's, as :func:`run` does once.
+    :func:`~chainreact.logic.meets` on the mask, whose vocabulary the
+    caller has checked against the chain's, as :func:`run` does once; it is
+    written inline because it runs once per step scanned.
     """
     steps = chain.steps
     for i in range(len(steps) - 1, -1, -1):
@@ -54,12 +55,6 @@ def select_operator(chain: Chain, mask: int, current: Optional[int]) -> Optional
         if mask & cond.pos_mask == cond.pos_mask and not mask & cond.neg_mask:
             return i
     return None
-
-
-def _meets(mask: int, cond: ConditionSet) -> bool:
-    """:func:`~chainreact.logic.holds` on a raw mask whose vocabulary the
-    caller has already checked against ``cond``'s."""
-    return mask & cond.pos_mask == cond.pos_mask and not mask & cond.neg_mask
 
 
 @dataclass(frozen=True)
@@ -117,23 +112,6 @@ class Outcome:
 TickCallback = Callable[..., None]
 
 
-def _fire_disturbances(
-    sim: KitchenSim,
-    pending: list[Disturbance],
-    tick: int,
-    started: Optional[GroundOperator],
-    truth: int,
-) -> list[str]:
-    """Apply, in order, each pending disturbance whose trigger matches this
-    tick, and drop it from ``pending``, the run's list of those not fired.
-    ``truth`` is the post-tick truth mask, read only by a predicate trigger."""
-    fired = [d for d in pending if d.matches(tick, started, truth)]
-    for d in fired:
-        sim.apply_disturbance(d.kind, d.obj, d.zone, d.extension)
-        pending.remove(d)
-    return [d.kind for d in fired]
-
-
 def run(
     sim: KitchenSim,
     perception: PerceptionPipeline,
@@ -149,16 +127,16 @@ def run(
 
     Each tick reads the truth, makes the executive's choice, starts the
     chosen step if there is one, advances the running primitive and fires
-    the disturbances due, checked only on a tick that starts a step, is a
-    pending ``at_tick`` or whose truth holds a pending trigger's atom.  The
-    reactive choice estimates the state, checks the goal streak and selects
-    again only when the estimate mask or the current step has changed, from
-    ``chain.selections`` when the estimate equals the truth: that memo holds
-    truth masks only.  With ``open_loop`` the choice is the next step in
-    order once the primitive ends; the estimate is the truth and no
-    condition is checked.  After its last step the open loop ends succeeded
-    or stuck on the truth, in a tick that ``ticks`` does not count;
-    ``on_tick`` gets that tick's values too."""
+    the disturbances due, checked only on a tick that starts one of a
+    pending trigger's operators, is a pending ``at_tick`` or whose truth
+    holds a pending trigger's atom.  The reactive choice estimates the
+    state, checks the goal streak and selects again only when the estimate
+    mask or the current step has changed, from ``chain.selections`` when the
+    estimate equals the truth: that memo holds truth masks only.  With
+    ``open_loop`` the choice is the next step in order once the primitive
+    ends; the estimate is the truth and no condition is checked.  After its
+    last step the open loop ends succeeded or stuck on the truth, in a tick
+    that ``ticks`` does not count; ``on_tick`` gets that tick's values too."""
     # Truth comes from the simulator and the estimate from the perception
     # pipeline; both must share the chain's vocabulary, checked once here
     # so the goal checks and select_operator below read the masks directly.
@@ -168,6 +146,7 @@ def run(
     pending = list(disturbances)
     # What a pending trigger can match; a tick, once past, never recurs.
     watch_bits = reduce(or_, (d.bit for d in pending), 0)
+    watch_ops = set().union(*(d.operators for d in pending))
     watch_ticks = {d.at_tick for d in pending}
     current: Optional[int] = None  # active step index, if any
     last_entered: Optional[int] = None
@@ -184,16 +163,16 @@ def run(
             if sim.current is None:
                 step = 0 if current is None else current + 1
                 if step == len(steps):
-                    outcome.status = "succeeded" if _meets(truth, goal) else "stuck"
+                    outcome.status = "succeeded" if meets(truth, goal) else "stuck"
                     outcome.ticks = tick
                     break
         else:
             estimate = perception.estimate(truth)
-            streak = streak + 1 if _meets(estimate, goal) else 0
+            streak = streak + 1 if meets(estimate, goal) else 0
             if streak >= goal_streak:
                 outcome.status = "succeeded"
                 outcome.ticks = tick + 1
-                outcome.false_success = not _meets(truth, goal)
+                outcome.false_success = not meets(truth, goal)
                 break
             # While a streak confirms the goal, hold position: a running
             # primitive finishes its motion.
@@ -236,9 +215,16 @@ def run(
             last_entered = current = step
         prim = sim.tick() if sim.current is not None else None
         fired, after = [], sim.eval_predicates() if watch_bits else 0
-        if pending and (started is not None or tick in watch_ticks or after & watch_bits):
-            fired = _fire_disturbances(sim, pending, tick, started, after)
+        if pending and (tick in watch_ticks or after & watch_bits
+                        or started is not None and started.index in watch_ops):
+            # Apply, in order, each pending disturbance due this tick.
+            due = [d for d in pending if d.matches(tick, started, after)]
+            for d in due:
+                sim.apply_disturbance(d.kind, d.obj, d.zone, d.extension)
+                pending.remove(d)
+            fired = [d.kind for d in due]
             watch_bits = reduce(or_, (d.bit for d in pending), 0)
+            watch_ops = set().union(*(d.operators for d in pending))
         if on_tick is not None:
             phase = prim.phase if prim else "confirming" if streak else "idle"
             on_tick(tick, truth, estimate, selected, reason, phase, fired)

@@ -130,13 +130,16 @@ def _check_same_vocab(a: Vocabulary, b: Vocabulary) -> None:
         raise UnknownAtomError("values belong to different vocabularies")
 
 
+def meets(mask: int, cond: ConditionSet) -> bool:
+    """True iff ``mask`` has every bit of ``cond``'s positive literals and
+    none of its negative ones; the caller has checked the vocabulary."""
+    return mask & cond.pos_mask == cond.pos_mask and not mask & cond.neg_mask
+
+
 def holds(state: LogicalState, cond: ConditionSet) -> bool:
     """True iff every positive literal is in the state and no negative one is."""
     _check_same_vocab(state.vocabulary, cond.vocabulary)
-    return (
-        state.mask & cond.pos_mask == cond.pos_mask
-        and state.mask & cond.neg_mask == 0
-    )
+    return meets(state.mask, cond)
 
 
 def apply_effects(state: LogicalState, eff: EffectSet) -> LogicalState:

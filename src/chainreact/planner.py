@@ -24,7 +24,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
 from math import prod
-from typing import Optional, Sequence
+from typing import Optional
 
 from .lang import DomainDefinition, LiftedAtom, OperatorSchema, ProblemDefinition
 from .logic import (
@@ -35,6 +35,7 @@ from .logic import (
     _check_same_vocab,
     apply_effects,
     holds,
+    meets,
     printed_name,
 )
 
@@ -172,7 +173,7 @@ def ground(
 
 
 # --------------------------------------------------------------------------
-# Plans and symbolic execution
+# Plans
 # --------------------------------------------------------------------------
 
 
@@ -186,33 +187,16 @@ class Plan:
     goal: ConditionSet
 
     def __post_init__(self) -> None:
-        result = symbolic_execute(self.steps, self.init)
-        if result.failed_step is not None:
-            raise ValueError(f"plan violates preconditions at step {result.failed_step}")
-        if not holds(result.state, self.goal):
+        state = self.init
+        for i, op in enumerate(self.steps):
+            if not holds(state, op.pre):
+                raise ValueError(f"plan violates preconditions at step {i}")
+            state = apply_effects(state, op.eff)
+        if not holds(state, self.goal):
             raise ValueError("plan does not reach the goal")
 
     def __len__(self) -> int:
         return len(self.steps)
-
-
-@dataclass(frozen=True)
-class ExecutionResult:
-    state: LogicalState
-    failed_step: Optional[int] = None  # index of first step whose pre failed
-
-
-def symbolic_execute(
-    steps: Sequence[GroundOperator], init: LogicalState
-) -> ExecutionResult:
-    """Fold effects over ``steps`` from ``init``, stopping at the first
-    step whose preconditions do not hold."""
-    state = init
-    for i, op in enumerate(steps):
-        if not holds(state, op.pre):
-            return ExecutionResult(state, failed_step=i)
-        state = apply_effects(state, op.eff)
-    return ExecutionResult(state)
 
 
 # --------------------------------------------------------------------------
@@ -243,14 +227,17 @@ def plan(
     grounded state space is finite and duplicates are eliminated, so
     ``unsolvable`` is returned only when no plan exists.  States are plain
     ``int`` masks during the search; ``init`` and ``goal`` must belong to
-    the grounded vocabulary, which is checked once here.
+    the grounded vocabulary, which is checked once here.  The precondition
+    and goal tests inside the loop are :func:`~chainreact.logic.meets`
+    written inline, since they run once per operator scanned and once per
+    successor.
     """
     init = grounded.init if init is None else init
     goal = grounded.goal if goal is None else goal
     _check_same_vocab(init.vocabulary, grounded.vocabulary)
     _check_same_vocab(goal.vocabulary, grounded.vocabulary)
     start, goal_pos, goal_neg = init.mask, goal.pos_mask, goal.neg_mask
-    if start & goal_pos == goal_pos and not start & goal_neg:
+    if meets(start, goal):
         return PlanResult("solved", Plan((), init, goal))
     parents: dict[int, tuple[int, Optional[int]]] = {start: (start, None)}
     queue = deque([start])

@@ -5,6 +5,7 @@ reference executor written here (no bitmasks), and the ordering properties
 are checked by brute-force prefix/skip enumeration on small random plans.
 """
 
+import functools
 import random
 
 import pytest
@@ -12,8 +13,8 @@ import pytest
 from chainreact.chains import UnsupportedFeatureError, build_chain, verify_chain
 from chainreact.harness import chain_payload
 from chainreact.lang import parse_domain, parse_problem
-from chainreact.logic import ConditionSet, holds
-from chainreact.planner import Plan, ground, plan, symbolic_execute
+from chainreact.logic import ConditionSet, apply_effects, holds
+from chainreact.planner import Plan, ground, plan
 from tests.test_planner import make_prop_task, random_task
 from tests.util import (
     NEGATED_CARRY,
@@ -178,7 +179,9 @@ class TestChainProperties:
         # which covers every subset of the search goal.
         rng = random.Random(2718)
         for grounded, p in sound_random_plans(500, seed=4242):
-            reached = symbolic_execute(p.steps, p.init).state.mask
+            reached = functools.reduce(
+                lambda state, op: apply_effects(state, op.eff), p.steps, p.init
+            ).mask
             sub = 0
             for b in range(len(grounded.vocabulary)):
                 if reached >> b & 1 and rng.random() < 0.5:

@@ -1,5 +1,6 @@
 """CLI: the plan/chain/execute/bench/report pipeline and exit codes."""
 
+import errno
 import functools
 import json
 import os
@@ -7,6 +8,7 @@ import re
 import sys
 import time
 from concurrent.futures import Future
+from pathlib import Path
 
 import pytest
 
@@ -512,6 +514,29 @@ def test_bench_out_directory_exit_2_before_trials(tmp_path, capsys):
     assert captured.err == f"{out}: cannot write: Is a directory\n"
     assert captured.out == ""
     assert list(out.iterdir()) == [] and not traces.exists()
+
+
+def test_bench_out_write_failure_after_trials_exit_2(tmp_path, capsys, monkeypatch):
+    # --out passes the check before the first trial, then writing it after
+    # the last fails (a full disk): one line and exit 2, no results file
+    # and no report.
+    out = tmp_path / "results.json"
+    real_write_text = Path.write_text
+
+    def disk_full(self, *args, **kwargs):
+        if self == out:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return real_write_text(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "write_text", disk_full)
+    assert main([
+        "bench", "--scenarios", str(scenario_path("open_drawer_oracle")),
+        "--trials", "1", "--out", str(out),
+    ]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"{out}: cannot write: No space left on device\n"
+    assert captured.out == ""
+    assert not out.exists()
 
 
 def test_bench_and_report(tmp_path, capsys):

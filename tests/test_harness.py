@@ -893,7 +893,7 @@ class _NeverFires(executive.Disturbance):
 
 
 class TestDisturbanceWatch:
-    """run checks the triggers only on the ticks where one can match."""
+    """run checks the triggers only on the ticks where one fires."""
 
     @pytest.mark.parametrize("name, overrides", [
         ("put_away_both_zero_shot", {}),
@@ -912,19 +912,24 @@ class TestDisturbanceWatch:
         reference = dataclasses.replace(
             sc, disturbances=sc.disturbances + (_NeverFires("detach_gripper", bit=every),)
         )
-        outcomes, checked = [], []
-        real_run, real_fire = executive.run, executive._fire_disturbances
+        outcomes, checked = [], []  # checked: the ticks a check ran on
+        real_run = executive.run
 
         def recording_run(*args, **kwargs):
             outcomes.append(real_run(*args, **kwargs))
             return outcomes[-1]
 
-        def recording_fire(sim, pending, tick, *args):
-            checked.append(tick)
-            return real_fire(sim, pending, tick, *args)
+        def recording(matches):
+            # A check calls matches once per pending trigger, all on one tick.
+            def wrapper(self, tick, *args):
+                if not checked or checked[-1] != tick:
+                    checked.append(tick)
+                return matches(self, tick, *args)
+            return wrapper
 
         monkeypatch.setattr(executive, "run", recording_run)
-        monkeypatch.setattr(executive, "_fire_disturbances", recording_fire)
+        for cls in (executive.Disturbance, _NeverFires):
+            monkeypatch.setattr(cls, "matches", recording(cls.matches))
         fired_ticks, checks = 0, {"watched": 0, "reference": 0}
         for i in range(50):
             traces, histories = [], []
@@ -935,6 +940,13 @@ class TestDisturbanceWatch:
                 traces.append(sink.getvalue())
                 histories.append(outcomes[-1].history)
                 checks[kind] += len(checked)
+                if kind == "watched":
+                    # Each check the watched run makes fires a trigger.
+                    lines = map(json.loads, sink.getvalue().splitlines())
+                    assert checked == [
+                        line["tick"] for line in lines
+                        if line["type"] == "tick" and line["disturbances_fired"]
+                    ]
             # Every tick line holds that tick's fired list.
             assert traces[0] == traces[1]
             assert histories[0] == histories[1]

@@ -36,7 +36,6 @@ from chainreact.planner import (
     Plan,
     ground,
     plan,
-    symbolic_execute,
 )
 from tests.util import (
     DATA_DIR,
@@ -298,8 +297,7 @@ class TestKitchenPlanning:
         assert result.solved
         assert len(result.plan) == 16
         assert step_names(result.plan.steps) == G1_PLAN
-        final = symbolic_execute(result.plan.steps, grounded.init)
-        assert final.failed_step is None and holds(final.state, grounded.goal)
+        Plan(result.plan.steps, grounded.init, grounded.goal)  # raises unless sound
 
     def test_open_drawer_subgoal(self):
         grounded = ground(kitchen_domain(), kitchen_problem("put_away_spam"))
@@ -310,7 +308,7 @@ class TestKitchenPlanning:
             "back_off", "approach_drawer_open", "cage_handle",
             "grasp_handle", "pull_drawer",
         ]
-        assert holds(symbolic_execute(result.plan.steps, grounded.init).state, goal)
+        Plan(result.plan.steps, grounded.init, goal)  # raises unless sound
 
     def test_empty_plan_when_goal_holds(self):
         grounded = ground(kitchen_domain(), kitchen_problem("put_away_spam"))
@@ -387,8 +385,7 @@ class TestRandomDomains:
                 assert result.status == "unsolvable", (specs, init, goal)
             else:
                 assert result.solved
-                ex = symbolic_execute(result.plan.steps, grounded.init)
-                assert ex.failed_step is None and holds(ex.state, grounded.goal)
+                Plan(result.plan.steps, grounded.init, grounded.goal)  # raises unless sound
                 assert len(result.plan) == oracle_len
             if oracle_len is None:
                 unsolvable_seen += 1
@@ -405,18 +402,17 @@ class TestRandomDomains:
 
 
 # --------------------------------------------------------------------------
-# Symbolic execution details
+# Plan soundness, checked at construction
 # --------------------------------------------------------------------------
 
 
-class TestSymbolicExecute:
-    def test_empty_plan_identity(self):
+class TestPlanSoundness:
+    def test_empty_plan_builds(self):
         grounded = ground(kitchen_domain(), kitchen_problem("put_away_spam"))
         p = Plan((), grounded.init, ConditionSet(grounded.vocabulary))
-        result = symbolic_execute(p.steps, grounded.init)
-        assert result.failed_step is None and result.state == grounded.init
+        assert len(p) == 0 and p.init == grounded.init
 
-    def test_swapped_steps_fail_at_swap(self):
+    def test_swapped_steps_raise_at_swap(self):
         grounded = ground(kitchen_domain(), kitchen_problem("put_away_spam"))
         full = plan(grounded).plan
         steps = list(full.steps)
@@ -424,8 +420,8 @@ class TestSymbolicExecute:
         assert steps[i].schema.name == "cage_obj"
         assert steps[j].schema.name == "grasp_obj"
         steps[i], steps[j] = steps[j], steps[i]
-        result = symbolic_execute(steps, grounded.init)
-        assert result.failed_step == i
+        with pytest.raises(ValueError, match=f"at step {i}$"):
+            Plan(tuple(steps), grounded.init, grounded.goal)
 
 
 class TestNegativeGoals:
@@ -452,8 +448,7 @@ class TestNegativeGoals:
         grounded = self.make_task()
         result = plan(grounded)
         assert result.solved
-        final = symbolic_execute(result.plan.steps, grounded.init)
-        assert final.failed_step is None and holds(final.state, grounded.goal)
+        Plan(result.plan.steps, grounded.init, grounded.goal)  # raises unless sound
         assert len(result.plan) == 2
 
 
