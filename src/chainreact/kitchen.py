@@ -3,13 +3,15 @@
 The hidden world state tracks the arm's discrete region, gripper aperture,
 attachment, drawer extension and object poses.  ``evaluate_world`` is the
 ground-truth logical state operator mapping a world state onto a mask over
-the grounded predicate vocabulary.  Primitives run for ticks drawn from their
-``PrimitiveSpec``, which the scenario loader builds over
-``DEFAULT_PRIMITIVES``, and then apply their operator's row of ``OUTCOMES``:
-the intended physical outcome, or a failure into a consistent non-goal
-configuration (a failed grasp closes on air and re-opens, a failed pull
-slips off the handle partway, a failed lift drops the object back onto the
-counter).  Both tables are documented in ``docs/kitchen-domain.md``.
+the grounded predicate vocabulary, a function of the world's discrete
+``world_key`` alone, which the simulator computes once per key and grounded
+domain.  Primitives run for ticks drawn from their ``PrimitiveSpec``, which
+the scenario loader builds over ``DEFAULT_PRIMITIVES``, and then apply their
+operator's row of ``OUTCOMES``: the intended physical outcome, or a failure
+into a consistent non-goal configuration (a failed grasp closes on air and
+re-opens, a failed pull slips off the handle partway, a failed lift drops
+the object back onto the counter).  Both tables are documented in
+``docs/kitchen-domain.md``.
 
 Drawer motion is continuous across ticks, so mid-pull the drawer sits in a
 transit band where neither drawer_is_open nor drawer_is_closed holds.
@@ -75,83 +77,92 @@ class WorldState:
 # --------------------------------------------------------------------------
 
 
-def evaluate_world(world: WorldState, grounded: GroundedDomain) -> int:
-    """Deterministic, total map from a world state to its logical state's mask.
+def world_key(world: WorldState) -> tuple:
+    """The discrete facts the truth depends on, in the order
+    ``_truth_of_key`` unpacks them; the only reader of the continuous
+    fields and the thresholds."""
+    ext = world.drawer_extension
+    return (
+        world.arm_region, world.gripper_aperture >= GRIPPER_OPEN_AT, world.attached,
+        ext >= DRAWER_OPEN_AT, ext <= DRAWER_CLOSED_AT,
+        tuple([(obj, pose[0]) for obj, pose in world.object_pose.items()]),
+        world.arm_moving,
+    )
 
-    Each rule ORs the bit of its atom, read by ``(name, args)`` from the
-    vocabulary's precomputed table; an atom outside the vocabulary raises
+
+def _truth_of_key(key: tuple, grounded: GroundedDomain) -> int:
+    """The truth mask of a world whose :func:`world_key` is ``key``.
+
+    Each rule ORs the bit of its atom, read by ``(name, args)`` through the
+    vocabulary's bit table; an atom outside the vocabulary raises
     :class:`~chainreact.logic.UnknownAtomError`.
     """
-    kind, target = world.arm_region
-    attached = world.attached
-    ext = world.drawer_extension
-    drawer_open = ext >= DRAWER_OPEN_AT
-    vocab = grounded.vocabulary
-    bit = vocab.bits
+    (kind, target), gripper_open, attached, drawer_open, drawer_closed, poses, moving = key
+    bit = grounded.vocabulary.bit_of
     mask = 0
-    try:
-        if kind == DRIVING:
-            mask |= bit["arm_in_driving_posture", ()]
-        if kind == ABOVE_COUNTER:
-            mask |= bit["arm_is_above_counter", ()] | bit["arm_is_clear_above_counter", ()]
-        if kind == APPROACH:
-            mask |= bit["arm_in_approach_region", (target,)]
-        if kind == AROUND:
-            mask |= bit["arm_is_around", (target,)]
-            if attached is None:
-                if target == HANDLE:
-                    mask |= bit["arm_is_around_handle_loose", ()]
-                else:
-                    mask |= bit["arm_is_around_obj_loose", (target,)]
-        if kind in (NEAR_HANDLE, FRONT_OF_DRAWER) or target == HANDLE:
-            mask |= bit["arm_is_near_handle", ()]
-        if kind == FRONT_OF_DRAWER:
-            mask |= bit["arm_in_front_of_drawer", ()]
-        if kind == OVER_DRAWER:
-            mask |= bit["arm_is_over_drawer", ()]
-        if kind == IN_DRAWER:
-            mask |= bit["arm_is_in_drawer", ()]
-        if world.arm_moving:
-            mask |= bit["arm_is_moving", ()]
-
-        if world.gripper_aperture >= GRIPPER_OPEN_AT:
-            mask |= bit["gripper_is_open", ()]
+    if kind == DRIVING:
+        mask |= bit("arm_in_driving_posture", ())
+    if kind == ABOVE_COUNTER:
+        mask |= bit("arm_is_above_counter", ()) | bit("arm_is_clear_above_counter", ())
+    if kind == APPROACH:
+        mask |= bit("arm_in_approach_region", (target,))
+    if kind == AROUND:
+        mask |= bit("arm_is_around", (target,))
         if attached is None:
-            mask |= bit["arm_is_free", ()]
-        else:
-            mask |= bit["arm_is_attached", ()]
-        if attached == HANDLE:
-            mask |= bit["handle_is_attached", ()]
-        else:
-            mask |= bit["handle_is_detected", ()] | bit["handle_is_tracked", ()]
+            if target == HANDLE:
+                mask |= bit("arm_is_around_handle_loose", ())
+            else:
+                mask |= bit("arm_is_around_obj_loose", (target,))
+    if kind in (NEAR_HANDLE, FRONT_OF_DRAWER) or target == HANDLE:
+        mask |= bit("arm_is_near_handle", ())
+    if kind == FRONT_OF_DRAWER:
+        mask |= bit("arm_in_front_of_drawer", ())
+    if kind == OVER_DRAWER:
+        mask |= bit("arm_is_over_drawer", ())
+    if kind == IN_DRAWER:
+        mask |= bit("arm_is_in_drawer", ())
+    if moving:
+        mask |= bit("arm_is_moving", ())
 
-        if drawer_open:
-            mask |= bit["drawer_is_open", ()]
-            if attached != HANDLE:
-                mask |= bit["drawer_is_open_and_detached", ()]
-        if ext <= DRAWER_CLOSED_AT:
-            mask |= bit["drawer_is_closed", ()]
+    if gripper_open:
+        mask |= bit("gripper_is_open", ())
+    if attached is None:
+        mask |= bit("arm_is_free", ())
+    else:
+        mask |= bit("arm_is_attached", ())
+    if attached == HANDLE:
+        mask |= bit("handle_is_attached", ())
+    else:
+        mask |= bit("handle_is_detected", ()) | bit("handle_is_tracked", ())
 
-        for obj, pose in world.object_pose.items():
-            args = (obj,)
-            if attached == obj:
-                mask |= bit["arm_is_attached_to_obj", args] | bit["obj_is_attached", args]
-            where = pose[0]
-            if where == "counter":
-                mask |= bit["obj_is_on_counter", args]
-            elif where == "over_drawer":
-                mask |= bit["obj_is_over_drawer", args]
-            elif where == "in_drawer":
-                mask |= bit["obj_is_in_drawer", args]
-            if where == "held" and kind == ABOVE_COUNTER:
-                mask |= bit["obj_is_clear_above_counter", args]
-            hidden = where == "in_drawer" and not drawer_open
-            if not hidden:
-                mask |= bit["obj_is_detected", args] | bit["obj_is_tracked", args]
-    except KeyError as err:
-        vocab.bit_of(*err.args[0])  # raises UnknownAtomError naming the atom
-        raise
+    if drawer_open:
+        mask |= bit("drawer_is_open", ())
+        if attached != HANDLE:
+            mask |= bit("drawer_is_open_and_detached", ())
+    if drawer_closed:
+        mask |= bit("drawer_is_closed", ())
+
+    for obj, where in poses:
+        args = (obj,)
+        if attached == obj:
+            mask |= bit("arm_is_attached_to_obj", args) | bit("obj_is_attached", args)
+        if where == "counter":
+            mask |= bit("obj_is_on_counter", args)
+        elif where == "over_drawer":
+            mask |= bit("obj_is_over_drawer", args)
+        elif where == "in_drawer":
+            mask |= bit("obj_is_in_drawer", args)
+        if where == "held" and kind == ABOVE_COUNTER:
+            mask |= bit("obj_is_clear_above_counter", args)
+        hidden = where == "in_drawer" and not drawer_open
+        if not hidden:
+            mask |= bit("obj_is_detected", args) | bit("obj_is_tracked", args)
     return mask
+
+
+def evaluate_world(world: WorldState, grounded: GroundedDomain) -> int:
+    """Deterministic, total map from a world state to its truth mask."""
+    return _truth_of_key(world_key(world), grounded)
 
 
 # --------------------------------------------------------------------------
@@ -484,9 +495,15 @@ class KitchenSim:
         self._moving_bit = grounded.vocabulary.bit_of("arm_is_moving", ())
 
     def eval_predicates(self) -> int:
-        """The truth mask, ``evaluate_world`` of the world, computed once per change."""
+        """The truth mask, read once per change from the grounded domain's
+        memo of each :func:`world_key` seen to its truth."""
         if self._truth is None:
-            self._truth = evaluate_world(self.world, self.grounded)
+            key = world_key(self.world)
+            memo = self.grounded._truth_by_key
+            truth = memo.get(key)
+            if truth is None:
+                truth = memo[key] = _truth_of_key(key, self.grounded)
+            self._truth = truth
         return self._truth
 
     def _set_moving(self, moving: bool) -> None:

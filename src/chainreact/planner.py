@@ -87,6 +87,8 @@ class GroundedDomain:
         init=False, repr=False
     )
     movables: tuple[str, ...] = field(init=False)
+    # world key -> truth mask, filled by kitchen.KitchenSim.eval_predicates
+    _truth_by_key: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.movables = tuple(

@@ -305,7 +305,8 @@ class TestNominalRun:
         sim, pipe = fresh_setup(grounded, world=world)
         outcome = run(sim, pipe, chain, max_ticks=200, stuck_after=10)
         assert outcome.status == "stuck"
-        assert outcome.ticks <= 11
+        # No step is enterable from the first tick: the tenth such tick ends it.
+        assert (outcome.ticks, outcome.history) == (10, [])
 
 
 class TestRecovery:

@@ -902,6 +902,12 @@ class TestDisturbanceWatch:
             {"trigger": {"at_tick": 12}, "kind": {"kind": "detach_gripper"}},
             {"trigger": {"at_tick": 40}, "kind": {"kind": "set_drawer", "extension": 0.0}},
         ]}),
+        # The arm starts in the driving posture, atom 0, and keeps it for the
+        # ticks after the first firing while the second trigger is pending.
+        ("put_away_spam_oracle", {"disturbances": [
+            {"trigger": {"at_tick": 0}, "kind": {"kind": "detach_gripper"}},
+            {"trigger": {"at_tick": 30}, "kind": {"kind": "detach_gripper"}},
+        ]}),
     ])
     def test_runs_equal_a_reference_that_checks_every_tick(self, monkeypatch, name, overrides):
         sc = load(name, **overrides)

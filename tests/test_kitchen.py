@@ -9,18 +9,26 @@ probability 1 and inspecting the evaluated state after every completion.
 import copy
 import dataclasses
 import json
+import math
 import re
 from collections import deque
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from chainreact import kitchen
+from chainreact.chains import build_chain
+from chainreact.executive import run
 from chainreact.kitchen import (
+    DRAWER_CLOSED_AT,
     DRAWER_OPEN_AT,
+    GRIPPER_OPEN_AT,
+    HANDLE,
     MAX_MOVABLES,
+    NUM_COUNTER_ZONES,
     OUTCOMES,
     WRITTEN_PREDICATES,
     InitialConfig,
@@ -31,16 +39,20 @@ from chainreact.kitchen import (
     contract_problems,
     evaluate_world,
     sample_initial,
+    world_key,
 )
 from chainreact.lang import parse_problem
 from chainreact.logic import LogicalState, UnknownAtomError, apply_effects, holds
+from chainreact.perception import NoiseModel, PerceptionPipeline
 from chainreact.planner import ground, plan
 from tests.util import (
+    bits,
     kitchen_domain,
     kitchen_problem,
     primitives,
     problem_source,
     reference_world,
+    table_truth,
 )
 
 
@@ -147,6 +159,137 @@ class TestEvaluateWorld:
         world = reference_world(("spam", "sugar", "salt"))
         with pytest.raises(UnknownAtomError, match=r"salt"):
             evaluate_world(world, grounded)
+
+
+REGIONS = [
+    ("driving", None), ("above_counter", None), ("near_handle", None),
+    ("front_of_drawer", None), ("over_drawer", None), ("in_drawer", None),
+    *((kind, target) for kind in ("approach", "around") for target in (HANDLE, "spam", "sugar")),
+]
+# Every threshold, on it and one float either side, and values between.
+LEVELS = sorted({0.0, 0.2, 0.4, 1.0} | {
+    level
+    for at in (DRAWER_CLOSED_AT, DRAWER_OPEN_AT, GRIPPER_OPEN_AT)
+    for level in (math.nextafter(at, 0.0), at, math.nextafter(at, 1.0))
+})
+
+
+def valid(world):
+    try:
+        world.validate()
+    except ValueError:
+        return False
+    return True
+
+
+@st.composite
+def worlds(draw):
+    """A valid world over spam and sugar, its objects in either dict order."""
+    zones = iter(draw(st.permutations(range(NUM_COUNTER_ZONES))))
+    poses = {}
+    for obj in draw(st.permutations(["spam", "sugar"])):
+        kind = draw(st.sampled_from(["counter", "held", "over_drawer", "in_drawer"]))
+        poses[obj] = ("counter", next(zones)) if kind == "counter" else (kind,)
+    level = st.sampled_from(LEVELS) | st.floats(0.0, 1.0)
+    world = WorldState(
+        arm_region=draw(st.sampled_from(REGIONS)),
+        gripper_aperture=draw(level),
+        attached=draw(st.sampled_from([None, HANDLE, "spam", "sugar"])),
+        drawer_extension=draw(level),
+        object_pose=poses,
+        arm_moving=draw(st.booleans()),
+    )
+    assume(valid(world))
+    return world
+
+
+@st.composite
+def neighbours(draw):
+    """A valid world and a valid copy with one field redrawn, which often
+    leaves the key as it was."""
+    world, other = draw(worlds()), draw(worlds())
+    name = draw(st.sampled_from([f.name for f in dataclasses.fields(WorldState)]))
+    twin = dataclasses.replace(world, **{name: getattr(other, name)})
+    assume(valid(twin))
+    return world, twin
+
+
+class TestWorldKey:
+    """The truth is a function of world_key, and the simulator's memo
+    holds each key's truth once."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(pair=neighbours())
+    def test_truth_is_the_table_truth_of_the_key(self, grounded, pair):
+        vocab = grounded.vocabulary
+        for world in pair:
+            truth = bits(vocab, *table_truth(world))
+            assert evaluate_world(world, grounded) == truth
+            # The memo may hold this key from another world: its value is
+            # still this world's truth.
+            assert reliable_sim(grounded, world).eval_predicates() == truth
+            assert grounded._truth_by_key[world_key(world)] == truth
+        if world_key(pair[0]) == world_key(pair[1]):
+            assert table_truth(pair[0]) == table_truth(pair[1])
+
+    @pytest.mark.parametrize("ext", [DRAWER_OPEN_AT, DRAWER_CLOSED_AT])
+    def test_drawer_reads_from_each_threshold_on(self, grounded, ext):
+        world = reference_world()
+        world.drawer_extension = ext
+        names = names_of(grounded, evaluate_world(world, grounded))
+        assert ("drawer_is_open" in names) == (ext == DRAWER_OPEN_AT)
+        assert ("drawer_is_closed" in names) == (ext == DRAWER_CLOSED_AT)
+        # One float past the threshold, into the transit band, neither holds.
+        world.drawer_extension = math.nextafter(ext, 0.4)
+        names = names_of(grounded, evaluate_world(world, grounded))
+        assert not {"drawer_is_open", "drawer_is_closed"} & names
+
+    def test_gripper_reads_open_from_the_threshold_on(self, grounded):
+        world = reference_world()
+        world.gripper_aperture = GRIPPER_OPEN_AT
+        assert "gripper_is_open" in names_of(grounded, evaluate_world(world, grounded))
+        world.attached = HANDLE
+        with pytest.raises(ValueError, match="attached entity with an open gripper"):
+            world.validate()
+        world.gripper_aperture = math.nextafter(GRIPPER_OPEN_AT, 0.0)
+        world.validate()
+        assert "gripper_is_open" not in names_of(grounded, evaluate_world(world, grounded))
+
+    def test_memo_holds_one_entry_per_key_seen(self, monkeypatch):
+        grounded = ground(kitchen_domain(), kitchen_problem("put_away_both"))
+        seen, computed = set(), []
+
+        def recording_key(world):
+            key = world_key(world)
+            seen.add(key)
+            return key
+
+        def recording_truth(key, g, truth_of_key=kitchen._truth_of_key):
+            computed.append(key)
+            return truth_of_key(key, g)
+
+        monkeypatch.setattr(kitchen, "world_key", recording_key)
+        monkeypatch.setattr(kitchen, "_truth_of_key", recording_truth)
+        chain = build_chain(plan(grounded).plan)
+        config = InitialConfig(objects="anywhere", drawer="mixed")
+        for seed in range(10):
+            rng = np.random.default_rng(seed)
+            world = sample_initial(config, grounded.movables, rng)
+            sim = KitchenSim(grounded, world, primitives(0.8), rng, rng)
+            pipe = PerceptionPipeline(grounded.vocabulary, NoiseModel(), window=1, rng=rng)
+            run(sim, pipe, chain, max_ticks=300)
+        assert len(seen) > 20
+        assert len(computed) == len(seen)
+        assert set(grounded._truth_by_key) == seen
+
+    def test_unknown_object_raises_on_every_read_and_is_never_stored(self):
+        grounded = ground(kitchen_domain(), kitchen_problem("put_away_spam"))
+        sim = reliable_sim(grounded, reference_world(("spam", "sugar", "salt")))
+        message = r"atom obj_is_on_counter\(salt\) is not in the vocabulary"
+        for _ in range(2):
+            with pytest.raises(UnknownAtomError, match=message):
+                sim.eval_predicates()
+        assert grounded._truth_by_key == {}
 
 
 class TestSampleInitial:
@@ -320,6 +463,13 @@ class TestDisturbances:
             None, 1.0, ("near_handle", None)
         )
         assert w.drawer_extension == 1.0
+
+    @pytest.mark.parametrize("region", [("over_drawer", None), ("in_drawer", None)])
+    def test_detach_over_or_in_the_drawer_drops_into_it(self, grounded, region):
+        sim = reliable_sim(grounded, loaded_world(region, "spam", ("over_drawer",)))
+        sim.apply_disturbance("detach_gripper")
+        assert sim.world.attached is None
+        assert sim.world.object_pose["spam"] == ("in_drawer",)
 
     def test_detach_noop_when_free(self, grounded):
         sim = reliable_sim(grounded, reference_world())

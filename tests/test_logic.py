@@ -70,6 +70,13 @@ class TestTypes:
         assert hash(a) == hash(b)
         assert len({a, b, LogicalState(vocab, bits(vocab, "p1"))}) == 2
 
+    def test_states_differ_on_mask_or_vocabulary(self):
+        vocab, twin = make_vocab(3), make_vocab(3)
+        state = LogicalState(vocab, bits(vocab, "p0"))
+        assert state != LogicalState(vocab, bits(vocab, "p1"))
+        assert state != LogicalState(twin, state.mask)
+        assert state != state.mask
+
     def test_vocabulary_rejects_duplicates(self):
         with pytest.raises(ValueError, match=r"^duplicate atom p in vocabulary$"):
             Vocabulary([("p", ()), ("p", ())])

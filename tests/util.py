@@ -175,3 +175,57 @@ def reference_world(movables: tuple[str, ...] = ("spam", "sugar")) -> WorldState
         drawer_extension=0.0,
         object_pose={obj: ("counter", i) for i, obj in enumerate(movables)},
     )
+
+
+def table_truth(world: WorldState) -> set[str]:
+    """The printed names of the atoms true of ``world`` by the table in
+    docs/kitchen-domain.md, read off the world's own fields and the
+    documented thresholds (gripper open at 0.9, drawer open at 0.7, closed
+    at 0.05)."""
+    kind, target = world.arm_region
+    attached = world.attached
+    opened = world.drawer_extension >= 0.7
+    rules = {
+        "arm_in_driving_posture": kind == "driving",
+        "arm_is_above_counter": kind == "above_counter",
+        "arm_is_clear_above_counter": kind == "above_counter",
+        f"arm_in_approach_region({target})": kind == "approach",
+        f"arm_is_around({target})": kind == "around",
+        "arm_is_around_handle_loose": (
+            world.arm_region == ("around", "handle") and attached is None
+        ),
+        f"arm_is_around_obj_loose({target})": (
+            kind == "around" and target != "handle" and attached is None
+        ),
+        "arm_is_near_handle": (
+            kind in ("near_handle", "front_of_drawer") or target == "handle"
+        ),
+        "arm_in_front_of_drawer": kind == "front_of_drawer",
+        "arm_is_over_drawer": kind == "over_drawer",
+        "arm_is_in_drawer": kind == "in_drawer",
+        "arm_is_moving": world.arm_moving,
+        "gripper_is_open": world.gripper_aperture >= 0.9,
+        "arm_is_free": attached is None,
+        "arm_is_attached": attached is not None,
+        "handle_is_attached": attached == "handle",
+        "drawer_is_open": opened,
+        "drawer_is_closed": world.drawer_extension <= 0.05,
+        "drawer_is_open_and_detached": opened and attached != "handle",
+        "handle_is_detected": attached != "handle",
+        "handle_is_tracked": attached != "handle",
+    }
+    for obj, pose in world.object_pose.items():
+        seen = not (pose[0] == "in_drawer" and not opened)
+        rules.update({
+            f"arm_is_attached_to_obj({obj})": attached == obj,
+            f"obj_is_attached({obj})": attached == obj,
+            f"obj_is_on_counter({obj})": pose[0] == "counter",
+            f"obj_is_over_drawer({obj})": pose[0] == "over_drawer",
+            f"obj_is_in_drawer({obj})": pose[0] == "in_drawer",
+            f"obj_is_clear_above_counter({obj})": (
+                pose[0] == "held" and kind == "above_counter"
+            ),
+            f"obj_is_detected({obj})": seen,
+            f"obj_is_tracked({obj})": seen,
+        })
+    return {name for name, true in rules.items() if true}
