@@ -24,6 +24,9 @@
 #   readme         the stdout of TREE's own README library example
 #   windows        a bench of put_away_spam_noisy at windows 1, 2, 4, 5, 64,
 #                  65 and 70
+#   negative       plan, chain and a traced bench of put_away_spam_oracle's 20
+#                  trials with the goal literal (not (drawer_is_open)) in
+#                  place of (drawer_is_closed), each with its exit code
 # Three workers place uneven ranges, in an order that depends on
 # scheduling, across scenario boundaries.
 set -euo pipefail
@@ -110,3 +113,28 @@ mkdir -p "$out"
 (cd "$src" && PYTHONPATH=src python -m chainreact.cli bench \
   --scenarios src/chainreact/data/window_sweep/*.json \
   --trace-dir "$out/traces" --out "$out/results.json" > "$out/stdout.txt")
+# A negative goal: put_away_spam with (not (drawer_is_open)) in place of
+# (drawer_is_closed), and a copy of put_away_spam_oracle that uses it.  Like
+# the sweep's copies they sit under data/ with relative paths, so
+# config_digest is the same in both trees.  A command that fails records
+# its exit code, not fatal: a tree whose chain builder refuses negative
+# goals exits 2.
+negative="$src/src/chainreact/data/negative_goal"
+mkdir -p "$negative"
+sed 's/(drawer_is_closed)))/(not (drawer_is_open))))/' \
+  "$src/src/chainreact/data/problems/put_away_spam.dprob" > "$negative/put_away_spam_not_open.dprob"
+python -c 'import json, sys; s = json.load(open(sys.argv[1])); s.update(name="put_away_spam_not_open_oracle", problem="put_away_spam_not_open.dprob"); json.dump(s, open(sys.argv[2], "w"), indent=2, sort_keys=True)' \
+  "$src/src/chainreact/data/scenarios/put_away_spam_oracle.json" "$negative/oracle.json"
+out="$root/negative"
+mkdir -p "$out"
+files=(--domain src/chainreact/data/kitchen.dpdl
+       --problem src/chainreact/data/negative_goal/put_away_spam_not_open.dprob)
+(cd "$src" && PYTHONPATH=src python -m chainreact.cli plan "${files[@]}" \
+  --out "$out/plan.json" 2> "$out/plan.stderr") || echo "exit $?" >> "$out/plan.stderr"
+(cd "$src" && PYTHONPATH=src python -m chainreact.cli chain "${files[@]}" \
+  --plan "$out/plan.json" --out "$out/chain.json" 2> "$out/chain.stderr") \
+  || echo "exit $?" >> "$out/chain.stderr"
+(cd "$src" && PYTHONPATH=src python -m chainreact.cli bench \
+  --scenarios src/chainreact/data/negative_goal/oracle.json \
+  --trace-dir "$out/traces" --out "$out/results.json" > "$out/stdout.txt" \
+  2> "$out/stderr.txt") || echo "exit $?" >> "$out/stderr.txt"

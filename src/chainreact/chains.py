@@ -1,13 +1,14 @@
 """Robust chains: plans augmented by backward condition propagation.
 
-Conditions are regressed from the goal through the plan, stopping at the
-step whose effects create them; every step in between gains the condition
-in its entry (pre) set, and in its continuation (run) set unless that
-negates it.  Each step's own positive preconditions join the carried set,
-so mid-plan achievements are ordered as well, not just goal atoms.  The reactive executive can then
-never enter a step whose prerequisites a skipped step was supposed to
-establish, and entering a step whose effective conditions hold is always
-safe for the remainder of the chain.
+Literals of both polarities are regressed from the goal through the plan,
+stopping at the step whose effects make them true: the step that adds an
+atom needed true, or deletes one needed false.  Every step in between gains
+the literal in its entry (pre) set, and in its continuation (run) set unless
+that requires the opposite.  Each step's own preconditions join the carried
+sets, so mid-plan achievements are ordered as well, not just the goal.  The
+reactive executive can then never enter a step whose prerequisites a
+skipped step was supposed to establish, and entering a step whose effective
+conditions hold is always safe for the remainder of the chain.
 """
 
 from __future__ import annotations
@@ -16,10 +17,6 @@ from dataclasses import dataclass, field
 
 from .logic import ConditionSet, LogicalState, apply_effects, holds
 from .planner import GroundOperator, Plan
-
-
-class UnsupportedFeatureError(ValueError):
-    """A chain was requested for a feature regression does not cover."""
 
 
 @dataclass(frozen=True)
@@ -50,46 +47,44 @@ class Chain:
 def build_chain(plan: Plan) -> Chain:
     """Back-propagate conditions from the plan's goal through its steps.
 
-    Walking from the last step to the first, the carried set holds every
-    positive condition some later step (or the goal) needs that no step in
-    between produces.  A step's extras are the carried conditions it does
-    not itself add; its own positive preconditions then join the carry.
-    No step deletes a carried condition: :class:`Plan` is sound, so each
-    carried condition holds when the step that needs it runs.  A step's run
-    condition leaves out the extras it negates itself, since it may run
-    while they are false; its precondition negates none of them.  For a
-    narrower goal, build from ``Plan(plan.steps, plan.init, narrower)``.
-    Raises :class:`UnsupportedFeatureError` for negative goal literals
-    (the kitchen goals are positive; regression over negations is out of
-    scope).
+    Walking from the last step to the first, the carried sets hold every
+    literal some later step (or the goal) needs that no step in between
+    makes true: ``carry`` the atoms needed true, ``carry_neg`` those needed
+    false.  A step's extras are the carried atoms it does not add, and the
+    carried negated atoms it does not delete; its own preconditions then
+    join the carry.  No step undoes a carried literal: :class:`Plan` is
+    sound, so each carried literal holds when the step that needs it runs.
+    A step's run condition leaves out the extras whose opposite it requires
+    itself, since it may run while they fail; its precondition contradicts
+    none of them.  For a narrower goal, build from
+    ``Plan(plan.steps, plan.init, narrower)``.
     """
     goal = plan.goal
     vocab = goal.vocabulary
-    if goal.neg_mask:
-        raise UnsupportedFeatureError(
-            "cannot build a chain for a goal with negative literals"
-        )
-
-    carry = goal.pos_mask
+    carry, carry_neg = goal.pos_mask, goal.neg_mask
     augmented: list[AugmentedOperator] = []
     for op in reversed(plan.steps):
         extra = carry & ~op.eff.add_mask
+        extra_neg = carry_neg & ~op.eff.del_mask
         augmented.append(
             AugmentedOperator(
                 base=op,
-                effective_pre=ConditionSet(vocab, op.pre.pos_mask | extra, op.pre.neg_mask),
+                effective_pre=ConditionSet(
+                    vocab, op.pre.pos_mask | extra, op.pre.neg_mask | extra_neg
+                ),
                 effective_run=ConditionSet(
-                    vocab, op.run.pos_mask | extra & ~op.run.neg_mask, op.run.neg_mask
+                    vocab, op.run.pos_mask | extra & ~op.run.neg_mask,
+                    op.run.neg_mask | extra_neg & ~op.run.pos_mask,
                 ),
             )
         )
-        carry = extra | op.pre.pos_mask
+        carry, carry_neg = extra | op.pre.pos_mask, extra_neg | op.pre.neg_mask
 
     augmented.reverse()
     return Chain(
         steps=tuple(augmented),
         goal=goal,
-        front_conditions=ConditionSet(vocab, carry),
+        front_conditions=ConditionSet(vocab, carry, carry_neg),
     )
 
 

@@ -23,7 +23,7 @@ import tempfile
 from contextlib import nullcontext
 from pathlib import Path
 
-from .chains import UnsupportedFeatureError, build_chain
+from .chains import build_chain
 from .harness import (
     InputError,
     chain_payload,
@@ -100,11 +100,7 @@ def cmd_chain(args) -> int:
     except ValueError as err:
         print(f"plan is not sound for this problem: {err}", file=sys.stderr)
         return EXIT_FAILED
-    try:
-        chain = build_chain(sound)
-    except UnsupportedFeatureError as err:
-        print(f"{args.problem}: {err}", file=sys.stderr)
-        return EXIT_INPUT
+    chain = build_chain(sound)
     return _write_out(json.dumps(chain_payload(chain), indent=2) + "\n", args.out)
 
 

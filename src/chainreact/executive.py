@@ -136,7 +136,11 @@ def run(
     ``open_loop`` the choice is the next step in order once the primitive
     ends; the estimate is the truth and no condition is checked.  After its
     last step the open loop ends succeeded or stuck on the truth, in a tick
-    that ``ticks`` does not count; ``on_tick`` gets that tick's values too."""
+    that ``ticks`` does not count; ``on_tick`` gets that tick's values too.
+    Of ``sim`` it reads only ``grounded.vocabulary``, ``current``,
+    ``eval_predicates``, ``start_primitive``, ``abort_primitive``, ``tick``
+    (whose result's ``phase`` only ``on_tick`` needs) and
+    ``apply_disturbance``, so any simulator with those members can drive it."""
     # Truth comes from the simulator and the estimate from the perception
     # pipeline; both must share the chain's vocabulary, checked once here
     # so the goal checks and select_operator below read the masks directly.

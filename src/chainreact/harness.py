@@ -81,7 +81,7 @@ from .perception import DEFAULT_WINDOW, NoiseModel, PerceptionPipeline
 from .planner import GroundedDomain, GroundingLimitError, GroundOperator, Plan, ground, plan
 
 FORMAT_VERSION = 2  # of trace files
-CHAIN_FORMAT_VERSION = 1
+CHAIN_FORMAT_VERSION = 2
 PLAN_FORMAT_VERSION = 1
 RESULTS_FORMAT_VERSION = 1
 SCENARIO_FORMAT_VERSION = 2
@@ -448,11 +448,6 @@ def build_scenario(raw: dict, base_dir: Path, name: str = "scenario") -> Scenari
     sources: list[str] = []
     grounded = load_grounded(str(domain_path), str(problem_path), problems, sources)
     if grounded is not None:
-        # build_chain regresses positive goal literals only.
-        problems.extend(
-            f"{problem_path}: negative goal literal (not {atom}) is not supported"
-            for atom in sorted(str(lit.atom) for lit in grounded.problem.goal if not lit.positive)
-        )
         if not grounded.problem.goal:
             problems.append(f"{problem_path}: the goal is empty, so trials succeed without a step")
         # The executive can enter such a step and then never continue it.
@@ -936,21 +931,28 @@ def read_plan(grounded: GroundedDomain, payload) -> tuple[GroundOperator, ...]:
 
 
 def chain_payload(chain: Chain) -> dict:
-    """The chain file of ``chain``: per step its operator, its own positive
-    pre and run conditions, and those regression added to each."""
+    """The chain file of ``chain``: per step its operator, its own pre and
+    run conditions, and those regression added to each; each set of atoms
+    is listed twice, the required atoms and then (``*_neg``) the negated."""
     names_of = chain.goal.vocabulary.names_of
     return {
         "format_version": CHAIN_FORMAT_VERSION,
         "goal": names_of(chain.goal.pos_mask),
+        "goal_neg": names_of(chain.goal.neg_mask),
         "front_conditions": names_of(chain.front_conditions.pos_mask),
+        "front_conditions_neg": names_of(chain.front_conditions.neg_mask),
         "steps": [
             {
                 "operator": s.base.schema.name,
                 "args": list(s.base.bound_args),
                 "pre": names_of(s.base.pre.pos_mask),
+                "pre_neg": names_of(s.base.pre.neg_mask),
                 "run": names_of(s.base.run.pos_mask),
+                "run_neg": names_of(s.base.run.neg_mask),
                 "extra_pre": names_of(s.effective_pre.pos_mask & ~s.base.pre.pos_mask),
+                "extra_pre_neg": names_of(s.effective_pre.neg_mask & ~s.base.pre.neg_mask),
                 "extra_run": names_of(s.effective_run.pos_mask & ~s.base.run.pos_mask),
+                "extra_run_neg": names_of(s.effective_run.neg_mask & ~s.base.run.neg_mask),
             }
             for s in chain.steps
         ],

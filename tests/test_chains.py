@@ -10,7 +10,7 @@ import random
 
 import pytest
 
-from chainreact.chains import UnsupportedFeatureError, build_chain, verify_chain
+from chainreact.chains import build_chain, verify_chain
 from chainreact.harness import chain_payload
 from chainreact.lang import parse_domain, parse_problem
 from chainreact.logic import ConditionSet, apply_effects, holds
@@ -18,6 +18,7 @@ from chainreact.planner import Plan, ground, plan
 from tests.test_planner import make_prop_task, random_task
 from tests.util import (
     NEGATED_CARRY,
+    NEGATED_PRE,
     bits,
     kitchen_domain,
     kitchen_problem,
@@ -87,21 +88,33 @@ class TestRegressionSemantics:
         assert len(chain.steps) == 0
         assert verify_chain(chain, grounded.init)
 
-    def test_negative_goal_rejected(self):
+    def test_negative_goal_builds(self):
+        # A negated goal atom is regressed like a required one: with no
+        # step to delete it, it must be false where the chain starts.
         grounded = make_prop_task([], ["a"], [], [])
         goal = ConditionSet(grounded.vocabulary, neg_mask=bits(grounded.vocabulary, "a"))
-        with pytest.raises(UnsupportedFeatureError):
-            build_chain(Plan((), grounded.init, goal))
+        chain = build_chain(Plan((), grounded.init, goal))
+        assert chain.front_conditions == goal
+        assert chain_payload(chain)["goal_neg"] == ["a"]
 
-    def test_monotone_augmentation(self):
-        grounded = ground(kitchen_domain(), kitchen_problem("put_away_spam"))
+    @pytest.mark.parametrize("source", ["kitchen", "negated_pre"])
+    def test_monotone_augmentation(self, source):
+        if source == "kitchen":
+            grounded = ground(kitchen_domain(), kitchen_problem("put_away_spam"))
+        else:
+            domain = parse_domain(NEGATED_PRE[0]).value
+            grounded = ground(domain, parse_problem(NEGATED_PRE[1], domain).value)
         chain = build_chain(plan(grounded).plan)
         for step in chain.steps:
-            assert step.effective_pre.pos_mask & step.base.pre.pos_mask == step.base.pre.pos_mask
-            assert step.effective_run.pos_mask & step.base.run.pos_mask == step.base.run.pos_mask
-        for step in chain_payload(chain)["steps"]:
-            assert not set(step["extra_pre"]) & set(step["pre"])
-            assert not set(step["extra_run"]) & set(step["run"])
+            for effective, own in ((step.effective_pre, step.base.pre),
+                                   (step.effective_run, step.base.run)):
+                assert effective.pos_mask & own.pos_mask == own.pos_mask
+                assert effective.neg_mask & own.neg_mask == own.neg_mask
+        payload = chain_payload(chain)["steps"]
+        for step in payload:
+            for key in ("pre", "run", "pre_neg", "run_neg"):
+                assert not set(step[f"extra_{key}"]) & set(step[key])
+        assert any(step["extra_pre_neg"] for step in payload) == (source == "negated_pre")
 
     def test_run_condition_keeps_its_own_negation_over_a_carried_atom(self):
         # The run condition of a used to gain the carried p as well, and
@@ -112,10 +125,28 @@ class TestRegressionSemantics:
         assert step_names(s.base for s in chain.steps) == ["a", "b"]
         assert extras(chain) == [{"p"}, set()]
         assert extras(chain, "extra_run") == [set(), set()]
+        assert extras(chain, "extra_pre_neg") == extras(chain, "extra_run_neg") == [set(), set()]
+        assert [step["run_neg"] for step in chain_payload(chain)["steps"]] == [["p"], []]
         vocab = grounded.vocabulary
         assert chain.steps[0].effective_run == ConditionSet(
             vocab, bits(vocab, "q"), bits(vocab, "p")
         )
+        assert verify_chain(chain, grounded.init)
+
+    def test_run_condition_keeps_its_own_requirement_over_a_carried_negation(self):
+        # The mirror image of the test above, on NEGATED_PRE.
+        domain = parse_domain(NEGATED_PRE[0]).value
+        grounded = ground(domain, parse_problem(NEGATED_PRE[1], domain).value)
+        chain = build_chain(plan(grounded).plan)
+        assert step_names(s.base for s in chain.steps) == ["a", "b"]
+        assert extras(chain, "extra_pre_neg") == [{"p"}, set()]
+        assert extras(chain, "extra_run_neg") == [set(), set()]
+        assert chain_payload(chain)["front_conditions_neg"] == ["p"]
+        vocab = grounded.vocabulary
+        assert chain.steps[0].effective_pre == ConditionSet(
+            vocab, bits(vocab, "q"), bits(vocab, "p")
+        )
+        assert chain.steps[0].effective_run == ConditionSet(vocab, bits(vocab, "q", "p"))
         assert verify_chain(chain, grounded.init)
 
 

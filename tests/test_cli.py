@@ -63,7 +63,7 @@ def test_plan_chain_pipeline(tmp_path, capsys):
     ])
     assert code == 0
     chain = json.loads(chain_out.read_text())
-    assert chain["format_version"] == 1
+    assert chain["format_version"] == 2
     assert len(chain["steps"]) == 16
     release = next(s for s in chain["steps"] if s["operator"] == "release_obj")
     assert "obj_is_in_drawer(spam)" in release["extra_pre"]
@@ -198,20 +198,20 @@ def test_chain_plan_failing_a_precondition_exit_1(tmp_path, capsys):
     )
 
 
-def test_chain_negative_goal_exit_2(tmp_path, capsys):
-    # build_chain cannot regress a negative goal literal: an input error
-    # naming the problem, not an unsound plan.
+def test_chain_negative_goal_writes_goal_neg(tmp_path):
+    # build_chain regresses a negated goal atom like a required one;
+    # chain used to exit 2 for it.
     problem = tmp_path / "negative.dprob"
     problem.write_text(problem_source("put_away_spam").replace(
         "(drawer_is_closed)))", "(not (drawer_is_open))))"
     ))
     files = ["--domain", str(kitchen_path()), "--problem", str(problem)]
-    plan_file = tmp_path / "plan.json"
+    plan_file, chain_file = tmp_path / "plan.json", tmp_path / "chain.json"
     assert main(["plan", *files, "--out", str(plan_file)]) == 0
-    capsys.readouterr()
-    assert main(["chain", *files, "--plan", str(plan_file)]) == 2
-    err = capsys.readouterr().err
-    assert "negative.dprob" in err and "not sound" not in err
+    assert main(["chain", *files, "--plan", str(plan_file), "--out", str(chain_file)]) == 0
+    chain = json.loads(chain_file.read_text())
+    assert (chain["goal"], chain["goal_neg"]) == (["obj_is_in_drawer(spam)"], ["drawer_is_open"])
+    assert chain["steps"][-1]["operator"] == "push_drawer"
 
 
 def test_plan_reports_unsolvable(tmp_path, capsys):
@@ -733,9 +733,6 @@ def test_bench_failed_range_cancels_queued_ranges(tmp_path):
         (None, [("spam sugar - movable", "spam sugar m0 m1 m2 m3 - movable")],
          "6 movable objects"),
         (None, [("(obj_is_clear_above_counter spam)",
-                 "(not (obj_is_clear_above_counter spam))")],
-         "pick_spam.dprob: negative goal literal (not (obj_is_clear_above_counter spam))"),
-        (None, [("(obj_is_clear_above_counter spam)",
                  "(obj_is_clear_above_counter spam) (not (obj_is_clear_above_counter spam))")],
          "both requires and negates ['(obj_is_clear_above_counter spam)']"),
         (*CUPS_ONLY, "domain: movable 'sugar' is outside the parameter type of"),
@@ -743,8 +740,8 @@ def test_bench_failed_range_cancels_queued_ranges(tmp_path):
                  "(:goal (and))")],
          "pick_spam.dprob: the goal is empty, so trials succeed without a step"),
     ],
-    ids=["no_arm_is_moving", "back_off_renamed", "six_movables", "negative_goal",
-         "contradictory_goal", "movable_outside_predicate_type", "empty_goal"],
+    ids=["no_arm_is_moving", "back_off_renamed", "six_movables", "contradictory_goal",
+         "movable_outside_predicate_type", "empty_goal"],
 )
 def test_bench_domain_outside_simulator_contract_exit_2(
     tmp_path, capsys, domain_edit, problem_edit, named
@@ -773,6 +770,29 @@ def test_bench_domain_outside_simulator_contract_exit_2(
     assert line.startswith(f"{path}: {at_fault}:"), err
     assert not traces.exists()
     assert not (tmp_path / "results.json").exists()
+
+
+@pytest.mark.parametrize(
+    "name, problem, goal_end, mean_ticks",
+    [
+        ("pick_spam_oracle", "pick_spam", ("(obj_is_clear_above_counter spam)))",
+                                           "(not (obj_is_clear_above_counter spam))))"), 15.7),
+        ("put_away_spam_oracle", "put_away_spam",
+         ("(drawer_is_closed)))", "(not (drawer_is_open))))"), 39.0),
+    ],
+    ids=["pick_spam", "put_away_spam"],
+)
+def test_bench_negative_goal_succeeds(tmp_path, name, problem, goal_end, mean_ticks):
+    # Each goal's last literal, negated, used to be refused at load with
+    # exit 2.  Every trial now reaches the goal.
+    path = scenario_copy(tmp_path, name, problem=problem_source(problem).replace(*goal_end))
+    results = tmp_path / "results.json"
+    assert main(["bench", "--scenarios", str(path), "--out", str(results)]) == 0
+    (result,) = json.loads(results.read_text())["results"]
+    assert result["metrics"] == {
+        "false_success_rate": 0.0, "mean_ticks": mean_ticks, "recovery_rate": 0.0,
+        "scenario": name, "success_rate": 1.0, "trials": 20,
+    }
 
 
 @pytest.mark.parametrize("command", ["report", "bench"])

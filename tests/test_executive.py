@@ -4,6 +4,7 @@ import dataclasses
 import functools
 import hashlib
 import json
+import random
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -13,19 +14,29 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chainreact.chains import build_chain
-from chainreact.executive import run, select_operator
+from chainreact.executive import NONE_ENTERABLE, Disturbance, run, select_operator
 from chainreact.harness import resolve_disturbances
 from chainreact.kitchen import KitchenSim
+from chainreact.lang import (
+    DomainDefinition,
+    LiftedAtom,
+    LiftedLiteral,
+    OperatorSchema,
+    ProblemDefinition,
+)
 from chainreact.logic import (
     ConditionSet,
     LogicalState,
+    PredicateSchema,
     UnknownAtomError,
     Vocabulary,
     holds,
+    meets,
 )
 from chainreact.perception import NoiseModel, PerceptionPipeline
 from chainreact.planner import ground, plan
 from tests.util import (
+    SymbolicSim,
     bits,
     kitchen_domain,
     kitchen_problem,
@@ -521,6 +532,149 @@ class TestMoreTriggers:
         one, fired = fired_ticks(second)
         assert [grounded.operators[i].name for i in one.operators] == [second]
         assert fired == [cage_starts[second]]
+
+
+# Random domains the kitchen cannot express: six nullary atoms and six
+# actions, each with one to three precondition literals negated with
+# probability 0.3, a run condition that keeps each of them with probability
+# 0.5, and one to three effect literals.  A goal is one to three literals
+# that hold in a state at least two steps from the initial one, and that
+# no plan of fewer than two steps reaches.  SymbolicSim runs them with exact
+# perception and a goal streak of 1, and one disturbance that resets the
+# world to a random mask.  Each example draws one seed, and from it one of
+# 200 domains, each made once, a primitive length and the trial's seed:
+# hypothesis's own cost per drawn value is about that of a run.
+SYMBOLIC_ATOMS = tuple(f"a{i}" for i in range(6))
+SEEDS = st.integers(0, 2**32 - 1)
+
+
+def _literals(rng, negated):
+    return frozenset(
+        LiftedLiteral(LiftedAtom(atom), rng.random() >= negated)
+        for atom in rng.sample(SYMBOLIC_ATOMS, rng.randint(1, 3))
+    )
+
+
+@functools.lru_cache(maxsize=None)
+def symbolic_plan(seed):
+    """A random domain, grounded, and a plan of it, both drawn from ``seed``."""
+    rng = random.Random(seed)
+    while True:
+        domain = DomainDefinition("symbolic", predicates=list(map(PredicateSchema, SYMBOLIC_ATOMS)))
+        for i in range(6):
+            pre = _literals(rng, 0.3)
+            run_cond = frozenset(lit for lit in pre if rng.random() < 0.5)
+            domain.operators.append(
+                OperatorSchema(f"op{i}", (), pre, run_cond, _literals(rng, 0.4), f"op{i}")
+            )
+        init = frozenset(LiftedAtom(a) for a in SYMBOLIC_ATOMS if rng.random() < 0.5)
+        grounded = ground(domain, ProblemDefinition("p", {}, init, frozenset()))
+        # The states of each breadth-first layer from the initial one.
+        layers, seen = [[grounded.init.mask]], {grounded.init.mask}
+        while layers[-1]:
+            layers.append([])
+            for mask in layers[-2]:
+                for op in grounded.operators:
+                    after = mask & ~op.eff.del_mask | op.eff.add_mask
+                    if meets(mask, op.pre) and after not in seen:
+                        seen.add(after)
+                        layers[-1].append(after)
+        far = [mask for layer in layers[2:] for mask in layer]
+        for _ in range(10 if far else 0):
+            state = rng.choice(far)
+            atoms = sum(1 << i for i in rng.sample(range(6), rng.randint(1, 3)))
+            goal = ConditionSet(grounded.vocabulary, atoms & state, atoms & ~state)
+            result = plan(grounded, goal=goal)
+            if len(result.plan) >= 2:
+                return grounded, result.plan
+
+
+def symbolic_case(seed):
+    """A domain of the 200, its plan, the longest primitive (1 to 3 ticks)
+    and a Random to draw the rest from, all drawn from ``seed``."""
+    rng = random.Random(seed)
+    grounded, p = symbolic_plan(rng.randrange(200))
+    return grounded, p, rng.randint(1, 3), rng
+
+
+def symbolic_run(grounded, chain, seed, longest, success_prob=1.0, max_ticks=10_000,
+                 stuck_after=10):
+    """The sim, outcome and on_tick values of one run of ``chain`` on
+    SymbolicSim, with primitives of 1 to ``longest`` ticks.  The reset mask
+    and the disturbance's tick are drawn from ``seed``, the tick below steps
+    x ``longest``, the most the plan's own run can take."""
+    rng = random.Random(seed)
+    sim = SymbolicSim(grounded, rng, 1, longest, success_prob,
+                      reset=rng.getrandbits(len(SYMBOLIC_ATOMS)))
+    seen = []
+    outcome = run(
+        sim, PerceptionPipeline(grounded.vocabulary, rng=None), chain, max_ticks,
+        goal_streak=1, stuck_after=stuck_after,
+        disturbances=[Disturbance("reset", at_tick=rng.randrange(len(chain.steps) * longest))],
+        on_tick=lambda *values: seen.append(values),
+    )
+    return sim, outcome, seen
+
+
+def enterable_or_done(chain, mask):
+    """Whether the goal or some step's effective precondition holds in ``mask``."""
+    return meets(mask, chain.goal) or any(meets(mask, s.effective_pre) for s in chain.steps)
+
+
+class TestGuaranteeOnSymbolicDomains:
+    """The chain's promise through executive.run: entering a step whose
+    effective conditions hold is safe for the rest of the chain, also under
+    negative preconditions and goals.  Each test checks two properties on
+    every example, since hypothesis's own cost per example is about that of
+    the runs."""
+
+    @settings(max_examples=1000, deadline=None)
+    @given(SEEDS)
+    def test_from_where_a_step_or_the_goal_holds_the_run_succeeds_within_the_bound(
+        self, seed
+    ):
+        # With reliable primitives the plan's own run takes at most steps x
+        # longest ticks, and so does the run from the reset: 2 x steps x
+        # longest + 1 ticks cover both and the goal check, a step's worth
+        # of ticks inside the bound of 2 x steps x (longest + 1).  With
+        # primitives that fail, the run still succeeds, later.
+        grounded, p, longest, rng = symbolic_case(seed)
+        chain = build_chain(p)
+        steps, trial = len(chain.steps), rng.getrandbits(32)
+        sim, outcome, _ = symbolic_run(grounded, chain, trial, longest,
+                                       max_ticks=2 * steps * (longest + 1))
+        if not sim.fired or enterable_or_done(chain, sim.reset):
+            assert outcome.succeeded and outcome.ticks <= 2 * steps * longest + 1
+        sim, outcome, _ = symbolic_run(grounded, chain, trial, longest, rng.choice([0.5, 0.8]))
+        if not sim.fired or enterable_or_done(chain, sim.reset):
+            assert outcome.succeeded
+
+    @settings(max_examples=1000, deadline=None)
+    @given(SEEDS)
+    def test_stuck_only_after_stuck_after_ticks_with_no_step_enterable_warm_memo_or_not(
+        self, seed
+    ):
+        # The run is made on a chain whose selection memo an earlier run
+        # warmed, and on a fresh chain, and the two are equal.
+        grounded, p, longest, rng = symbolic_case(seed)
+        stuck_after = rng.randint(1, 4)
+        warm = build_chain(p)
+        symbolic_run(grounded, warm, rng.getrandbits(32), longest, 0.8, stuck_after=stuck_after)
+        assert warm.selections
+        trial = rng.getrandbits(32)
+        (outcome, seen), fresh = (
+            symbolic_run(grounded, chain, trial, longest, 0.8, stuck_after=stuck_after)[1:]
+            for chain in (warm, build_chain(p))
+        )
+        assert (outcome, seen) == fresh
+        none = [reason == NONE_ENTERABLE for _, _, _, _, reason, _, _ in seen]
+        first = next((i for i in range(stuck_after, len(none) + 1)
+                      if all(none[i - stuck_after:i])), None)
+        if first is None:
+            assert outcome.status != "stuck"
+        else:
+            assert (outcome.status, outcome.ticks, len(seen)) == ("stuck", first, first)
+            assert not any(enterable_or_done(warm, truth) for _, truth, *_ in seen[-stuck_after:])
 
 
 # Both executives over a fixed grid: seeds 0-19, two primitive success

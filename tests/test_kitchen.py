@@ -23,7 +23,9 @@ from chainreact import kitchen
 from chainreact.chains import build_chain
 from chainreact.executive import run
 from chainreact.kitchen import (
+    ABOVE,
     DRAWER_CLOSED_AT,
+    DRIVING,
     DRAWER_OPEN_AT,
     GRIPPER_OPEN_AT,
     HANDLE,
@@ -318,6 +320,25 @@ class TestSampleInitial:
                 opened += 1
         assert abs(opened / trials - 0.5) < 0.03
 
+    def test_arm_above_starts_above_and_draws_nothing_for_the_arm(self):
+        # Like "driving", "above" draws nothing, so both leave the generator
+        # in the same state.
+        for seed in range(50):
+            rngs = {arm: np.random.default_rng(seed) for arm in ("above", "driving")}
+            worlds = {arm: sample_initial(InitialConfig(arm=arm), ("spam", "sugar"), rng)
+                      for arm, rng in rngs.items()}
+            assert worlds["above"].arm_region == ABOVE
+            assert worlds["driving"].arm_region == (DRIVING, None)
+            assert rngs["above"].random() == rngs["driving"].random()
+
+    def test_arm_random_gives_both_starts(self):
+        regions = {
+            sample_initial(InitialConfig(arm="random"), ("spam", "sugar"),
+                           np.random.default_rng(seed)).arm_region
+            for seed in range(50)
+        }
+        assert regions == {ABOVE, (DRIVING, None)}
+
     def test_deterministic_per_seed(self):
         cfg = InitialConfig(objects="anywhere", drawer="mixed", arm="random")
         a = sample_initial(cfg, ("spam", "sugar"), np.random.default_rng(77))
@@ -352,6 +373,16 @@ class TestPrimitives:
             prim = sim.start_primitive(grounded.operator_named("pull_drawer"))
             durations.add(prim.ticks_remaining)
         assert durations == {4, 5, 6, 7, 8}
+
+    def test_duration_range_open_gripper(self, grounded):
+        # No shipped trial starts open_gripper: every shipped scenario's
+        # gripper starts open.
+        durations = set()
+        for seed in range(50):
+            sim = reliable_sim(grounded, reference_world(), seed)
+            prim = sim.start_primitive(grounded.operator_named("open_gripper"))
+            durations.add(prim.ticks_remaining)
+        assert durations == {1, 2}
 
     def test_success_prob_one_always_succeeds(self, grounded):
         for seed in range(50):

@@ -51,16 +51,17 @@ class TestTypes:
         assert [vocab.bit_of(*key) for key in vocab.bits] == [1, 2, 4]
 
     def test_condition_rejects_both_polarities(self):
-        vocab = make_vocab(1)
-        atom = bits(vocab, "p0")
-        with pytest.raises(ValueError):
-            ConditionSet(vocab, atom, atom)
+        # The message names the colliding atoms only.
+        vocab = make_vocab(4)
+        pos, neg = bits(vocab, "p0", "p1", "p2"), bits(vocab, "p1", "p2", "p3")
+        message = r"^atoms with both polarities in condition set: p1, p2$"
+        with pytest.raises(ValueError, match=message):
+            ConditionSet(vocab, pos, neg)
 
     def test_effects_reject_overlap(self):
-        vocab = make_vocab(1)
-        atom = bits(vocab, "p0")
-        with pytest.raises(ValueError):
-            EffectSet(vocab, atom, atom)
+        vocab = make_vocab(3)
+        with pytest.raises(ValueError, match=r"^atoms both added and deleted: p1$"):
+            EffectSet(vocab, bits(vocab, "p0", "p1"), bits(vocab, "p1", "p2"))
 
     def test_equal_states_hash_equal(self):
         vocab = make_vocab(3)

@@ -9,7 +9,9 @@ from __future__ import annotations
 import dataclasses
 import functools
 import json
+import random
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Optional
 
 from chainreact.kitchen import DEFAULT_PRIMITIVES, DRIVING, PrimitiveSpec, WorldState
@@ -58,6 +60,15 @@ NEGATED_CARRY = (
     "  (:action a :precondition (q) :runcondition (and (q) (not (p))) :effect (g1))\n"
     "  (:action b :precondition (and (p) (g1)) :effect (g)))\n",
     "(define (problem pq) (:domain d) (:init (p) (q)) (:goal (g)))\n",
+)
+
+# Its mirror image: b needs p false, which holds from the start, so
+# regression carries (not p) into a, whose run condition requires p.
+NEGATED_PRE = (
+    "(define (domain d) (:predicates (p) (q) (g1) (g))\n"
+    "  (:action a :precondition (q) :runcondition (and (q) (p)) :effect (g1))\n"
+    "  (:action b :precondition (and (not (p)) (g1)) :effect (g)))\n",
+    "(define (problem pq) (:domain d) (:init (q)) (:goal (g)))\n",
 )
 
 
@@ -229,3 +240,52 @@ def table_truth(world: WorldState) -> set[str]:
             f"obj_is_tracked({obj})": seen,
         })
     return {name for name, true in rules.items() if true}
+
+
+class SymbolicSim:
+    """A simulator whose world is the truth mask itself, for running
+    ``executive.run`` on domains the kitchen cannot express.
+
+    The world starts at ``grounded.init``.  A started primitive lasts
+    ``min_ticks`` to ``max_ticks`` ticks, drawn from ``rng``, and when it
+    ends it succeeds with probability ``success_prob``: a success applies
+    its operator's effects, a failure changes nothing.  A disturbance, of
+    any kind, ends the running primitive and sets the world to ``reset``;
+    ``fired`` counts them."""
+
+    def __init__(self, grounded, rng: random.Random, min_ticks=1, max_ticks=3,
+                 success_prob=1.0, reset=0):
+        self.grounded = grounded
+        self.truth = grounded.init.mask
+        self.rng = rng
+        self.ticks = (min_ticks, max_ticks)
+        self.success_prob = success_prob
+        self.reset = reset
+        self.current: Optional[SimpleNamespace] = None
+        self.fired = 0
+
+    def eval_predicates(self) -> int:
+        return self.truth
+
+    def start_primitive(self, op) -> None:
+        self.current = SimpleNamespace(op=op, left=self.rng.randint(*self.ticks),
+                                       phase="running")
+
+    def abort_primitive(self) -> None:
+        self.current = None
+
+    def tick(self) -> SimpleNamespace:
+        prim = self.current
+        prim.left -= 1
+        if not prim.left:
+            self.current = None
+            prim.phase = "failed"
+            if self.rng.random() < self.success_prob:
+                prim.phase = "done"
+                self.truth = self.truth & ~prim.op.eff.del_mask | prim.op.eff.add_mask
+        return prim
+
+    def apply_disturbance(self, *change) -> None:
+        self.current = None
+        self.truth = self.reset
+        self.fired += 1
