@@ -28,14 +28,15 @@ fixed per scenario, and the planner and chain builder are deterministic,
 so a hit returns the chain a miss would build, and records and traces are
 the same as without the memos.  Masks that share a plan share its chain
 and so the chain's selection memo, keyed on truth masks (``executive.run``).
-A traced trial also keeps, per truth mask a tick line lists, the JSON text
-of its atom names; an estimate reuses the truth's text when the masks are
-equal, and any other estimate's text is encoded without being stored, so
-the memo grows with the distinct truth masks, not with trials or noise.
-Each tick line is written from that text as the bytes ``json.dumps(line,
-sort_keys=True)`` would give.  The memos live as long as the Scenario
-object.  A Scenario is frozen: a changed copy comes from
-``dataclasses.replace``, which starts with empty memos.
+Traced trials also keep, per truth mask a tick line lists, the JSON text
+of its atom names; an estimate off the truth is encoded without being
+stored, so the memo grows with the distinct truth masks, not with trials
+or noise.  A tick's phase, reason, operator name and step index take their
+text from one cache for the whole process, as a value's text is the same
+in every scenario.  Each tick line is written from these texts as the
+bytes ``json.dumps(line, sort_keys=True)`` would give.  The memos live as
+long as the Scenario object.  A Scenario is frozen: a changed copy comes
+from ``dataclasses.replace``, which starts with empty memos.
 
 Parallel runs use a pool from :func:`queue_trials`.  Its workers receive
 the loaded scenarios once, when they start (under fork they inherit them
@@ -177,13 +178,28 @@ def load_scenario(path: str | Path, overrides: Optional[dict] = None) -> Scenari
 def read_json(path: str | Path):
     """The JSON value in the file at ``path``.  Raises :class:`InputError`
     whose one problem is ``cannot read: REASON``, ``not UTF-8 text: REASON
-    at byte N`` or ``not JSON: MESSAGE``."""
+    at byte N`` or ``not JSON: MESSAGE``, also for a key repeated in one
+    object or a ``NaN``, ``Infinity`` or ``-Infinity``, which json accepts."""
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
+        text = Path(path).read_text(encoding="utf-8")
+        return json.loads(text, object_pairs_hook=_unique_keys, parse_constant=_no_constant)
     except (OSError, UnicodeDecodeError) as err:
         raise InputError([_read_error(err)]) from err
     except ValueError as err:
         raise InputError([f"not JSON: {err}"]) from err
+
+
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    out: dict = {}
+    for key, value in pairs:
+        if key in out:
+            raise ValueError(f"key {key!r} repeated in one object")
+        out[key] = value
+    return out
+
+
+def _no_constant(name: str):
+    raise ValueError(f"{name} is not a JSON number")
 
 
 def _read_error(err: OSError | UnicodeDecodeError) -> str:
@@ -622,6 +638,10 @@ def resolve_disturbances(
 # Trial execution
 # --------------------------------------------------------------------------
 
+# The JSON text of a tick line's phase, reason, operator name and step index,
+# shared by every trial of the process: a few dozen values in all.
+_json = lru_cache(maxsize=None, typed=True)(json.dumps)
+
 
 def run_trial(
     scenario: Scenario, index: int, trace_sink: Optional[IO[str]] = None
@@ -682,36 +702,23 @@ def run_trial(
         })
         names_of = grounded.vocabulary.names_of
         atoms_text = scenario._atoms_text_by_mask
-        dumps = json.dumps
-        texts: dict[Optional[str], str] = {}  # this trial's phases and reasons
-        # selected step -> the text of selected_operator and selected_step
-        step_texts: dict[Optional[int], str] = {}
 
         # The line json.dumps(..., sort_keys=True) writes of the tick's dict,
         # from cached text: the keys in sorted order, every value JSON-encoded.
         def on_tick(tick, truth, estimate, selected, reason, phase, fired) -> None:
             true_text = atoms_text.get(truth)
             if true_text is None:
-                true_text = atoms_text[truth] = dumps(names_of(truth))
+                true_text = atoms_text[truth] = json.dumps(names_of(truth))
             estimated_text = true_text
             if estimate != truth:
                 # Not stored: a noisy estimate's masks grow with the trials.
-                estimated_text = atoms_text.get(estimate) or dumps(names_of(estimate))
-            step_text = step_texts.get(selected)
-            if step_text is None:
-                if selected is None:
-                    null = dumps(None)
-                    step_text = f'"selected_operator": {null}, "selected_step": {null}'
-                else:  # an int is its own JSON text, as the tick is
-                    operator = dumps(chain.steps[selected].base.name)
-                    step_text = f'"selected_operator": {operator}, "selected_step": {selected}'
-                step_texts[selected] = step_text
-            phase_text = texts.get(phase) or texts.setdefault(phase, dumps(phase))
-            reason_text = texts.get(reason) or texts.setdefault(reason, dumps(reason))
-            fired_text = dumps(fired) if fired else "[]"
+                estimated_text = atoms_text.get(estimate) or json.dumps(names_of(estimate))
+            operator = None if selected is None else chain.steps[selected].base.name
+            fired_text = json.dumps(fired) if fired else "[]"
             trace_sink.write(
                 f'{{"disturbances_fired": {fired_text}, "estimated_atoms": {estimated_text}, '
-                f'"primitive_phase": {phase_text}, "reason": {reason_text}, {step_text}, '
+                f'"primitive_phase": {_json(phase)}, "reason": {_json(reason)}, '
+                f'"selected_operator": {_json(operator)}, "selected_step": {_json(selected)}, '
                 f'"tick": {tick}, "true_atoms": {true_text}, "type": "tick"}}\n'
             )
 
@@ -855,7 +862,8 @@ _METRIC_FIELDS = {
     "scenario": _STR,
     "trials": _int_from(1),
     "success_rate": _PROB,
-    "mean_ticks": (lambda v: v is None or _is_number(v), "a number or null"),
+    "mean_ticks": (lambda v: v is None or _is_number(v) and 0 <= v < float("inf"),
+                   "null or a finite number >= 0"),
     "recovery_rate": _PROB,
     "false_success_rate": _PROB,
 }

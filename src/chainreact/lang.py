@@ -60,7 +60,7 @@ class OperatorSchema:
 @dataclass
 class DomainDefinition:
     name: str
-    # type name -> parent type name (None for root types)
+    # type name -> parent type name (None for root types), with no cycle
     types: dict[str, Optional[str]] = field(default_factory=dict)
     constants: dict[str, str] = field(default_factory=dict)  # symbol -> type
     predicates: list[PredicateSchema] = field(default_factory=list)
@@ -73,14 +73,10 @@ class DomainDefinition:
         return None
 
     def is_subtype(self, child: str, ancestor: str) -> bool:
-        seen: set[str] = set()
         cur: Optional[str] = child
-        while cur is not None and cur not in seen:
-            if cur == ancestor:
-                return True
-            seen.add(cur)
+        while cur is not None and cur != ancestor:
             cur = self.types.get(cur)
-        return False
+        return cur is not None
 
 
 @dataclass
@@ -224,8 +220,9 @@ def parse_domain(source: str) -> ParseResult:
 
     def begin(name: str, diags: list[Diagnostic]):
         domain = DomainDefinition(name=name)
+        declared: dict[str, _Node] = {}  # type name -> the node declaring it
         return domain, {
-            ":types": lambda section, body: _parse_types(body, domain, diags),
+            ":types": lambda section, body: _parse_types(body, domain, declared, diags),
             ":constants": lambda section, body: _declare(
                 body, domain, domain.constants, "constant", diags
             ),
@@ -329,16 +326,27 @@ def _parse_define(source: str, kind: str, begin, diags: list[Diagnostic]) -> obj
     return value
 
 
-def _parse_types(body: list[_Node], domain: DomainDefinition, diags: list[Diagnostic]) -> None:
+def _parse_types(body: list[_Node], domain: DomainDefinition, declared: dict[str, _Node], diags: list[Diagnostic]) -> None:
+    """Add a ``:types`` section to ``domain.types`` and ``declared``.  A parent
+    is a root type until a section declares it.  Each type on a cycle is
+    reported at its declaration and made a root type, leaving no cycle."""
     for name, parent, node in _parse_typed_list(body, diags, ":types", require_type=False):
-        if name in domain.types:
+        if name in declared:
             _err(diags, node, f"type {name!r} declared twice", "duplicate-name")
             continue
+        declared[name] = node
         domain.types[name] = parent
-    # A parent used but never declared becomes a root type.
-    for parent in list(domain.types.values()):
-        if parent is not None and parent not in domain.types:
-            domain.types[parent] = None
+        if parent is not None:
+            domain.types.setdefault(parent, None)
+    cyclic = []
+    for name, node in declared.items():
+        path = [name]
+        while (parent := domain.types[path[-1]]) is not None and parent not in path:
+            path.append(parent)
+        if parent == name:
+            cyclic.append(name)
+            _err(diags, node, f"type {name!r} is its own ancestor: {' - '.join([*path, name])}", "type-cycle")
+    domain.types.update(dict.fromkeys(cyclic))
 
 
 def _declare(

@@ -442,12 +442,23 @@ def test_execute_bad_scenario_value_exit_2(tmp_path, capsys, override, path):
 
 
 @pytest.mark.parametrize("command", ["execute", "bench", "chain", "report"])
-@pytest.mark.parametrize("fault", ["missing", "not_utf8", "truncated"])
+@pytest.mark.parametrize(
+    "fault", ["missing", "not_utf8", "truncated", "repeated_key", "nan", "infinity"]
+)
 def test_json_input_faults_read_alike(tmp_path, capsys, command, fault):
     # Scenario, plan and results files share one reader: one line naming
-    # the file once, then the fault, and exit 2.
+    # the file once, then the fault, and exit 2.  A repeated key, in an
+    # object at any depth, and the constants json.loads would take are
+    # faults too.
     path = tmp_path / "in.json"
-    content = {"missing": None, "not_utf8": b'{"x": "\xff"}', "truncated": b'{"x": 1'}[fault]
+    content = {
+        "missing": None,
+        "not_utf8": b'{"x": "\xff"}',
+        "truncated": b'{"x": 1',
+        "repeated_key": b'{"x": {"y": 1, "z": 2, "y": 1}}',
+        "nan": b'{"x": [NaN]}',
+        "infinity": b'{"x": -Infinity}',
+    }[fault]
     if content is not None:
         path.write_bytes(content)
     args = {
@@ -463,6 +474,9 @@ def test_json_input_faults_read_alike(tmp_path, capsys, command, fault):
         "missing": "cannot read: No such file or directory",
         "not_utf8": "not UTF-8 text: invalid start byte at byte 7",
         "truncated": "not JSON: Expecting ',' delimiter: line 1 column 8 (char 7)",
+        "repeated_key": "not JSON: key 'y' repeated in one object",
+        "nan": "not JSON: NaN is not a JSON number",
+        "infinity": "not JSON: -Infinity is not a JSON number",
     }[fault]
     assert err == f"{path}: {expected}\n"
 

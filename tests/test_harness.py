@@ -1269,6 +1269,28 @@ class TestTraces:
         run_trial(load(name), 0, trace_sink=fresh)
         assert warm.getvalue() == fresh.getvalue() == texts[0]
 
+    def test_shared_text_cache_keeps_nothing_between_scenarios(self):
+        # The JSON text of phases, reasons, operator names and step indices
+        # is cached for the whole process.  Traced alternately, one trial at
+        # a time, each scenario writes what it writes traced alone.
+        names = ("teleport_cage_reactive", "put_away_spam_noisy")
+
+        def trace(scenario, index):
+            sink = io.StringIO()
+            run_trial(scenario, index, trace_sink=sink)
+            return sink.getvalue()
+
+        alone = {}
+        for name in names:
+            harness._json.cache_clear()
+            scenario = load(name)
+            alone[name] = [trace(scenario, i) for i in range(4)]
+        harness._json.cache_clear()
+        scenarios = {name: load(name) for name in names}
+        for i in range(4):
+            for name in names:
+                assert trace(scenarios[name], i) == alone[name][i]
+
     def test_replay_is_byte_identical(self):
         for name in ("put_away_spam_oracle", "put_away_spam_noisy",
                      "put_away_both_zero_shot"):
@@ -1307,6 +1329,23 @@ class TestReport:
         payload = harness.results_payload([(metrics, records)])
         assert payload["format_version"] == harness.RESULTS_FORMAT_VERSION
         assert harness.read_results(payload) == [metrics]
+
+    @pytest.mark.parametrize(
+        "mean_ticks", [float("nan"), float("inf"), float("-inf"), -1, -0.5]
+    )
+    def test_mean_ticks_must_be_null_or_finite_and_not_negative(self, mean_ticks):
+        metrics = harness.Metrics("x", 3, 1.0, mean_ticks, 0.0, 0.0)
+        payload = harness.results_payload([(metrics, [])])
+        with pytest.raises(InputError) as err:
+            harness.read_results(payload)
+        assert err.value.problems == [
+            "field 'results[0].metrics.mean_ticks' must be null or a finite number >= 0"
+        ]
+
+    @pytest.mark.parametrize("mean_ticks", [0, 0.0, None, 41.6])
+    def test_mean_ticks_null_zero_or_positive_reads_back(self, mean_ticks):
+        metrics = harness.Metrics("x", 3, 1.0, mean_ticks, 0.0, 0.0)
+        assert harness.read_results(harness.results_payload([(metrics, [])])) == [metrics]
 
     def test_empty_metrics_rejected(self):
         with pytest.raises(ValueError):

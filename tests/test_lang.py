@@ -70,6 +70,23 @@ class TestParseDomain:
         assert not result.ok
         assert any(d.code == "duplicate-name" for d in result.diagnostics)
 
+    def test_parent_declared_in_a_later_types_section(self):
+        # t is a root type once the first section names it as a parent; a
+        # later section may still declare it, once, under its own parent.
+        result = parse_domain(
+            "(define (domain d) (:types u - t) (:predicates (p ?x - t))"
+            " (:types t - top) (:types t))"
+        )
+        assert [(d.code, d.line, d.column) for d in result.diagnostics] == [
+            ("duplicate-name", 1, 85)
+        ]
+        result = parse_domain(
+            "(define (domain d) (:types u - t) (:predicates (p ?x - t)) (:types t - top))"
+        )
+        assert result.ok, result.diagnostics
+        assert result.value.types == {"u": "t", "t": "top", "top": None}
+        assert result.value.is_subtype("u", "top")
+
     def test_unbound_variable(self):
         result = parse_domain(
             "(define (domain d) (:types t) (:predicates (p ?x - t))"
@@ -250,6 +267,33 @@ DIAGNOSTICS = {
         "domain",
         "(define (domain d) (:types t t))",
         [("duplicate-name", 1, 30)],
+    ),
+    "type_cycle": (
+        # a and b are each their own ancestor, and so is c; d only
+        # descends from the cycle.
+        "domain",
+        "(define (domain d) (:types a - b b - a c - c d - a))",
+        [("type-cycle", 1, 28), ("type-cycle", 1, 34), ("type-cycle", 1, 40)],
+    ),
+    "type_cycle_split": (
+        # b was a root type after the first section; the second declares it
+        # and closes the cycle, reported at both declarations, once.
+        "domain",
+        "(define (domain d)\n"
+        "  (:types a - b)\n"
+        "  (:types b - a)\n"
+        "  (:types t))",
+        [("type-cycle", 2, 11), ("type-cycle", 3, 11)],
+    ),
+    "type_cycle_then_use": (
+        # Each type on the cycle is read on as a root type, so b is no
+        # longer an a, and no subtype test can loop.
+        "domain",
+        "(define (domain d)\n"
+        "  (:types a - b b - a)\n"
+        "  (:predicates (p ?x - a))\n"
+        "  (:action x :parameters (?y - b) :precondition (p ?y)))",
+        [("type-cycle", 2, 11), ("type-cycle", 2, 17), ("type-error", 4, 49)],
     ),
     "constant_untyped": (
         "domain",
