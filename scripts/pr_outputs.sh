@@ -27,6 +27,11 @@
 #   negative       plan, chain and a traced bench of put_away_spam_oracle's 20
 #                  trials with the goal literal (not (drawer_is_open)) in
 #                  place of (drawer_is_closed), each with its exit code
+#   truths         put_away_both.jsonl: the truth evaluate_world gives each
+#                  of the 9216 worlds over spam and sugar (12 arm regions,
+#                  gripper open or shut, 4 attachments, drawer open, in
+#                  transit or closed, 4 pose kinds each, moving or not), one
+#                  canonical JSON line of its fields and atom names each
 # Three workers place uneven ranges, in an order that depends on
 # scheduling, across scenario boundaries.
 set -euo pipefail
@@ -138,3 +143,40 @@ files=(--domain src/chainreact/data/kitchen.dpdl
   --scenarios src/chainreact/data/negative_goal/oracle.json \
   --trace-dir "$out/traces" --out "$out/results.json" > "$out/stdout.txt" \
   2> "$out/stderr.txt") || echo "exit $?" >> "$out/stderr.txt"
+# The truth table of put_away_both over every world of its key space, built
+# through the public WorldState and evaluate_world only, so that this script
+# also runs on trees older than the simulator's rule table.
+out="$root/truths"
+mkdir -p "$out"
+(cd "$src" && PYTHONPATH=src python - > "$out/put_away_both.jsonl") <<'EOF'
+import dataclasses, itertools, json
+from pathlib import Path
+from chainreact import ground, parse_domain, parse_problem
+from chainreact.kitchen import WorldState, evaluate_world
+
+data = Path("src/chainreact/data")
+domain = parse_domain((data / "kitchen.dpdl").read_text(encoding="utf-8")).value
+problem = parse_problem(
+    (data / "problems/put_away_both.dprob").read_text(encoding="utf-8"), domain
+).value
+grounded = ground(domain, problem)
+regions = [(kind, None) for kind in (
+    "driving", "above_counter", "near_handle", "front_of_drawer", "over_drawer", "in_drawer"
+)] + [(kind, target) for kind in ("approach", "around") for target in ("handle", "spam", "sugar")]
+kinds = ["counter", "held", "over_drawer", "in_drawer"]
+
+
+def pose(kind, zone):
+    return ("counter", zone) if kind == "counter" else (kind,)
+
+
+for region, aperture, attached, ext, spam, sugar, moving in itertools.product(
+    regions, (1.0, 0.0), (None, "handle", "spam", "sugar"), (1.0, 0.4, 0.0),
+    kinds, kinds, (False, True),
+):
+    world = WorldState(
+        region, aperture, attached, ext, {"spam": pose(spam, 0), "sugar": pose(sugar, 1)}, moving
+    )
+    atoms = grounded.vocabulary.names_of(evaluate_world(world, grounded))
+    print(json.dumps({**dataclasses.asdict(world), "atoms": atoms}, sort_keys=True))
+EOF

@@ -41,7 +41,8 @@ from ``dataclasses.replace``, which starts with empty memos.
 Parallel runs use a pool from :func:`queue_trials`.  Its workers receive
 the loaded scenarios once, when they start (under fork they inherit them
 and nothing is pickled; under spawn they are pickled, memos included),
-and import ``numpy.random`` then, so no trial pays for that import.  A
+and import ``numpy.random`` then, so no trial pays for that import.
+Each exits on its own once its parent has ended, whatever ended it.  A
 task names a scenario by its position and carries one contiguous range
 of trial indices.  Each range runs on a ``dataclasses.replace`` copy of
 its scenario, so it starts with empty memos wherever it lands: how
@@ -55,7 +56,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+import multiprocessing
+import os
 import sys
+import threading
 from concurrent.futures import Future, ProcessPoolExecutor
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field, fields, replace
@@ -639,8 +643,9 @@ def resolve_disturbances(
 # --------------------------------------------------------------------------
 
 # The JSON text of a tick line's phase, reason, operator name and step index,
-# shared by every trial of the process: a few dozen values in all.
-_json = lru_cache(maxsize=None, typed=True)(json.dumps)
+# shared by every trial of the process: a few dozen values in all.  Untyped,
+# as no caller passes a bool or a float, which would share an int's entry.
+_json = lru_cache(maxsize=None)(json.dumps)
 
 
 def run_trial(
@@ -834,6 +839,16 @@ def _start_worker(scenarios: tuple[Scenario, ...]) -> None:
 
     global _worker_scenarios
     _worker_scenarios = scenarios
+    parent = multiprocessing.parent_process()  # None outside a child process
+    if parent is not None:
+        threading.Thread(target=_exit_after, args=(parent,), daemon=True).start()
+
+
+def _exit_after(parent: multiprocessing.process.BaseProcess) -> None:
+    """Exit the worker once its parent has ended, whatever ended it: the
+    parent's sentinel, opened before the worker started, then reads EOF."""
+    parent.join()
+    os._exit(1)
 
 
 def _run_worker_range(

@@ -19,6 +19,7 @@ transit band where neither drawer_is_open nor drawer_is_closed holds.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -78,9 +79,9 @@ class WorldState:
 
 
 def world_key(world: WorldState) -> tuple:
-    """The discrete facts the truth depends on, in the order
-    ``_truth_of_key`` unpacks them; the only reader of the continuous
-    fields and the thresholds."""
+    """The discrete facts the truth depends on, in ``_Key``'s order with
+    the region as one pair; the only reader of the continuous fields and
+    the thresholds."""
     ext = world.drawer_extension
     return (
         world.arm_region, world.gripper_aperture >= GRIPPER_OPEN_AT, world.attached,
@@ -90,73 +91,72 @@ def world_key(world: WorldState) -> tuple:
     )
 
 
-def _truth_of_key(key: tuple, grounded: GroundedDomain) -> int:
-    """The truth mask of a world whose :func:`world_key` is ``key``.
+# A world_key by field name, the region split into kind and target (k[:2]);
+# built only on a memo miss, as the tick loop's plain tuple is cheaper.
+_Key = namedtuple(
+    "_Key", "kind target gripper_open attached drawer_open drawer_closed poses moving"
+)
 
-    Each rule ORs the bit of its atom, read by ``(name, args)`` through the
-    vocabulary's bit table; an atom outside the vocabulary raises
-    :class:`~chainreact.logic.UnknownAtomError`.
-    """
-    (kind, target), gripper_open, attached, drawer_open, drawer_closed, poses, moving = key
+# The rule table, the one statement of what evaluate_world writes.  Each
+# 0-ary predicate with its test of the key, in WRITTEN_PREDICATES' order:
+_GLOBAL_RULES: dict[str, Callable[[_Key], bool]] = {
+    "arm_in_driving_posture": lambda k: k.kind == DRIVING,
+    "arm_is_above_counter": lambda k: k.kind == ABOVE_COUNTER,
+    "arm_is_moving": lambda k: k.moving,
+    "arm_is_clear_above_counter": lambda k: k.kind == ABOVE_COUNTER,
+    "arm_is_around_handle_loose": lambda k: k[:2] == (AROUND, HANDLE) and k.attached is None,
+    "arm_is_near_handle": lambda k: k.kind in (NEAR_HANDLE, FRONT_OF_DRAWER) or k.target == HANDLE,
+    "arm_in_front_of_drawer": lambda k: k.kind == FRONT_OF_DRAWER,
+    "arm_is_over_drawer": lambda k: k.kind == OVER_DRAWER,
+    "arm_is_in_drawer": lambda k: k.kind == IN_DRAWER,
+    "gripper_is_open": lambda k: k.gripper_open,
+    "arm_is_free": lambda k: k.attached is None,
+    "arm_is_attached": lambda k: k.attached is not None,
+    "handle_is_attached": lambda k: k.attached == HANDLE,
+    "handle_is_detected": lambda k: k.attached != HANDLE,
+    "handle_is_tracked": lambda k: k.attached != HANDLE,
+    "drawer_is_open": lambda k: k.drawer_open,
+    "drawer_is_open_and_detached": lambda k: k.drawer_open and k.attached != HANDLE,
+    "drawer_is_closed": lambda k: k.drawer_closed,
+}
+# the 1-ary atom of the arm's target, an object or the handle, by region kind:
+_TARGET_RULES: dict[str, str] = {APPROACH: "arm_in_approach_region", AROUND: "arm_is_around"}
+# and each 1-ary predicate of every movable, with its test of (key, object, pose kind).
+_OBJECT_RULES: dict[str, Callable[[_Key, str, str], bool]] = {
+    "arm_is_around_obj_loose": lambda k, o, pose: k[:2] == (AROUND, o) and k.attached is None,
+    "arm_is_attached_to_obj": lambda k, o, pose: k.attached == o,
+    "obj_is_attached": lambda k, o, pose: k.attached == o,
+    "obj_is_on_counter": lambda k, o, pose: pose == "counter",
+    "obj_is_over_drawer": lambda k, o, pose: pose == "over_drawer",
+    "obj_is_in_drawer": lambda k, o, pose: pose == "in_drawer",
+    "obj_is_clear_above_counter": lambda k, o, pose: pose == "held" and k.kind == ABOVE_COUNTER,
+    "obj_is_detected": lambda k, o, pose: pose != "in_drawer" or k.drawer_open,
+    "obj_is_tracked": lambda k, o, pose: pose != "in_drawer" or k.drawer_open,
+}
+# Every predicate evaluate_world writes, with its arity, read off the rules.
+WRITTEN_PREDICATES: dict[str, int] = {
+    **dict.fromkeys(_GLOBAL_RULES, 0),
+    **dict.fromkeys((*_TARGET_RULES.values(), *_OBJECT_RULES), 1),
+}
+
+
+def _truth_of_key(key: tuple, grounded: GroundedDomain) -> int:
+    """The truth mask of a world whose :func:`world_key` is ``key``: the OR
+    of the bits of the atoms whose rules hold.  Only those are looked up in
+    the vocabulary, and one outside it raises
+    :class:`~chainreact.logic.UnknownAtomError`."""
+    k = _Key(*key[0], *key[1:])
     bit = grounded.vocabulary.bit_of
     mask = 0
-    if kind == DRIVING:
-        mask |= bit("arm_in_driving_posture", ())
-    if kind == ABOVE_COUNTER:
-        mask |= bit("arm_is_above_counter", ()) | bit("arm_is_clear_above_counter", ())
-    if kind == APPROACH:
-        mask |= bit("arm_in_approach_region", (target,))
-    if kind == AROUND:
-        mask |= bit("arm_is_around", (target,))
-        if attached is None:
-            if target == HANDLE:
-                mask |= bit("arm_is_around_handle_loose", ())
-            else:
-                mask |= bit("arm_is_around_obj_loose", (target,))
-    if kind in (NEAR_HANDLE, FRONT_OF_DRAWER) or target == HANDLE:
-        mask |= bit("arm_is_near_handle", ())
-    if kind == FRONT_OF_DRAWER:
-        mask |= bit("arm_in_front_of_drawer", ())
-    if kind == OVER_DRAWER:
-        mask |= bit("arm_is_over_drawer", ())
-    if kind == IN_DRAWER:
-        mask |= bit("arm_is_in_drawer", ())
-    if moving:
-        mask |= bit("arm_is_moving", ())
-
-    if gripper_open:
-        mask |= bit("gripper_is_open", ())
-    if attached is None:
-        mask |= bit("arm_is_free", ())
-    else:
-        mask |= bit("arm_is_attached", ())
-    if attached == HANDLE:
-        mask |= bit("handle_is_attached", ())
-    else:
-        mask |= bit("handle_is_detected", ()) | bit("handle_is_tracked", ())
-
-    if drawer_open:
-        mask |= bit("drawer_is_open", ())
-        if attached != HANDLE:
-            mask |= bit("drawer_is_open_and_detached", ())
-    if drawer_closed:
-        mask |= bit("drawer_is_closed", ())
-
-    for obj, where in poses:
-        args = (obj,)
-        if attached == obj:
-            mask |= bit("arm_is_attached_to_obj", args) | bit("obj_is_attached", args)
-        if where == "counter":
-            mask |= bit("obj_is_on_counter", args)
-        elif where == "over_drawer":
-            mask |= bit("obj_is_over_drawer", args)
-        elif where == "in_drawer":
-            mask |= bit("obj_is_in_drawer", args)
-        if where == "held" and kind == ABOVE_COUNTER:
-            mask |= bit("obj_is_clear_above_counter", args)
-        hidden = where == "in_drawer" and not drawer_open
-        if not hidden:
-            mask |= bit("obj_is_detected", args) | bit("obj_is_tracked", args)
+    for name, test in _GLOBAL_RULES.items():
+        if test(k):
+            mask |= bit(name, ())
+    if k.kind in _TARGET_RULES:
+        mask |= bit(_TARGET_RULES[k.kind], (k.target,))
+    for obj, pose in k.poses:
+        for name, test in _OBJECT_RULES.items():
+            if test(k, obj, pose):
+                mask |= bit(name, (obj,))
     return mask
 
 
@@ -353,9 +353,10 @@ def _carry(
     return rule
 
 
-# The simulator's contract with a domain is OUTCOMES' keys, WRITTEN_PREDICATES
-# (two of them also of the HANDLE constant), MAX_MOVABLES and a :binding on
-# every action; contract_problems checks a grounded domain against it.
+# The simulator's contract with a domain is OUTCOMES' keys; WRITTEN_PREDICATES
+# and the target atoms of the HANDLE constant, both read off the truth's rule
+# table; MAX_MOVABLES; and a :binding on every action.  contract_problems
+# checks a grounded domain against it.
 # OUTCOMES has one row per operator schema the simulator carries out.
 OUTCOMES: dict[str, OperatorRule] = {
     "open_gripper": OperatorRule(_let_go),
@@ -393,24 +394,6 @@ OUTCOMES: dict[str, OperatorRule] = {
     ),
 }
 
-# Every predicate evaluate_world writes, with its arity.
-WRITTEN_PREDICATES: dict[str, int] = {
-    **dict.fromkeys((
-        "arm_in_driving_posture", "arm_is_above_counter", "arm_is_moving",
-        "arm_is_clear_above_counter", "arm_is_around_handle_loose",
-        "arm_is_near_handle", "arm_in_front_of_drawer", "arm_is_over_drawer",
-        "arm_is_in_drawer", "gripper_is_open", "arm_is_free", "arm_is_attached",
-        "handle_is_attached", "handle_is_detected", "handle_is_tracked",
-        "drawer_is_open", "drawer_is_open_and_detached", "drawer_is_closed",
-    ), 0),
-    **dict.fromkeys((
-        "arm_in_approach_region", "arm_is_around", "arm_is_around_obj_loose",
-        "arm_is_attached_to_obj", "obj_is_attached", "obj_is_on_counter",
-        "obj_is_over_drawer", "obj_is_in_drawer", "obj_is_clear_above_counter",
-        "obj_is_detected", "obj_is_tracked",
-    ), 1),
-}
-
 # A counter_random teleport needs a free zone besides the object's own.
 MAX_MOVABLES = NUM_COUNTER_ZONES - 1
 
@@ -443,8 +426,8 @@ def contract_problems(grounded: GroundedDomain) -> list[str]:
         )
         if outside:
             problems.append(f"domain: movable '{obj}' is outside the parameter type of {outside}")
-    outside = ", ".join(  # the two 1-ary atoms evaluate_world writes of the handle
-        f"'{name}'" for name in ("arm_in_approach_region", "arm_is_around")
+    outside = ", ".join(  # the 1-ary atoms evaluate_world writes of the handle
+        f"'{name}'" for name in _TARGET_RULES.values()
         if declared.get(name) == 1 and (name, (HANDLE,)) not in grounded.vocabulary.bits
     )
     if outside:

@@ -1,10 +1,13 @@
 """CLI: the plan/chain/execute/bench/report pipeline and exit codes."""
 
+import contextlib
 import errno
 import functools
 import json
 import os
 import re
+import signal
+import subprocess
 import sys
 import time
 from concurrent.futures import Future
@@ -884,6 +887,48 @@ def test_bench_starts_one_pool_sized_to_trials(monkeypatch, jobs, trials, pools)
     ])
     assert code == 0
     assert created == pools
+
+
+def _running(pid: str) -> bool:
+    """Whether process ``pid`` exists and is neither a zombie nor dead."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] not in ("Z", "X")
+
+
+@pytest.mark.skipif(
+    not Path(f"/proc/{os.getpid()}/task/{os.getpid()}/children").exists(),
+    reason="lists a process's children through /proc/PID/task/PID/children",
+)
+def test_pool_workers_exit_when_bench_is_killed():
+    # SIGTERM ends the bench before it can shut its pool down; each worker,
+    # adopted by another process, must exit on its own.
+    bench = subprocess.Popen(
+        [sys.executable, "-m", "chainreact.cli", "bench", "--scenarios",
+         str(scenario_path("put_away_spam_noisy")), "--trials", "200000", "--jobs", "2"],
+        env={**os.environ, "PYTHONPATH": str(DATA_DIR.parent.parent)},
+        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, start_new_session=True,
+    )
+    children = Path(f"/proc/{bench.pid}/task/{bench.pid}/children")
+    try:
+        workers = []
+        deadline = time.monotonic() + 60
+        while len(workers) < 2:
+            assert bench.poll() is None and time.monotonic() < deadline
+            time.sleep(0.05)
+            workers = children.read_text().split()
+        bench.send_signal(signal.SIGTERM)
+        bench.wait(timeout=5)
+        deadline = time.monotonic() + 5
+        while any(map(_running, workers)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not [pid for pid in workers if _running(pid)]
+    finally:
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(bench.pid, signal.SIGKILL)
+        bench.wait(timeout=5)
 
 
 METRICS = {

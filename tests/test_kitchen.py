@@ -8,6 +8,7 @@ probability 1 and inspecting the evaluated state after every completion.
 
 import copy
 import dataclasses
+import itertools
 import json
 import math
 import re
@@ -233,6 +234,30 @@ class TestWorldKey:
             assert grounded._truth_by_key[world_key(world)] == truth
         if world_key(pair[0]) == world_key(pair[1]):
             assert table_truth(pair[0]) == table_truth(pair[1])
+
+    def test_every_world_of_the_key_space_has_its_table_truth(self):
+        # All 9216 worlds over spam and sugar: 12 regions, gripper open or
+        # shut, 4 attachments, drawer open, in transit or closed, 4 pose
+        # kinds each and moving or not.  Every rule writes in some world.
+        grounded = ground(kitchen_domain(), kitchen_problem("put_away_both"))
+        vocab = grounded.vocabulary
+        kinds = ["counter", "held", "over_drawer", "in_drawer"]
+
+        def pose(kind, zone):
+            return ("counter", zone) if kind == "counter" else (kind,)
+
+        written = set()
+        for region, aperture, attached, ext, spam, sugar, moving in itertools.product(
+            REGIONS, (1.0, 0.0), (None, HANDLE, "spam", "sugar"), (1.0, 0.4, 0.0),
+            kinds, kinds, (False, True),
+        ):
+            poses = {"spam": pose(spam, 0), "sugar": pose(sugar, 1)}
+            world = WorldState(region, aperture, attached, ext, poses, moving)
+            truth = evaluate_world(world, grounded)
+            assert truth == bits(vocab, *table_truth(world)), world
+            written |= set(vocab.names_of(truth))
+        assert {name.split("(")[0] for name in written} == set(WRITTEN_PREDICATES)
+        assert {"arm_in_approach_region(handle)", "arm_is_around(handle)"} <= written
 
     @pytest.mark.parametrize("ext", [DRAWER_OPEN_AT, DRAWER_CLOSED_AT])
     def test_drawer_reads_from_each_threshold_on(self, grounded, ext):
