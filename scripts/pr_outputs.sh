@@ -32,6 +32,14 @@
 #                  gripper open or shut, 4 attachments, drawer open, in
 #                  transit or closed, 4 pose kinds each, moving or not), one
 #                  canonical JSON line of its fields and atom names each
+#   spans          a traced bench of put_away_spam_oracle's 20 trials with
+#                  the duration of back_off fixed at 3 ticks (no draw), of
+#                  pull_drawer drawn from 1 to 2**40 (a 64-bit draw) and of
+#                  lower from 1 to 2**31 + 1 (a 32-bit draw rejected about
+#                  half the time); two disturbances cut the long ones short
+#                  (the drawer opens as pull_drawer starts, the gripper lets
+#                  go as lower_obj_into_drawer starts), so the draws after
+#                  them show how many words each one took
 # Three workers place uneven ranges, in an order that depends on
 # scheduling, across scenario boundaries.
 set -euo pipefail
@@ -180,3 +188,30 @@ for region, aperture, attached, ext, spam, sugar, moving in itertools.product(
     atoms = grounded.vocabulary.names_of(evaluate_world(world, grounded))
     print(json.dumps({**dataclasses.asdict(world), "atoms": atoms}, sort_keys=True))
 EOF
+# Every path of the primitive duration draw (see spans in the header), in a
+# copy of put_away_spam_oracle that sits under data/ with relative paths,
+# like the sweep's.
+spans="$src/src/chainreact/data/span_draws"
+mkdir -p "$spans"
+python -c '
+import json, sys
+s = json.load(open(sys.argv[1]))
+s.update(name="put_away_spam_span_draws")
+s["primitives"]["bindings"] = {
+    "back_off": {"min_ticks": 3, "max_ticks": 3},
+    "pull_drawer": {"min_ticks": 1, "max_ticks": 2**40},
+    "lower": {"min_ticks": 1, "max_ticks": 2**31 + 1},
+}
+s["disturbances"] = [
+    {"trigger": {"when_operator": "pull_drawer"},
+     "kind": {"kind": "set_drawer", "extension": 1.0}},
+    {"trigger": {"when_operator": "lower_obj_into_drawer"},
+     "kind": {"kind": "detach_gripper"}},
+]
+json.dump(s, open(sys.argv[2], "w"), indent=2, sort_keys=True)
+' "$src/src/chainreact/data/scenarios/put_away_spam_oracle.json" "$spans/oracle.json"
+out="$root/spans"
+mkdir -p "$out"
+(cd "$src" && PYTHONPATH=src python -m chainreact.cli bench \
+  --scenarios src/chainreact/data/span_draws/oracle.json \
+  --trace-dir "$out/traces" --out "$out/results.json" > "$out/stdout.txt")

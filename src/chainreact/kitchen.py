@@ -239,6 +239,80 @@ DEFAULT_PRIMITIVES: dict[str, PrimitiveSpec] = {
 }
 
 
+# Raw words per random_raw call of a simulator's primitive stream.
+DRAW_BLOCK = 32
+
+
+def _words(bitgen: np.random.BitGenerator):
+    """The raw 64-bit words of ``bitgen`` as ints, drawn ``DRAW_BLOCK`` at a
+    time, the first block at the first ``next``."""
+    while True:
+        yield from bitgen.random_raw(DRAW_BLOCK).tolist()
+
+
+def _lemire(draw: Callable[[], int], span: int, width: int) -> int:
+    """numpy's bounded draw of ``0..span`` from ``width``-bit draws, Lemire's
+    multiply-and-reject: the high half of a draw times ``span + 1``, redrawn
+    while the low half is below ``(2**width - span - 1) % (span + 1)``, a
+    threshold that is 0 (numpy's direct path) at ``span == 2**width - 1``."""
+    excl = span + 1
+    mask = (1 << width) - 1
+    m = draw() * excl
+    if m & mask < excl:  # every threshold is below excl
+        threshold = (mask - span) % excl
+        while m & mask < threshold:
+            m = draw() * excl
+    return m >> width
+
+
+_UNREAD = object()  # a bit generator's cached half not yet read
+
+
+class PrimitiveDraws:
+    """``Generator.integers`` and ``Generator.random`` of a PCG64 generator,
+    one call at a time, computed from its raw words read in blocks.
+
+    ``random()`` is a word's top 53 bits times 2**-53.  ``integers`` is
+    :func:`_lemire` on 32-bit draws while the span fits 32 bits, and on whole
+    words above; a span of 0 draws nothing.  A 32-bit draw is a word's low
+    half, and keeps its high half for the next 32-bit draw, a cache that
+    whole-word draws leave alone; the first 32-bit draw takes the bit
+    generator's own cached half, if it has one.  Nothing is drawn or read
+    before the first draw."""
+
+    def __init__(self, rng: np.random.Generator):
+        self._bitgen = rng.bit_generator
+        if not isinstance(self._bitgen, np.random.PCG64):
+            raise ValueError(
+                f"primitive draws need a PCG64 generator, not {type(self._bitgen).__name__}"
+            )
+        self._half: object = _UNREAD  # the cached high half, if any
+        self._word = _words(self._bitgen).__next__
+
+    def random(self) -> float:
+        """``rng.random()``."""
+        return (self._word() >> 11) * 2**-53
+
+    def integers(self, lo: int, hi: int) -> int:
+        """``int(rng.integers(lo, hi + 1))``, for ``lo <= hi``."""
+        span = hi - lo
+        if span > 0xFFFFFFFF:
+            return lo + _lemire(self._word, span, 64)
+        return lo + _lemire(self._next32, span, 32) if span else lo
+
+    def _next32(self) -> int:
+        half = self._half
+        if half is None:
+            word = self._word()
+            self._half = word >> 32
+            return word & 0xFFFFFFFF
+        self._half = None
+        if half is _UNREAD:
+            state = self._bitgen.state
+            return state["uinteger"] if state["has_uint32"] else self._next32()
+        return half
+
+
 class UnknownBindingError(KeyError):
     """An operator has no primitive or no outcome rule in the simulator."""
 
@@ -457,6 +531,13 @@ class PrimitiveState:
 class KitchenSim:
     """One simulator instance per trial; all randomness from the given generators.
 
+    ``rng``, a PCG64 generator, drives primitive durations and success draws,
+    and ``world_rng`` exogenous events (disturbance destinations), so extra
+    primitive draws never shift disturbance draws and vice versa.  The
+    simulator owns ``rng``: it reads words up to a block ahead of the draws
+    it has made (:class:`PrimitiveDraws`), so ``rng`` must not be
+    ``world_rng``, nor any generator another caller draws from.
+
     The truth is cached, and the world changes only through these methods: a
     caller that edits ``sim.world`` in place after construction reads a stale truth."""
 
@@ -465,13 +546,13 @@ class KitchenSim:
         primitives: dict[str, PrimitiveSpec], rng: np.random.Generator,
         world_rng: np.random.Generator,
     ):
-        # rng drives primitive durations and success draws; world_rng drives
-        # exogenous events (disturbance destinations).  Given two generators,
-        # extra primitive draws never shift disturbance draws and vice versa.
+        if rng is world_rng:
+            raise ValueError("the primitive rng must not also be the world_rng")
         self.grounded = grounded
         self.world = world
         self.primitives = primitives
         self.rng = rng
+        self._draws = PrimitiveDraws(rng)
         self.world_rng = world_rng
         self.current: Optional[PrimitiveState] = None
         self._truth: Optional[int] = None  # None until read after a change
@@ -505,8 +586,8 @@ class KitchenSim:
             raise UnknownBindingError(
                 f"operator {op.name} is bound to unknown primitive {op.schema.binding!r}"
             )
-        ticks = int(self.rng.integers(spec.min_ticks, spec.max_ticks + 1))
-        will_succeed = bool(self.rng.random() < spec.success_prob)
+        ticks = self._draws.integers(spec.min_ticks, spec.max_ticks)
+        will_succeed = self._draws.random() < spec.success_prob
         prim = PrimitiveState(op, ticks, will_succeed, rule)
         if rule.obj_arg:
             pose = self.world.object_pose[op.bound_args[0]]

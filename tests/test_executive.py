@@ -42,6 +42,7 @@ from tests.util import (
     kitchen_problem,
     primitives,
     reference_world,
+    world_rng,
 )
 
 
@@ -54,8 +55,10 @@ def g1():
 
 def fresh_setup(grounded, seed=0, success_prob=1.0, world=None, noise=None, window=3):
     prims = primitives(success_prob)
-    rng = np.random.default_rng(seed)
-    sim = KitchenSim(grounded, world or reference_world(), prims, rng, rng)
+    sim = KitchenSim(
+        grounded, world or reference_world(), prims, np.random.default_rng(seed),
+        world_rng(seed),
+    )
     pipe = PerceptionPipeline(
         grounded.vocabulary, noise or NoiseModel(), window=window,
         rng=np.random.default_rng(seed + 10_000),

@@ -11,9 +11,12 @@ import dataclasses
 import itertools
 import json
 import math
+import random
 import re
+import sys
 from collections import deque
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -36,6 +39,7 @@ from chainreact.kitchen import (
     WRITTEN_PREDICATES,
     InitialConfig,
     KitchenSim,
+    PrimitiveDraws,
     PrimitiveSpec,
     UnknownBindingError,
     WorldState,
@@ -56,6 +60,7 @@ from tests.util import (
     problem_source,
     reference_world,
     table_truth,
+    world_rng,
 )
 
 
@@ -74,10 +79,11 @@ def state(grounded, mask):
 
 
 def reliable_sim(grounded, world, seed=0, success_prob=1.0):
-    """A simulator whose primitives all succeed, or at success_prob 0 all fail."""
+    """A simulator whose primitives all succeed, or at success_prob 0 all
+    fail, drawing them from ``default_rng(seed)`` and its disturbances from a
+    second generator."""
     prims = primitives(success_prob)
-    rng = np.random.default_rng(seed)
-    return KitchenSim(grounded, world, prims, rng, rng)
+    return KitchenSim(grounded, world, prims, np.random.default_rng(seed), world_rng(seed))
 
 
 def run_op(sim, op):
@@ -302,7 +308,7 @@ class TestWorldKey:
         for seed in range(10):
             rng = np.random.default_rng(seed)
             world = sample_initial(config, grounded.movables, rng)
-            sim = KitchenSim(grounded, world, primitives(0.8), rng, rng)
+            sim = KitchenSim(grounded, world, primitives(0.8), rng, world_rng(seed))
             pipe = PerceptionPipeline(grounded.vocabulary, NoiseModel(), window=1, rng=rng)
             run(sim, pipe, chain, max_ticks=300)
         assert len(seen) > 20
@@ -385,9 +391,8 @@ class TestPrimitives:
         assert sim.current is None and not sim.world.arm_moving
 
     def test_unknown_binding(self, grounded):
-        rng = np.random.default_rng(0)
         prims = {"cage": PrimitiveSpec(1, 1)}
-        sim = KitchenSim(grounded, reference_world(), prims, rng, rng)
+        sim = KitchenSim(grounded, reference_world(), prims, np.random.default_rng(0), world_rng(0))
         with pytest.raises(UnknownBindingError):
             sim.start_primitive(grounded.operator_named("back_off"))
 
@@ -426,9 +431,7 @@ class TestPrimitives:
     def test_failed_grasp_leaves_nothing_attached(self, grounded):
         world = reference_world()
         world.arm_region = ("around", "spam")
-        prims = primitives(0.0)
-        rng = np.random.default_rng(1)
-        sim = KitchenSim(grounded, world, prims, rng, rng)
+        sim = reliable_sim(grounded, world, seed=1, success_prob=0.0)
         run_op(sim, grounded.operator_named("grasp_obj", ("spam",)))
         names = names_of(grounded, sim.eval_predicates())
         assert "arm_is_attached_to_obj(spam)" not in names
@@ -455,9 +458,7 @@ class TestPrimitives:
         world.arm_region = ("around", "handle")
         world.attached = "handle"
         world.gripper_aperture = 0.2
-        prims = primitives(0.0)
-        rng = np.random.default_rng(3)
-        sim = KitchenSim(grounded, world, prims, rng, rng)
+        sim = reliable_sim(grounded, world, seed=3, success_prob=0.0)
         run_op(sim, grounded.operator_named("pull_drawer"))
         assert 0.0 < sim.world.drawer_extension < DRAWER_OPEN_AT
         assert sim.world.attached is None
@@ -476,6 +477,80 @@ class TestPrimitives:
         assert sim.current is None
         assert sim.world.drawer_extension == ext  # progress neither lost nor finished
         assert 0 < ext < 1
+
+
+# Spans of integers(lo, lo + span + 1): none, the smallest, a rejection in
+# about half of the 32-bit draws, the widest 32-bit span (no rejection), the
+# narrowest 64-bit one and the widest a scenario allows.
+DRAW_SPANS = (0, 1, 2**31, 2**32 - 1, 2**32, sys.maxsize - 1)
+
+
+def _check_draws(rng, ref, calls):
+    """``calls`` (None for ``random``, else an ``integers`` span) through a
+    PrimitiveDraws on ``rng`` equal numpy's one call at a time on ``ref``."""
+    draws = PrimitiveDraws(rng)
+    for n, span in enumerate(calls):
+        if span is None:
+            assert draws.random() == ref.random(), f"call {n}"
+        else:
+            assert draws.integers(1, 1 + span) == ref.integers(1, 2 + span), f"call {n}"
+
+
+class TestPrimitiveDraws:
+    @pytest.mark.parametrize("block", [1, 3, None], ids=["1", "3", "default"])
+    def test_runs_across_blocks_equal_numpy(self, monkeypatch, block):
+        choice = random.Random(0)
+        calls = [choice.choice((None, *DRAW_SPANS)) for _ in range(400)]
+        # random() and a span of 32 bits or more each take a word of their
+        # own, so the calls cross at least two blocks of the default size.
+        assert sum(span is None or span >= 2**32 for span in calls) > 2 * kitchen.DRAW_BLOCK
+        if block is not None:
+            monkeypatch.setattr(kitchen, "DRAW_BLOCK", block)
+        for seed in range(20):
+            _check_draws(np.random.default_rng(seed), np.random.default_rng(seed), calls)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        seed=st.integers(0, 2**64 - 1),
+        warm=st.booleans(),
+        block=st.sampled_from([1, 3, kitchen.DRAW_BLOCK]),
+        calls=st.lists(st.one_of(st.none(), st.sampled_from(DRAW_SPANS), st.integers(1, 99)),
+                       max_size=200),
+    )
+    def test_random_interleavings_equal_numpy(self, seed, warm, block, calls):
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        if warm:  # a 32-bit draw leaves half a word cached in the bit generator
+            assert rng.integers(6) == ref.integers(6)
+        with mock.patch.object(kitchen, "DRAW_BLOCK", block):
+            _check_draws(rng, ref, calls)
+
+    def test_start_primitive_draws_as_numpy_did(self, grounded):
+        # Each start draws integers(min_ticks, max_ticks + 1), none when they
+        # are equal, and then random() < success_prob.
+        prims = {**primitives(0.5), "back_off": PrimitiveSpec(3, 3, 0.5)}
+        ops = [grounded.operator_named(name) for name in ("pull_drawer", "back_off", "open_gripper")]
+        for seed in range(20):
+            ref = np.random.default_rng(seed)
+            sim = KitchenSim(grounded, reference_world(), prims, np.random.default_rng(seed),
+                             world_rng(seed))
+            for op in ops * 30:
+                spec = prims[op.schema.binding]
+                prim = sim.start_primitive(op)
+                ticks = spec.min_ticks
+                if spec.max_ticks > spec.min_ticks:
+                    ticks = int(ref.integers(spec.min_ticks, spec.max_ticks + 1))
+                assert prim.ticks_remaining == ticks
+                assert prim.will_succeed == (ref.random() < spec.success_prob)
+
+    def test_a_generator_other_than_pcg64_raises(self, grounded):
+        rng = np.random.Generator(np.random.MT19937(0))
+        with pytest.raises(ValueError, match="PCG64 generator, not MT19937"):
+            KitchenSim(grounded, reference_world(), primitives(1.0), rng, world_rng(0))
+
+    def test_a_shared_generator_raises(self, grounded):
+        rng = np.random.default_rng(0)
+        with pytest.raises(ValueError, match="must not also be the world_rng"):
+            KitchenSim(grounded, reference_world(), primitives(1.0), rng, rng)
 
 
 class TestDisturbances:
@@ -837,9 +912,7 @@ class TestOutcomesKeepWorldValid:
 
     def test_failed_pull_with_an_object_in_hand(self, grounded):
         world = loaded_world(("around", "handle"), "spam", ("held",))
-        prims = primitives(0.0)
-        rng = np.random.default_rng(3)
-        sim = KitchenSim(grounded, world, prims, rng, rng)
+        sim = reliable_sim(grounded, world, seed=3, success_prob=0.0)
         run_op(sim, grounded.operator_named("pull_drawer"))
         sim.world.validate()
         assert sim.world.attached is None
@@ -849,9 +922,7 @@ class TestOutcomesKeepWorldValid:
         # back_off's row gives no failure outcome: the world stays as it was
         # dispatched, and the executive retries.
         world = reference_world()
-        prims = primitives(0.0)
-        rng = np.random.default_rng(0)
-        sim = KitchenSim(grounded, copy.deepcopy(world), prims, rng, rng)
+        sim = reliable_sim(grounded, copy.deepcopy(world), success_prob=0.0)
         assert run_op(sim, grounded.operator_named("back_off")).phase == "failed"
         assert sim.world == world
 
@@ -866,11 +937,9 @@ class TestOutcomesKeepWorldValid:
     @pytest.mark.parametrize("succeed", [True, False], ids=["success", "failure"])
     @pytest.mark.parametrize("start", _LOADED_WORLDS)
     def test_every_outcome_from_a_loaded_gripper(self, grounded, start, succeed):
-        prims = primitives(succeed)
         for op in grounded.operators:
-            rng = np.random.default_rng(0)
             world = loaded_world(**_LOADED_WORLDS[start])
-            sim = KitchenSim(grounded, world, prims, rng, rng)
+            sim = reliable_sim(grounded, world, success_prob=succeed)
             run_op(sim, op)
             sim.world.validate()
 
@@ -959,9 +1028,7 @@ class TestContract:
         rng = np.random.default_rng(seed)
         config = InitialConfig(objects, drawer, arm, gripper_open_prob=0.5)
         world = sample_initial(config, grounded.movables, rng)
-        sim = KitchenSim(
-            grounded, world, primitives(0.7), rng, rng
-        )
+        sim = KitchenSim(grounded, world, primitives(0.7), rng, world_rng(seed))
         assert_in_contract(grounded, sim.eval_predicates())
         for step in steps:
             if isinstance(step, int):

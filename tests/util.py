@@ -14,6 +14,8 @@ from pathlib import Path
 from types import SimpleNamespace
 from typing import Optional
 
+import numpy as np
+
 from chainreact.kitchen import DEFAULT_PRIMITIVES, DRIVING, PrimitiveSpec, WorldState
 from chainreact.lang import DomainDefinition, parse_domain, parse_problem
 
@@ -116,6 +118,12 @@ def primitives(success_prob: float) -> dict[str, PrimitiveSpec]:
         name: dataclasses.replace(spec, success_prob=float(success_prob))
         for name, spec in DEFAULT_PRIMITIVES.items()
     }
+
+
+def world_rng(seed: int) -> np.random.Generator:
+    """The world generator of a test simulator whose primitive generator is
+    ``default_rng(seed)``: KitchenSim owns that one, so the two must differ."""
+    return np.random.default_rng(seed + 20_000)
 
 
 def kitchen_source() -> str:
